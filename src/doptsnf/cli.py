@@ -309,8 +309,12 @@ def cmd_check(args) -> int:
 
 def cmd_search(args) -> int:
     started = time.perf_counter()
-    workers = args.parallel or 1
+    workers = 1 if args.parallel is None else args.parallel
+    if workers < 1:
+        raise ValueError(f"--parallel must be at least 1, got {workers}")
     cap = args.max_candidates
+    if cap is not None and cap < 1:
+        raise ValueError(f"--max-candidates must be at least 1, got {cap}")
     if args.kind == "barba-scan":
         orders = args.orders or ([args.order] if args.order else None)
         if not orders:

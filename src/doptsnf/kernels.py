@@ -1,13 +1,15 @@
 """Pure-Python kernels for the exact linear-algebra hot loops.
 
-The compiled twin in ``_speedups.pyx`` implements the same six entry points
-with identical semantics; ``doptsnf.kernels`` picks whichever is available.
-Matrices are lists of row lists of Python ints, so every result is exact no
-matter how large intermediates grow. Callers own all shape validation —
-kernels assume well-formed input.
+This is the package's one kernel implementation. Matrices are lists of row
+lists of Python ints, so every result is exact no matter how large
+intermediates grow. Callers own all shape validation — kernels assume
+well-formed input.
 """
 
 from __future__ import annotations
+
+#: Name of the kernel implementation; the layered benchmark records it with each run.
+BACKEND = "python"
 
 
 def matmul(a, b):
@@ -196,8 +198,7 @@ def smith_reduce(a, want_transforms):
 
 
 def gf_rank(a, p):
-    """Rank over GF(p) by forward elimination; p must be an odd-sized prime
-    fitting a machine word (the compiled twin relies on that)."""
+    """Rank over GF(p) by forward elimination; p must be prime."""
     m = len(a)
     n = len(a[0])
     w = [[v % p for v in row] for row in a]

@@ -9,14 +9,13 @@ DOPT_SNF_MAX_CANDIDATES.
 
 Optional data parallelism partitions the mask range into contiguous chunks
 handled by worker processes; the merged result is exactly the sequential
-one.
+one. The pool never has more processes than CPUs or candidates.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -35,23 +34,29 @@ class InfeasibleSearchError(RuntimeError):
     """The candidate space exceeds the configured cap."""
 
 
-@dataclass(frozen=True)
-class SearchSpec:
-    """Parameters of one search run, echoed into reports."""
-
-    kind: str
-    order: int
-    limit: Optional[int] = None
-    deterministic_seed: int = 0
+def _check_bounds(limit: Optional[int], workers: int = 1) -> None:
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def _candidate_cap(explicit: Optional[int]) -> int:
     if explicit is not None:
+        if explicit < 1:
+            raise ValueError(f"max_candidates must be at least 1, got {explicit}")
         return explicit
     env = os.environ.get(ENV_MAX_CANDIDATES)
-    if env:
-        return int(env)
-    return DEFAULT_MAX_CANDIDATES
+    if not env:
+        return DEFAULT_MAX_CANDIDATES
+    bad = f"{ENV_MAX_CANDIDATES} must be a positive integer, got {env!r}"
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError(bad) from None
+    if cap < 1:
+        raise ValueError(bad)
+    return cap
 
 
 def _gate(total: int, max_candidates: Optional[int], what: str) -> None:
@@ -68,10 +73,20 @@ def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
+def _pool_size(workers: int, total: int) -> int:
+    """Worker processes for a scan: at most one per CPU and per candidate."""
+    return min(workers, os.cpu_count() or 1, total)
+
+
 def _scan(total: int, chunk_fn, args: tuple, workers: int) -> list[int]:
     """Masks in [0, total) passing chunk_fn, ascending, optionally parallel."""
+    workers = _pool_size(workers, total)
     if workers <= 1:
         return chunk_fn(args + (0, total))
+    # Imported here: multiprocessing is a quarter of the package's import time,
+    # and only parallel scans need it.
+    from concurrent.futures import ProcessPoolExecutor
+
     out: list[int] = []
     jobs = [args + rng for rng in _chunk_ranges(total, workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -121,6 +136,7 @@ def enumerate_ew_tournaments(
     bit pattern. Order 5 means 2^10 candidates; order 9 already means 2^36
     and is refused unless the candidate cap is raised explicitly.
     """
+    _check_bounds(limit, workers)
     if order % 4 != 1:
         raise ValueError(f"order {order} is not 1 (mod 4)")
     if not 5 <= order <= 9:
@@ -158,6 +174,7 @@ def search_circulant_tournament(
     expected to come back empty; it exists to make that emptiness a
     computed fact rather than an assumption.
     """
+    _check_bounds(limit)
     if order % 2 == 0:
         raise ValueError("circulant tournaments need odd order")
     if order < 1:
@@ -185,11 +202,24 @@ def _barba_row_from_mask(order: int, mask: int) -> tuple[int, ...]:
 
 
 def _circulant_barba_chunk(args: tuple[int, int, int]) -> list[int]:
+    """Masks whose rows have every nonzero-lag autocorrelation equal to 1.
+
+    Rows agree where the mask and its rotation by k agree, so
+    c_k = order - 2 * popcount(mask ^ rot_k(mask)), and c_k == 1 iff that
+    popcount is (order - 1) / 2. Since c_k == c_(order-k), lags up to
+    (order - 1) / 2 suffice.
+    """
     order, lo, hi = args
+    full = (1 << order) - 1
+    want = (order - 1) // 2
+    lags = range(1, want + 1)
     hits = []
     for mask in range(lo, hi):
-        row = list(_barba_row_from_mask(order, mask))
-        if all(c == 1 for c in autocorrelations(row)[1:]):
+        for k in lags:
+            rot = ((mask << k) | (mask >> (order - k))) & full
+            if (mask ^ rot).bit_count() != want:
+                break
+        else:
             hits.append(mask)
     return hits
 
@@ -204,9 +234,10 @@ def search_circulant_barba(
 
     Enumerates all 2^order first rows in ascending mask order (bit i set
     means entry +1), keeps those whose nonzero-lag autocorrelations all
-    equal 1, and re-verifies each survivor with is_barba before returning
-    it.
+    equal 1, and re-verifies each survivor against the textbook
+    autocorrelations and then is_barba before returning it.
     """
+    _check_bounds(limit, workers)
     if order % 4 != 1:
         raise ValueError(f"order {order} is not 1 (mod 4)")
     total = 1 << order
@@ -216,10 +247,11 @@ def search_circulant_barba(
         masks = masks[:limit]
     out = []
     for mask in masks:
-        r = circulant(_barba_row_from_mask(order, mask))
-        if not is_barba(r):
+        row = _barba_row_from_mask(order, mask)
+        r = circulant(row)
+        if any(c != 1 for c in autocorrelations(row)[1:]) or not is_barba(r):
             raise RuntimeError(
-                f"autocorrelation filter accepted a non-conforming row (mask {mask})"
+                f"popcount filter accepted a non-conforming row (mask {mask})"
             )
         out.append(r)
     return out

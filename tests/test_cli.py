@@ -196,6 +196,21 @@ def test_search_refusal_and_usage(capsys):
     run(capsys, ["search", "--kind", "barba-scan"], 2)
 
 
+def test_search_rejects_out_of_range_arguments(capsys):
+    order5 = ["search", "--kind", "circulant-barba", "--order", "5"]
+    assert "limit" in run(capsys, order5 + ["--limit", "-1"], 2).err
+    for n in ("0", "-3"):
+        assert "--parallel" in run(capsys, order5 + ["--parallel", n], 2).err
+    assert "--max-candidates" in run(capsys, order5 + ["--max-candidates", "0"], 2).err
+
+
+@pytest.mark.parametrize("value", ["lots", "-5"])
+def test_search_rejects_bad_candidate_cap_env(capsys, monkeypatch, value):
+    monkeypatch.setenv("DOPT_SNF_MAX_CANDIDATES", value)
+    err = run(capsys, ["search", "--kind", "ew-tournaments", "--order", "5"], 2).err
+    assert "DOPT_SNF_MAX_CANDIDATES must be a positive integer" in err
+
+
 def test_search_barba_scan_text(capsys):
     captured = run(capsys, ["search", "--kind", "barba-scan", "--orders", "5", "13"], 0)
     assert "order 5: 10 rows" in captured.out

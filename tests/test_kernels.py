@@ -1,92 +1,74 @@
-"""Pure-Python vs compiled kernel parity.
+"""Kernels against independent oracles, and a fresh-process CLI smoke test."""
 
-The compiled extension is optional at install time; parity tests self-skip
-when it is absent rather than failing the suite on a pure-Python install.
-"""
-
-import random
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from doptsnf.kernels import BACKEND, available_backends, pure
+from doptsnf import kernels
+from doptsnf.exactmat import format_matrix
+from doptsnf.search import _barba_row_from_mask, _circulant_barba_chunk
 
-BACKENDS = available_backends()
-needs_compiled = pytest.mark.skipif(
-    "compiled" not in BACKENDS, reason="compiled extension not built"
-)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+KERNELS = ("matmul", "bareiss_determinant", "adjugate", "smith_reduce", "gf_rank", "autocorrelations")
 
 
 def test_backend_selection_reports_something_sane():
-    assert BACKEND in BACKENDS
+    assert kernels.BACKEND == "python"
 
 
 def test_pure_backend_always_available():
-    assert "python" in BACKENDS
-    assert BACKENDS["python"] is pure
+    assert not hasattr(kernels, "__path__")  # one module, not a package
+    assert all(callable(getattr(kernels, name)) for name in KERNELS)
 
 
-@needs_compiled
-def test_parity_random_workloads():
-    cc = BACKENDS["compiled"]
-    rng = random.Random(401)
-    for _ in range(80):
-        m = rng.randint(1, 6)
-        k = rng.randint(1, 6)
-        n = rng.randint(1, 6)
-        a = [[rng.randint(-30, 30) for _ in range(k)] for _ in range(m)]
-        b = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(k)]
-        assert pure.matmul(a, b) == cc.matmul(a, b)
-        sq = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(m)]
-        assert pure.bareiss_determinant(sq) == cc.bareiss_determinant(sq)
-        assert pure.adjugate(sq) == cc.adjugate(sq)
-        r = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
-        assert pure.smith_reduce(r, True) == cc.smith_reduce(r, True)
-        assert pure.smith_reduce(r, False) == cc.smith_reduce(r, False)
-        for p in (3, 5, 101):
-            assert pure.gf_rank(r, p) == cc.gf_rank(r, p)
-        row = [rng.choice((1, -1)) for _ in range(rng.randint(1, 24))]
-        assert pure.autocorrelations(row) == cc.autocorrelations(row)
+@pytest.mark.parametrize("order", [5, 9, 13])
+def test_popcount_filter_matches_autocorrelations(order):
+    """The scan's popcount filter keeps exactly the rows the textbook
+    autocorrelation definition accepts, checked on every mask."""
+    total = 1 << order
+    expected = [
+        mask
+        for mask in range(total)
+        if all(c == 1 for c in kernels.autocorrelations(_barba_row_from_mask(order, mask))[1:])
+    ]
+    assert _circulant_barba_chunk((order, 0, total)) == expected
 
 
-@needs_compiled
-def test_parity_big_integers(example26):
-    """Intermediates overflow any machine word; both backends must agree."""
-    cc = BACKENDS["compiled"]
-    rows = example26.to_rows()
-    assert pure.bareiss_determinant(rows) == cc.bareiss_determinant(rows)
-    assert pure.adjugate(rows) == cc.adjugate(rows)
-    assert pure.smith_reduce(rows, False) == cc.smith_reduce(rows, False)
-    huge = [[(3**40) ** (i + j + 1) for j in range(3)] for i in range(3)]
-    assert pure.bareiss_determinant(huge) == cc.bareiss_determinant(huge)
-    assert pure.smith_reduce(huge, False) == cc.smith_reduce(huge, False)
+def test_determinant_certificates_on_big_entries(example26):
+    """|det| equals the product of the invariant factors, and A adj(A) = det I;
+    intermediates here overflow any machine word."""
+    x = 3**40
+    huge = [[x ** (i + j + 1) for j in range(3)] for i in range(3)]  # x u u^T, rank 1
+    shifted = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(huge)]
+    assert kernels.bareiss_determinant(shifted) == 1 + x + x**3 + x**5  # det(I + x u u^T)
+    for name, a in {"example26": example26.to_rows(), "huge": huge, "huge+I": shifted}.items():
+        n = len(a)
+        det = kernels.bareiss_determinant(a)
+        factors, _, _ = kernels.smith_reduce(a, False)
+        assert abs(det) == math.prod(factors), name
+        adj, adj_det = kernels.adjugate(a)
+        assert adj_det == det, name
+        if det == 0:
+            assert adj is None, name
+            continue
+        ident = [[det * (i == j) for j in range(n)] for i in range(n)]
+        assert kernels.matmul(a, adj) == ident, name
 
 
-@needs_compiled
-def test_parity_gf_rank_structured(tournament13):
-    cc = BACKENDS["compiled"]
-    rows = tournament13.matrix.to_rows()
-    for p in (3, 5, 7, 13):
-        assert pure.gf_rank(rows, p) == cc.gf_rank(rows, p)
-
-
-def test_env_override(monkeypatch):
-    """DOPT_SNF_BACKEND=python must pick the fallback in a fresh import."""
-    import subprocess
-    import sys
-
-    code = "import doptsnf.kernels as k; print(k.BACKEND)"
+def test_cli_snf_in_a_fresh_process(tmp_path, example26):
+    path = tmp_path / "e26.mat"
+    path.write_text(format_matrix(example26))
     out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"DOPT_SNF_BACKEND": "python", "PATH": "/usr/bin:/bin"},
+        [sys.executable, "-m", "doptsnf.cli", "snf", str(path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
+        timeout=60,
     )
-    assert out.stdout.strip() == "python"
-
-    bad = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"DOPT_SNF_BACKEND": "nonsense", "PATH": "/usr/bin:/bin"},
-        capture_output=True,
-        text=True,
-    )
-    assert bad.returncode != 0
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1, 2^13, 12^10, 60^2"

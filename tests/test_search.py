@@ -8,7 +8,7 @@ from doptsnf.search import (
     DEFAULT_MAX_CANDIDATES,
     ENV_MAX_CANDIDATES,
     InfeasibleSearchError,
-    SearchSpec,
+    _pool_size,
     barba_problem_scan,
     enumerate_ew_tournaments,
     search_circulant_barba,
@@ -130,8 +130,29 @@ def test_barba_scan_order_13():
     assert GOLDEN_13_ROW in {e.first_row for e in rep.entries}
 
 
-def test_search_spec_is_frozen():
-    spec = SearchSpec(kind="ew-tournaments", order=5)
-    assert spec.limit is None
-    with pytest.raises(Exception):
-        spec.order = 9
+def test_out_of_range_arguments_are_rejected():
+    for search in (enumerate_ew_tournaments, search_circulant_tournament, search_circulant_barba):
+        with pytest.raises(ValueError, match="limit"):
+            search(5, limit=-1)
+    for search in (enumerate_ew_tournaments, search_circulant_barba):
+        with pytest.raises(ValueError, match="workers"):
+            search(5, workers=0)
+    with pytest.raises(ValueError, match="max_candidates"):
+        search_circulant_barba(5, max_candidates=0)
+    assert search_circulant_barba(5, limit=0) == []
+
+
+def test_pool_size_is_clamped_without_starting_a_pool(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert _pool_size(10**6, 1 << 17) == 2
+    assert _pool_size(10**6, 1) == 1
+    assert _pool_size(1, 1 << 17) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _pool_size(10**6, 1 << 17) == 1
+
+
+@pytest.mark.parametrize("value", ["lots", "-5", "0", "1.5"])
+def test_candidate_cap_env_must_be_positive(monkeypatch, value):
+    monkeypatch.setenv(ENV_MAX_CANDIDATES, value)
+    with pytest.raises(ValueError, match=ENV_MAX_CANDIDATES):
+        enumerate_ew_tournaments(5)
