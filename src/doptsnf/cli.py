@@ -157,42 +157,39 @@ def _parse_row(text: str) -> tuple[int, ...]:
 def cmd_construct(args) -> int:
     started = time.perf_counter()
     inputs = [args.input] if args.input else []
-    try:
-        if args.family == "example26":
-            m = build_example_26()
-        elif args.family == "example66":
-            m = build_example_66()
-        elif args.family == "circulant":
-            if args.row is None:
-                raise ValueError("--family circulant needs --row")
-            m = circulant(_parse_row(args.row))
-        elif args.family == "barba-double":
-            if args.row is not None:
-                base = circulant(_parse_row(args.row))
-            elif args.input:
-                base = _load_matrix(args.input)
-            else:
-                raise ValueError("--family barba-double needs --row or --input")
-            try:
-                if not is_barba(base):
-                    raise _ConstructionFailure(
-                        f"base of order {base.rows} is not a barba matrix"
-                    )
-                m = barba_double(base)
-            except ValueError as exc:
-                raise _ConstructionFailure(str(exc)) from exc
-        elif args.family == "skew-from-tournament":
-            if not args.input:
-                raise ValueError("--family skew-from-tournament needs --input")
-            raw = _load_matrix(args.input)
-            try:
-                m = skew_from_tournament(Tournament.from_matrix(raw))
-            except ValueError as exc:
-                raise _ConstructionFailure(str(exc)) from exc
-        else:  # pragma: no cover - argparse choices guard this
-            raise ValueError(f"unknown family {args.family!r}")
-    except _ConstructionFailure:
-        raise
+    if args.family == "example26":
+        m = build_example_26()
+    elif args.family == "example66":
+        m = build_example_66()
+    elif args.family == "circulant":
+        if args.row is None:
+            raise ValueError("--family circulant needs --row")
+        m = circulant(_parse_row(args.row))
+    elif args.family == "barba-double":
+        if args.row is not None:
+            base = circulant(_parse_row(args.row))
+        elif args.input:
+            base = _load_matrix(args.input)
+        else:
+            raise ValueError("--family barba-double needs --row or --input")
+        try:
+            if not is_barba(base):
+                raise _ConstructionFailure(
+                    f"base of order {base.rows} is not a barba matrix"
+                )
+            m = barba_double(base)
+        except ValueError as exc:
+            raise _ConstructionFailure(str(exc)) from exc
+    elif args.family == "skew-from-tournament":
+        if not args.input:
+            raise ValueError("--family skew-from-tournament needs --input")
+        raw = _load_matrix(args.input)
+        try:
+            m = skew_from_tournament(Tournament.from_matrix(raw))
+        except ValueError as exc:
+            raise _ConstructionFailure(str(exc)) from exc
+    else:  # pragma: no cover - argparse choices guard this
+        raise ValueError(f"unknown family {args.family!r}")
     text = format_matrix(m)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -307,6 +304,15 @@ def cmd_check(args) -> int:
     return 0 if chk.passed else 1
 
 
+# Search flags that a --kind does not read; giving one is a usage error.
+_UNUSED_SEARCH_FLAGS = {
+    "ew-tournaments": ("orders",),
+    "circulant-tournament": ("orders", "parallel"),
+    "circulant-barba": ("orders",),
+    "barba-scan": ("limit",),
+}
+
+
 def cmd_search(args) -> int:
     started = time.perf_counter()
     workers = 1 if args.parallel is None else args.parallel
@@ -315,6 +321,9 @@ def cmd_search(args) -> int:
     cap = args.max_candidates
     if cap is not None and cap < 1:
         raise ValueError(f"--max-candidates must be at least 1, got {cap}")
+    for flag in _UNUSED_SEARCH_FLAGS[args.kind]:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} does not apply to --kind {args.kind}")
     if args.kind == "barba-scan":
         orders = args.orders or ([args.order] if args.order else None)
         if not orders:

@@ -18,6 +18,7 @@ starting with ``#`` are comments and trailing whitespace is ignored.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,7 +44,7 @@ class IntMatrix:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise DimensionError("matrix dimensions must be positive")
-        ent = tuple(int(v) for v in self.entries)
+        ent = tuple(map(operator.index, self.entries))  # rejects 1.5 rather than truncating it
         if len(ent) != self.rows * self.cols:
             raise ValueError(f"expected {self.rows * self.cols} entries, got {len(ent)}")
         object.__setattr__(self, "entries", ent)

@@ -7,9 +7,11 @@ are refused with InfeasibleSearchError instead of starting an open-ended
 scan; the cap can be raised per call or through the environment variable
 DOPT_SNF_MAX_CANDIDATES.
 
-Optional data parallelism partitions the mask range into contiguous chunks
-handled by worker processes; the merged result is exactly the sequential
-one. The pool never has more processes than CPUs or candidates.
+Every search runs through one driver, _scan, which stops the scan once
+`limit` masks are found. Optional data parallelism partitions the mask
+range into contiguous chunks handled by worker processes, each stopping
+after `limit` hits; the merged result is exactly the sequential one. The
+pool never has more processes than CPUs or candidates.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional
 
 from .designs import Tournament, barba_double, is_barba
@@ -32,13 +35,6 @@ ENV_MAX_CANDIDATES = "DOPT_SNF_MAX_CANDIDATES"
 
 class InfeasibleSearchError(RuntimeError):
     """The candidate space exceeds the configured cap."""
-
-
-def _check_bounds(limit: Optional[int], workers: int = 1) -> None:
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be at least 0, got {limit}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def _candidate_cap(explicit: Optional[int]) -> int:
@@ -59,69 +55,70 @@ def _candidate_cap(explicit: Optional[int]) -> int:
     return cap
 
 
-def _gate(total: int, max_candidates: Optional[int], what: str) -> None:
-    cap = _candidate_cap(max_candidates)
-    if total > cap:
-        raise InfeasibleSearchError(
-            f"{what} has {total} candidates, above the cap of {cap}; "
-            f"raise it via max_candidates or {ENV_MAX_CANDIDATES} to proceed"
-        )
-
-
-def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    size = -(-total // workers)
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-
 def _pool_size(workers: int, total: int) -> int:
     """Worker processes for a scan: at most one per CPU and per candidate."""
     return min(workers, os.cpu_count() or 1, total)
 
 
-def _scan(total: int, chunk_fn, args: tuple, workers: int) -> list[int]:
-    """Masks in [0, total) passing chunk_fn, ascending, optionally parallel."""
+def _chunk(job: tuple) -> list[int]:
+    hits, order, lo, hi, limit = job
+    return list(islice(hits(order, lo, hi), limit))
+
+
+def _scan(hits, order: int, total: int, space: str, limit, workers: int, max_candidates) -> list[int]:
+    """The first `limit` (all if None) masks in [0, total) accepted by a search.
+
+    hits(order, lo, hi) is a top-level generator function, so that workers
+    can unpickle it, yielding the accepted masks of [lo, hi) in ascending
+    order; space names the candidate space in the refusal message.
+    """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    cap = _candidate_cap(max_candidates)
+    if total > cap:
+        raise InfeasibleSearchError(
+            f"the order-{order} {space} has {total} candidates, above the cap of "
+            f"{cap}; raise it via max_candidates or {ENV_MAX_CANDIDATES} to proceed"
+        )
     workers = _pool_size(workers, total)
     if workers <= 1:
-        return chunk_fn(args + (0, total))
+        return _chunk((hits, order, 0, total, limit))
     # Imported here: multiprocessing is a quarter of the package's import time,
     # and only parallel scans need it.
     from concurrent.futures import ProcessPoolExecutor
 
+    size = -(-total // workers)
+    jobs = [(hits, order, lo, min(lo + size, total), limit) for lo in range(0, total, size)]
     out: list[int] = []
-    jobs = [args + rng for rng in _chunk_ranges(total, workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(chunk_fn, jobs):
+        for part in pool.map(_chunk, jobs):
             out.extend(part)
-    return out
+    return out[:limit]
 
 
 # ---------------------------------------------------------------------------
 # Tournament searches
 
 
-def _pairs(order: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(order) for j in range(i + 1, order)]
-
-
 def _tournament_from_mask(order: int, mask: int) -> Tournament:
     """Decode a strictly-upper-triangular bitmask, most significant bit first."""
-    pairs = _pairs(order)
-    width = len(pairs)
     rows = [[0] * order for _ in range(order)]
-    for k, (i, j) in enumerate(pairs):
-        bit = (mask >> (width - 1 - k)) & 1
-        rows[i][j] = bit
-        rows[j][i] = 1 - bit
+    shift = order * (order - 1) // 2
+    for i in range(order):
+        for j in range(i + 1, order):
+            shift -= 1
+            bit = (mask >> shift) & 1
+            rows[i][j] = bit
+            rows[j][i] = 1 - bit
     return Tournament.from_matrix(IntMatrix.from_rows(rows))
 
 
-def _ew_tournament_chunk(args: tuple[int, int, int]) -> list[int]:
-    order, lo, hi = args
-    hits = []
+def _ew_tournament_hits(order: int, lo: int, hi: int):
     for mask in range(lo, hi):
         if ew_tournament_check(_tournament_from_mask(order, mask))[0]:
-            hits.append(mask)
-    return hits
+            yield mask
 
 
 def enumerate_ew_tournaments(
@@ -136,20 +133,18 @@ def enumerate_ew_tournaments(
     bit pattern. Order 5 means 2^10 candidates; order 9 already means 2^36
     and is refused unless the candidate cap is raised explicitly.
     """
-    _check_bounds(limit, workers)
     if order % 4 != 1:
         raise ValueError(f"order {order} is not 1 (mod 4)")
     if not 5 <= order <= 9:
         raise ValueError("only orders 5 and 9 are supported")
     total = 1 << (order * (order - 1) // 2)
-    _gate(total, max_candidates, f"the order-{order} tournament space")
-    masks = _scan(total, _ew_tournament_chunk, (order,), workers)
-    if limit is not None:
-        masks = masks[:limit]
+    masks = _scan(
+        _ew_tournament_hits, order, total, "tournament space", limit, workers, max_candidates
+    )
     return [_tournament_from_mask(order, m) for m in masks]
 
 
-def _circulant_row_from_mask(order: int, mask: int) -> tuple[int, ...]:
+def _circulant_tournament_from_mask(order: int, mask: int) -> Tournament:
     half = (order - 1) // 2
     row = [0] * order
     for i in range(half):
@@ -157,7 +152,13 @@ def _circulant_row_from_mask(order: int, mask: int) -> tuple[int, ...]:
         bit = (mask >> (half - 1 - i)) & 1
         row[lag] = bit
         row[order - lag] = 1 - bit
-    return tuple(row)
+    return Tournament.from_matrix(circulant(row))
+
+
+def _circulant_tournament_hits(order: int, lo: int, hi: int):
+    for mask in range(lo, hi):
+        if ew_tournament_check(_circulant_tournament_from_mask(order, mask))[0]:
+            yield mask
 
 
 def search_circulant_tournament(
@@ -174,21 +175,14 @@ def search_circulant_tournament(
     expected to come back empty; it exists to make that emptiness a
     computed fact rather than an assumption.
     """
-    _check_bounds(limit)
     if order % 2 == 0:
         raise ValueError("circulant tournaments need odd order")
     if order < 1:
         raise ValueError("order must be positive")
     total = 1 << ((order - 1) // 2)
-    _gate(total, max_candidates, f"the order-{order} circulant tournament space")
-    found = []
-    for mask in range(total):
-        cand = Tournament.from_matrix(circulant(_circulant_row_from_mask(order, mask)))
-        if ew_tournament_check(cand)[0]:
-            found.append(cand)
-            if limit is not None and len(found) >= limit:
-                break
-    return found
+    space = "circulant tournament space"
+    masks = _scan(_circulant_tournament_hits, order, total, space, limit, 1, max_candidates)
+    return [_circulant_tournament_from_mask(order, m) for m in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +195,7 @@ def _barba_row_from_mask(order: int, mask: int) -> tuple[int, ...]:
     )
 
 
-def _circulant_barba_chunk(args: tuple[int, int, int]) -> list[int]:
+def _circulant_barba_hits(order: int, lo: int, hi: int):
     """Masks whose rows have every nonzero-lag autocorrelation equal to 1.
 
     Rows agree where the mask and its rotation by k agree, so
@@ -209,19 +203,16 @@ def _circulant_barba_chunk(args: tuple[int, int, int]) -> list[int]:
     popcount is (order - 1) / 2. Since c_k == c_(order-k), lags up to
     (order - 1) / 2 suffice.
     """
-    order, lo, hi = args
     full = (1 << order) - 1
     want = (order - 1) // 2
     lags = range(1, want + 1)
-    hits = []
     for mask in range(lo, hi):
         for k in lags:
             rot = ((mask << k) | (mask >> (order - k))) & full
             if (mask ^ rot).bit_count() != want:
                 break
         else:
-            hits.append(mask)
-    return hits
+            yield mask
 
 
 def search_circulant_barba(
@@ -237,14 +228,13 @@ def search_circulant_barba(
     equal 1, and re-verifies each survivor against the textbook
     autocorrelations and then is_barba before returning it.
     """
-    _check_bounds(limit, workers)
     if order % 4 != 1:
         raise ValueError(f"order {order} is not 1 (mod 4)")
-    total = 1 << order
-    _gate(total, max_candidates, f"the order-{order} circulant space")
-    masks = _scan(total, _circulant_barba_chunk, (order,), workers)
-    if limit is not None:
-        masks = masks[:limit]
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
+    masks = _scan(
+        _circulant_barba_hits, order, 1 << order, "circulant space", limit, workers, max_candidates
+    )
     out = []
     for mask in masks:
         row = _barba_row_from_mask(order, mask)

@@ -202,6 +202,24 @@ def test_search_rejects_out_of_range_arguments(capsys):
     for n in ("0", "-3"):
         assert "--parallel" in run(capsys, order5 + ["--parallel", n], 2).err
     assert "--max-candidates" in run(capsys, order5 + ["--max-candidates", "0"], 2).err
+    for argv in (["--kind", "circulant-barba", "--order", "-3"], ["--kind", "barba-scan", "--orders", "-3"]):
+        assert "order must be positive, got -3" in run(capsys, ["search"] + argv, 2).err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--kind", "circulant-tournament", "--order", "13", "--parallel", "4"], "--parallel"),
+        (["--kind", "circulant-tournament", "--order", "13", "--orders", "13"], "--orders"),
+        (["--kind", "ew-tournaments", "--order", "5", "--orders", "5"], "--orders"),
+        (["--kind", "circulant-barba", "--order", "5", "--orders", "5"], "--orders"),
+        (["--kind", "barba-scan", "--orders", "5", "--limit", "1"], "--limit"),
+    ],
+)
+def test_search_rejects_flags_its_kind_ignores(capsys, argv, flag):
+    captured = run(capsys, ["search"] + argv, 2)
+    assert f"{flag} does not apply to --kind {argv[1]}" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("value", ["lots", "-5"])

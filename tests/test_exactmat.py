@@ -61,6 +61,8 @@ def test_construction_rejects_bad_shapes():
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(IndexError):
         IntMatrix.identity(2).at(2, 0)
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[1.5, 2.9]])  # not truncated to [[1, 2]]
 
 
 def test_identity_zeros_ones():

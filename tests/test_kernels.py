@@ -10,7 +10,7 @@ import pytest
 
 from doptsnf import kernels
 from doptsnf.exactmat import format_matrix
-from doptsnf.search import _barba_row_from_mask, _circulant_barba_chunk
+from doptsnf.search import _barba_row_from_mask, _circulant_barba_hits
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -36,7 +36,7 @@ def test_popcount_filter_matches_autocorrelations(order):
         for mask in range(total)
         if all(c == 1 for c in kernels.autocorrelations(_barba_row_from_mask(order, mask))[1:])
     ]
-    assert _circulant_barba_chunk((order, 0, total)) == expected
+    assert list(_circulant_barba_hits(order, 0, total)) == expected
 
 
 def test_determinant_certificates_on_big_entries(example26):

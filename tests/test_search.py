@@ -1,7 +1,10 @@
 """Exhaustive searches: frozen counts, determinism, candidate gating."""
 
+import itertools
+
 import pytest
 
+from doptsnf import search
 from doptsnf.designs import is_barba
 from doptsnf.exactmat import IntMatrix
 from doptsnf.search import (
@@ -9,6 +12,7 @@ from doptsnf.search import (
     ENV_MAX_CANDIDATES,
     InfeasibleSearchError,
     _pool_size,
+    _tournament_from_mask,
     barba_problem_scan,
     enumerate_ew_tournaments,
     search_circulant_barba,
@@ -17,6 +21,8 @@ from doptsnf.search import (
 from doptsnf.verify import ew_tournament_check
 
 GOLDEN_13_ROW = (1, 1, 1, 1, -1, 1, -1, -1, 1, 1, 1, -1, 1)
+
+LIMITS = (0, 1, 7, None)
 
 
 def test_order5_count_and_quality(witnesses5):
@@ -34,14 +40,33 @@ def test_enumeration_is_deterministic(witnesses5):
 
 
 def test_enumeration_parallel_parity(witnesses5):
-    par = enumerate_ew_tournaments(5, workers=2)
-    assert [w.matrix for w in par] == [w.matrix for w in witnesses5]
+    # each chunk stops after `limit` hits; the merge must still be the prefix
+    for limit in LIMITS:
+        par = enumerate_ew_tournaments(5, limit=limit, workers=2)
+        assert [w.matrix for w in par] == [w.matrix for w in witnesses5[:limit]]
 
 
 def test_enumeration_limit(witnesses5):
     first = enumerate_ew_tournaments(5, limit=7)
     assert len(first) == 7
-    assert [w.matrix for w in first] == [w.matrix for w in witnesses5[:7]]
+    for limit in LIMITS:
+        got = enumerate_ew_tournaments(5, limit=limit)
+        assert [w.matrix for w in got] == [w.matrix for w in witnesses5[:limit]]
+
+
+def test_limit_ends_the_scan_early(monkeypatch):
+    first_hit = next(
+        mask for mask in range(1 << 10) if ew_tournament_check(_tournament_from_mask(5, mask))[0]
+    )
+    checked = []
+
+    def counting(t):
+        checked.append(t)
+        return ew_tournament_check(t)
+
+    monkeypatch.setattr(search, "ew_tournament_check", counting)
+    assert len(enumerate_ew_tournaments(5, limit=1)) == 1
+    assert len(checked) == first_hit + 1 < 1 << 10
 
 
 def test_enumeration_rejects_bad_orders():
@@ -80,6 +105,8 @@ def test_circulant_tournament_searches_are_empty():
     # sizes, while every circulant is regular; the search can only be empty
     for order in (5, 13):
         assert search_circulant_tournament(order) == []
+    for limit in LIMITS:
+        assert search_circulant_tournament(13, limit=limit) == []
     with pytest.raises(ValueError):
         search_circulant_tournament(6)
 
@@ -97,11 +124,16 @@ def test_circulant_barba_parallel_parity():
     serial = search_circulant_barba(13)
     par = search_circulant_barba(13, workers=3)
     assert serial == par
+    for limit, workers in itertools.product(LIMITS, (1, 2)):
+        assert search_circulant_barba(13, limit=limit, workers=workers) == serial[:limit]
 
 
 def test_circulant_barba_rejects_even_t_order():
     with pytest.raises(ValueError):
         search_circulant_barba(7)  # 7 != 1 (mod 4)
+    for bad in (lambda: search_circulant_barba(-3), lambda: barba_problem_scan((5, -3))):
+        with pytest.raises(ValueError, match="order must be positive, got -3"):
+            bad()  # -3 % 4 == 1, so only the sign check catches it
 
 
 def test_barba_scan_small_orders():
