@@ -5,128 +5,12 @@ tournament relatives, computes Smith normal forms with arbitrary-precision
 arithmetic, and machine-checks the closed-form diagonal and p-rank
 statements that these families satisfy. Everything runs on Python
 integers; the hot loops live in doptsnf.kernels.
+
+Each name has one import path, its submodule: doptsnf.exactmat (matrices
+and the text format), doptsnf.snf, doptsnf.designs, doptsnf.verify,
+doptsnf.search and doptsnf.cli, e.g.
+
+    from doptsnf.snf import smith_normal_form
 """
 
-from .exactmat import (
-    DimensionError,
-    IntMatrix,
-    SingularMatrixError,
-    adjugate_and_det,
-    block2x2,
-    circulant,
-    determinant,
-    format_matrix,
-    is_prime,
-    kronecker,
-    matmul,
-    parse_matrix,
-    rank_mod_p,
-)
-from .snf import SnfResult, invariant_factors, minor_gcd, smith_normal_form
-from .designs import (
-    BlockEwSpec,
-    NormalizationError,
-    Tournament,
-    barba_double,
-    build_example_26,
-    build_example_66,
-    is_barba,
-    normalize_skew_to_border,
-    skew_from_tournament,
-    tournament_from_skew,
-)
-from .verify import (
-    CLAIMS,
-    BlockSnfConstraints,
-    EwReport,
-    ExistenceReport,
-    PRankReport,
-    PreconditionError,
-    TheoremCheck,
-    a2a_check,
-    block_determinant_formula,
-    degree_classes,
-    ew_gram_check,
-    ew_tournament_check,
-    existence_filter,
-    is_skew_type,
-    normalized_block_row_sums,
-    p_rank_report,
-    predicted_block_snf,
-    predicted_snf_skew_ew,
-    predicted_snf_tournament,
-    scaled_inverse_check,
-    theorem_conformance,
-)
-from .search import (
-    BarbaScanEntry,
-    BarbaScanOrderReport,
-    BarbaScanReport,
-    InfeasibleSearchError,
-    barba_problem_scan,
-    enumerate_ew_tournaments,
-    search_circulant_barba,
-    search_circulant_tournament,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DimensionError",
-    "IntMatrix",
-    "SingularMatrixError",
-    "adjugate_and_det",
-    "block2x2",
-    "circulant",
-    "determinant",
-    "format_matrix",
-    "is_prime",
-    "kronecker",
-    "matmul",
-    "parse_matrix",
-    "rank_mod_p",
-    "SnfResult",
-    "invariant_factors",
-    "minor_gcd",
-    "smith_normal_form",
-    "BlockEwSpec",
-    "NormalizationError",
-    "Tournament",
-    "barba_double",
-    "build_example_26",
-    "build_example_66",
-    "is_barba",
-    "normalize_skew_to_border",
-    "skew_from_tournament",
-    "tournament_from_skew",
-    "CLAIMS",
-    "BlockSnfConstraints",
-    "EwReport",
-    "ExistenceReport",
-    "PRankReport",
-    "PreconditionError",
-    "TheoremCheck",
-    "a2a_check",
-    "block_determinant_formula",
-    "degree_classes",
-    "ew_gram_check",
-    "ew_tournament_check",
-    "existence_filter",
-    "is_skew_type",
-    "normalized_block_row_sums",
-    "p_rank_report",
-    "predicted_block_snf",
-    "predicted_snf_skew_ew",
-    "predicted_snf_tournament",
-    "scaled_inverse_check",
-    "theorem_conformance",
-    "BarbaScanEntry",
-    "BarbaScanOrderReport",
-    "BarbaScanReport",
-    "InfeasibleSearchError",
-    "barba_problem_scan",
-    "enumerate_ew_tournaments",
-    "search_circulant_barba",
-    "search_circulant_tournament",
-    "__version__",
-]

@@ -185,7 +185,7 @@ def cmd_construct(args) -> int:
             raise ValueError("--family skew-from-tournament needs --input")
         raw = _load_matrix(args.input)
         try:
-            m = skew_from_tournament(Tournament.from_matrix(raw))
+            m = skew_from_tournament(Tournament(raw))
         except ValueError as exc:
             raise _ConstructionFailure(str(exc)) from exc
     else:  # pragma: no cover - argparse choices guard this
@@ -245,7 +245,7 @@ def cmd_verify(args) -> int:
         text = f"skew: {'pass' if verdict else 'fail'}"
     elif args.kind == "tournament":
         try:
-            verdict, a_param = ew_tournament_check(Tournament.from_matrix(m))
+            verdict, a_param = ew_tournament_check(Tournament(m))
         except ValueError as exc:
             raise PreconditionError(f"not a tournament matrix: {exc}") from exc
         payload = {
@@ -272,8 +272,8 @@ def cmd_verify(args) -> int:
 def cmd_check(args) -> int:
     started = time.perf_counter()
     if args.list:
-        for name in sorted(CLAIMS):
-            print(f"{name:20s} {CLAIMS[name]}")
+        for name, (description, _) in sorted(CLAIMS.items()):
+            print(f"{name:20s} {description}")
         return 0
     if not args.input or not args.theorem:
         raise ValueError("check needs an input file and --theorem CLAIM (or --list)")
@@ -325,8 +325,10 @@ def cmd_search(args) -> int:
         if getattr(args, flag) is not None:
             raise ValueError(f"--{flag} does not apply to --kind {args.kind}")
     if args.kind == "barba-scan":
-        orders = args.orders or ([args.order] if args.order else None)
-        if not orders:
+        if args.order is not None and args.orders is not None:
+            raise ValueError("--kind barba-scan takes --order or --orders, not both")
+        orders = args.orders if args.order is None else [args.order]
+        if orders is None:
             raise ValueError("barba-scan needs --orders")
         report = barba_problem_scan(orders, workers=workers, max_candidates=cap)
         if args.json:
@@ -452,8 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    # Entries and factors may have any number of digits, but CPython (from
+    # 3.10.7) caps int<->str conversion at 4300; lift the cap for this call.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
@@ -470,6 +477,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":  # pragma: no cover

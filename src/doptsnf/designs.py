@@ -41,14 +41,13 @@ class Tournament:
     circulation is valid.
     """
 
-    order: int
     matrix: IntMatrix
 
     def __post_init__(self) -> None:
         m = self.matrix
-        if not m.is_square or m.rows != self.order:
-            raise ValueError(f"matrix is not square of order {self.order}")
-        n = self.order
+        if not m.is_square:
+            raise ValueError(f"matrix is {m.rows}x{m.cols}, not square")
+        n = m.rows
         for i in range(n):
             for j in range(n):
                 v = m.at(i, j)
@@ -60,9 +59,9 @@ class Tournament:
                         f"entries ({i},{j})/({j},{i}) do not orient exactly one arc"
                     )
 
-    @classmethod
-    def from_matrix(cls, m: IntMatrix) -> "Tournament":
-        return cls(m.rows, m)
+    @property
+    def order(self) -> int:
+        return self.matrix.rows
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ def tournament_from_skew(s: IntMatrix) -> Tournament:
             m = s.at(i + 1, j + 1)
             row.append((m + 1 - 2 * int(i == j)) // 2)
         a_rows.append(row)
-    return Tournament.from_matrix(IntMatrix.from_rows(a_rows))
+    return Tournament(IntMatrix.from_rows(a_rows))
 
 
 def normalize_skew_to_border(s: IntMatrix) -> IntMatrix:

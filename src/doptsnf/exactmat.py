@@ -110,22 +110,8 @@ class IntMatrix:
         rows = [[self.at(i, j) for j in col_idx] for i in row_idx]
         return IntMatrix.from_rows(rows)
 
-    def trace(self) -> int:
-        if not self.is_square:
-            raise DimensionError("trace needs a square matrix")
-        return sum(self.entries[i * self.cols + i] for i in range(self.rows))
-
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(self.row(i)) for i in range(self.rows))
-
-    def col_sums(self) -> tuple[int, ...]:
-        c = self.cols
-        out = [0] * c
-        for i in range(self.rows):
-            off = i * c
-            for j in range(c):
-                out[j] += self.entries[off + j]
-        return tuple(out)
 
     # ---------- arithmetic ----------
 
@@ -232,7 +218,7 @@ def circulant(first_row: Sequence[int]) -> IntMatrix:
     Entry (i, j) is first_row[(j - i) mod n], so circulant((0, 1, 0)) is the
     directed 3-cycle.
     """
-    row = [int(v) for v in first_row]
+    row = tuple(first_row)  # IntMatrix refuses non-integral entries
     n = len(row)
     if n == 0:
         raise DimensionError("circulant needs a nonempty first row")

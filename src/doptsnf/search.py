@@ -2,10 +2,10 @@
 
 All searches are deterministic: candidates are encoded as integer bitmasks
 and scanned in ascending mask order, so identical inputs always produce
-identical ordered outputs. Candidate spaces larger than the configured cap
+identical ordered outputs. Candidate spaces larger than the cap of 2^20
 are refused with InfeasibleSearchError instead of starting an open-ended
-scan; the cap can be raised per call or through the environment variable
-DOPT_SNF_MAX_CANDIDATES.
+scan; the cap is raised per call with max_candidates (the CLI's
+--max-candidates).
 
 Every search runs through one driver, _scan, which stops the scan once
 `limit` masks are found. Optional data parallelism partitions the mask
@@ -30,29 +30,9 @@ from .verify import ew_tournament_check
 
 DEFAULT_MAX_CANDIDATES = 1 << 20
 
-ENV_MAX_CANDIDATES = "DOPT_SNF_MAX_CANDIDATES"
-
 
 class InfeasibleSearchError(RuntimeError):
     """The candidate space exceeds the configured cap."""
-
-
-def _candidate_cap(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError(f"max_candidates must be at least 1, got {explicit}")
-        return explicit
-    env = os.environ.get(ENV_MAX_CANDIDATES)
-    if not env:
-        return DEFAULT_MAX_CANDIDATES
-    bad = f"{ENV_MAX_CANDIDATES} must be a positive integer, got {env!r}"
-    try:
-        cap = int(env)
-    except ValueError:
-        raise ValueError(bad) from None
-    if cap < 1:
-        raise ValueError(bad)
-    return cap
 
 
 def _pool_size(workers: int, total: int) -> int:
@@ -76,11 +56,13 @@ def _scan(hits, order: int, total: int, space: str, limit, workers: int, max_can
         raise ValueError(f"limit must be at least 0, got {limit}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    cap = _candidate_cap(max_candidates)
+    cap = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
+    if cap < 1:
+        raise ValueError(f"max_candidates must be at least 1, got {cap}")
     if total > cap:
         raise InfeasibleSearchError(
             f"the order-{order} {space} has {total} candidates, above the cap of "
-            f"{cap}; raise it via max_candidates or {ENV_MAX_CANDIDATES} to proceed"
+            f"{cap}; raise it via max_candidates= or --max-candidates to proceed"
         )
     workers = _pool_size(workers, total)
     if workers <= 1:
@@ -112,7 +94,7 @@ def _tournament_from_mask(order: int, mask: int) -> Tournament:
             bit = (mask >> shift) & 1
             rows[i][j] = bit
             rows[j][i] = 1 - bit
-    return Tournament.from_matrix(IntMatrix.from_rows(rows))
+    return Tournament(IntMatrix.from_rows(rows))
 
 
 def _ew_tournament_hits(order: int, lo: int, hi: int):
@@ -152,7 +134,7 @@ def _circulant_tournament_from_mask(order: int, mask: int) -> Tournament:
         bit = (mask >> (half - 1 - i)) & 1
         row[lag] = bit
         row[order - lag] = 1 - bit
-    return Tournament.from_matrix(circulant(row))
+    return Tournament(circulant(row))
 
 
 def _circulant_tournament_hits(order: int, lo: int, hi: int):

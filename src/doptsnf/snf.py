@@ -13,11 +13,10 @@ from itertools import combinations
 from math import gcd
 
 from . import kernels
-from .exactmat import DimensionError, IntMatrix, SingularMatrixError, determinant
+from .exactmat import IntMatrix
 
-#: minor_gcd refuses larger matrices unless explicitly overridden: the number
-#: of minors grows as binomial(n, i)^2 and this oracle is meant for desk-scale
-#: cross-checks only.
+#: minor_gcd refuses larger matrices: the number of minors grows as
+#: binomial(n, i)^2 and this oracle is meant for desk-scale cross-checks only.
 MINOR_GCD_SIZE_LIMIT = 8
 
 
@@ -26,7 +25,6 @@ class SnfResult:
     """Invariant factors plus (optionally) the unimodular transforms."""
 
     factors: tuple[int, ...]
-    rank: int
     left: IntMatrix | None = None
     right: IntMatrix | None = None
 
@@ -35,6 +33,10 @@ class SnfResult:
             a, b = self.factors[i], self.factors[i + 1]
             if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
                 raise ValueError(f"not a divisibility chain: {self.factors}")
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for f in self.factors if f)
 
 
 def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SnfResult:
@@ -47,35 +49,25 @@ def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SnfResult:
     factors, left, right = kernels.smith_reduce(a.to_rows(), want_transforms)
     return SnfResult(
         factors=tuple(factors),
-        rank=sum(1 for f in factors if f),
         left=IntMatrix.from_rows(left) if left is not None else None,
         right=IntMatrix.from_rows(right) if right is not None else None,
     )
 
 
-def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    """Nonzero invariant factors of a (the diagonal of the SNF, zeros dropped)."""
-    res = smith_normal_form(a)
-    return res.factors[: res.rank]
-
-
-def minor_gcd(a: IntMatrix, size: int, allow_large: bool = False) -> int:
+def minor_gcd(a: IntMatrix, size: int) -> int:
     """gcd of all size x size minors, by full enumeration.
 
     ``size == 0`` returns 1 by convention. Returns 0 when every minor of the
     requested size vanishes (rank < size). Refuses matrices with
-    min(rows, cols) > MINOR_GCD_SIZE_LIMIT unless ``allow_large=True``.
+    min(rows, cols) > MINOR_GCD_SIZE_LIMIT.
     """
     bound = min(a.rows, a.cols)
     if size == 0:
         return 1
     if not 1 <= size <= bound:
         raise ValueError(f"minor size {size} out of range 1..{bound}")
-    if bound > MINOR_GCD_SIZE_LIMIT and not allow_large:
-        raise ValueError(
-            f"matrix exceeds the {MINOR_GCD_SIZE_LIMIT}-row/col oracle limit; "
-            "pass allow_large=True to force the enumeration"
-        )
+    if bound > MINOR_GCD_SIZE_LIMIT:
+        raise ValueError(f"matrix exceeds the {MINOR_GCD_SIZE_LIMIT}-row/col oracle limit")
     g = 0
     for rset in combinations(range(a.rows), size):
         for cset in combinations(range(a.cols), size):
@@ -84,23 +76,3 @@ def minor_gcd(a: IntMatrix, size: int, allow_large: bool = False) -> int:
             if g == 1:
                 return 1
     return g
-
-
-def complementary_minor(m: IntMatrix, row_idx: tuple[int, ...], col_idx: tuple[int, ...]) -> int:
-    """det of the submatrix of a nonsingular m on the given rows/columns.
-
-    This is the test hook for the determinantal identity linking a minor of
-    m to the complementary minor of its adjugate. Indices are 0-based.
-    """
-    if not m.is_square:
-        raise DimensionError("complementary_minor needs a square matrix")
-    if len(row_idx) != len(col_idx) or not row_idx:
-        raise ValueError("row and column index sets must be nonempty and equal-sized")
-    if len(set(row_idx)) != len(row_idx) or len(set(col_idx)) != len(col_idx):
-        raise ValueError("index sets must not repeat")
-    if not all(0 <= i < m.rows for i in row_idx) or not all(0 <= j < m.cols for j in col_idx):
-        raise ValueError("index out of range")
-    if determinant(m) == 0:
-        raise SingularMatrixError("matrix is singular")
-    sub = [[m.at(i, j) for j in col_idx] for i in row_idx]
-    return kernels.bareiss_determinant(sub)

@@ -26,7 +26,7 @@ from .exactmat import (
     matmul,
     rank_mod_p,
 )
-from .snf import invariant_factors, smith_normal_form
+from .snf import smith_normal_form
 
 
 class PreconditionError(ValueError):
@@ -331,10 +331,13 @@ def _is_squarefree(n: int) -> bool:
 class BlockSnfEvaluation:
     """Result of matching a computed diagonal against block-design constraints."""
 
-    passed: bool
     observed: tuple[int, ...]
     expected: tuple[int, ...]
     description: str
+
+    @property
+    def passed(self) -> bool:
+        return self.observed == self.expected
 
 
 @dataclass(frozen=True)
@@ -363,21 +366,15 @@ class BlockSnfConstraints:
         n = 4 * t + 2
         facs = tuple(int(f) for f in factors)
         if len(facs) != n:
-            return BlockSnfEvaluation(False, (len(facs),), (n,), "factor count")
+            return BlockSnfEvaluation((len(facs),), (n,), "factor count")
         if self.full_prediction is not None:
             return BlockSnfEvaluation(
-                facs == self.full_prediction,
-                facs,
-                self.full_prediction,
-                "complete closed-form diagonal",
+                facs, self.full_prediction, "complete closed-form diagonal"
             )
         if self.case == "prime-square":
             # Without square-free t only the leading factors are pinned.
             return BlockSnfEvaluation(
-                facs[:2] == (1, 2),
-                facs[:2],
-                (1, 2),
-                "leading factors only (t is not square-free)",
+                facs[:2], (1, 2), "leading factors only (t is not square-free)"
             )
         allowed_head = {2 ** j for j in range(1, self.ell + 2)}
         allowed_tail = {v * self.q for v in allowed_head}
@@ -400,10 +397,7 @@ class BlockSnfConstraints:
             3 + 2 * (self.ell + 2) * (t - 1),
         )
         return BlockSnfEvaluation(
-            observed == expected,
-            observed,
-            expected,
-            "tail factors, power patterns and counting identities",
+            observed, expected, "tail factors, power patterns and counting identities"
         )
 
 
@@ -453,23 +447,16 @@ def predicted_block_snf(t: int, r1: int, r2: int) -> BlockSnfConstraints:
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    """Computed-versus-predicted record for one named claim."""
+    """Computed-versus-predicted tuples for one named claim; it passes iff they agree."""
 
     claim_id: str
     computed: tuple
     predicted: tuple
-    passed: bool
     detail: str = ""
 
-    def __post_init__(self) -> None:
-        if self.passed != (tuple(self.computed) == tuple(self.predicted)):
-            raise ValueError("passed flag contradicts the computed/predicted pair")
-
-
-def _make_check(claim_id: str, computed, predicted, detail: str = "") -> TheoremCheck:
-    computed = tuple(computed)
-    predicted = tuple(predicted)
-    return TheoremCheck(claim_id, computed, predicted, computed == predicted, detail)
+    @property
+    def passed(self) -> bool:
+        return self.computed == self.predicted
 
 
 def is_skew_type(x: IntMatrix) -> bool:
@@ -513,7 +500,7 @@ def scaled_inverse_check(s: IntMatrix) -> TheoremCheck:
         g = math.gcd(g, v)
     last = smith_normal_form(s).factors[-1]
     seen = sorted({abs(v) // base for v in adj.entries if abs(v) % base == 0})
-    return _make_check(
+    return TheoremCheck(
         "scaled-inverse",
         (g, last, bad),
         (4 * (4 * t) ** (2 * t - 1), 2 * t * (4 * t + 1), 0),
@@ -562,7 +549,7 @@ def a2a_check(a: Tournament) -> TheoremCheck:
     t = a.order // 4
     m = matmul(a.matrix, a.matrix) + a.matrix
     facs = smith_normal_form(m).factors
-    return _make_check("a2a-tail", facs[-2:], (t, t * t * (16 * t * t - 1)))
+    return TheoremCheck("a2a-tail", facs[-2:], (t, t * t * (16 * t * t - 1)))
 
 
 @dataclass(frozen=True)
@@ -611,7 +598,7 @@ def block_determinant_formula(alpha: int, beta: int, gamma: int, a: int, b: int)
 
 def _as_ew_tournament(x: IntMatrix) -> Tournament:
     try:
-        a = Tournament.from_matrix(x)
+        a = Tournament(x)
     except ValueError as exc:
         raise PreconditionError(f"not a tournament matrix: {exc}") from exc
     ok, _ = ew_tournament_check(a)
@@ -619,28 +606,26 @@ def _as_ew_tournament(x: IntMatrix) -> Tournament:
     return a
 
 
-def _claim_main(x: IntMatrix) -> TheoremCheck:
-    t = _skew_ew_t(x)
-    return _make_check("main", smith_normal_form(x).factors, predicted_snf_skew_ew(t))
+def _skew_claim(
+    claim_id: str, part: Callable[[int], slice]
+) -> Callable[[IntMatrix], TheoremCheck]:
+    """Claim on the slice part(t) of the skew-type diagonal predicted_snf_skew_ew(t)."""
 
+    def check(x: IntMatrix) -> TheoremCheck:
+        t = _skew_ew_t(x)
+        cut = part(t)
+        return TheoremCheck(
+            claim_id, smith_normal_form(x).factors[cut], predicted_snf_skew_ew(t)[cut]
+        )
 
-def _claim_skew_head(x: IntMatrix) -> TheoremCheck:
-    t = _skew_ew_t(x)
-    facs = smith_normal_form(x).factors
-    return _make_check("skew-head", facs[: 2 * t + 2], (1,) + (2,) * (2 * t + 1))
-
-
-def _claim_skew_last(x: IntMatrix) -> TheoremCheck:
-    t = _skew_ew_t(x)
-    facs = smith_normal_form(x).factors
-    return _make_check("skew-last", facs[-1:], (2 * t * (4 * t + 1),))
+    return check
 
 
 def _claim_ew_head(x: IntMatrix) -> TheoremCheck:
     rep = ew_gram_check(x)
     _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
     facs = smith_normal_form(x).factors
-    return _make_check("ew-head", facs[:2], (1, 2))
+    return TheoremCheck("ew-head", facs[:2], (1, 2))
 
 
 def _claim_border_link(x: IntMatrix) -> TheoremCheck:
@@ -651,75 +636,86 @@ def _claim_border_link(x: IntMatrix) -> TheoremCheck:
     bf = smith_normal_form(aplusi).factors
     computed = sf + (determinant(aplusi),)
     predicted = (1,) + tuple(2 * b for b in bf) + (t ** (2 * t) * (4 * t + 1),)
-    return _make_check(
-        "border-link", computed, predicted, "bordered factors, then det(A+I)"
-    )
+    return TheoremCheck("border-link", computed, predicted, "bordered factors, then det(A+I)")
 
 
 def _claim_aplusi_head(x: IntMatrix) -> TheoremCheck:
     a = _as_ew_tournament(x)
     t = a.order // 4
     bf = smith_normal_form(a.matrix + IntMatrix.identity(a.order)).factors
-    return _make_check("aplusi-head", (bf[2 * t],), (1,))
+    return TheoremCheck("aplusi-head", (bf[2 * t],), (1,))
 
 
 def _claim_tournament_snf(x: IntMatrix) -> TheoremCheck:
     a = _as_ew_tournament(x)
     t = a.order // 4
-    return _make_check(
+    return TheoremCheck(
         "tournament-snf", smith_normal_form(a.matrix).factors, predicted_snf_tournament(t)
     )
 
 
-def _claim_a2a_tail(x: IntMatrix) -> TheoremCheck:
-    return a2a_check(_as_ew_tournament(x))
+def _block_claim(case: str) -> Callable[[IntMatrix], TheoremCheck]:
+    """Claim "block-<case>": the predicted_block_snf constraints of that case."""
+
+    def check(x: IntMatrix) -> TheoremCheck:
+        rep = ew_gram_check(x)
+        _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
+        _require(
+            rep.row_block_sums is not None,
+            "rows do not have constant block sums; cannot recover (r1, r2)",
+        )
+        r1, r2 = rep.row_block_sums
+        constraints = predicted_block_snf((x.rows - 2) // 4, r1, r2)
+        _require(
+            constraints.case == case,
+            f"claim applies to the {case} case, input is {constraints.case}",
+        )
+        ev = constraints.evaluate(smith_normal_form(x).factors)
+        return TheoremCheck(f"block-{case}", ev.observed, ev.expected, ev.description)
+
+    return check
 
 
-def _claim_block(x: IntMatrix, want_case: str, claim_id: str) -> TheoremCheck:
-    rep = ew_gram_check(x)
-    _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
-    _require(
-        rep.row_block_sums is not None,
-        "rows do not have constant block sums; cannot recover (r1, r2)",
-    )
-    r1, r2 = rep.row_block_sums
-    t = (x.rows - 2) // 4
-    constraints = predicted_block_snf(t, r1, r2)
-    _require(
-        constraints.case == want_case,
-        f"claim applies to the {want_case} case, input is {constraints.case}",
-    )
-    ev = constraints.evaluate(smith_normal_form(x).factors)
-    return TheoremCheck(claim_id, ev.observed, ev.expected, ev.passed, ev.description)
-
-
-_CLAIM_HANDLERS: dict[str, Callable[[IntMatrix], TheoremCheck]] = {
-    "main": _claim_main,
-    "skew-head": _claim_skew_head,
-    "skew-last": _claim_skew_last,
-    "ew-head": _claim_ew_head,
-    "border-link": _claim_border_link,
-    "aplusi-head": _claim_aplusi_head,
-    "tournament-snf": _claim_tournament_snf,
-    "a2a-tail": _claim_a2a_tail,
-    "block-squarefree": lambda x: _claim_block(x, "squarefree", "block-squarefree"),
-    "block-prime-square": lambda x: _claim_block(x, "prime-square", "block-prime-square"),
-    "scaled-inverse": scaled_inverse_check,
-}
-
-#: Claim identifiers with one-line descriptions (the `check` CLI lists these).
-CLAIMS: dict[str, str] = {
-    "main": "full invariant-factor diagonal of a skew-type EW matrix",
-    "skew-head": "leading factors (1, 2^(2t+1)) of a skew-type EW matrix",
-    "skew-last": "final invariant factor 2t(4t+1) of a skew-type EW matrix",
-    "ew-head": "first two invariant factors (1, 2) of any EW matrix",
-    "border-link": "bordering doubles the invariant factors of A+I; det(A+I) = t^2t(4t+1)",
-    "aplusi-head": "invariant factor number 2t+1 of A+I equals 1",
-    "tournament-snf": "full invariant-factor diagonal of an EW tournament matrix",
-    "a2a-tail": "last two invariant factors of A^2+A are (t, t^2(16t^2-1))",
-    "block-squarefree": "two-block design constraints when 4t+1 is square-free",
-    "block-prime-square": "two-block design diagonal when 4t+1 is a prime square",
-    "scaled-inverse": "adjugate entry set, gcd, and final factor of a skew-type EW matrix",
+#: Claim id -> (one-line description, checker); the `check` CLI lists these.
+CLAIMS: dict[str, tuple[str, Callable[[IntMatrix], TheoremCheck]]] = {
+    "main": (
+        "full invariant-factor diagonal of a skew-type EW matrix",
+        _skew_claim("main", lambda t: slice(None)),
+    ),
+    "skew-head": (
+        "leading factors (1, 2^(2t+1)) of a skew-type EW matrix",
+        _skew_claim("skew-head", lambda t: slice(2 * t + 2)),
+    ),
+    "skew-last": (
+        "final invariant factor 2t(4t+1) of a skew-type EW matrix",
+        _skew_claim("skew-last", lambda t: slice(-1, None)),
+    ),
+    "ew-head": ("first two invariant factors (1, 2) of any EW matrix", _claim_ew_head),
+    "border-link": (
+        "bordering doubles the invariant factors of A+I; det(A+I) = t^2t(4t+1)",
+        _claim_border_link,
+    ),
+    "aplusi-head": ("invariant factor number 2t+1 of A+I equals 1", _claim_aplusi_head),
+    "tournament-snf": (
+        "full invariant-factor diagonal of an EW tournament matrix",
+        _claim_tournament_snf,
+    ),
+    "a2a-tail": (
+        "last two invariant factors of A^2+A are (t, t^2(16t^2-1))",
+        lambda x: a2a_check(_as_ew_tournament(x)),
+    ),
+    "block-squarefree": (
+        "two-block design constraints when 4t+1 is square-free",
+        _block_claim("squarefree"),
+    ),
+    "block-prime-square": (
+        "two-block design diagonal when 4t+1 is a prime square",
+        _block_claim("prime-square"),
+    ),
+    "scaled-inverse": (
+        "adjugate entry set, gcd, and final factor of a skew-type EW matrix",
+        scaled_inverse_check,
+    ),
 }
 
 
@@ -729,9 +725,6 @@ def theorem_conformance(x: IntMatrix, claim: str) -> TheoremCheck:
     Raises ValueError for an unknown claim id and PreconditionError when
     the matrix does not belong to the family the claim concerns.
     """
-    handler = _CLAIM_HANDLERS.get(claim)
-    if handler is None:
-        raise ValueError(
-            f"unknown claim {claim!r}; known claims: {', '.join(sorted(_CLAIM_HANDLERS))}"
-        )
-    return handler(x)
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}; known claims: {', '.join(sorted(CLAIMS))}")
+    return CLAIMS[claim][1](x)

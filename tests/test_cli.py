@@ -138,6 +138,13 @@ def test_snf_parse_and_io_errors(tmp_path, capsys):
     run(capsys, ["snf", str(tmp_path / "missing.mat")], 2)
 
 
+def test_snf_reads_and_prints_integers_of_any_size(tmp_path, capsys):
+    # det [[10^5000, 1], [1, 1]] = 10^5000 - 1, past CPython's 4300-digit default
+    path = tmp_path / "big.mat"
+    path.write_text("2 2\n1" + "0" * 5000 + " 1\n1 1\n")
+    assert run(capsys, ["snf", str(path)], 0).out.strip() == "1, " + "9" * 5000
+
+
 # ---------------------------------------------------------------------------
 # verify / check exit codes
 
@@ -204,6 +211,7 @@ def test_search_rejects_out_of_range_arguments(capsys):
     assert "--max-candidates" in run(capsys, order5 + ["--max-candidates", "0"], 2).err
     for argv in (["--kind", "circulant-barba", "--order", "-3"], ["--kind", "barba-scan", "--orders", "-3"]):
         assert "order must be positive, got -3" in run(capsys, ["search"] + argv, 2).err
+    assert "order 0 is not 1 (mod 4)" in run(capsys, ["search", "--kind", "barba-scan", "--order", "0"], 2).err
 
 
 @pytest.mark.parametrize(
@@ -222,11 +230,11 @@ def test_search_rejects_flags_its_kind_ignores(capsys, argv, flag):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("value", ["lots", "-5"])
-def test_search_rejects_bad_candidate_cap_env(capsys, monkeypatch, value):
-    monkeypatch.setenv("DOPT_SNF_MAX_CANDIDATES", value)
-    err = run(capsys, ["search", "--kind", "ew-tournaments", "--order", "5"], 2).err
-    assert "DOPT_SNF_MAX_CANDIDATES must be a positive integer" in err
+def test_barba_scan_takes_order_or_orders(capsys):
+    both = run(capsys, ["search", "--kind", "barba-scan", "--order", "13", "--orders", "5"], 2)
+    assert "takes --order or --orders, not both" in both.err
+    assert both.out == ""
+    assert "order 5: 10 rows" in run(capsys, ["search", "--kind", "barba-scan", "--order", "5"], 0).out
 
 
 def test_search_barba_scan_text(capsys):

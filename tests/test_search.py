@@ -9,7 +9,6 @@ from doptsnf.designs import is_barba
 from doptsnf.exactmat import IntMatrix
 from doptsnf.search import (
     DEFAULT_MAX_CANDIDATES,
-    ENV_MAX_CANDIDATES,
     InfeasibleSearchError,
     _pool_size,
     _tournament_from_mask,
@@ -82,7 +81,7 @@ def test_candidate_cap():
     with pytest.raises(InfeasibleSearchError) as exc:
         enumerate_ew_tournaments(9)  # 2^36 candidates > 2^20 default cap
     msg = str(exc.value)
-    assert ENV_MAX_CANDIDATES in msg
+    assert "max_candidates=" in msg and "--max-candidates" in msg
     assert str(DEFAULT_MAX_CANDIDATES) in msg
 
 
@@ -93,11 +92,9 @@ def test_candidate_cap_override_param():
 
 
 def test_candidate_cap_env(monkeypatch):
-    monkeypatch.setenv(ENV_MAX_CANDIDATES, "512")
-    with pytest.raises(InfeasibleSearchError):
-        enumerate_ew_tournaments(5)
-    monkeypatch.setenv(ENV_MAX_CANDIDATES, str(1 << 12))
-    assert len(enumerate_ew_tournaments(5)) == 40
+    # max_candidates is the one way to move the cap; the environment is not read
+    monkeypatch.setenv("DOPT_SNF_MAX_CANDIDATES", "512")
+    assert len(enumerate_ew_tournaments(5, limit=1)) == 1
 
 
 def test_circulant_tournament_searches_are_empty():
@@ -182,9 +179,3 @@ def test_pool_size_is_clamped_without_starting_a_pool(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert _pool_size(10**6, 1 << 17) == 1
 
-
-@pytest.mark.parametrize("value", ["lots", "-5", "0", "1.5"])
-def test_candidate_cap_env_must_be_positive(monkeypatch, value):
-    monkeypatch.setenv(ENV_MAX_CANDIDATES, value)
-    with pytest.raises(ValueError, match=ENV_MAX_CANDIDATES):
-        enumerate_ew_tournaments(5)
