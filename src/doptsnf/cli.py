@@ -7,12 +7,17 @@ decimal strings because invariant factors routinely exceed 64-bit range.
 
 Exit codes: 0 success / verdict true / check passed; 1 failed check,
 failed precondition, or refused construction/search; 2 usage, parse, or
-argument errors.
+argument errors. A refused request prints its reason on stderr and,
+under --json, also a report with status "error" and the reason in
+"error". A flag the request does not read is a usage error: --strict
+applies only to verify --kind ew, check --list takes no other flag, and
+each search --kind names the flags it ignores.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import re
@@ -28,7 +33,7 @@ from .designs import (
     is_barba,
     skew_from_tournament,
 )
-from .exactmat import DimensionError, IntMatrix, circulant, format_matrix, parse_matrix
+from .exactmat import DimensionError, IntMatrix, circulant, format_matrix, parse_int, parse_matrix
 from .search import (
     InfeasibleSearchError,
     barba_problem_scan,
@@ -39,9 +44,7 @@ from .search import (
 from .snf import smith_normal_form
 from .verify import (
     CLAIMS,
-    EwReport,
     PreconditionError,
-    TheoremCheck,
     ew_gram_check,
     ew_tournament_check,
     is_skew_type,
@@ -78,68 +81,9 @@ def parse_factors_rle(text: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (all numbers as decimal strings)
-
-
-def _s(v: int) -> str:
-    return str(int(v))
-
-
-def _matrix_json(m: IntMatrix) -> dict:
-    return {
-        "kind": "matrix",
-        "rows": _s(m.rows),
-        "cols": _s(m.cols),
-        "entries": [[_s(v) for v in m.row(i)] for i in range(m.rows)],
-    }
-
-
-def _ew_report_json(rep: EwReport) -> dict:
-    def part(p):
-        if p is None:
-            return None
-        return [[_s(i) for i in block] for block in p]
-
-    return {
-        "kind": "ew-report",
-        "verdict": rep.verdict,
-        "order": _s(rep.order),
-        "clique_partition_rows": part(rep.clique_partition_rows),
-        "clique_partition_cols": part(rep.clique_partition_cols),
-        "row_block_sums": None
-        if rep.row_block_sums is None
-        else [_s(v) for v in rep.row_block_sums],
-        "reason": rep.reason,
-    }
-
-
-def _theorem_check_json(chk: TheoremCheck) -> dict:
-    return {
-        "kind": "theorem-check",
-        "claim_id": chk.claim_id,
-        "computed": [_s(v) for v in chk.computed],
-        "predicted": [_s(v) for v in chk.predicted],
-        "passed": chk.passed,
-        "detail": chk.detail,
-    }
-
-
-def _print_report(command: str, inputs, results, status: str, started: float, error: str = "") -> None:
-    doc = {
-        "command": command,
-        "inputs": list(inputs),
-        "status": status,
-        "elapsed_ms": _s(int((time.perf_counter() - started) * 1000)),
-        "results": results,
-    }
-    if error:
-        doc["error"] = error
-    json.dump(doc, sys.stdout, indent=2)
-    print()
-
-
-# ---------------------------------------------------------------------------
-# Command implementations
+# Commands: each returns (status, results, text). status is "pass" or
+# "fail", results holds plain values for the JSON report and text is the
+# exact stdout of text mode; _run prints one of them.
 
 
 def _load_matrix(path: str) -> IntMatrix:
@@ -151,12 +95,17 @@ def _parse_row(text: str) -> tuple[int, ...]:
     tokens = [tok for tok in re.split(r"[,\s]+", text.strip()) if tok]
     if not tokens:
         raise ValueError("empty --row")
-    return tuple(int(tok) for tok in tokens)
+    return tuple(parse_int(tok) for tok in tokens)
 
 
-def cmd_construct(args) -> int:
-    started = time.perf_counter()
-    inputs = [args.input] if args.input else []
+def _refuse_unused(args, flags: Sequence[str], context: str) -> None:
+    """Usage error for each of `flags` given although `context` does not read it."""
+    for flag in flags:
+        if getattr(args, flag) not in (None, False):
+            raise ValueError(f"--{flag} does not apply to {context}")
+
+
+def cmd_construct(args):
     if args.family == "example26":
         m = build_example_26()
     elif args.family == "example66":
@@ -174,9 +123,7 @@ def cmd_construct(args) -> int:
             raise ValueError("--family barba-double needs --row or --input")
         try:
             if not is_barba(base):
-                raise _ConstructionFailure(
-                    f"base of order {base.rows} is not a barba matrix"
-                )
+                raise _ConstructionFailure(f"base of order {base.rows} is not a barba matrix")
             m = barba_double(base)
         except ValueError as exc:
             raise _ConstructionFailure(str(exc)) from exc
@@ -194,114 +141,78 @@ def cmd_construct(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if args.json:
-        _print_report("construct", inputs, [_matrix_json(m)], "pass", started)
-    elif not args.output:
-        print(text, end="")
-    return 0
+    return "pass", [m], "" if args.output else text
 
 
-def cmd_snf(args) -> int:
-    started = time.perf_counter()
-    m = _load_matrix(args.input)
-    res = smith_normal_form(m, want_transforms=args.transforms)
+def cmd_snf(args):
+    res = smith_normal_form(_load_matrix(args.input), want_transforms=args.transforms)
     rle = format_factors_rle(res.factors)
-    if args.json:
-        payload = {
-            "kind": "snf",
-            "factors": [_s(f) for f in res.factors],
-            "factors_rle": rle,
-            "rank": _s(res.rank),
-        }
-        if args.transforms:
-            payload["left"] = _matrix_json(res.left)
-            payload["right"] = _matrix_json(res.right)
-        _print_report("snf", [args.input], [payload], "pass", started)
-    else:
-        print(rle)
-        if args.transforms:
-            print()
-            print(format_matrix(res.left, comments=("left transform",)), end="")
-            print()
-            print(format_matrix(res.right, comments=("right transform",)), end="")
-    return 0
+    payload = {"kind": "snf", "factors": res.factors, "factors_rle": rle, "rank": res.rank}
+    text = rle + "\n"
+    if args.transforms:
+        payload.update(left=res.left, right=res.right)
+        text += "\n" + format_matrix(res.left, comments=("left transform",))
+        text += "\n" + format_matrix(res.right, comments=("right transform",))
+    return "pass", [payload], text
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_verify(args):
+    if args.kind != "ew":
+        _refuse_unused(args, ("strict",), f"--kind {args.kind}")
     m = _load_matrix(args.input)
+    suffix = ""
     if args.kind == "ew":
         rep = ew_gram_check(m, strict=args.strict)
         verdict = rep.verdict
-        payload = _ew_report_json(rep)
-        text = f"ew: {'pass' if verdict else 'fail'}"
+        payload = {"kind": "ew-report", **dataclasses.asdict(rep)}
         if not verdict and rep.reason:
-            text += f" ({rep.reason})"
+            suffix = f" ({rep.reason})"
         if verdict and rep.row_block_sums:
-            text += f"; block row sums {rep.row_block_sums}"
+            suffix = f"; block row sums {rep.row_block_sums}"
     elif args.kind == "skew":
         verdict = is_skew_type(m)
         payload = {"kind": "verdict", "name": "skew", "verdict": verdict}
-        text = f"skew: {'pass' if verdict else 'fail'}"
     elif args.kind == "tournament":
         try:
             verdict, a_param = ew_tournament_check(Tournament(m))
         except ValueError as exc:
             raise PreconditionError(f"not a tournament matrix: {exc}") from exc
-        payload = {
-            "kind": "tournament-check",
-            "verdict": verdict,
-            "a_param": None if a_param is None else _s(a_param),
-        }
-        text = f"tournament: {'pass' if verdict else 'fail'}"
+        payload = {"kind": "tournament-check", "verdict": verdict, "a_param": a_param}
         if verdict:
-            text += f"; split parameter a = {a_param}"
+            suffix = f"; split parameter a = {a_param}"
     else:  # barba
         verdict = is_barba(m)
         payload = {"kind": "verdict", "name": "barba", "verdict": verdict}
-        text = f"barba: {'pass' if verdict else 'fail'}"
-    if args.json:
-        _print_report(
-            "verify", [args.input], [payload], "pass" if verdict else "fail", started
-        )
-    else:
-        print(text)
-    return 0 if verdict else 1
+    status = "pass" if verdict else "fail"
+    return status, [payload], f"{args.kind}: {status}{suffix}\n"
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
+def cmd_check(args):
     if args.list:
-        for name, (description, _) in sorted(CLAIMS.items()):
-            print(f"{name:20s} {description}")
-        return 0
+        _refuse_unused(args, ("theorem", "json"), "--list")
+        return "pass", [], "".join(
+            f"{name:20s} {description}\n" for name, (description, _) in sorted(CLAIMS.items())
+        )
     if not args.input or not args.theorem:
         raise ValueError("check needs an input file and --theorem CLAIM (or --list)")
-    m = _load_matrix(args.input)
-    try:
-        chk = theorem_conformance(m, args.theorem)
-    except PreconditionError as exc:
-        if args.json:
-            _print_report("check", [args.input], [], "error", started, error=str(exc))
-        else:
-            print(f"precondition failed: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        _print_report(
-            "check",
-            [args.input],
-            [_theorem_check_json(chk)],
-            "pass" if chk.passed else "fail",
-            started,
-        )
-    else:
-        state = "pass" if chk.passed else "fail"
-        print(f"{chk.claim_id}: {state}")
-        print(f"  computed:  {format_factors_rle(chk.computed)}")
-        print(f"  predicted: {format_factors_rle(chk.predicted)}")
-        if chk.detail:
-            print(f"  ({chk.detail})")
-    return 0 if chk.passed else 1
+    chk = theorem_conformance(_load_matrix(args.input), args.theorem)
+    status = "pass" if chk.passed else "fail"
+    payload = {
+        "kind": "theorem-check",
+        "claim_id": chk.claim_id,
+        "computed": chk.computed,
+        "predicted": chk.predicted,
+        "passed": chk.passed,
+        "detail": chk.detail,
+    }
+    text = (
+        f"{chk.claim_id}: {status}\n"
+        f"  computed:  {format_factors_rle(chk.computed)}\n"
+        f"  predicted: {format_factors_rle(chk.predicted)}\n"
+    )
+    if chk.detail:
+        text += f"  ({chk.detail})\n"
+    return status, [payload], text
 
 
 # Search flags that a --kind does not read; giving one is a usage error.
@@ -313,17 +224,14 @@ _UNUSED_SEARCH_FLAGS = {
 }
 
 
-def cmd_search(args) -> int:
-    started = time.perf_counter()
+def cmd_search(args):
     workers = 1 if args.parallel is None else args.parallel
     if workers < 1:
         raise ValueError(f"--parallel must be at least 1, got {workers}")
     cap = args.max_candidates
     if cap is not None and cap < 1:
         raise ValueError(f"--max-candidates must be at least 1, got {cap}")
-    for flag in _UNUSED_SEARCH_FLAGS[args.kind]:
-        if getattr(args, flag) is not None:
-            raise ValueError(f"--{flag} does not apply to --kind {args.kind}")
+    _refuse_unused(args, _UNUSED_SEARCH_FLAGS[args.kind], f"--kind {args.kind}")
     if args.kind == "barba-scan":
         if args.order is not None and args.orders is not None:
             raise ValueError("--kind barba-scan takes --order or --orders, not both")
@@ -331,39 +239,25 @@ def cmd_search(args) -> int:
         if orders is None:
             raise ValueError("barba-scan needs --orders")
         report = barba_problem_scan(orders, workers=workers, max_candidates=cap)
-        if args.json:
-            payload = [
-                {
-                    "kind": "barba-scan",
-                    "order": _s(rep.order),
-                    "t_param": _s(rep.t_param),
-                    "reference": None
-                    if rep.reference is None
-                    else [_s(v) for v in rep.reference],
-                    "entries": [
-                        {
-                            "first_row": [_s(v) for v in e.first_row],
-                            "factors": [_s(v) for v in e.factors],
-                            "factors_rle": format_factors_rle(e.factors),
-                        }
-                        for e in rep.entries
-                    ],
-                }
-                for rep in report.per_order
-            ]
-            _print_report("search", [], payload, "pass", started)
-        else:
-            for rep in report.per_order:
-                ref = (
-                    "none (8t+1 is not a perfect square)"
-                    if rep.reference is None
-                    else format_factors_rle(rep.reference)
-                )
-                print(f"order {rep.order}: {len(rep.entries)} rows; reference diagonal: {ref}")
-                for e in rep.entries:
-                    row = " ".join(str(v) for v in e.first_row)
-                    print(f"  [{row}]  ->  {format_factors_rle(e.factors)}")
-        return 0
+        results, text = [], ""
+        for rep in report.per_order:
+            ref = "none (8t+1 is not a perfect square)"
+            if rep.reference is not None:
+                ref = format_factors_rle(rep.reference)
+            text += f"order {rep.order}: {len(rep.entries)} rows; reference diagonal: {ref}\n"
+            entries = []
+            for e in rep.entries:
+                rle = format_factors_rle(e.factors)
+                entries.append({"first_row": e.first_row, "factors": e.factors, "factors_rle": rle})
+                text += f"  [{' '.join(map(str, e.first_row))}]  ->  {rle}\n"
+            results.append({
+                "kind": "barba-scan",
+                "order": rep.order,
+                "t_param": rep.t_param,
+                "reference": rep.reference,
+                "entries": entries,
+            })
+        return "pass", results, text
     if args.order is None:
         raise ValueError(f"--kind {args.kind} needs --order")
     if args.kind == "ew-tournaments":
@@ -379,18 +273,61 @@ def cmd_search(args) -> int:
             args.order, limit=args.limit, workers=workers, max_candidates=cap
         )
     summary = {
-        "kind": "search-summary",
-        "search_kind": args.kind,
-        "order": _s(args.order),
-        "count": _s(len(matrices)),
+        "kind": "search-summary", "search_kind": args.kind, "order": args.order, "count": len(matrices)
     }
+    text = "".join(format_matrix(m) + "\n" for m in matrices)
+    return "pass", [summary] + matrices, text + json.dumps(_jsonable(summary)) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Report
+
+
+# Requests that are well formed but refused: exit 1, with this stderr prefix.
+_REFUSALS = {
+    PreconditionError: "precondition failed",
+    _ConstructionFailure: "construction failed",
+    InfeasibleSearchError: "search refused",
+}
+
+
+def _jsonable(value):
+    """Report form of a result value: every int a decimal string, every IntMatrix a "matrix" record."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, IntMatrix):
+        value = {"kind": "matrix", "rows": value.rows, "cols": value.cols, "entries": value.to_rows()}
+    if isinstance(value, dict):
+        return {key: _jsonable(v) for key, v in value.items()}
+    return [_jsonable(v) for v in value]
+
+
+def _run(args) -> int:
+    """Run one command, print its text or its JSON report, return the exit code."""
+    started = time.perf_counter()
+    try:
+        status, results, text = args.func(args)
+        error = None
+    except tuple(_REFUSALS) as exc:
+        print(f"{_REFUSALS[type(exc)]}: {exc}", file=sys.stderr)
+        status, results, text, error = "error", [], "", str(exc)
     if args.json:
-        _print_report("search", [], [summary] + [_matrix_json(m) for m in matrices], "pass", started)
+        doc = {
+            "command": args.command,
+            "inputs": [args.input] if getattr(args, "input", None) else [],
+            "status": status,
+            "elapsed_ms": int((time.perf_counter() - started) * 1000),
+            "results": results,
+        }
+        if error is not None:
+            doc["error"] = error
+        json.dump(_jsonable(doc), sys.stdout, indent=2)
+        print()
     else:
-        for m in matrices:
-            print(format_matrix(m))
-        print(json.dumps(summary))
-    return 0
+        print(text, end="")
+    return 0 if status == "pass" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +398,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 1
-    except _ConstructionFailure as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return 1
-    except InfeasibleSearchError as exc:
-        print(f"search refused: {exc}", file=sys.stderr)
-        return 1
+        return _run(args)
     except (ValueError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,13 +12,14 @@ This module also owns the text format shared by all command-line tools:
     a11 a12 ... a1n
     ...
 
-Entries are space-separated decimal integers of any magnitude; lines
+Entries are space-separated ASCII decimal integers of any magnitude; lines
 starting with ``#`` are comments and trailing whitespace is ignored.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -253,6 +254,16 @@ def block2x2(a11: IntMatrix, a12: IntMatrix, a21: IntMatrix, a22: IntMatrix) -> 
 # ---------- shared text format ----------
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(token: str) -> int:
+    """An ASCII decimal integer; unlike int(), refuses '1_000' and non-ASCII digits."""
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def parse_matrix(text: str) -> IntMatrix:
     """Parse the shared text format; raises ValueError on any malformation."""
     lines = [ln.rstrip() for ln in text.splitlines()]
@@ -263,7 +274,7 @@ def parse_matrix(text: str) -> IntMatrix:
     if len(header) != 2:
         raise ValueError(f"header must be '<rows> <cols>', got {data[0]!r}")
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = parse_int(header[0]), parse_int(header[1])
     except ValueError as exc:
         raise ValueError(f"bad header {data[0]!r}") from exc
     if rows < 1 or cols < 1:
@@ -277,7 +288,7 @@ def parse_matrix(text: str) -> IntMatrix:
         if len(toks) != cols:
             raise ValueError(f"row {lineno}: expected {cols} entries, found {len(toks)}")
         try:
-            out.append([int(t) for t in toks])
+            out.append([parse_int(t) for t in toks])
         except ValueError as exc:
             raise ValueError(f"row {lineno}: non-integer token") from exc
     return IntMatrix.from_rows(out)

@@ -17,6 +17,7 @@ pool never has more processes than CPUs or candidates.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from itertools import islice
@@ -40,6 +41,14 @@ def _pool_size(workers: int, total: int) -> int:
     return min(workers, os.cpu_count() or 1, total)
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; like IntMatrix entries, 1.5 is refused rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _chunk(job: tuple) -> list[int]:
     hits, order, lo, hi, limit = job
     return list(islice(hits(order, lo, hi), limit))
@@ -52,11 +61,11 @@ def _scan(hits, order: int, total: int, space: str, limit, workers: int, max_can
     can unpickle it, yielding the accepted masks of [lo, hi) in ascending
     order; space names the candidate space in the refusal message.
     """
-    if limit is not None and limit < 0:
+    if limit is not None and _integer("limit", limit) < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    cap = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
+    cap = DEFAULT_MAX_CANDIDATES if max_candidates is None else _integer("max_candidates", max_candidates)
     if cap < 1:
         raise ValueError(f"max_candidates must be at least 1, got {cap}")
     if total > cap:

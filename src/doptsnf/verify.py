@@ -139,7 +139,8 @@ def ew_gram_check(x: IntMatrix, strict: bool = False) -> EwReport:
     the signs must be removable by simultaneous sign switches (designs
     are treated up to equivalence, so rows and columns may arrive negated).
     With strict=True both Gram matrices must literally equal
-    blockdiag((n-2)I + 2J, (n-2)I + 2J) on the natural halves.
+    blockdiag((n-2)I + 2J, (n-2)I + 2J): both analyses must find the halves
+    range(n/2), range(n/2, n) and need no sign switch.
     """
     if not x.is_square:
         raise DimensionError("ew_gram_check needs a square matrix")
@@ -148,26 +149,16 @@ def ew_gram_check(x: IntMatrix, strict: bool = False) -> EwReport:
     n = x.rows
     if n % 4 != 2:
         return EwReport(False, n, reason=f"order {n} is not 2 (mod 4)")
-    gr = matmul(x, x.transpose())
-    gc = matmul(x.transpose(), x)
-    if strict:
-        half = n // 2
-        block = (n - 2) * IntMatrix.identity(half) + IntMatrix.all_ones(half) * 2
-        zero = IntMatrix.zeros(half)
-        target = IntMatrix.from_rows(
-            [list(block.row(i)) + list(zero.row(i)) for i in range(half)]
-            + [list(zero.row(i)) + list(block.row(i)) for i in range(half)]
-        )
-        if gr != target or gc != target:
-            return EwReport(False, n, reason="Gram matrices differ from the literal block form")
-        halves = (tuple(range(half)), tuple(range(half, n)))
-        return EwReport(True, n, halves, halves, _block_row_sums(x, halves))
-    rows_part, _, why = _analyze_gram(gr, n)
+    rows_part, row_signs, why = _analyze_gram(matmul(x, x.transpose()), n)
     if rows_part is None:
         return EwReport(False, n, reason="rows: " + why)
-    cols_part, _, why = _analyze_gram(gc, n)
+    cols_part, col_signs, why = _analyze_gram(matmul(x.transpose(), x), n)
     if cols_part is None:
         return EwReport(False, n, reason="columns: " + why)
+    if strict:
+        halves = (tuple(range(n // 2)), tuple(range(n // 2, n)))
+        if rows_part != halves or cols_part != halves or -1 in row_signs + col_signs:
+            return EwReport(False, n, reason="Gram matrices differ from the literal block form")
     return EwReport(True, n, rows_part, cols_part, _block_row_sums(x, rows_part))
 
 

@@ -15,7 +15,7 @@ import pytest
 from doptsnf.designs import build_example_26, build_example_66, skew_from_tournament
 from doptsnf.exactmat import IntMatrix, adjugate_and_det, determinant, rank_mod_p
 from doptsnf.snf import minor_gcd, smith_normal_form
-from doptsnf.search import enumerate_ew_tournaments, search_circulant_tournament
+from doptsnf.search import search_circulant_tournament
 from doptsnf.verify import (
     block_determinant_formula,
     ew_gram_check,

@@ -230,6 +230,29 @@ def test_search_rejects_flags_its_kind_ignores(capsys, argv, flag):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "E26", "--kind", "skew", "--strict"], "--strict does not apply to --kind skew"),
+        (["verify", "E26", "--kind", "tournament", "--strict"], "--strict does not apply to --kind tournament"),
+        (["verify", "E26", "--kind", "barba", "--strict", "--json"], "--strict does not apply to --kind barba"),
+        (["check", "--list", "--json"], "--json does not apply to --list"),
+        (["check", "--list", "--theorem", "main"], "--theorem does not apply to --list"),
+    ],
+)
+def test_verify_and_check_reject_flags_they_ignore(capsys, e26_path, argv, message):
+    captured = run(capsys, [e26_path if a == "E26" else a for a in argv], 2)
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_row_takes_ascii_decimals_only(capsys):
+    for row in ("1_000 0 0", "١٢ 0 0"):
+        captured = run(capsys, ["construct", "--family", "circulant", "--row", row], 2)
+        assert "not a decimal integer" in captured.err
+        assert captured.out == ""
+
+
 def test_barba_scan_takes_order_or_orders(capsys):
     both = run(capsys, ["search", "--kind", "barba-scan", "--order", "13", "--orders", "5"], 2)
     assert "takes --order or --orders, not both" in both.err
@@ -292,6 +315,23 @@ def test_json_search(capsys, schema):
     doc = run_json(capsys, ["search", "--kind", "barba-scan", "--orders", "5", "--json"], 0, schema)
     assert doc["results"][0]["kind"] == "barba-scan"
     assert len(doc["results"][0]["entries"]) == 10
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["verify", "E26", "--kind", "tournament"], "verify"),
+        (["construct", "--family", "barba-double", "--row", "1 1 1 1 1"], "construct"),
+        (["search", "--kind", "ew-tournaments", "--order", "9"], "search"),
+    ],
+)
+def test_json_refusal_is_an_error_report(capsys, schema, e26_path, argv, command):
+    argv = [e26_path if a == "E26" else a for a in argv]
+    doc = run_json(capsys, argv + ["--json"], 1, schema)
+    assert doc["command"] == command
+    assert doc["status"] == "error"
+    assert doc["results"] == []
+    assert doc["error"]
 
 
 def test_json_tournament_verify(capsys, schema, t5_path):

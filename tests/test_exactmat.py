@@ -248,6 +248,9 @@ def test_parse_matrix_only_raises_value_error(text):
         "2 2\n1 2\n3 x\n",
         "0 2\n",
         "1 1\n1\nextra row\n",
+        "1 1\n1_000\n",
+        "1 1\n١٢\n",
+        "1_0 1\n1\n",
     ],
 )
 def test_parse_rejects_malformed(text):

@@ -6,7 +6,6 @@ import pytest
 
 from doptsnf import search
 from doptsnf.designs import is_barba
-from doptsnf.exactmat import IntMatrix
 from doptsnf.search import (
     DEFAULT_MAX_CANDIDATES,
     InfeasibleSearchError,
@@ -168,6 +167,11 @@ def test_out_of_range_arguments_are_rejected():
             search(5, workers=0)
     with pytest.raises(ValueError, match="max_candidates"):
         search_circulant_barba(5, max_candidates=0)
+    for name in ("limit", "workers", "max_candidates"):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got 1.5"):
+            search_circulant_barba(5, **{name: 1.5})
+    with pytest.raises(TypeError, match="max_candidates must be an integer, got 32.5"):
+        search_circulant_barba(5, max_candidates=32.5)
     assert search_circulant_barba(5, limit=0) == []
 
 

@@ -7,7 +7,6 @@ is the core soundness argument.
 
 import math
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st

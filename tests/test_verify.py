@@ -17,13 +17,11 @@ from doptsnf.verify import (
     CLAIMS,
     PreconditionError,
     TheoremCheck,
-    a2a_check,
     block_determinant_formula,
     degree_classes,
     ew_gram_check,
     ew_tournament_check,
     existence_filter,
-    is_skew_type,
     normalized_block_row_sums,
     p_rank_report,
     predicted_block_snf,
@@ -92,6 +90,12 @@ def test_strict_gram_check():
     )
     assert ew_gram_check(shuffled).verdict
     assert not ew_gram_check(shuffled, strict=True).verdict
+    # a sign switch alone keeps the natural halves but puts -2 in both Gram matrices
+    signed = IntMatrix.from_rows(
+        [[sign[i] * sign[j] * doubled.at(i, j) for j in range(n)] for i in range(n)]
+    )
+    assert ew_gram_check(signed).verdict
+    assert not ew_gram_check(signed, strict=True).verdict
 
 
 # ---------------------------------------------------------------------------
