@@ -10,8 +10,8 @@ failed precondition, or refused construction/search; 2 usage, parse, or
 argument errors. A refused request prints its reason on stderr and,
 under --json, also a report with status "error" and the reason in
 "error". A flag the request does not read is a usage error: --strict
-applies only to verify --kind ew, check --list takes no other flag, and
-each search --kind names the flags it ignores.
+applies only to verify --kind ew, check --list takes no other flag and
+no input file, and each search --kind names the flags it ignores.
 """
 
 from __future__ import annotations
@@ -66,17 +66,17 @@ def format_factors_rle(factors: Sequence[int]) -> str:
 
 
 def parse_factors_rle(text: str) -> tuple[int, ...]:
-    """Inverse of format_factors_rle."""
+    """Inverse of format_factors_rle; values and counts are ASCII decimals, counts >= 1."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "^" in part:
-            value, count = part.split("^")
-            out.extend([int(value)] * int(count))
-        else:
-            out.append(int(part))
+        value, count = part.split("^") if "^" in part else (part, "1")
+        reps = parse_int(count)
+        if reps < 1:
+            raise ValueError(f"run count must be at least 1, got {part!r}")
+        out.extend([parse_int(value)] * reps)
     return tuple(out)
 
 
@@ -190,6 +190,8 @@ def cmd_verify(args):
 def cmd_check(args):
     if args.list:
         _refuse_unused(args, ("theorem", "json"), "--list")
+        if args.input:
+            raise ValueError(f"input file {args.input} does not apply to --list")
         return "pass", [], "".join(
             f"{name:20s} {description}\n" for name, (description, _) in sorted(CLAIMS.items())
         )

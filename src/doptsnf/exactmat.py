@@ -187,20 +187,25 @@ def adjugate_and_det(a: IntMatrix) -> tuple[IntMatrix, int]:
     return IntMatrix.from_rows(adj), det
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test (operands here are desk-scale)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1 by trial division (operands here are desk-scale)."""
+    if n < 1:
+        raise ValueError(f"factorize needs n >= 1, got {n}")
+    powers: dict[int, int] = {}
+    f = 2
     while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+        while n % f == 0:
+            powers[f] = powers.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        powers[n] = 1
+    return powers
+
+
+def is_prime(n: int) -> bool:
+    """True iff n is prime."""
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def rank_mod_p(a: IntMatrix, p: int) -> int:

@@ -99,15 +99,26 @@ def smith_reduce(a, want_transforms):
     pivot equal to the gcd of the trailing block, which makes the diagonal
     a divisibility chain by construction.
 
+    The transforms live in the one working array: with them, each of the
+    first m rows is A's row followed by that row of I_m, and n extra rows
+    below hold I_n. Row operations run over the array's width and column
+    operations over its height, so ``left`` accumulates in columns n.. of
+    the first m rows and ``right`` in the last n rows; the pivot search and
+    the divisibility test read only A's m x n block.
+
     Returns ``(factors, left, right)``: nonnegative invariant factors of
     length min(m, n), plus unimodular transforms with
     ``left @ a @ right == diag(factors)`` when requested (else None, None).
     """
     m = len(a)
     n = len(a[0])
-    w = [row[:] for row in a]
-    left = [[int(i == j) for j in range(m)] for i in range(m)] if want_transforms else None
-    right = [[int(i == j) for j in range(n)] for i in range(n)] if want_transforms else None
+    if want_transforms:
+        w = [row[:] + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
+        w += [[int(i == j) for j in range(n)] for i in range(n)]
+    else:
+        w = [row[:] for row in a]
+    width = len(w[0])
+    height = len(w)
     size = m if m < n else n
     for k in range(size):
         while True:
@@ -127,18 +138,11 @@ def smith_reduce(a, want_transforms):
                 break  # trailing block is all zero; remaining factors are 0
             if pi != k:
                 w[k], w[pi] = w[pi], w[k]
-                if left is not None:
-                    left[k], left[pi] = left[pi], left[k]
             if pj != k:
                 for row in w:
                     row[k], row[pj] = row[pj], row[k]
-                if right is not None:
-                    for row in right:
-                        row[k], row[pj] = row[pj], row[k]
             if w[k][k] < 0:
                 w[k] = [-v for v in w[k]]
-                if left is not None:
-                    left[k] = [-v for v in left[k]]
             pivot = w[k][k]
             dirty = False
             wk = w[k]
@@ -148,13 +152,8 @@ def smith_reduce(a, want_transforms):
                     q = v // pivot
                     if q:
                         wi = w[i]
-                        for j in range(k, n):
+                        for j in range(k, width):
                             wi[j] -= q * wk[j]
-                        if left is not None:
-                            li = left[i]
-                            lk = left[k]
-                            for j in range(m):
-                                li[j] -= q * lk[j]
                     if w[i][k]:
                         dirty = True
             if dirty:
@@ -164,11 +163,8 @@ def smith_reduce(a, want_transforms):
                 if v != 0:
                     q = v // pivot
                     if q:
-                        for i in range(k, m):
+                        for i in range(k, height):
                             w[i][j] -= q * w[i][k]
-                        if right is not None:
-                            for i in range(n):
-                                right[i][j] -= q * right[i][k]
                     if wk[j]:
                         dirty = True
             if dirty:
@@ -186,15 +182,12 @@ def smith_reduce(a, want_transforms):
             if offender < 0:
                 break
             wo = w[offender]
-            for j in range(n):
+            for j in range(width):
                 wk[j] += wo[j]
-            if left is not None:
-                lk = left[k]
-                lo = left[offender]
-                for j in range(m):
-                    lk[j] += lo[j]
     factors = [w[i][i] for i in range(size)]
-    return factors, left, right
+    if not want_transforms:
+        return factors, None, None
+    return factors, [row[n:] for row in w[:m]], w[m:]
 
 
 def gf_rank(a, p):

@@ -22,7 +22,7 @@ from .exactmat import (
     IntMatrix,
     adjugate_and_det,
     determinant,
-    is_prime,
+    factorize,
     matmul,
     rank_mod_p,
 )
@@ -272,8 +272,7 @@ def p_rank_report(a: Tournament, p: int) -> PRankReport:
     ok, _ = ew_tournament_check(a)
     _require(ok, "input is not an EW tournament")
     t = a.order // 4
-    _require(is_prime(p), f"{p} is not prime")
-    _require(t % p == 0, f"prime {p} does not divide t = {t}")
+    _require(p in factorize(t), f"{p} is not a prime divisor of t = {t}")
     aplusi = a.matrix + IntMatrix.identity(a.order)
     return PRankReport(
         t, p, rank_mod_p(aplusi, p), rank_mod_p(a.matrix, p), 2 * t + 1, 2 * t + 2
@@ -296,26 +295,6 @@ def predicted_snf_tournament(t: int) -> tuple[int, ...]:
     if t < 1:
         raise ValueError("t must be >= 1")
     return (1,) * (2 * t + 2) + (t,) * (2 * t - 2) + (t * t * (4 * t - 1),)
-
-
-def _two_adic(n: int) -> tuple[int, int]:
-    """n = 2^ell * q with q odd; returns (ell, q)."""
-    ell = 0
-    while n % 2 == 0:
-        n //= 2
-        ell += 1
-    return ell, n
-
-
-def _is_squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -377,7 +356,7 @@ class BlockSnfConstraints:
             facs[4 * t + 1],
             sum(1 for v in head if v in allowed_head),
             sum(1 for v in tail if v in allowed_tail),
-            sum(_two_adic(v)[0] for v in facs[1 : 4 * t]),
+            sum((v & -v).bit_length() - 1 for v in facs[1 : 4 * t]),  # 2-adic valuations
         )
         expected = (
             1,
@@ -408,14 +387,16 @@ def predicted_block_snf(t: int, r1: int, r2: int) -> BlockSnfConstraints:
             f"r1^2 + r2^2 = {r1 * r1 + r2 * r2}, expected 8t+2 = {8 * t + 2}"
         )
     m = 4 * t + 1
-    ell, q = _two_adic(t)
+    t_powers = factorize(t)
+    ell = t_powers.get(2, 0)
+    q = t >> ell
     g = math.gcd(abs(r1), abs(r2))
-    root = math.isqrt(m)
-    if root * root == m and is_prime(root):
-        p = root
+    m_powers = factorize(m)
+    if list(m_powers.values()) == [2]:
+        (p,) = m_powers
         _require(g in (1, p), f"gcd(r1, r2) = {g}, expected 1 or {p}")
         full = None
-        if _is_squarefree(t):
+        if max(t_powers.values(), default=1) == 1:  # t square-free
             if g == 1:
                 full = predicted_snf_skew_ew(t)
             else:
@@ -426,7 +407,7 @@ def predicted_block_snf(t: int, r1: int, r2: int) -> BlockSnfConstraints:
                     + (2 * t * p, 2 * t * p)
                 )
         return BlockSnfConstraints(t, r1, r2, g, ell, q, "prime-square", p, full)
-    if _is_squarefree(m):
+    if max(m_powers.values()) == 1:
         _require(g == 1, f"gcd(r1, r2) = {g}; the square-free case needs coprime row sums")
         return BlockSnfConstraints(t, r1, r2, g, ell, q, "squarefree")
     raise PreconditionError(f"4t+1 = {m} is neither square-free nor the square of a prime")
@@ -533,16 +514,6 @@ def normalized_block_row_sums(s: IntMatrix) -> tuple[int, int, int, int]:
     return d11, d22, d12, d21
 
 
-def a2a_check(a: Tournament) -> TheoremCheck:
-    """Last two invariant factors of A^2 + A against (t, t^2(16t^2-1))."""
-    ok, _ = ew_tournament_check(a)
-    _require(ok, "input is not an EW tournament")
-    t = a.order // 4
-    m = matmul(a.matrix, a.matrix) + a.matrix
-    facs = smith_normal_form(m).factors
-    return TheoremCheck("a2a-tail", facs[-2:], (t, t * t * (16 * t * t - 1)))
-
-
 @dataclass(frozen=True)
 class ExistenceReport:
     """Necessary-condition filter for orders 4t+2.
@@ -637,6 +608,13 @@ def _claim_aplusi_head(x: IntMatrix) -> TheoremCheck:
     return TheoremCheck("aplusi-head", (bf[2 * t],), (1,))
 
 
+def _claim_a2a_tail(x: IntMatrix) -> TheoremCheck:
+    a = _as_ew_tournament(x)
+    t = a.order // 4
+    facs = smith_normal_form(matmul(a.matrix, a.matrix) + a.matrix).factors
+    return TheoremCheck("a2a-tail", facs[-2:], (t, t * t * (16 * t * t - 1)))
+
+
 def _claim_tournament_snf(x: IntMatrix) -> TheoremCheck:
     a = _as_ew_tournament(x)
     t = a.order // 4
@@ -693,7 +671,7 @@ CLAIMS: dict[str, tuple[str, Callable[[IntMatrix], TheoremCheck]]] = {
     ),
     "a2a-tail": (
         "last two invariant factors of A^2+A are (t, t^2(16t^2-1))",
-        lambda x: a2a_check(_as_ew_tournament(x)),
+        _claim_a2a_tail,
     ),
     "block-squarefree": (
         "two-block design constraints when 4t+1 is square-free",

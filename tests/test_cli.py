@@ -68,6 +68,13 @@ def test_rle_bijective_on_randoms():
         assert parse_factors_rle(format_factors_rle(facs)) == tuple(facs)
 
 
+def test_rle_takes_ascii_decimals_and_positive_counts():
+    for text in ("1_0, 2", "١^2", "1, 2^٢", "2^0, 5", "3^-1, 5", "1^"):
+        with pytest.raises(ValueError):
+            parse_factors_rle(text)
+    assert parse_factors_rle("1, 2^3") == (1, 2, 2, 2)
+
+
 # ---------------------------------------------------------------------------
 # construct
 
@@ -238,11 +245,12 @@ def test_search_rejects_flags_its_kind_ignores(capsys, argv, flag):
         (["verify", "E26", "--kind", "barba", "--strict", "--json"], "--strict does not apply to --kind barba"),
         (["check", "--list", "--json"], "--json does not apply to --list"),
         (["check", "--list", "--theorem", "main"], "--theorem does not apply to --list"),
+        (["check", "E26", "--list"], "input file E26 does not apply to --list"),
     ],
 )
 def test_verify_and_check_reject_flags_they_ignore(capsys, e26_path, argv, message):
     captured = run(capsys, [e26_path if a == "E26" else a for a in argv], 2)
-    assert message in captured.err
+    assert message.replace("E26", e26_path) in captured.err
     assert captured.out == ""
 
 

@@ -1,5 +1,6 @@
 """Exact matrix arithmetic and the shared text format."""
 
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from doptsnf.exactmat import (
     block2x2,
     circulant,
     determinant,
+    factorize,
     format_matrix,
     is_prime,
     kronecker,
@@ -139,6 +141,21 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(-3, 50):
         assert is_prime(n) == (n in primes)
+
+
+def test_factorize():
+    limit = 2000
+    sieve = [False, False] + [True] * (limit - 1)
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    for n in range(1, limit + 1):
+        powers = factorize(n)
+        assert all(sieve[p] and e >= 1 for p, e in powers.items())
+        assert math.prod(p**e for p, e in powers.items()) == n
+    for n in (0, -1, -12):
+        with pytest.raises(ValueError):
+            factorize(n)
 
 
 def test_rank_mod_p():

@@ -72,18 +72,17 @@ def test_matches_minor_gcd_oracle():
         assert smith_normal_form(m).factors == factors_via_minor_gcds(m)
 
 
-def test_transform_soundness():
+def test_transform_soundness(example26, skew14):
     rng = random.Random(202)
-    for _ in range(150):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        m = random_matrix(rng, rows, cols)
+    randoms = [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(150)]
+    for m in randoms + [example26, skew14]:
         res = smith_normal_form(m, want_transforms=True)
+        assert res.factors == smith_normal_form(m).factors
         assert determinant(res.left) in (1, -1)
         assert determinant(res.right) in (1, -1)
         prod = res.left @ m @ res.right
-        for i in range(rows):
-            for j in range(cols):
+        for i in range(m.rows):
+            for j in range(m.cols):
                 want = res.factors[i] if i == j and i < len(res.factors) else 0
                 assert prod.at(i, j) == want
 

@@ -221,6 +221,12 @@ def test_block_constraints_squarefree_14(skew14):
     assert cons.evaluate(smith_normal_form(skew14).factors).passed
 
 
+def test_block_constraints_zero_factors_fail():
+    # a zero factor has no 2-adic valuation; evaluating one must end in a failed check
+    ev = predicted_block_snf(3, 5, -1).evaluate((1,) + (0,) * 13)
+    assert not ev.passed
+
+
 def test_block_constraints_prime_square(example26):
     cons = predicted_block_snf(6, 5, 5)
     assert cons.case == "prime-square"
