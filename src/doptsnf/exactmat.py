@@ -187,20 +187,35 @@ def adjugate_and_det(a: IntMatrix) -> tuple[IntMatrix, int]:
     return IntMatrix.from_rows(adj), det
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: e} of n >= 1 by trial division (operands here are desk-scale)."""
+def trial_divide(n: int, bound: int | None = None) -> tuple[dict[int, int], int]:
+    """Split n >= 1 into prime powers {p: e} and a cofactor c by trial division.
+
+    Trial divisors f run while f * f is at most what is left of n, and stop
+    early at ``bound`` when one is given. A leftover above 1 whose square
+    root the divisors passed is prime and goes into the powers, so c is 1
+    unless the bound stopped the loop. Then c >= bound**2 and c has no prime
+    factor below the bound: it may be prime or composite.
+    ``n == c * prod(p**e)`` always holds.
+    """
     if n < 1:
-        raise ValueError(f"factorize needs n >= 1, got {n}")
+        raise ValueError(f"trial division needs n >= 1, got {n}")
     powers: dict[int, int] = {}
     f = 2
     while f * f <= n:
+        if bound is not None and f >= bound:
+            return powers, n
         while n % f == 0:
             powers[f] = powers.get(f, 0) + 1
             n //= f
         f += 1 if f == 2 else 2
     if n > 1:
         powers[n] = 1
-    return powers
+    return powers, 1
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1 by trial division (operands here are desk-scale)."""
+    return trial_divide(n)[0]
 
 
 def is_prime(n: int) -> bool:

@@ -8,6 +8,8 @@ well-formed input.
 
 from __future__ import annotations
 
+from math import gcd
+
 #: Name of the kernel implementation; the layered benchmark records it with each run.
 BACKEND = "python"
 
@@ -188,6 +190,85 @@ def smith_reduce(a, want_transforms):
     if not want_transforms:
         return factors, None, None
     return factors, [row[n:] for row in w[:m]], w[m:]
+
+
+def local_exponents(a, p, k):
+    """Smith form of a square matrix over Z/p^k, as exponents of the prime p.
+
+    Each step (``_eliminate``) pivots on an entry of least p-adic valuation
+    in the trailing block; the pivot's valuation is the step's exponent.
+    The whole block stays a multiple of p^e for the current level e, so the
+    exponents come out nondecreasing, and every entry stays below p^k.
+
+    Returns the exponents below k. The other n - len(result) invariant
+    factors vanish modulo p^k: their exponents are k or more.
+    """
+    q = p**k
+    w = [[x % q for x in row] for row in a]
+    exps = []
+    e = 0
+    pe = 1  # p**e, which divides every entry of w
+    while w and e < k:
+        step = pe * p
+        pi = pj = -1
+        for i, row in enumerate(w):
+            for j, x in enumerate(row):
+                if x % step:
+                    pi, pj = i, j
+                    break
+            if pi >= 0:
+                break
+        if pi < 0:
+            e += 1
+            pe = step
+            continue
+        _eliminate(w, pi, pj, pe, q)
+        exps.append(e)
+    return exps
+
+
+def unit_rank(a, c):
+    """Elimination steps over Z/c that find a unit pivot, for c > 1.
+
+    Each step (``_eliminate``) pivots on an entry x of the trailing block
+    with gcd(x, c) == 1; the count stops at the first block without such an
+    entry. Unit pivots stay units modulo every prime factor of c, so the
+    count is a lower bound on the rank of a modulo each of them.
+    """
+    w = [[x % c for x in row] for row in a]
+    steps = 0
+    while w:
+        pi = pj = -1
+        for i, row in enumerate(w):
+            for j, x in enumerate(row):
+                if gcd(x, c) == 1:
+                    pi, pj = i, j
+                    break
+            if pi >= 0:
+                break
+        if pi < 0:
+            break
+        _eliminate(w, pi, pj, 1, c)
+        steps += 1
+    return steps
+
+
+def _eliminate(w, pi, pj, pe, q):
+    """One elimination step over Z/q on the block w, in place.
+
+    The pivot w[pi][pj] is pe times a unit modulo q, and pe divides every
+    entry of w. Clears column pj from the other rows, then drops the
+    pivot's row and column: the pivot divides every entry of its row modulo
+    q, so the column operations that would clear that row change nothing
+    else.
+    """
+    prow = w.pop(pi)
+    inv = pow(prow[pj] // pe, -1, q)
+    for row in w:
+        f = row[pj] // pe * inv % q
+        if f:
+            row[:] = [(x - f * y) % q for x, y in zip(row, prow)]
+        del row[pj]
 
 
 def gf_rank(a, p):

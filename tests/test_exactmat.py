@@ -21,6 +21,7 @@ from doptsnf.exactmat import (
     matmul,
     parse_matrix,
     rank_mod_p,
+    trial_divide,
 )
 
 
@@ -153,9 +154,27 @@ def test_factorize():
         powers = factorize(n)
         assert all(sieve[p] and e >= 1 for p, e in powers.items())
         assert math.prod(p**e for p, e in powers.items()) == n
+        assert trial_divide(n) == (powers, 1)
+        for bound in (2, 3, 5, 10, 30):
+            small, c = trial_divide(n, bound)
+            assert c * math.prod(p**e for p, e in small.items()) == n
+            assert all(sieve[p] for p in small)
+            assert all(small.get(p, 0) == e for p, e in powers.items() if p < bound)
+            # A cofactor is left only when the bound stopped the divisors:
+            # then it is at least bound**2 and has no prime factor below it.
+            assert c == 1 or (c >= bound**2 and min(factorize(c)) >= bound)
+    # Left over below the square of the next divisor: prime, into the powers.
+    assert trial_divide(3 * 7, 5) == ({3: 1, 7: 1}, 1)
+    assert trial_divide(2**5 * 65537, 2**16) == ({2: 5, 65537: 1}, 1)
+    # Stopped by the bound: the cofactor is returned whole, prime or not.
+    assert trial_divide(7 * 11 * 13, 5) == ({}, 1001)
+    assert trial_divide(3 * 65537**2, 2**16) == ({3: 1}, 65537**2)
+    assert trial_divide(65537 * 65539, 2**16) == ({}, 65537 * 65539)
     for n in (0, -1, -12):
         with pytest.raises(ValueError):
             factorize(n)
+        with pytest.raises(ValueError):
+            trial_divide(n, 10)
 
 
 def test_rank_mod_p():

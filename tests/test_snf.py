@@ -1,8 +1,9 @@
-"""Smith normal form engine vs. independent oracles.
+"""Smith normal form engines vs. independent oracles.
 
 The minor-gcd oracle enumerates every i x i minor directly, so it shares no
-code with the elimination engine; agreement between the two on random input
-is the core soundness argument.
+code with either elimination engine; agreement between them on random input
+is the core soundness argument. The local engine is also checked against
+the Euclidean one, and its product against |det|.
 """
 
 import math
@@ -11,8 +12,25 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doptsnf.exactmat import IntMatrix, adjugate_and_det, determinant
-from doptsnf.snf import MINOR_GCD_SIZE_LIMIT, SnfResult, minor_gcd, smith_normal_form
+from doptsnf import kernels
+from doptsnf.designs import BlockEwSpec
+from doptsnf.exactmat import (
+    IntMatrix,
+    adjugate_and_det,
+    circulant,
+    determinant,
+    kronecker,
+    trial_divide,
+)
+from doptsnf.snf import (
+    LOCAL_MIN_ORDER,
+    MINOR_GCD_SIZE_LIMIT,
+    TRIAL_BOUND,
+    SnfResult,
+    local_smith_form,
+    minor_gcd,
+    smith_normal_form,
+)
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -165,3 +183,93 @@ def test_minor_gcd_first_level_is_entry_gcd():
     for _ in range(30):
         m = random_matrix(rng, 3, 4)
         assert minor_gcd(m, 1) == math.gcd(*(abs(v) for v in m.entries))
+
+
+def euclidean_factors(m: IntMatrix) -> tuple[int, ...]:
+    return tuple(kernels.smith_reduce(m.to_rows(), False)[0])
+
+
+def scrambled(m: IntMatrix, rng: random.Random) -> IntMatrix:
+    """m times unimodular matrices on both sides: same SNF, dense entries."""
+    n = m.rows
+    for _ in range(2):
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                u[i][j] = rng.randint(-2, 2)
+        rng.shuffle(u)
+        m = IntMatrix.from_rows(u) @ m.transpose()
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-12, max_value=12), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_local_engine_differential(rows):
+    """Below LOCAL_MIN_ORDER, called directly: the local engine agrees with
+    the Euclidean engine and the minor-gcd oracle, or hands the input back
+    for a reason it states."""
+    m = IntMatrix.from_rows(rows)
+    want = euclidean_factors(m)
+    got = local_smith_form(m)
+    if got is None:
+        d = abs(determinant(m))
+        assert d == 0 or trial_divide(d, TRIAL_BOUND)[1] > 1
+    else:
+        assert got == want
+    assert want == factors_via_minor_gcds(m)
+
+
+def test_local_engine_hand_cases():
+    rng = random.Random(206)
+    rough = 65537 * 65539  # two primes just above TRIAL_BOUND
+    cases = [
+        # v_2 = 10 and three exponents of at least 1 at k = 1: k must double
+        ((1, 2, 8, 64), (1, 2, 8, 64)),
+        ((3, 6, 6, 12, 36), (3, 6, 6, 12, 36)),
+        # n - 1 unit pivots modulo the rough cofactor: it goes to the last factor
+        ((1, 1, 2, 2 * rough), (1, 1, 2, 2 * rough)),
+        ((rough, 1, 1), (1, 1, rough)),
+        # the rough cofactor squared across two factors: no second unit pivot
+        ((1, rough, rough), None),
+        # singular
+        ((1, 2, 0), None),
+    ]
+    for diagonal, want in cases:
+        n = len(diagonal)
+        d = IntMatrix.from_rows([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        for m in (d, scrambled(d, rng)):
+            assert local_smith_form(m) == want
+            if want is not None:
+                assert euclidean_factors(m) == want
+
+
+def paley_two_block(q: int) -> IntMatrix:
+    """Two-block design on the order-q Paley circulant (order 6q); at q = 11
+    this is example66."""
+    residues = {i * i % q for i in range(1, q)}
+    a = circulant([0] + [-1 if i in residues else 1 for i in range(1, q)])
+    i3, j3 = IntMatrix.identity(3), IntMatrix.all_ones(3)
+    iq, jq = IntMatrix.identity(q), IntMatrix.all_ones(q)
+    r1 = kronecker(a + iq, j3 - i3) + kronecker(jq - 2 * iq, i3)
+    r2 = kronecker(a + iq, j3 - i3) + kronecker(-a + iq, i3)
+    return BlockEwSpec(r1, r2).assemble()
+
+
+def test_local_engine_on_the_public_path(example66):
+    assert paley_two_block(11) == example66
+    rng = random.Random(207)
+    pm1 = IntMatrix.from_rows([[rng.choice((1, -1)) for _ in range(100)] for _ in range(100)])
+    for m in (paley_two_block(19), pm1):
+        assert m.rows >= LOCAL_MIN_ORDER
+        local = local_smith_form(m)
+        assert local is not None
+        assert smith_normal_form(m).factors == local == euclidean_factors(m)
+        assert math.prod(local) == abs(determinant(m))
