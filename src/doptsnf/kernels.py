@@ -2,12 +2,16 @@
 
 This is the package's one kernel implementation. Matrices are lists of row
 lists of Python ints, so every result is exact no matter how large
-intermediates grow. Callers own all shape validation — kernels assume
+intermediates grow. The modular kernels (``local_exponents``, ``unit_rank``
+and ``gf_rank``) pack each row into one int of fixed-width slots, so that a
+row operation is a few big-integer operations instead of one interpreted
+operation per entry. Callers own all shape validation — kernels assume
 well-formed input.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
 
 #: Name of the kernel implementation; the layered benchmark records it with each run.
@@ -195,110 +199,106 @@ def smith_reduce(a, want_transforms):
 def local_exponents(a, p, k):
     """Smith form of a square matrix over Z/p^k, as exponents of the prime p.
 
-    Each step (``_eliminate``) pivots on an entry of least p-adic valuation
-    in the trailing block; the pivot's valuation is the step's exponent.
-    The whole block stays a multiple of p^e for the current level e, so the
-    exponents come out nondecreasing, and every entry stays below p^k.
+    Each step pivots on an entry of least p-adic valuation in the trailing
+    block; the pivot's valuation is the step's exponent. The whole block
+    stays a multiple of p^e for the current level e, so the exponents come
+    out nondecreasing.
 
     Returns the exponents below k. The other n - len(result) invariant
     factors vanish modulo p^k: their exponents are k or more.
     """
-    q = p**k
-    w = [[x % q for x in row] for row in a]
-    exps = []
-    e = 0
-    pe = 1  # p**e, which divides every entry of w
-    while w and e < k:
-        step = pe * p
-        pi = pj = -1
-        for i, row in enumerate(w):
-            for j, x in enumerate(row):
-                if x % step:
-                    pi, pj = i, j
-                    break
-            if pi >= 0:
-                break
-        if pi < 0:
-            e += 1
-            pe = step
-            continue
-        _eliminate(w, pi, pj, pe, q)
-        exps.append(e)
-    return exps
+    return _eliminate(a, p**k, p, k)
 
 
 def unit_rank(a, c):
     """Elimination steps over Z/c that find a unit pivot, for c > 1.
 
-    Each step (``_eliminate``) pivots on an entry x of the trailing block
-    with gcd(x, c) == 1; the count stops at the first block without such an
+    Each step pivots on an entry x of the trailing block with
+    gcd(x, c) == 1; the count stops at the first block without such an
     entry. Unit pivots stay units modulo every prime factor of c, so the
-    count is a lower bound on the rank of a modulo each of them.
+    count is a lower bound on the rank of a modulo each of them, and for
+    prime c, where every nonzero entry is a unit, it is the rank.
     """
-    w = [[x % c for x in row] for row in a]
-    steps = 0
-    while w:
-        pi = pj = -1
-        for i, row in enumerate(w):
-            for j, x in enumerate(row):
-                if gcd(x, c) == 1:
-                    pi, pj = i, j
-                    break
-            if pi >= 0:
-                break
-        if pi < 0:
-            break
-        _eliminate(w, pi, pj, 1, c)
-        steps += 1
-    return steps
-
-
-def _eliminate(w, pi, pj, pe, q):
-    """One elimination step over Z/q on the block w, in place.
-
-    The pivot w[pi][pj] is pe times a unit modulo q, and pe divides every
-    entry of w. Clears column pj from the other rows, then drops the
-    pivot's row and column: the pivot divides every entry of its row modulo
-    q, so the column operations that would clear that row change nothing
-    else.
-    """
-    prow = w.pop(pi)
-    inv = pow(prow[pj] // pe, -1, q)
-    for row in w:
-        f = row[pj] // pe * inv % q
-        if f:
-            row[:] = [(x - f * y) % q for x, y in zip(row, prow)]
-        del row[pj]
+    return len(_eliminate(a, c, c, 1))
 
 
 def gf_rank(a, p):
-    """Rank over GF(p) by forward elimination; p must be prime."""
-    m = len(a)
+    """Rank over GF(p); p must be prime."""
+    return unit_rank(a, p)
+
+
+def _eliminate(a, q, d, levels):
+    """Gaussian elimination over Z/q on packed rows; the level of each pivot.
+
+    At level e (0 <= e < levels) every entry is a multiple of d^e modulo q,
+    and an entry x may pivot iff gcd(x, d^(e+1)) == d^e; when none may, the
+    level goes up; d^levels divides q.
+
+    Each row is one int of fixed-width byte slots, column 0 in the lowest.
+    Only a pivot row is reduced modulo q; every other slot grows by less
+    than q^2 a step, and its width leaves room for every step, so no slot
+    carries into the next. The pivot is moved into column 0, so one
+    ``(r + (q - f) * pivot) >> bits`` clears it from row r and drops the
+    column: the pivot divides every entry of its row modulo q, so the
+    column operations that would clear that row change nothing else.
+    """
     n = len(a[0])
-    w = [[v % p for v in row] for row in a]
-    rank = 0
-    for col in range(n):
-        piv = -1
-        for i in range(rank, m):
-            if w[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        w[rank], w[piv] = w[piv], w[rank]
-        wr = w[rank]
-        inv = pow(wr[col], -1, p)
-        for i in range(rank + 1, m):
-            f = w[i][col]
-            if f:
-                f = (f * inv) % p
-                wi = w[i]
-                for j in range(col, n):
-                    wi[j] = (wi[j] - f * wr[j]) % p
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    # A slot starts below q and gains less than q^2 in each of at most
+    # min(m, n) steps; one byte more is margin.
+    size = (2 * q.bit_length() + min(len(a), n).bit_length() + 7) // 8 + 1
+    bits = 8 * size
+    mask = (1 << bits) - 1
+    rows = [_pack([x % q for x in row], size) for row in a]
+    out = []
+    pe = 1
+    for e in range(levels):
+        g = pe * d
+        while rows and n:
+            for i, r in enumerate(rows):
+                if gcd(r & mask, g) == pe:
+                    break
+            else:
+                i = _swap_pivot_in(rows, n, size, g, pe)
+                if i < 0:
+                    break
+            vals = [x % q for x in _unpack(rows.pop(i), n, size)]
+            pivot = _pack(vals, size)
+            inv = pow(vals[0] // pe, -1, q)
+            for t, r in enumerate(rows):
+                f = (r & mask) // pe * inv % q
+                rows[t] = (r + (q - f) * pivot) >> bits if f else r >> bits
+            n -= 1
+            out.append(e)
+        pe = g
+    return out
+
+
+def _swap_pivot_in(rows, n, size, g, pe):
+    """Index of the first row with a pivot, after swapping its column to 0.
+
+    A pivot is an entry x with gcd(x, g) == pe; returns -1 if there is none.
+    """
+    mask = (1 << 8 * size) - 1
+    for i, row in enumerate(rows):
+        for j, x in enumerate(_unpack(row, n, size)):
+            if gcd(x, g) == pe:
+                shift = 8 * size * j
+                for t, r in enumerate(rows):
+                    x = ((r >> shift) ^ r) & mask
+                    rows[t] = r ^ x ^ (x << shift)
+                return i
+    return -1
+
+
+def _pack(vals, size):
+    """One int holding the nonnegative vals in size-byte slots, first lowest."""
+    return int.from_bytes(b"".join(map(int.to_bytes, vals, repeat(size), repeat("little"))), "little")
+
+
+def _unpack(r, n, size):
+    """The n slot values of a packed row."""
+    data = r.to_bytes(n * size, "little")
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, n * size, size)]
 
 
 def autocorrelations(row):

@@ -10,7 +10,7 @@ engines, chosen from the input:
 - The local engine (``local_smith_form``) runs on square inputs of order
   ``LOCAL_MIN_ORDER`` or more without transforms. It computes d = |det| by
   Bareiss, splits d by trial division below ``TRIAL_BOUND``, and for each
-  prime p | d eliminates modulo p^k (every entry stays below p^k), doubling
+  prime p | d eliminates modulo p^k (no entry grows past n*p^2k), doubling
   k until the exponents it sees sum to v_p(d). A cofactor with no prime
   below the bound goes whole into the last factor once elimination modulo
   it finds n - 1 unit pivots. Elimination modulo p^k gives every exponent
@@ -33,9 +33,9 @@ from math import gcd
 from . import kernels
 from .exactmat import IntMatrix, trial_divide
 
-#: Square inputs of this order or more go to the local engine. Below it the
-#: Euclidean engine is faster: on random +-1 squares the two break even
-#: between orders 80 and 100, and at order 26 the local engine is ~2x slower.
+#: Square inputs of this order or more go to the local engine. On random +-1
+#: squares the local engine takes ~1.3x the Euclidean time at order 26, about
+#: the same at order 40, ~0.85x at order 66, ~0.7x at 80 and ~0.6x at 100.
 LOCAL_MIN_ORDER = 100
 
 #: The local engine trial-divides |det| by every number below this bound.
