@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import gcd
+from operator import mul
 
 #: Name of the kernel implementation; the layered benchmark records it with each run.
 BACKEND = "python"
@@ -21,39 +22,73 @@ BACKEND = "python"
 def matmul(a, b):
     """Exact product of an m*k and a k*n matrix (lists of rows)."""
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def bareiss_determinant(a):
-    """Fraction-free determinant.
+    """Fraction-free determinant by two-step Bareiss elimination.
 
-    Pivoting takes the first nonzero entry in each column, swapping rows and
-    tracking the sign explicitly; every intermediate entry is a minor of the
-    input, so divisions are exact.
+    Each pass removes columns k and k+1 together (Bareiss, Math. Comp. 22,
+    1968). With prev the divisor of the previous pass (1 at first) and a
+    the working entries, the new divisor is
+    c0 = (a_kk a_{k+1,k+1} - a_{k,k+1} a_{k+1,k}) / prev; each row
+    i >= k+2 gets c1 = (a_{k,k+1} a_ik - a_kk a_{i,k+1}) / prev and
+    c2 = (a_{k+1,k} a_{i,k+1} - a_{k+1,k+1} a_ik) / prev, and each of its
+    trailing entries becomes (a_ij c0 + a_{k+1,j} c1 + a_kj c2) / prev. By
+    Sylvester's identity every one of these quotients is a minor of the
+    input (c0 the leading minor of order k+2), so each division is exact;
+    the last divisor is the determinant, or, at odd order, the last entry
+    is. A pass costs three products per entry where two one-column passes
+    cost four, and one exact division where they cost two.
+
+    Pivoting: row k is the first row from k on with a nonzero entry in
+    column k; if c0 is 0, row k+1 swaps with the first later row that
+    makes it nonzero. Each swap flips the sign. When column k has no
+    nonzero entry, or no row makes c0 nonzero, the first k+2 columns are
+    dependent and the determinant is 0.
     """
     n = len(a)
     m = [row[:] for row in a]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
+    k = 0
+    while k < n - 1:
+        mk = m[k]
+        if mk[k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+                    m[k], m[i] = m[i], mk
+                    mk = m[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = m[k][k]
-        mk = m[k]
-        for i in range(k + 1, n):
+        a00, a01 = mk[k], mk[k + 1]
+        ml = m[k + 1]
+        c0 = a00 * ml[k + 1] - a01 * ml[k]
+        if c0 == 0:
+            for i in range(k + 2, n):
+                mi = m[i]
+                c0 = a00 * mi[k + 1] - a01 * mi[k]
+                if c0 != 0:
+                    m[k + 1], m[i] = mi, ml
+                    ml = mi
+                    sign = -sign
+                    break
+            else:
+                return 0
+        c0 //= prev
+        a10, a11 = ml[k], ml[k + 1]
+        for i in range(k + 2, n):
             mi = m[i]
-            mik = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
-            mi[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+            x0, x1 = mi[k], mi[k + 1]
+            c1 = (a01 * x0 - a00 * x1) // prev
+            c2 = (a10 * x1 - a11 * x0) // prev
+            for j in range(k + 2, n):
+                mi[j] = (mi[j] * c0 + ml[j] * c1 + mk[j] * c2) // prev
+        prev = c0
+        k += 2
+    return sign * (m[k][k] if k < n else prev)
 
 
 def adjugate(a):

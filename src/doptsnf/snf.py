@@ -33,10 +33,12 @@ from math import gcd
 from . import kernels
 from .exactmat import IntMatrix, trial_divide
 
-#: Square inputs of this order or more go to the local engine. On random +-1
-#: squares the local engine takes ~1.3x the Euclidean time at order 26, about
-#: the same at order 40, ~0.85x at order 66, ~0.7x at 80 and ~0.6x at 100.
-LOCAL_MIN_ORDER = 100
+#: Square inputs of this order or more go to the local engine. Its time over
+#: the Euclidean engine's, best of 9: 0.85-1.8x on random +-1 squares of order
+#: 50 and ~1.0x on the order-42 Paley two-block design; at order 66, 0.85-0.97x
+#: on example66 (7 interleaved rounds) and 0.64-0.96x on random +-1 squares;
+#: 0.57x on the order-78 Paley design and 0.5-0.65x on random order 80.
+LOCAL_MIN_ORDER = 66
 
 #: The local engine trial-divides |det| by every number below this bound.
 TRIAL_BOUND = 2**16

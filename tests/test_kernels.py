@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from doptsnf import kernels
 from doptsnf.exactmat import format_matrix
 from doptsnf.search import _barba_row_from_mask, _circulant_barba_hits
+from test_snf import paley_two_block
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -188,3 +190,100 @@ def test_packed_slots_hold_the_largest_growth(q, prime_power):
         assert kernels.local_exponents(full, p, k) == [0]
         assert kernels.local_exponents(growth, p, k) == [0] * (n - 1)
         assert kernels.gf_rank(growth, p) == n - 1
+
+
+def one_step_bareiss(a):
+    """Reference for the two-step determinant: one-step Bareiss, one column
+    per pass, pivoting on the first nonzero entry of the column."""
+    n = len(a)
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        mk = m[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            mik = mi[k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
+            mi[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def cofactor_det(a):
+    """Determinant by cofactor expansion along the first row."""
+    if len(a) == 1:
+        return a[0][0]
+    return sum(
+        (-1) ** j * x * cofactor_det([row[:j] + row[j + 1 :] for row in a[1:]])
+        for j, x in enumerate(a[0])
+        if x
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -2)), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_bareiss_determinant_matches_references(a):
+    """Mostly-zero entries make vanishing 2 x 2 pivot blocks, row swaps and
+    singular inputs common; odd and even orders both occur."""
+    det = kernels.bareiss_determinant(a)
+    assert det == one_step_bareiss(a)
+    if len(a) <= 6:
+        assert det == cofactor_det(a)
+
+
+@pytest.mark.parametrize(
+    "a, det",
+    [
+        ([[7]], 7),
+        ([[0]], 0),
+        ([[2, 3], [4, 5]], -2),
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 0], [1, 0]], 0),
+        # leading 2 x 2 minor 0: row 1 swaps with row 2
+        ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], -1),
+        ([[2, 4, 1, 0], [1, 2, 0, 1], [0, 1, 1, 1], [1, 0, 3, 2]], 13),
+        # zero first column
+        ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),
+        ([[0, 1, 2, 3], [0, 1, 0, 1], [0, 2, 1, 1], [0, 1, 1, 0]], 0),
+    ],
+)
+def test_bareiss_determinant_hand_cases(a, det):
+    assert kernels.bareiss_determinant(a) == det == cofactor_det(a)
+
+
+def test_bareiss_determinant_of_rank_one_less():
+    """Rank n - 1: the last row is 3 times the first minus twice the one
+    before it."""
+    rng = random.Random(9)
+    for n in (2, 5, 8, 11):
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
+        a.append([3 * x - 2 * y for x, y in zip(a[0], a[-1])])
+        factors, _, _ = kernels.smith_reduce(a, False)
+        assert factors.count(0) == 1
+        assert kernels.bareiss_determinant(a) == 0 == one_step_bareiss(a)
+
+
+def test_bareiss_determinant_on_a_paley_design():
+    """Order 114: |det| is the product of the Euclidean engine's factors."""
+    a = paley_two_block(19).to_rows()
+    factors, _, _ = kernels.smith_reduce(a, False)
+    assert abs(kernels.bareiss_determinant(a)) == math.prod(factors)
