@@ -170,7 +170,7 @@ def determinant(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not a.is_square:
         raise DimensionError("determinant needs a square matrix")
-    return kernels.bareiss_determinant(a.to_rows())
+    return kernels.bareiss_determinant(a.to_rows())[0]
 
 
 def adjugate_and_det(a: IntMatrix) -> tuple[IntMatrix, int]:

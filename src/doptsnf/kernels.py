@@ -36,10 +36,19 @@ def bareiss_determinant(a):
     c2 = (a_{k+1,k} a_{i,k+1} - a_{k+1,k+1} a_ik) / prev, and each of its
     trailing entries becomes (a_ij c0 + a_{k+1,j} c1 + a_kj c2) / prev. By
     Sylvester's identity every one of these quotients is a minor of the
-    input (c0 the leading minor of order k+2), so each division is exact;
-    the last divisor is the determinant, or, at odd order, the last entry
-    is. A pass costs three products per entry where two one-column passes
-    cost four, and one exact division where they cost two.
+    input (c0 the leading minor of order k+2, a_ij the minor on the
+    leading k rows and columns plus row i and column j), so each division
+    is exact; the last divisor is the determinant, or, at odd order, the
+    last entry is. A pass costs three products per entry where two
+    one-column passes cost four, and one exact division where they cost
+    two.
+
+    Returns ``(det, minor)``, where minor is the leading (n-1)-minor of
+    the row-permuted input, so up to sign an (n-1)-minor of the input
+    itself (its last column and one row deleted). The elimination holds it
+    already, so it costs nothing: at even order it is a_kk of the last
+    pass, and at odd order it is the last divisor. It is 1 at order 1, and
+    ``(0, 0)`` is returned when det is 0.
 
     Pivoting: row k is the first row from k on with a nonzero entry in
     column k; if c0 is 0, row k+1 swaps with the first later row that
@@ -62,7 +71,7 @@ def bareiss_determinant(a):
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, 0
         a00, a01 = mk[k], mk[k + 1]
         ml = m[k + 1]
         c0 = a00 * ml[k + 1] - a01 * ml[k]
@@ -76,7 +85,7 @@ def bareiss_determinant(a):
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, 0
         c0 //= prev
         a10, a11 = ml[k], ml[k + 1]
         for i in range(k + 2, n):
@@ -88,7 +97,10 @@ def bareiss_determinant(a):
                 mi[j] = (mi[j] * c0 + ml[j] * c1 + mk[j] * c2) // prev
         prev = c0
         k += 2
-    return sign * (m[k][k] if k < n else prev)
+    if k == n:
+        return sign * prev, a00
+    det = sign * m[k][k]
+    return (det, prev) if det else (0, 0)
 
 
 def adjugate(a):

@@ -57,10 +57,10 @@ def test_determinant_certificates_on_big_entries(example26):
     x = 3**40
     huge = [[x ** (i + j + 1) for j in range(3)] for i in range(3)]  # x u u^T, rank 1
     shifted = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(huge)]
-    assert kernels.bareiss_determinant(shifted) == 1 + x + x**3 + x**5  # det(I + x u u^T)
+    assert kernels.bareiss_determinant(shifted)[0] == 1 + x + x**3 + x**5  # det(I + x u u^T)
     for name, a in {"example26": example26.to_rows(), "huge": huge, "huge+I": shifted}.items():
         n = len(a)
-        det = kernels.bareiss_determinant(a)
+        det = kernels.bareiss_determinant(a)[0]
         factors, _, _ = kernels.smith_reduce(a, False)
         assert abs(det) == math.prod(factors), name
         adj, adj_det = kernels.adjugate(a)
@@ -243,11 +243,19 @@ def cofactor_det(a):
 )
 def test_bareiss_determinant_matches_references(a):
     """Mostly-zero entries make vanishing 2 x 2 pivot blocks, row swaps and
-    singular inputs common; odd and even orders both occur."""
-    det = kernels.bareiss_determinant(a)
+    singular inputs common; odd and even orders both occur. The minor is,
+    up to sign, the determinant with the last column and one row deleted."""
+    det, minor = kernels.bareiss_determinant(a)
     assert det == one_step_bareiss(a)
     if len(a) <= 6:
         assert det == cofactor_det(a)
+    if det == 0:
+        assert minor == 0
+    elif len(a) == 1:
+        assert minor == 1
+    else:
+        minors = {abs(one_step_bareiss([row[:-1] for row in a[:i] + a[i + 1 :]])) for i in range(len(a))}
+        assert minor != 0 and abs(minor) in minors
 
 
 @pytest.mark.parametrize(
@@ -267,7 +275,7 @@ def test_bareiss_determinant_matches_references(a):
     ],
 )
 def test_bareiss_determinant_hand_cases(a, det):
-    assert kernels.bareiss_determinant(a) == det == cofactor_det(a)
+    assert kernels.bareiss_determinant(a)[0] == det == cofactor_det(a)
 
 
 def test_bareiss_determinant_of_rank_one_less():
@@ -279,11 +287,12 @@ def test_bareiss_determinant_of_rank_one_less():
         a.append([3 * x - 2 * y for x, y in zip(a[0], a[-1])])
         factors, _, _ = kernels.smith_reduce(a, False)
         assert factors.count(0) == 1
-        assert kernels.bareiss_determinant(a) == 0 == one_step_bareiss(a)
+        assert kernels.bareiss_determinant(a) == (0, 0)
+        assert one_step_bareiss(a) == 0
 
 
 def test_bareiss_determinant_on_a_paley_design():
     """Order 114: |det| is the product of the Euclidean engine's factors."""
     a = paley_two_block(19).to_rows()
     factors, _, _ = kernels.smith_reduce(a, False)
-    assert abs(kernels.bareiss_determinant(a)) == math.prod(factors)
+    assert abs(kernels.bareiss_determinant(a)[0]) == math.prod(factors)

@@ -189,6 +189,16 @@ def euclidean_factors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(kernels.smith_reduce(m.to_rows(), False)[0])
 
 
+def diagonal_matrix(diagonal) -> IntMatrix:
+    n = len(diagonal)
+    return IntMatrix.from_rows([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def random_pm1(seed: int, n: int) -> IntMatrix:
+    rng = random.Random(seed)
+    return IntMatrix.from_rows([[rng.choice((1, -1)) for _ in range(n)] for _ in range(n)])
+
+
 def scrambled(m: IntMatrix, rng: random.Random) -> IntMatrix:
     """m times unimodular matrices on both sides: same SNF, dense entries."""
     n = m.rows
@@ -234,8 +244,15 @@ def test_local_engine_hand_cases():
         # v_2 = 10 and three exponents of at least 1 at k = 1: k must double
         ((1, 2, 8, 64), (1, 2, 8, 64)),
         ((3, 6, 6, 12, 36), (3, 6, 6, 12, 36)),
-        # n - 1 unit pivots modulo the rough cofactor: it goes to the last factor
+        # a prime of det that does not divide the (n-1)-minor Bareiss ends on
+        # goes whole into the last factor, at any exponent; one that does is
+        # eliminated modulo p^k
+        ((1, 1, 9), (1, 1, 9)),
+        ((9, 1, 1), (1, 1, 9)),
+        ((1, 1, 2**5 * 3 * rough), (1, 1, 2**5 * 3 * rough)),
         ((1, 1, 2, 2 * rough), (1, 1, 2, 2 * rough)),
+        # a rough cofactor that shares a prime with the minor: n - 1 unit
+        # pivots modulo it put it in the last factor
         ((rough, 1, 1), (1, 1, rough)),
         # the rough cofactor squared across two factors: no second unit pivot
         ((1, rough, rough), None),
@@ -243,8 +260,7 @@ def test_local_engine_hand_cases():
         ((1, 2, 0), None),
     ]
     for diagonal, want in cases:
-        n = len(diagonal)
-        d = IntMatrix.from_rows([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        d = diagonal_matrix(diagonal)
         for m in (d, scrambled(d, rng)):
             assert local_smith_form(m) == want
             if want is not None:
@@ -265,11 +281,24 @@ def paley_two_block(q: int) -> IntMatrix:
 
 def test_local_engine_on_the_public_path(example66):
     assert paley_two_block(11) == example66
-    rng = random.Random(207)
-    pm1 = IntMatrix.from_rows([[rng.choice((1, -1)) for _ in range(100)] for _ in range(100)])
-    for m in (paley_two_block(19), pm1):
+    for m in (paley_two_block(19), random_pm1(207, 100)):
         assert m.rows >= LOCAL_MIN_ORDER
         local = local_smith_form(m)
         assert local is not None
         assert smith_normal_form(m).factors == local == euclidean_factors(m)
         assert math.prod(local) == abs(determinant(m))
+
+
+def test_local_engine_eliminates_modulo_the_rough_cofactor_only_as_fallback(monkeypatch):
+    """A rough cofactor prime to the (n-1)-minor from Bareiss needs no
+    elimination modulo it; one that shares a prime with it does."""
+    calls = []
+    unit_rank = kernels.unit_rank
+    monkeypatch.setattr(kernels, "unit_rank", lambda a, c: calls.append(c) or unit_rank(a, c))
+    m = random_pm1(207, 100)
+    assert trial_divide(abs(determinant(m)), TRIAL_BOUND)[1] > 1
+    assert local_smith_form(m) is not None
+    assert calls == []
+    rough = 65537 * 65539
+    assert local_smith_form(diagonal_matrix((rough, 1, 1))) == (1, 1, rough)
+    assert calls == [rough]
