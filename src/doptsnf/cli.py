@@ -11,7 +11,8 @@ argument errors. A refused request prints its reason on stderr and,
 under --json, also a report with status "error" and the reason in
 "error". A flag the request does not read is a usage error: --strict
 applies only to verify --kind ew, check --list takes no other flag and
-no input file, and each search --kind names the flags it ignores.
+no input file, and each construct --family and search --kind names the
+flags it ignores.
 """
 
 from __future__ import annotations
@@ -105,7 +106,18 @@ def _refuse_unused(args, flags: Sequence[str], context: str) -> None:
             raise ValueError(f"--{flag} does not apply to {context}")
 
 
+# Construct flags that a --family does not read; giving one is a usage error.
+_UNUSED_CONSTRUCT_FLAGS = {
+    "example26": ("row", "input"),
+    "example66": ("row", "input"),
+    "circulant": ("input",),
+    "barba-double": (),
+    "skew-from-tournament": ("row",),
+}
+
+
 def cmd_construct(args):
+    _refuse_unused(args, _UNUSED_CONSTRUCT_FLAGS[args.family], f"--family {args.family}")
     if args.family == "example26":
         m = build_example_26()
     elif args.family == "example66":
@@ -115,6 +127,8 @@ def cmd_construct(args):
             raise ValueError("--family circulant needs --row")
         m = circulant(_parse_row(args.row))
     elif args.family == "barba-double":
+        if args.row is not None and args.input is not None:
+            raise ValueError("--family barba-double takes --row or --input, not both")
         if args.row is not None:
             base = circulant(_parse_row(args.row))
         elif args.input:

@@ -2,11 +2,11 @@
 
 This is the package's one kernel implementation. Matrices are lists of row
 lists of Python ints, so every result is exact no matter how large
-intermediates grow. The modular kernels (``local_exponents``, ``unit_rank``
-and ``gf_rank``) pack each row into one int of fixed-width slots, so that a
-row operation is a few big-integer operations instead of one interpreted
-operation per entry. Callers own all shape validation — kernels assume
-well-formed input.
+intermediates grow. The one modular kernel, ``local_exponents`` (which
+``gf_rank`` calls with k = 1), packs each row into one int of fixed-width
+slots, so that a row operation is a few big-integer operations instead of
+one interpreted operation per entry. Callers own all shape validation —
+kernels assume well-formed input.
 """
 
 from __future__ import annotations
@@ -244,42 +244,13 @@ def smith_reduce(a, want_transforms):
 
 
 def local_exponents(a, p, k):
-    """Smith form of a square matrix over Z/p^k, as exponents of the prime p.
+    """Smith form of a matrix over Z/p^k, as exponents of the prime p.
 
-    Each step pivots on an entry of least p-adic valuation in the trailing
-    block; the pivot's valuation is the step's exponent. The whole block
-    stays a multiple of p^e for the current level e, so the exponents come
-    out nondecreasing.
-
-    Returns the exponents below k. The other n - len(result) invariant
-    factors vanish modulo p^k: their exponents are k or more.
-    """
-    return _eliminate(a, p**k, p, k)
-
-
-def unit_rank(a, c):
-    """Elimination steps over Z/c that find a unit pivot, for c > 1.
-
-    Each step pivots on an entry x of the trailing block with
-    gcd(x, c) == 1; the count stops at the first block without such an
-    entry. Unit pivots stay units modulo every prime factor of c, so the
-    count is a lower bound on the rank of a modulo each of them, and for
-    prime c, where every nonzero entry is a unit, it is the rank.
-    """
-    return len(_eliminate(a, c, c, 1))
-
-
-def gf_rank(a, p):
-    """Rank over GF(p); p must be prime."""
-    return unit_rank(a, p)
-
-
-def _eliminate(a, q, d, levels):
-    """Gaussian elimination over Z/q on packed rows; the level of each pivot.
-
-    At level e (0 <= e < levels) every entry is a multiple of d^e modulo q,
-    and an entry x may pivot iff gcd(x, d^(e+1)) == d^e; when none may, the
-    level goes up; d^levels divides q.
+    Gaussian elimination over Z/q, q = p^k. At level e (0 <= e < k) every
+    entry of the trailing block is a multiple of p^e modulo q, and an entry
+    x may pivot iff gcd(x, p^(e+1)) == p^e; when none may, the level goes
+    up. The pivot's level is the step's exponent, so the exponents come out
+    nondecreasing.
 
     Each row is one int of fixed-width byte slots, column 0 in the lowest.
     Only a pivot row is reduced modulo q; every other slot grows by less
@@ -288,7 +259,11 @@ def _eliminate(a, q, d, levels):
     ``(r + (q - f) * pivot) >> bits`` clears it from row r and drops the
     column: the pivot divides every entry of its row modulo q, so the
     column operations that would clear that row change nothing else.
+
+    Returns the exponents below k. The other min(m, n) - len(result)
+    invariant factors vanish modulo p^k: their exponents are k or more.
     """
+    q = p**k
     n = len(a[0])
     # A slot starts below q and gains less than q^2 in each of at most
     # min(m, n) steps; one byte more is margin.
@@ -298,8 +273,8 @@ def _eliminate(a, q, d, levels):
     rows = [_pack([x % q for x in row], size) for row in a]
     out = []
     pe = 1
-    for e in range(levels):
-        g = pe * d
+    for e in range(k):
+        g = pe * p
         while rows and n:
             for i, r in enumerate(rows):
                 if gcd(r & mask, g) == pe:
@@ -318,6 +293,11 @@ def _eliminate(a, q, d, levels):
             out.append(e)
         pe = g
     return out
+
+
+def gf_rank(a, p):
+    """Rank over GF(p); p must be prime."""
+    return len(local_exponents(a, p, 1))
 
 
 def _swap_pivot_in(rows, n, size, g, pe):

@@ -9,20 +9,16 @@ engines, chosen from the input:
   the integers, so its entries can grow far past the final factors.
 - The local engine (``local_smith_form``) runs on square inputs of order
   ``LOCAL_MIN_ORDER`` or more without transforms. It computes d = |det|
-  and one (n-1)-minor M by Bareiss, and splits d by trial division below
-  ``TRIAL_BOUND`` into primes and a cofactor c with no prime below the
-  bound. One rule places whole prime powers in the last factor s_n: the
-  gcd d_{n-1} = s_1...s_{n-1} of the (n-1)-minors divides M, so a prime of
-  d that does not divide M does not divide s_1...s_{n-1}. Thus c goes
-  whole into s_n when gcd(c, M) == 1, or else once elimination modulo c
-  finds n - 1 unit pivots (rank >= n - 1 modulo each prime of c); a
-  trial-divided prime p that does not divide M puts p^v_p(d) in s_n. For
-  every other p it eliminates modulo p^k (no entry grows past n*p^2k),
-  doubling k until the exponents it sees sum to v_p(d). Elimination modulo
-  p^k gives every exponent below k exactly, and the exact determinant
-  fixes the ones at k or above, so the result is exact, not
-  probabilistic. A singular input, or a cofactor that shares a prime with
-  M and lacks n - 1 unit pivots, goes to the Euclidean engine.
+  and one (n-1)-minor M by Bareiss. One rule places the last factor s_n:
+  the gcd s_1...s_{n-1} of the (n-1)-minors divides M, so the part w of d
+  prime to M goes whole into s_n. It trial-divides only d // w, below
+  ``TRIAL_BOUND``; each prime p it finds divides M, and the engine
+  eliminates modulo p^k (no entry grows past n*p^2k), doubling k until the
+  exponents it sees sum to v_p(d). Elimination modulo p^k gives every
+  exponent below k exactly, and the exact determinant fixes the ones at k
+  or above, so the result is exact, not probabilistic. A singular input,
+  or a d // w with a prime factor the trial division does not reach, goes
+  to the Euclidean engine.
 
 ``minor_gcd`` is deliberately independent of both (it enumerates every
 i x i minor and takes gcds), so they can cross-check each other: the i-th
@@ -42,11 +38,12 @@ from .exactmat import IntMatrix, trial_divide
 #: Square inputs of this order or more go to the local engine. Its time over
 #: the Euclidean engine's, best of 9 interleaved, over two runs on 6 seeded
 #: random +-1 squares per order: 0.61-1.23x at order 50, 0.47-0.60x at order
-#: 66 and 0.37-0.51x at order 80; on the Paley two-block designs, 1.01-1.04x
+#: 66 and 0.37-0.51x at order 80; on the Paley two-block matrices, 1.01-1.04x
 #: at order 42, 0.87-0.89x on example66 and 0.39-0.41x at order 78.
 LOCAL_MIN_ORDER = 66
 
-#: The local engine trial-divides |det| by every number below this bound.
+#: The local engine trial-divides the part of |det| that shares its primes
+#: with the (n-1)-minor by every number below this bound.
 TRIAL_BOUND = 2**16
 
 #: minor_gcd refuses larger matrices: the number of minors grows as
@@ -98,34 +95,33 @@ def local_smith_form(a: IntMatrix) -> tuple[int, ...] | None:
     """Invariant factors of a square matrix by the local engine, or None.
 
     The gcd s_1...s_{n-1} of the (n-1)-minors divides the (n-1)-minor M
-    that Bareiss returns with det, so a prime of |det| that does not divide
-    M sits in the last factor alone. That places the part c of |det| with
-    no prime factor below ``TRIAL_BOUND`` when gcd(c, M) == 1, and the whole
-    power p^v_p(det) of each smaller prime p that does not divide M. A c
-    that shares a prime with M goes to the last factor once elimination
-    modulo c finds n - 1 unit pivots; every other p is eliminated modulo
-    p^k.
+    that Bareiss returns with det, so the part w of |det| prime to M sits in
+    the last factor alone. Every prime of |det| // w divides M; trial
+    division below ``TRIAL_BOUND`` finds them, and each is eliminated
+    modulo p^k.
 
-    None means the engine hands the input back: a is singular, or the part
-    of |det| with no prime factor below ``TRIAL_BOUND`` is not proven to
-    sit in the last factor alone. Raises ArithmeticError if an elimination
-    contradicts the determinant, which no correct kernel does.
+    None means the engine hands the input back: a is singular, or |det| // w
+    has a prime factor the trial division does not reach. Raises
+    ArithmeticError if an elimination contradicts the determinant, which no
+    correct kernel does.
     """
     rows = a.to_rows()
-    n = len(rows)
     det, minor = kernels.bareiss_determinant(rows)
     if det == 0:
         return None
-    powers, c = trial_divide(abs(det), TRIAL_BOUND)
-    # A prime of |det| that does not divide minor sits in s_n alone (see the
-    # docstring); n - 1 unit pivots modulo c prove the same for all of c.
-    if c > 1 and gcd(c, minor) != 1 and kernels.unit_rank(rows, c) < n - 1:
+    # w: the part of d prime to minor.
+    d = w = abs(det)
+    g = gcd(d, minor)
+    while g > 1:
+        w //= g
+        g = gcd(w, g)
+    powers, c = trial_divide(d // w, TRIAL_BOUND)
+    if c > 1:
         return None
-    factors = [1] * n
-    factors[-1] = c
+    factors = [1] * len(rows)
+    factors[-1] = w
     for p, v in powers.items():
-        exps = _local_exponents(rows, p, v) if minor % p == 0 else [0] * (n - 1) + [v]
-        for i, e in enumerate(exps):
+        for i, e in enumerate(_local_exponents(rows, p, v)):
             factors[i] *= p**e
     return tuple(factors)
 

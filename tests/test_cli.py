@@ -254,6 +254,29 @@ def test_verify_and_check_reject_flags_they_ignore(capsys, e26_path, argv, messa
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "family, argv, flag",
+    [
+        ("example26", ["--row", "1 2 3"], "--row"),
+        ("example66", ["--input", "IN"], "--input"),
+        ("circulant", ["--row", "0 1 0", "--input", "/nonexistent"], "--input"),
+        ("skew-from-tournament", ["--input", "IN", "--row", "0 1 0"], "--row"),
+    ],
+)
+def test_construct_rejects_flags_its_family_ignores(capsys, t5_path, family, argv, flag):
+    argv = ["construct", "--family", family] + [t5_path if a == "IN" else a for a in argv]
+    captured = run(capsys, argv, 2)
+    assert f"{flag} does not apply to --family {family}" in captured.err
+    assert captured.out == ""
+
+
+def test_barba_double_takes_row_or_input(capsys, t5_path):
+    argv = ["construct", "--family", "barba-double", "--row", "-1 -1 -1 -1 1", "--input", t5_path]
+    captured = run(capsys, argv, 2)
+    assert "takes --row or --input, not both" in captured.err
+    assert captured.out == ""
+
+
 def test_row_takes_ascii_decimals_only(capsys):
     for row in ("1_000 0 0", "١٢ 0 0"):
         captured = run(capsys, ["construct", "--family", "circulant", "--row", row], 2)

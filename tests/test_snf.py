@@ -31,6 +31,7 @@ from doptsnf.snf import (
     minor_gcd,
     smith_normal_form,
 )
+from doptsnf.verify import ew_gram_check
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -241,35 +242,37 @@ def test_local_engine_hand_cases():
     rng = random.Random(206)
     rough = 65537 * 65539  # two primes just above TRIAL_BOUND
     cases = [
+        # (diagonal, what the engine gives on it, and on it scrambled)
         # v_2 = 10 and three exponents of at least 1 at k = 1: k must double
-        ((1, 2, 8, 64), (1, 2, 8, 64)),
-        ((3, 6, 6, 12, 36), (3, 6, 6, 12, 36)),
-        # a prime of det that does not divide the (n-1)-minor Bareiss ends on
-        # goes whole into the last factor, at any exponent; one that does is
-        # eliminated modulo p^k
-        ((1, 1, 9), (1, 1, 9)),
-        ((9, 1, 1), (1, 1, 9)),
-        ((1, 1, 2**5 * 3 * rough), (1, 1, 2**5 * 3 * rough)),
-        ((1, 1, 2, 2 * rough), (1, 1, 2, 2 * rough)),
-        # a rough cofactor that shares a prime with the minor: n - 1 unit
-        # pivots modulo it put it in the last factor
-        ((rough, 1, 1), (1, 1, rough)),
-        # the rough cofactor squared across two factors: no second unit pivot
-        ((1, rough, rough), None),
+        ((1, 2, 8, 64), (1, 2, 8, 64), (1, 2, 8, 64)),
+        ((3, 6, 6, 12, 36), (3, 6, 6, 12, 36), (3, 6, 6, 12, 36)),
+        # the part of det prime to the (n-1)-minor Bareiss ends on goes whole
+        # into the last factor, at any exponent; a prime that divides the
+        # minor is eliminated modulo p^k
+        ((1, 1, 9), (1, 1, 9), (1, 1, 9)),
+        ((9, 1, 1), (1, 1, 9), (1, 1, 9)),
+        # a rough prime that divides the minor is handed back; which minor
+        # Bareiss ends on depends on the matrix, not only on its Smith form
+        ((1, 1, 2**5 * 3 * rough), (1, 1, 2**5 * 3 * rough), None),
+        ((1, 1, 2, 2 * rough), (1, 1, 2, 2 * rough), None),
+        ((rough, 1, 1), None, (1, 1, rough)),
+        # the rough cofactor squared across two factors divides every minor
+        ((1, rough, rough), None, None),
         # singular
-        ((1, 2, 0), None),
+        ((1, 2, 0), None, None),
     ]
-    for diagonal, want in cases:
+    for diagonal, *wants in cases:
         d = diagonal_matrix(diagonal)
-        for m in (d, scrambled(d, rng)):
+        for m, want in zip((d, scrambled(d, rng)), wants):
             assert local_smith_form(m) == want
             if want is not None:
                 assert euclidean_factors(m) == want
 
 
 def paley_two_block(q: int) -> IntMatrix:
-    """Two-block design on the order-q Paley circulant (order 6q); at q = 11
-    this is example66."""
+    """Two-block matrix on the order-q Paley circulant (order 6q); at q = 11
+    this is example66, the only q at which it is a design (see
+    test_paley_two_block_is_a_design_only_at_q_11)."""
     residues = {i * i % q for i in range(1, q)}
     a = circulant([0] + [-1 if i in residues else 1 for i in range(1, q)])
     i3, j3 = IntMatrix.identity(3), IntMatrix.all_ones(3)
@@ -277,6 +280,11 @@ def paley_two_block(q: int) -> IntMatrix:
     r1 = kronecker(a + iq, j3 - i3) + kronecker(jq - 2 * iq, i3)
     r2 = kronecker(a + iq, j3 - i3) + kronecker(-a + iq, i3)
     return BlockEwSpec(r1, r2).assemble()
+
+
+def test_paley_two_block_is_a_design_only_at_q_11():
+    for q, verdict in ((7, False), (11, True), (19, False)):
+        assert ew_gram_check(paley_two_block(q)).verdict is verdict
 
 
 def test_local_engine_on_the_public_path(example66):
@@ -287,18 +295,30 @@ def test_local_engine_on_the_public_path(example66):
         assert local is not None
         assert smith_normal_form(m).factors == local == euclidean_factors(m)
         assert math.prod(local) == abs(determinant(m))
+    rough = 65537 * 65539
+    singular = random_pm1(209, LOCAL_MIN_ORDER).to_rows()
+    singular[1] = singular[0]
+    handed_back = (
+        IntMatrix.from_rows(singular),
+        scrambled(diagonal_matrix((1,) * (LOCAL_MIN_ORDER - 2) + (rough, rough)), random.Random(208)),
+    )
+    for m in handed_back:
+        assert local_smith_form(m) is None
+        assert smith_normal_form(m).factors == euclidean_factors(m)
 
 
-def test_local_engine_eliminates_modulo_the_rough_cofactor_only_as_fallback(monkeypatch):
-    """A rough cofactor prime to the (n-1)-minor from Bareiss needs no
-    elimination modulo it; one that shares a prime with it does."""
+def test_local_engine_never_eliminates_modulo_a_rough_prime(monkeypatch):
+    """The rough part of a random square's |det| is prime to the (n-1)-minor
+    from Bareiss, so it needs no elimination; a rough part that shares a
+    prime with the minor is handed back, not eliminated modulo."""
     calls = []
-    unit_rank = kernels.unit_rank
-    monkeypatch.setattr(kernels, "unit_rank", lambda a, c: calls.append(c) or unit_rank(a, c))
+    eliminate = kernels.local_exponents
+    monkeypatch.setattr(kernels, "local_exponents", lambda a, p, k: calls.append(p) or eliminate(a, p, k))
     m = random_pm1(207, 100)
     assert trial_divide(abs(determinant(m)), TRIAL_BOUND)[1] > 1
     assert local_smith_form(m) is not None
-    assert calls == []
+    assert calls and max(calls) < TRIAL_BOUND
+    calls.clear()
     rough = 65537 * 65539
-    assert local_smith_form(diagonal_matrix((rough, 1, 1))) == (1, 1, rough)
-    assert calls == [rough]
+    assert local_smith_form(diagonal_matrix((rough, 1, 1))) is None
+    assert calls == []
