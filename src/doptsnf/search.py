@@ -12,6 +12,15 @@ Every search runs through one driver, _scan, which stops the scan once
 range into contiguous chunks handled by worker processes, each stopping
 after `limit` hits; the merged result is exactly the sequential one. The
 pool never has more processes than CPUs or candidates.
+
+Each search rejects candidates by an exact necessary condition before its
+costly test: the tournament searches by the out-degree template that
+ew_tournament_check applies before any Gram matrix, the circulant Barba
+search by its row sum s, which must satisfy s^2 = 2n - 1. Where 2n - 1 is
+not a square no row can qualify, so that search returns no rows without a
+scan. barba_problem_scan computes one SNF per orbit of first rows under
+rotation and negation, which only permute rows of the doubled matrix or
+negate it.
 """
 
 from __future__ import annotations
@@ -54,13 +63,8 @@ def _chunk(job: tuple) -> list[int]:
     return list(islice(hits(order, lo, hi), limit))
 
 
-def _scan(hits, order: int, total: int, space: str, limit, workers: int, max_candidates) -> list[int]:
-    """The first `limit` (all if None) masks in [0, total) accepted by a search.
-
-    hits(order, lo, hi) is a top-level generator function, so that workers
-    can unpickle it, yielding the accepted masks of [lo, hi) in ascending
-    order; space names the candidate space in the refusal message.
-    """
+def _scan_cap(limit, workers: int, max_candidates) -> int:
+    """The candidate cap, after checking the arguments every scan takes."""
     if limit is not None and _integer("limit", limit) < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
     if _integer("workers", workers) < 1:
@@ -68,6 +72,17 @@ def _scan(hits, order: int, total: int, space: str, limit, workers: int, max_can
     cap = DEFAULT_MAX_CANDIDATES if max_candidates is None else _integer("max_candidates", max_candidates)
     if cap < 1:
         raise ValueError(f"max_candidates must be at least 1, got {cap}")
+    return cap
+
+
+def _scan(hits, order: int, total: int, space: str, limit, workers: int, max_candidates) -> list[int]:
+    """The first `limit` (all if None) masks in [0, total) accepted by a search.
+
+    hits(order, lo, hi) is a top-level generator function, so that workers
+    can unpickle it, yielding the accepted masks of [lo, hi) in ascending
+    order; space names the candidate space in the refusal message.
+    """
+    cap = _scan_cap(limit, workers, max_candidates)
     if total > cap:
         raise InfeasibleSearchError(
             f"the order-{order} {space} has {total} candidates, above the cap of "
@@ -161,10 +176,11 @@ def search_circulant_tournament(
 
     Candidates are the antisymmetric lag subsets (lag s in the subset iff
     order-s is not), 2^((order-1)/2) in total, scanned in ascending mask
-    order. Circulant tournaments are regular of degree (order-1)/2 while
-    the EW template forces three distinct out-degrees, so this search is
-    expected to come back empty; it exists to make that emptiness a
-    computed fact rather than an assumption.
+    order. Circulant tournaments are regular of degree (order-1)/2, so
+    ew_tournament_check's out-degree template, which needs three distinct
+    out-degrees, rejects every candidate before any Gram matrix is built.
+    The search therefore comes back empty; it exists to make that emptiness
+    a computed fact rather than an assumption.
     """
     if order % 2 == 0:
         raise ValueError("circulant tournaments need odd order")
@@ -186,18 +202,35 @@ def _barba_row_from_mask(order: int, mask: int) -> tuple[int, ...]:
     )
 
 
+def _barba_row_sum(order: int) -> Optional[int]:
+    """s >= 0 with s^2 = 2*order - 1, or None when 2*order - 1 is not a square.
+
+    A circulant R has one row and column sum s, and summing every entry of
+    RR^T = (n-1)I + J gives n s^2 = n(n-1) + n^2, so every Barba row of
+    order n sums to +-s.
+    """
+    root = math.isqrt(2 * order - 1)
+    return root if root * root == 2 * order - 1 else None
+
+
 def _circulant_barba_hits(order: int, lo: int, hi: int):
     """Masks whose rows have every nonzero-lag autocorrelation equal to 1.
 
-    Rows agree where the mask and its rotation by k agree, so
+    A row summing to +-s has popcount (order +- s) / 2; other masks, and
+    every mask when 2 * order - 1 is not a square, are skipped. Rows agree
+    where the mask and its rotation by k agree, so
     c_k = order - 2 * popcount(mask ^ rot_k(mask)), and c_k == 1 iff that
     popcount is (order - 1) / 2. Since c_k == c_(order-k), lags up to
     (order - 1) / 2 suffice.
     """
     full = (1 << order) - 1
     want = (order - 1) // 2
+    s = _barba_row_sum(order)
+    weights = set() if s is None else {(order - s) // 2, (order + s) // 2}
     lags = range(1, want + 1)
     for mask in range(lo, hi):
+        if mask.bit_count() not in weights:
+            continue
         for k in lags:
             rot = ((mask << k) | (mask >> (order - k))) & full
             if (mask ^ rot).bit_count() != want:
@@ -214,15 +247,22 @@ def search_circulant_barba(
 ) -> list[IntMatrix]:
     """Circulant matrices with every off-diagonal Gram entry equal to one.
 
-    Enumerates all 2^order first rows in ascending mask order (bit i set
-    means entry +1), keeps those whose nonzero-lag autocorrelations all
-    equal 1, and re-verifies each survivor against the textbook
-    autocorrelations and then is_barba before returning it.
+    Such a matrix has row sum +-s with s^2 = 2*order - 1. When 2*order - 1
+    is not a square (orders 9, 17, 29, 37, ...) no row qualifies and the
+    result is [] without a scan, whatever the candidate cap. Otherwise the
+    2^order first rows are scanned in ascending mask order (bit i set means
+    entry +1); rows whose sum is not +-s are skipped, the rest are kept when
+    their nonzero-lag autocorrelations all equal 1, and each survivor is
+    re-verified against the textbook autocorrelations and then is_barba
+    before it is returned.
     """
     if order % 4 != 1:
         raise ValueError(f"order {order} is not 1 (mod 4)")
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
+    if _barba_row_sum(order) is None:
+        _scan_cap(limit, workers, max_candidates)
+        return []
     masks = _scan(
         _circulant_barba_hits, order, 1 << order, "circulant space", limit, workers, max_candidates
     )
@@ -267,12 +307,28 @@ class BarbaScanReport:
     per_order: tuple[BarbaScanOrderReport, ...]
 
 
+def _orbit_key(row: tuple[int, ...]) -> str:
+    """The least mask, as a bit string, among the rotations of row and of -row.
+
+    Rotating the first row permutes the rows of barba_double(circulant(row))
+    and negating it negates the matrix, so rows with one key share an SNF.
+    """
+    n = len(row)
+    bits = "".join("1" if v == 1 else "0" for v in row)
+    flipped = bits.translate(str.maketrans("01", "10"))
+    return min((b + b)[k : k + n] for b in (bits, flipped) for k in range(n))
+
+
 def barba_problem_scan(
     orders: Iterable[int],
     workers: int = 1,
     max_candidates: Optional[int] = None,
 ) -> BarbaScanReport:
-    """Tabulate SNFs of doubled circulant Barba matrices, order by order."""
+    """Tabulate SNFs of doubled circulant Barba matrices, order by order.
+
+    One SNF is computed per orbit of first rows under rotation and
+    negation and shared by the orbit's other rows.
+    """
     reports = []
     for order in orders:
         found = search_circulant_barba(
@@ -286,9 +342,12 @@ def barba_problem_scan(
                 reference = (
                     (1,) + (2,) * (2 * t) + (2 * t,) * (2 * t - 1) + (2 * t * root,)
                 )
-        entries = tuple(
-            BarbaScanEntry(r.row(0), smith_normal_form(barba_double(r)).factors)
-            for r in found
-        )
-        reports.append(BarbaScanOrderReport(order, t, reference, entries))
+        factors: dict[str, tuple[int, ...]] = {}
+        entries = []
+        for r in found:
+            key = _orbit_key(r.row(0))
+            if key not in factors:
+                factors[key] = smith_normal_form(barba_double(r)).factors
+            entries.append(BarbaScanEntry(r.row(0), factors[key]))
+        reports.append(BarbaScanOrderReport(order, t, reference, tuple(entries)))
     return BarbaScanReport(tuple(reports))

@@ -185,28 +185,27 @@ def ew_tournament_check(a: Tournament) -> tuple[bool, Optional[int]]:
     """Verdict plus the extracted split parameter of a candidate tournament.
 
     The verdict is true exactly when the bordered matrix
-    skew_from_tournament(a) passes ew_gram_check. On a true verdict the
-    out-degree classes must have sizes (t, t, 2t+1), the product AA^T
-    must match the class template, and the degree-2t class must split
-    into two parts of sizes (a, 2t+1-a) with a solving
-    a^2 - (2t+1)a + t(t-1) = 0; the smaller part size is returned.
+    skew_from_tournament(a) passes ew_gram_check. That Gram form forces the
+    out-degrees {2t-1}^t, {2t}^(2t+1), {2t+1}^t: row i+1 of the bordered
+    matrix meets the all-ones border row in 2d_i - 4t, which must be 0 for
+    the 2t+1 rows outside the border row's half and +-2 for the other 2t
+    rows of that half, and the out-degrees sum to 2t(4t+1). So any other
+    profile is rejected before the Gram matrices are built. On a true
+    verdict the product AA^T must match the class template, and the
+    degree-2t class must split into two parts of sizes (a, 2t+1-a) with a
+    solving a^2 - (2t+1)a + t(t-1) = 0; the smaller part size is returned.
     A true Gram verdict with a failed template is an internal
     contradiction and raises RuntimeError.
     """
     n = a.order
     if n % 4 != 1 or n < 5:
         return False, None
+    t = n // 4
+    if sorted(a.matrix.row_sums()) != [2 * t - 1] * t + [2 * t] * (2 * t + 1) + [2 * t + 1] * t:
+        return False, None
     if not ew_gram_check(skew_from_tournament(a)).verdict:
         return False, None
-    t = n // 4
-    try:
-        low, high, mid = degree_classes(a)
-    except PreconditionError as exc:
-        raise RuntimeError(f"Gram verdict true but degree classes malformed: {exc}") from exc
-    if (len(low), len(high), len(mid)) != (t, t, 2 * t + 1):
-        raise RuntimeError(
-            f"Gram verdict true but degree class sizes are {(len(low), len(high), len(mid))}"
-        )
+    low, high, mid = degree_classes(a)
     g = matmul(a.matrix, a.matrix.transpose())
     cls = {}
     for i in low:

@@ -291,6 +291,13 @@ def test_barba_scan_takes_order_or_orders(capsys):
     assert "order 5: 10 rows" in run(capsys, ["search", "--kind", "barba-scan", "--order", "5"], 0).out
 
 
+def test_barba_scan_orders_without_rows(capsys):
+    # 2n - 1 is not a square at 17, 29 and 37, so no scan runs and no cap refuses
+    out = run(capsys, ["search", "--kind", "barba-scan", "--orders", "17", "29", "37"], 0).out
+    for order in (17, 29, 37):
+        assert f"order {order}: 0 rows" in out
+
+
 def test_search_barba_scan_text(capsys):
     captured = run(capsys, ["search", "--kind", "barba-scan", "--orders", "5", "13"], 0)
     assert "order 5: 10 rows" in captured.out

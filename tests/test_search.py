@@ -1,14 +1,18 @@
 """Exhaustive searches: frozen counts, determinism, candidate gating."""
 
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doptsnf import search
-from doptsnf.designs import is_barba
+from doptsnf.designs import barba_double, is_barba, skew_from_tournament
+from doptsnf.exactmat import circulant
 from doptsnf.search import (
     DEFAULT_MAX_CANDIDATES,
     InfeasibleSearchError,
+    _circulant_tournament_from_mask,
     _pool_size,
     _tournament_from_mask,
     barba_problem_scan,
@@ -16,7 +20,8 @@ from doptsnf.search import (
     search_circulant_barba,
     search_circulant_tournament,
 )
-from doptsnf.verify import ew_tournament_check
+from doptsnf.snf import smith_normal_form
+from doptsnf.verify import ew_gram_check, ew_tournament_check
 
 GOLDEN_13_ROW = (1, 1, 1, 1, -1, 1, -1, -1, 1, 1, 1, -1, 1)
 
@@ -183,3 +188,86 @@ def test_pool_size_is_clamped_without_starting_a_pool(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert _pool_size(10**6, 1 << 17) == 1
 
+
+# ---------------------------------------------------------------------------
+# Pruning by necessary conditions, each checked against the slow path
+
+
+def _degree_rejected(a):
+    """True when a misses the EW out-degree template, which must then fail the Gram check."""
+    t = a.order // 4
+    gram = ew_gram_check(skew_from_tournament(a)).verdict
+    assert ew_tournament_check(a)[0] == gram
+    rejected = Counter(a.matrix.row_sums()) != Counter({2 * t - 1: t, 2 * t: 2 * t + 1, 2 * t + 1: t})
+    assert not (rejected and gram)
+    return rejected
+
+
+def test_degree_template_rejects_only_gram_failures():
+    assert sum(_degree_rejected(_tournament_from_mask(5, m)) for m in range(1 << 10)) == 744
+    for order in (5, 9, 13):
+        # circulants are regular, so the template rejects every one
+        masks = range(1 << ((order - 1) // 2))
+        assert all(_degree_rejected(_circulant_tournament_from_mask(order, m)) for m in masks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((9, 13)).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    )
+)
+def test_degree_template_on_random_tournaments(case):
+    _degree_rejected(_tournament_from_mask(*case))
+
+
+def test_barba_search_is_empty_by_arithmetic(monkeypatch):
+    # 2n - 1 is not a square at these orders, so no row sum s has s^2 = 2n - 1
+    def no_scan(*args):
+        raise AssertionError("_scan was called")
+
+    monkeypatch.setattr(search, "_scan", no_scan)
+    for order in (9, 17, 29, 37):
+        assert search_circulant_barba(order, workers=2) == []
+    assert [r.entries for r in barba_problem_scan((9, 17, 29, 37), workers=2).per_order] == [()] * 4
+    with pytest.raises(ValueError, match="limit"):
+        search_circulant_barba(29, limit=-1)  # the arguments are still checked
+
+
+def test_rotation_permutes_and_negation_negates_the_double():
+    n = 13
+    for r in search_circulant_barba(n):
+        row = r.row(0)
+        m = barba_double(r)
+        assert barba_double(-r) == -m
+        for k in range(n):
+            moved = barba_double(circulant(tuple(row[(j - k) % n] for j in range(n))))
+            for i in range(n):
+                assert moved.row(i) == m.row((i + k) % n)
+                assert moved.row(n + i) == m.row(n + (i - k) % n)
+
+
+def test_barba_scan_factors_match_a_direct_snf():
+    for rep in barba_problem_scan((1, 5, 13)).per_order:
+        for e in rep.entries:
+            assert e.factors == smith_normal_form(barba_double(circulant(e.first_row))).factors
+
+
+def test_one_snf_per_orbit(monkeypatch):
+    for order, count in ((1, 1), (5, 1), (13, 4)):
+        rows = [r.row(0) for r in search_circulant_barba(order)]
+        orbits = {
+            frozenset(tuple(sign * v for v in row[k:] + row[:k]) for k in range(order) for sign in (1, -1))
+            for row in rows
+        }
+        assert all(len({search._orbit_key(row) for row in orbit}) == 1 for orbit in orbits)
+        assert len({search._orbit_key(row) for row in rows}) == len(orbits) == count
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(search, "smith_normal_form", counting)
+    assert sum(len(r.entries) for r in barba_problem_scan((5, 13)).per_order) == 114
+    assert len(calls) == 5
