@@ -6,9 +6,9 @@ arithmetic, and machine-checks the closed-form diagonal and p-rank
 statements that these families satisfy. Everything runs on Python
 integers; the hot loops live in doptsnf.kernels.
 
-Each name has one import path, its submodule: doptsnf.exactmat (matrices
-and the text format), doptsnf.snf, doptsnf.designs, doptsnf.verify,
-doptsnf.search and doptsnf.cli, e.g.
+Each name has one import path, its submodule: doptsnf.exactmat (matrices,
+the text format and the shared exception classes), doptsnf.snf,
+doptsnf.designs, doptsnf.verify, doptsnf.search and doptsnf.cli, e.g.
 
     from doptsnf.snf import smith_normal_form
 """

@@ -13,43 +13,33 @@ under --json, also a report with status "error" and the reason in
 applies only to verify --kind ew, check --list takes no other flag and
 no input file, and each construct --family and search --kind names the
 flags it ignores.
+
+Every run is a fresh process, so start-up counts. At the top this module
+imports only the standard library and exactmat, which also defines the
+refusals' exception classes; each cmd_* imports the designs, snf, verify
+or search functions it runs, so `snf` never loads search and `construct`
+never loads snf.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import re
 import sys
 import time
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
-from .designs import (
-    Tournament,
-    barba_double,
-    build_example_26,
-    build_example_66,
-    is_barba,
-    skew_from_tournament,
-)
-from .exactmat import DimensionError, IntMatrix, circulant, format_matrix, parse_int, parse_matrix
-from .search import (
+from .exactmat import (
+    DimensionError,
     InfeasibleSearchError,
-    barba_problem_scan,
-    enumerate_ew_tournaments,
-    search_circulant_barba,
-    search_circulant_tournament,
-)
-from .snf import smith_normal_form
-from .verify import (
-    CLAIMS,
+    IntMatrix,
     PreconditionError,
-    ew_gram_check,
-    ew_tournament_check,
-    is_skew_type,
-    theorem_conformance,
+    circulant,
+    format_matrix,
+    parse_int,
+    parse_matrix,
 )
 
 
@@ -117,6 +107,15 @@ _UNUSED_CONSTRUCT_FLAGS = {
 
 
 def cmd_construct(args):
+    from .designs import (
+        Tournament,
+        barba_double,
+        build_example_26,
+        build_example_66,
+        is_barba,
+        skew_from_tournament,
+    )
+
     _refuse_unused(args, _UNUSED_CONSTRUCT_FLAGS[args.family], f"--family {args.family}")
     if args.family == "example26":
         m = build_example_26()
@@ -159,6 +158,8 @@ def cmd_construct(args):
 
 
 def cmd_snf(args):
+    from .snf import smith_normal_form
+
     res = smith_normal_form(_load_matrix(args.input), want_transforms=args.transforms)
     rle = format_factors_rle(res.factors)
     payload = {"kind": "snf", "factors": res.factors, "factors_rle": rle, "rank": res.rank}
@@ -171,6 +172,9 @@ def cmd_snf(args):
 
 
 def cmd_verify(args):
+    from .designs import Tournament, is_barba
+    from .verify import ew_gram_check, ew_tournament_check, is_skew_type
+
     if args.kind != "ew":
         _refuse_unused(args, ("strict",), f"--kind {args.kind}")
     m = _load_matrix(args.input)
@@ -178,7 +182,7 @@ def cmd_verify(args):
     if args.kind == "ew":
         rep = ew_gram_check(m, strict=args.strict)
         verdict = rep.verdict
-        payload = {"kind": "ew-report", **dataclasses.asdict(rep)}
+        payload = {"kind": "ew-report", **rep._asdict()}
         if not verdict and rep.reason:
             suffix = f" ({rep.reason})"
         if verdict and rep.row_block_sums:
@@ -202,6 +206,8 @@ def cmd_verify(args):
 
 
 def cmd_check(args):
+    from .verify import CLAIMS, theorem_conformance
+
     if args.list:
         _refuse_unused(args, ("theorem", "json"), "--list")
         if args.input:
@@ -241,6 +247,13 @@ _UNUSED_SEARCH_FLAGS = {
 
 
 def cmd_search(args):
+    from .search import (
+        barba_problem_scan,
+        enumerate_ew_tournaments,
+        search_circulant_barba,
+        search_circulant_tournament,
+    )
+
     workers = 1 if args.parallel is None else args.parallel
     if workers < 1:
         raise ValueError(f"--parallel must be at least 1, got {workers}")
@@ -406,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     # Entries and factors may have any number of digits, but CPython (from
     # 3.10.7) caps int<->str conversion at 4300; lift the cap for this call.
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()

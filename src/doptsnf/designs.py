@@ -10,10 +10,9 @@ here normalizes signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactmat import (
     DimensionError,
+    Frozen,
     IntMatrix,
     block2x2,
     circulant,
@@ -33,48 +32,47 @@ EXAMPLE_26_CIRCULANT_ROW = (1, 1, 1, 1, -1, 1, -1, -1, 1, 1, 1, -1, 1)
 EXAMPLE_66_CIRCULANT_ROW = (0, -1, 1, -1, -1, -1, 1, 1, 1, -1, 1)
 
 
-@dataclass(frozen=True)
-class Tournament:
+class Tournament(Frozen):
     """A 0/1 tournament matrix: A + A^T = J - I, zero diagonal.
 
     The invariant is enforced at construction time, so any Tournament in
     circulation is valid.
     """
 
-    matrix: IntMatrix
+    __slots__ = ("matrix",)
 
-    def __post_init__(self) -> None:
-        m = self.matrix
-        if not m.is_square:
-            raise ValueError(f"matrix is {m.rows}x{m.cols}, not square")
-        n = m.rows
-        for i in range(n):
-            for j in range(n):
-                v = m.at(i, j)
-                if i == j:
-                    if v != 0:
-                        raise ValueError("tournament diagonal must be zero")
-                elif v not in (0, 1) or v + m.at(j, i) != 1:
-                    raise ValueError(
-                        f"entries ({i},{j})/({j},{i}) do not orient exactly one arc"
-                    )
+    def __init__(self, matrix: IntMatrix) -> None:
+        if not matrix.is_square:
+            raise ValueError(f"matrix is {matrix.rows}x{matrix.cols}, not square")
+        n = matrix.rows
+        entries = matrix.entries
+        transposed = [v for j in range(n) for v in entries[j::n]]  # row-major, like entries
+        # One pass in row-major order. A diagonal entry v always enters the
+        # branch, since v + v != 1, and passes it iff v == 0.
+        for k, v, w in zip(range(n * n), entries, transposed):
+            if v + w != 1 or v not in (0, 1):
+                i, j = divmod(k, n)
+                if i != j:
+                    raise ValueError(f"entries ({i},{j})/({j},{i}) do not orient exactly one arc")
+                if v != 0:
+                    raise ValueError("tournament diagonal must be zero")
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def order(self) -> int:
         return self.matrix.rows
 
 
-@dataclass(frozen=True)
-class BlockEwSpec:
+class BlockEwSpec(Frozen):
     """Two square blocks R1, R2 assembled as [[R1, R2], [-R2^T, R1^T]]."""
 
-    r1_block: IntMatrix
-    r2_block: IntMatrix
+    __slots__ = ("r1_block", "r2_block")
 
-    def __post_init__(self) -> None:
-        r1, r2 = self.r1_block, self.r2_block
-        if not (r1.is_square and r2.is_square and r1.rows == r2.rows):
+    def __init__(self, r1_block: IntMatrix, r2_block: IntMatrix) -> None:
+        if not (r1_block.is_square and r2_block.is_square and r1_block.rows == r2_block.rows):
             raise DimensionError("blocks must be square and of equal order")
+        object.__setattr__(self, "r1_block", r1_block)
+        object.__setattr__(self, "r2_block", r2_block)
 
     def assemble(self) -> IntMatrix:
         r1, r2 = self.r1_block, self.r2_block

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import kernels
 
@@ -34,20 +33,64 @@ class SingularMatrixError(ValueError):
     """A nonsingular matrix was required."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class PreconditionError(ValueError):
+    """Hypotheses of a checker are not satisfied by the input."""
+
+
+class InfeasibleSearchError(RuntimeError):
+    """The candidate space exceeds the configured cap."""
+
+
+class Frozen:
+    """Base of the value classes that validate their fields.
+
+    A subclass names its fields in ``__slots__``, checks its arguments in
+    ``__init__`` and stores them with ``object.__setattr__``. Instances
+    compare and hash by class and field values, refuse assignment and
+    pickle by calling the class again, so an unpickled value passes the
+    same checks.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class IntMatrix(Frozen):
     """Immutable dense matrix of arbitrary-precision integers, row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, entries: Iterable[int]) -> None:
+        if rows < 1 or cols < 1:
             raise DimensionError("matrix dimensions must be positive")
-        ent = tuple(map(operator.index, self.entries))  # rejects 1.5 rather than truncating it
-        if len(ent) != self.rows * self.cols:
-            raise ValueError(f"expected {self.rows * self.cols} entries, got {len(ent)}")
+        ent = tuple(map(operator.index, entries))  # rejects 1.5 rather than truncating it
+        if len(ent) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ent)
 
     # ---------- constructors ----------

@@ -28,21 +28,16 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .designs import Tournament, barba_double, is_barba
-from .exactmat import IntMatrix, circulant
+from .exactmat import InfeasibleSearchError, IntMatrix, circulant
 from .kernels import autocorrelations
 from .snf import smith_normal_form
 from .verify import ew_tournament_check
 
 DEFAULT_MAX_CANDIDATES = 1 << 20
-
-
-class InfeasibleSearchError(RuntimeError):
-    """The candidate space exceeds the configured cap."""
 
 
 def _pool_size(workers: int, total: int) -> int:
@@ -278,16 +273,14 @@ def search_circulant_barba(
     return out
 
 
-@dataclass(frozen=True)
-class BarbaScanEntry:
+class BarbaScanEntry(NamedTuple):
     """One found row and the invariant factors of its doubled matrix."""
 
     first_row: tuple[int, ...]
     factors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BarbaScanOrderReport:
+class BarbaScanOrderReport(NamedTuple):
     """Scan results for one odd order n: doubles have order 2n = 4t+2.
 
     reference is the conjectured diagonal (1, 2^2t, (2t)^(2t-1),
@@ -302,8 +295,7 @@ class BarbaScanOrderReport:
     entries: tuple[BarbaScanEntry, ...]
 
 
-@dataclass(frozen=True)
-class BarbaScanReport:
+class BarbaScanReport(NamedTuple):
     per_order: tuple[BarbaScanOrderReport, ...]
 
 

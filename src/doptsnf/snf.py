@@ -28,12 +28,11 @@ i <= rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
 from . import kernels
-from .exactmat import IntMatrix, trial_divide
+from .exactmat import Frozen, IntMatrix, trial_divide
 
 #: Square inputs of this order or more go to the local engine. Its time over
 #: the Euclidean engine's, best of 9 interleaved, over two runs on 6 seeded
@@ -51,19 +50,24 @@ TRIAL_BOUND = 2**16
 MINOR_GCD_SIZE_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Frozen):
     """Invariant factors plus (optionally) the unimodular transforms."""
 
-    factors: tuple[int, ...]
-    left: IntMatrix | None = None
-    right: IntMatrix | None = None
+    __slots__ = ("factors", "left", "right")
 
-    def __post_init__(self) -> None:
-        for i in range(len(self.factors) - 1):
-            a, b = self.factors[i], self.factors[i + 1]
+    def __init__(
+        self,
+        factors: tuple[int, ...],
+        left: IntMatrix | None = None,
+        right: IntMatrix | None = None,
+    ) -> None:
+        for i in range(len(factors) - 1):
+            a, b = factors[i], factors[i + 1]
             if a < 0 or b < 0 or (a == 0 and b != 0) or (a != 0 and b % a != 0):
-                raise ValueError(f"not a divisibility chain: {self.factors}")
+                raise ValueError(f"not a divisibility chain: {factors}")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def rank(self) -> int:

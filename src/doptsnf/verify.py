@@ -13,13 +13,13 @@ pass (or a silently meaningless False).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .designs import Tournament, skew_from_tournament
 from .exactmat import (
     DimensionError,
     IntMatrix,
+    PreconditionError,
     adjugate_and_det,
     determinant,
     factorize,
@@ -27,10 +27,6 @@ from .exactmat import (
     rank_mod_p,
 )
 from .snf import smith_normal_form
-
-
-class PreconditionError(ValueError):
-    """Hypotheses of a checker are not satisfied by the input."""
 
 
 def _require(cond: bool, message: str) -> None:
@@ -42,8 +38,7 @@ def _require(cond: bool, message: str) -> None:
 # Gram block structure
 
 
-@dataclass(frozen=True)
-class EwReport:
+class EwReport(NamedTuple):
     """Outcome of the Gram block-structure test.
 
     clique_partition_rows / clique_partition_cols are the two halves (as
@@ -130,6 +125,14 @@ def _block_row_sums(x: IntMatrix, partition) -> Optional[tuple[int, int]]:
     return (u + v) // 2, (u - v) // 2
 
 
+def _require_pm1_square(x: IntMatrix) -> None:
+    """The input check of ew_gram_check: a square matrix of +-1 entries."""
+    if not x.is_square:
+        raise DimensionError("ew_gram_check needs a square matrix")
+    if any(v not in (1, -1) for v in x.entries):
+        raise ValueError("entries must be +-1")
+
+
 def ew_gram_check(x: IntMatrix, strict: bool = False) -> EwReport:
     """Test whether XX^T and X^TX both take the two-block Gram form.
 
@@ -142,10 +145,7 @@ def ew_gram_check(x: IntMatrix, strict: bool = False) -> EwReport:
     blockdiag((n-2)I + 2J, (n-2)I + 2J): both analyses must find the halves
     range(n/2), range(n/2, n) and need no sign switch.
     """
-    if not x.is_square:
-        raise DimensionError("ew_gram_check needs a square matrix")
-    if any(v not in (1, -1) for v in x.entries):
-        raise ValueError("entries must be +-1")
+    _require_pm1_square(x)
     n = x.rows
     if n % 4 != 2:
         return EwReport(False, n, reason=f"order {n} is not 2 (mod 4)")
@@ -247,8 +247,7 @@ def ew_tournament_check(a: Tournament) -> tuple[bool, Optional[int]]:
     return True, a_param
 
 
-@dataclass(frozen=True)
-class PRankReport:
+class PRankReport(NamedTuple):
     """Ranks of A and A+I over GF(p) against the predicted values."""
 
     t_param: int
@@ -296,8 +295,7 @@ def predicted_snf_tournament(t: int) -> tuple[int, ...]:
     return (1,) * (2 * t + 2) + (t,) * (2 * t - 2) + (t * t * (4 * t - 1),)
 
 
-@dataclass(frozen=True)
-class BlockSnfEvaluation:
+class BlockSnfEvaluation(NamedTuple):
     """Result of matching a computed diagonal against block-design constraints."""
 
     observed: tuple[int, ...]
@@ -309,8 +307,7 @@ class BlockSnfEvaluation:
         return self.observed == self.expected
 
 
-@dataclass(frozen=True)
-class BlockSnfConstraints:
+class BlockSnfConstraints(NamedTuple):
     """Constraints on the invariant factors of a two-block design.
 
     For 4t+1 square-free (and coprime block row sums) the final two
@@ -416,8 +413,7 @@ def predicted_block_snf(t: int, r1: int, r2: int) -> BlockSnfConstraints:
 # Theorem conformance
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """Computed-versus-predicted tuples for one named claim; it passes iff they agree."""
 
     claim_id: str
@@ -438,9 +434,15 @@ def is_skew_type(x: IntMatrix) -> bool:
 
 
 def _skew_ew_t(x: IntMatrix) -> int:
+    """t for a skew-type EW matrix of order 4t+2.
+
+    The O(n^2) skew-type test runs before the two Gram products of
+    ew_gram_check, after the same input check.
+    """
+    _require_pm1_square(x)
+    _require(is_skew_type(x), "input is not skew-type")
     rep = ew_gram_check(x)
     _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
-    _require(is_skew_type(x), "input is not skew-type")
     return (x.rows - 2) // 4
 
 
@@ -513,8 +515,7 @@ def normalized_block_row_sums(s: IntMatrix) -> tuple[int, int, int, int]:
     return d11, d22, d12, d21
 
 
-@dataclass(frozen=True)
-class ExistenceReport:
+class ExistenceReport(NamedTuple):
     """Necessary-condition filter for orders 4t+2.
 
     Truthiness follows has_square_discriminant (8t+1 a perfect square,

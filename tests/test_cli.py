@@ -1,12 +1,17 @@
 """CLI behavior: exit codes, text round-trips, and JSON report schema."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import doptsnf
 from doptsnf.cli import format_factors_rle, main, parse_factors_rle
 from doptsnf.designs import skew_from_tournament
 from doptsnf.exactmat import format_matrix, parse_matrix
@@ -179,6 +184,21 @@ def test_check_pass_fail_unknown(capsys, e26_path):
     assert "bogus" in captured.err
     captured = run(capsys, ["check", "--list"], 0)
     assert "block-squarefree" in captured.out
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("2 6\n" + "1 1 1 1 1 1\n" * 2, 2, "error: ew_gram_check needs a square matrix"),
+        ("2 2\n1 0\n1 1\n", 2, "error: entries must be +-1"),
+        ("2 2\n1 1\n1 1\n", 1, "precondition failed: input is not skew-type"),
+    ],
+)
+def test_check_main_refuses_inputs_outside_the_family(tmp_path, capsys, text, code, message):
+    path = tmp_path / "x.mat"
+    path.write_text(text)
+    captured = run(capsys, ["check", str(path), "--theorem", "main"], code)
+    assert captured.err == message + "\n"
 
 
 def test_check_chain_on_tournament(capsys, t5_path):
@@ -375,3 +395,87 @@ def test_json_refusal_is_an_error_report(capsys, schema, e26_path, argv, command
 def test_json_tournament_verify(capsys, schema, t5_path):
     doc = run_json(capsys, ["verify", t5_path, "--kind", "tournament", "--json"], 0, schema)
     assert doc["results"][0]["a_param"] in ("0", "3")
+
+
+# ---------------------------------------------------------------------------
+# Fresh processes: `python -m doptsnf.cli` and what each command imports
+
+SRC = str(Path(doptsnf.__file__).resolve().parent.parent)
+
+
+def python(args, cwd):
+    """Run `python -S *args` with this checkout's src first on the path.
+
+    -S skips site-packages hooks, which may import modules of their own.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-S", *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["construct", "--family", "barba-double", "--row", "1 1 1 1 1"], "construction failed: "),
+        (["check", "e66.mat", "--theorem", "main"], "precondition failed: "),
+        (["search", "--kind", "ew-tournaments", "--order", "9"], "search refused: "),
+    ],
+)
+@pytest.mark.parametrize("as_json", [False, True])
+def test_refusals_under_python_m(tmp_path, schema, example66, argv, prefix, as_json):
+    # Under -m the module runs as __main__, so _ConstructionFailure is
+    # __main__._ConstructionFailure; only a fresh process sees that.
+    (tmp_path / "e66.mat").write_text(format_matrix(example66))
+    proc = python(["-m", "doptsnf.cli", *argv] + (["--json"] if as_json else []), tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(prefix), proc.stderr
+    if as_json:
+        doc = json.loads(proc.stdout)
+        jsonschema.validate(doc, schema)
+        assert doc["status"] == "error"
+        assert doc["error"] == proc.stderr[len(prefix):].rstrip("\n")
+    else:
+        assert proc.stdout == ""
+
+
+#: Runs the command in argv, if any, then prints the names of the loaded modules.
+LOADED = (
+    "import sys\n"
+    "from doptsnf.cli import main\n"
+    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(' '.join(sys.modules))\n"
+    "sys.exit(code)\n"
+)
+NO_DATACLASSES = ("dataclasses", "inspect")
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        ([], ("designs", "snf", "verify", "search")),
+        (["snf", "e26.mat"], ("designs", "verify", "search")),
+        (["construct", "--family", "example26"], ("snf", "verify", "search")),
+    ],
+)
+def test_each_command_imports_only_what_it_runs(tmp_path, example26, argv, unloaded):
+    (tmp_path / "e26.mat").write_text(format_matrix(example26))
+    proc = python(["-c", LOADED, *argv], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "doptsnf.exactmat" in loaded
+    unloaded = NO_DATACLASSES + tuple("doptsnf." + m for m in unloaded)
+    assert loaded.isdisjoint(unloaded), sorted(loaded.intersection(unloaded))
+
+
+def test_no_module_loads_dataclasses(tmp_path):
+    modules = sorted(p.stem for p in Path(doptsnf.__file__).parent.glob("*.py") if p.stem != "__init__")
+    assert {"cli", "designs", "exactmat", "kernels", "search", "snf", "verify"} <= set(modules)
+    script = "".join(f"import doptsnf.{m}\n" for m in modules)
+    script += "import sys\nprint(' '.join(sys.modules))\n"
+    proc = python(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"doptsnf." + m for m in modules} <= loaded
+    assert loaded.isdisjoint(NO_DATACLASSES)

@@ -1,6 +1,7 @@
 """Constructions: tournaments, bordered skew designs, doubling."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doptsnf.designs import (
     EXAMPLE_26_CIRCULANT_ROW,
@@ -33,6 +34,61 @@ def test_tournament_validation():
         Tournament(IntMatrix.from_rows([[0, 2], [-1, 0]]))
     with pytest.raises(ValueError):
         Tournament(IntMatrix.from_rows([[0, 1, 0], [0, 0, 1]]))
+
+
+def reference_tournament_error(m: IntMatrix):
+    """The message of the first offending (i, j) in row-major order, by the n^2 loop of m.at."""
+    if not m.is_square:
+        return f"matrix is {m.rows}x{m.cols}, not square"
+    n = m.rows
+    for i in range(n):
+        for j in range(n):
+            v = m.at(i, j)
+            if i == j:
+                if v != 0:
+                    return "tournament diagonal must be zero"
+            elif v not in (0, 1) or v + m.at(j, i) != 1:
+                return f"entries ({i},{j})/({j},{i}) do not orient exactly one arc"
+    return None
+
+
+@st.composite
+def corrupted_01_matrices(draw):
+    """A random tournament or 0/1 matrix of order 1-9 with one entry overwritten."""
+    n = draw(st.integers(1, 9))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+    if draw(st.booleans()):
+        bits = [0 if i == j else bits[i * n + j] if i < j else 1 - bits[j * n + i]
+                for i in range(n) for j in range(n)]
+    k = draw(st.integers(0, n * n - 1))
+    bits[k] = draw(st.sampled_from((-1, 0, 1, 2)))
+    return IntMatrix(n, n, bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_01_matrices())
+def test_tournament_validation_matches_the_reference_loop(m):
+    expected = reference_tournament_error(m)
+    if expected is None:
+        assert Tournament(m).matrix == m
+    else:
+        with pytest.raises(ValueError) as exc:
+            Tournament(m)
+        assert str(exc.value) == expected
+
+
+def test_tournament_validation_reports_the_first_offender():
+    # (1, 1) comes before (1, 2)/(2, 1), and (1, 2) before (2, 2), in row-major order
+    cases = (
+        ([[0, 1, 1], [0, 3, 0], [0, 0, 0]], "tournament diagonal must be zero"),
+        ([[0, 1, 1], [0, 0, 2], [0, 0, 9]], "entries (1,2)/(2,1) do not orient exactly one arc"),
+    )
+    for rows, message in cases:
+        m = IntMatrix.from_rows(rows)
+        assert reference_tournament_error(m) == message
+        with pytest.raises(ValueError) as exc:
+            Tournament(m)
+        assert str(exc.value) == message
 
 
 def test_skew_from_tournament_shape():

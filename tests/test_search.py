@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from doptsnf import search
 from doptsnf.designs import barba_double, is_barba, skew_from_tournament
-from doptsnf.exactmat import circulant
+from doptsnf.exactmat import InfeasibleSearchError, circulant
 from doptsnf.search import (
     DEFAULT_MAX_CANDIDATES,
-    InfeasibleSearchError,
     _circulant_tournament_from_mask,
     _pool_size,
     _tournament_from_mask,

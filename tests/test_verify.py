@@ -11,11 +11,19 @@ from doptsnf.designs import (
     tournament_from_skew,
     normalize_skew_to_border,
 )
-from doptsnf.exactmat import IntMatrix, adjugate_and_det, circulant, determinant, matmul
+from doptsnf import verify
+from doptsnf.exactmat import (
+    DimensionError,
+    IntMatrix,
+    PreconditionError,
+    adjugate_and_det,
+    circulant,
+    determinant,
+    matmul,
+)
 from doptsnf.snf import smith_normal_form
 from doptsnf.verify import (
     CLAIMS,
-    PreconditionError,
     TheoremCheck,
     block_determinant_formula,
     degree_classes,
@@ -333,6 +341,38 @@ def test_claims_precondition_on_wrong_input(example26):
     # and it is not a 0/1 tournament either
     with pytest.raises(PreconditionError):
         theorem_conformance(example26, "tournament-snf")
+
+
+SKEW_CLAIMS = ("main", "skew-head", "skew-last", "scaled-inverse")
+
+
+@pytest.mark.parametrize("claim", SKEW_CLAIMS)
+def test_skew_claims_test_skew_type_before_the_gram_products(monkeypatch, example66, claim):
+    # example66 is EW but not skew-type; the O(n^2) test refuses it with no Gram product
+    def no_gram(*args, **kwargs):
+        raise AssertionError("ew_gram_check ran")
+
+    monkeypatch.setattr(verify, "ew_gram_check", no_gram)
+    monkeypatch.setattr(verify, "matmul", no_gram)
+    with pytest.raises(PreconditionError, match="^input is not skew-type$"):
+        theorem_conformance(example66, claim)
+
+
+@pytest.mark.parametrize("claim", SKEW_CLAIMS)
+def test_skew_claims_keep_the_gram_input_checks(claim):
+    with pytest.raises(DimensionError, match="^ew_gram_check needs a square matrix$"):
+        theorem_conformance(IntMatrix.all_ones(2, 6), claim)
+    with pytest.raises(ValueError, match=r"^entries must be \+-1$") as exc:
+        theorem_conformance(IntMatrix.identity(6), claim)
+    assert exc.type is ValueError
+    # square and +-1 but neither EW nor skew-type: the skew test speaks first
+    with pytest.raises(PreconditionError, match="^input is not skew-type$"):
+        theorem_conformance(IntMatrix.all_ones(6), claim)
+    # skew-type but not EW: the Gram test still refuses it
+    skew = IntMatrix.from_rows([[1 if i <= j else -1 for j in range(6)] for i in range(6)])
+    assert verify.is_skew_type(skew)
+    with pytest.raises(PreconditionError, match="^input lacks the EW Gram structure"):
+        theorem_conformance(skew, claim)
 
 
 def test_ew_head_claim_on_examples(example26, example66):
