@@ -17,8 +17,8 @@ from .exactmat import (
     block2x2,
     circulant,
     kronecker,
-    matmul,
 )
+from .kernels import sign_gram
 
 
 class NormalizationError(ValueError):
@@ -86,12 +86,10 @@ def skew_from_tournament(t: Tournament) -> IntMatrix:
     the trailing block is I + A - A^T. The result always satisfies
     S + S^T = 2I.
     """
-    a = t.matrix
-    n = t.order
-    at = a.transpose()
-    rows = [[1] * (n + 1)]
-    for i in range(n):
-        rows.append([-1] + [int(i == j) + a.at(i, j) - at.at(i, j) for j in range(n)])
+    a = t.matrix.to_rows()
+    rows = [[1] * (t.order + 1)]
+    for i, ai in enumerate(a):
+        rows.append([-1] + [int(i == j) + v - a[j][i] for j, v in enumerate(ai)])
     return IntMatrix.from_rows(rows)
 
 
@@ -176,9 +174,9 @@ def is_barba(r: IntMatrix) -> bool:
     if any(v not in (1, -1) for v in r.entries):
         raise ValueError("entries must be +-1")
     n = r.rows
-    target = (n - 1) * IntMatrix.identity(n) + IntMatrix.all_ones(n)
-    rt = r.transpose()
-    return matmul(r, rt) == target and matmul(rt, r) == target
+    target = [[n if i == j else 1 for j in range(n)] for i in range(n)]
+    rows = r.to_rows()
+    return sign_gram(rows) == target and sign_gram(list(zip(*rows))) == target
 
 
 def barba_double(r: IntMatrix) -> IntMatrix:

@@ -2,11 +2,13 @@
 
 This is the package's one kernel implementation. Matrices are lists of row
 lists of Python ints, so every result is exact no matter how large
-intermediates grow. The one modular kernel, ``local_exponents`` (which
-``gf_rank`` calls with k = 1), packs each row into one int of fixed-width
-slots, so that a row operation is a few big-integer operations instead of
-one interpreted operation per entry. Callers own all shape validation —
-kernels assume well-formed input.
+intermediates grow. Two kernels pack each row into one int, so that a row
+operation is a few big-integer operations instead of one interpreted
+operation per entry: the one modular kernel, ``local_exponents`` (which
+``gf_rank`` calls with k = 1), packs fixed-width slots, and ``sign_gram``
+packs a +-1 row as the bitmask of its -1 entries. ``matmul`` stays the one
+general product. Callers own all shape validation — kernels assume
+well-formed input.
 """
 
 from __future__ import annotations
@@ -23,6 +25,25 @@ def matmul(a, b):
     """Exact product of an m*k and a k*n matrix (lists of rows)."""
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def sign_gram(rows):
+    """AA^T of a +-1 matrix A given as row lists, by popcount on packed rows.
+
+    Each row is packed as the bitmask of its -1 entries. Rows i and j of
+    length k agree in k - popcount(m_i ^ m_j) places and differ in the
+    rest, so G_ij = k - 2 * popcount(m_i ^ m_j) exactly. Only the upper
+    triangle is computed; the lower one is its mirror.
+    """
+    k = len(rows[0])
+    masks = [int("".join(["1" if v < 0 else "0" for v in row]), 2) for row in rows]
+    n = len(masks)
+    g = [[k] * n for _ in range(n)]
+    for i, mi in enumerate(masks):
+        gi = g[i]
+        for j in range(i + 1, n):
+            gi[j] = g[j][i] = k - 2 * (mi ^ masks[j]).bit_count()
+    return g
 
 
 def bareiss_determinant(a):

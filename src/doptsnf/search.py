@@ -15,12 +15,13 @@ pool never has more processes than CPUs or candidates.
 
 Each search rejects candidates by an exact necessary condition before its
 costly test: the tournament searches by the out-degree template that
-ew_tournament_check applies before any Gram matrix, the circulant Barba
-search by its row sum s, which must satisfy s^2 = 2n - 1. Where 2n - 1 is
-not a square no row can qualify, so that search returns no rows without a
-scan. barba_problem_scan computes one SNF per orbit of first rows under
-rotation and negation, which only permute rows of the doubled matrix or
-negate it.
+ew_tournament_check applies before any Gram matrix, and which the
+exhaustive scan reads off each mask before building the tournament; the
+circulant Barba search by its row sum s, which must satisfy s^2 = 2n - 1.
+Where 2n - 1 is not a square no row can qualify, so that search returns
+no rows without a scan. barba_problem_scan computes one SNF per orbit of
+first rows under rotation and negation, which only permute rows of the
+doubled matrix or negate it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .designs import Tournament, barba_double, is_barba
 from .exactmat import InfeasibleSearchError, IntMatrix, circulant
 from .kernels import autocorrelations
 from .snf import smith_normal_form
-from .verify import ew_tournament_check
+from .verify import ew_degree_template, ew_tournament_check
 
 DEFAULT_MAX_CANDIDATES = 1 << 20
 
@@ -116,8 +117,32 @@ def _tournament_from_mask(order: int, mask: int) -> Tournament:
     return Tournament(IntMatrix.from_rows(rows))
 
 
+def _arc_masks(order: int) -> list[tuple[int, int]]:
+    """Per vertex i, the bits of a tournament mask that i wins and loses when set.
+
+    Bit (i, j), i < j, set means i beats j; so vertex i's out-degree in
+    mask m is popcount(m & wins) + i - popcount(m & losses).
+    """
+    wins = [0] * order
+    losses = [0] * order
+    shift = order * (order - 1) // 2
+    for i in range(order):
+        for j in range(i + 1, order):
+            shift -= 1
+            wins[i] |= 1 << shift
+            losses[j] |= 1 << shift
+    return list(zip(wins, losses))
+
+
 def _ew_tournament_hits(order: int, lo: int, hi: int):
+    """Masks of EW tournaments; those off the out-degree template are dropped
+    from the mask alone, before the tournament is built."""
+    template = ew_degree_template(order // 4)
+    arcs = list(enumerate(_arc_masks(order)))
     for mask in range(lo, hi):
+        degrees = [(mask & w).bit_count() + i - (mask & l).bit_count() for i, (w, l) in arcs]
+        if sorted(degrees) != template:
+            continue
         if ew_tournament_check(_tournament_from_mask(order, mask))[0]:
             yield mask
 

@@ -26,6 +26,7 @@ from .exactmat import (
     matmul,
     rank_mod_p,
 )
+from .kernels import sign_gram
 from .snf import smith_normal_form
 
 
@@ -77,21 +78,22 @@ def _components(items: Sequence[int], related: Callable[[int, int], bool]) -> li
     return sorted((sorted(c) for c in comps.values()), key=lambda c: c[0])
 
 
-def _analyze_gram(g: IntMatrix, n: int):
-    """Check one Gram matrix for the switching-consistent two-clique pattern.
+def _analyze_gram(g: list[list[int]], n: int):
+    """Check one Gram matrix, as row lists, for the switching-consistent
+    two-clique pattern.
 
     Returns (partition, signs, "") on success, (None, None, reason) on
     failure. signs is a +-1 vector making every within-clique entry +2
     after the switch g[i][j] -> signs[i]*signs[j]*g[i][j].
     """
     for i in range(n):
-        if g.at(i, i) != n:
-            return None, None, f"Gram diagonal entry {i} is {g.at(i, i)}, not {n}"
+        if g[i][i] != n:
+            return None, None, f"Gram diagonal entry {i} is {g[i][i]}, not {n}"
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(g.at(i, j)) not in (0, 2):
-                return None, None, f"off-diagonal Gram entry ({i},{j}) = {g.at(i, j)}"
-    blocks = _components(range(n), lambda i, j: abs(g.at(i, j)) == 2)
+            if abs(g[i][j]) not in (0, 2):
+                return None, None, f"off-diagonal Gram entry ({i},{j}) = {g[i][j]}"
+    blocks = _components(range(n), lambda i, j: abs(g[i][j]) == 2)
     if len(blocks) != 2 or any(len(b) != n // 2 for b in blocks):
         sizes = tuple(len(b) for b in blocks)
         return None, None, f"Gram 2-support components have sizes {sizes}, expected two halves"
@@ -100,13 +102,13 @@ def _analyze_gram(g: IntMatrix, n: int):
         root = block[0]
         signs[root] = 1
         for j in block[1:]:
-            v = g.at(root, j)
+            v = g[root][j]
             if abs(v) != 2:
                 return None, None, f"Gram block is not a clique at ({root},{j})"
             signs[j] = v // 2
         for a in block:
             for b in block:
-                if a < b and g.at(a, b) != 2 * signs[a] * signs[b]:
+                if a < b and g[a][b] != 2 * signs[a] * signs[b]:
                     return None, None, f"Gram signs are not switching-consistent at ({a},{b})"
     return (tuple(blocks[0]), tuple(blocks[1])), tuple(signs), ""
 
@@ -149,10 +151,11 @@ def ew_gram_check(x: IntMatrix, strict: bool = False) -> EwReport:
     n = x.rows
     if n % 4 != 2:
         return EwReport(False, n, reason=f"order {n} is not 2 (mod 4)")
-    rows_part, row_signs, why = _analyze_gram(matmul(x, x.transpose()), n)
+    rows = x.to_rows()
+    rows_part, row_signs, why = _analyze_gram(sign_gram(rows), n)
     if rows_part is None:
         return EwReport(False, n, reason="rows: " + why)
-    cols_part, col_signs, why = _analyze_gram(matmul(x.transpose(), x), n)
+    cols_part, col_signs, why = _analyze_gram(sign_gram(list(zip(*rows))), n)
     if cols_part is None:
         return EwReport(False, n, reason="columns: " + why)
     if strict:
@@ -181,6 +184,12 @@ def degree_classes(a: Tournament) -> tuple[tuple[int, ...], tuple[int, ...], tup
     return low, high, mid
 
 
+def ew_degree_template(t: int) -> list[int]:
+    """The sorted out-degrees [2t-1]^t + [2t]^(2t+1) + [2t+1]^t of an EW
+    tournament of order 4t+1 (see ew_tournament_check)."""
+    return [2 * t - 1] * t + [2 * t] * (2 * t + 1) + [2 * t + 1] * t
+
+
 def ew_tournament_check(a: Tournament) -> tuple[bool, Optional[int]]:
     """Verdict plus the extracted split parameter of a candidate tournament.
 
@@ -201,7 +210,7 @@ def ew_tournament_check(a: Tournament) -> tuple[bool, Optional[int]]:
     if n % 4 != 1 or n < 5:
         return False, None
     t = n // 4
-    if sorted(a.matrix.row_sums()) != [2 * t - 1] * t + [2 * t] * (2 * t + 1) + [2 * t + 1] * t:
+    if sorted(a.matrix.row_sums()) != ew_degree_template(t):
         return False, None
     if not ew_gram_check(skew_from_tournament(a)).verdict:
         return False, None
@@ -496,8 +505,7 @@ def normalized_block_row_sums(s: IntMatrix) -> tuple[int, int, int, int]:
     if any(v not in (1, -1) for v in s.entries):
         raise PreconditionError("entries must be +-1")
     n = s.rows
-    g = matmul(s, s.transpose())
-    part, signs, why = _analyze_gram(g, n)
+    part, signs, why = _analyze_gram(sign_gram(s.to_rows()), n)
     _require(part is not None, f"input lacks the EW Gram structure ({why})")
     order = list(part[0]) + list(part[1])
     m = [[signs[i] * signs[j] * s.at(i, j) for j in order] for i in order]

@@ -19,6 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 KERNELS = (
     "matmul",
+    "sign_gram",
     "bareiss_determinant",
     "adjugate",
     "smith_reduce",
@@ -48,6 +49,37 @@ def test_popcount_filter_matches_autocorrelations(order):
         if all(c == 1 for c in kernels.autocorrelations(_barba_row_from_mask(order, mask))[1:])
     ]
     assert list(_circulant_barba_hits(order, 0, total)) == expected
+
+
+def pm1_matrices(max_rows, max_cols):
+    """+-1 matrices of 1..max_rows x 1..max_cols, square or rectangular, from
+    the bits of one integer."""
+    dims = st.tuples(st.integers(1, max_rows), st.integers(1, max_cols))
+    return dims.flatmap(
+        lambda mn: st.integers(0, (1 << mn[0] * mn[1]) - 1).map(
+            lambda bits: [
+                [1 - 2 * (bits >> (i * mn[1] + j) & 1) for j in range(mn[1])] for i in range(mn[0])
+            ]
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(pm1_matrices(40, 70))
+def test_sign_gram_matches_matmul(a):
+    """Rows of more than 64 entries pack into more than one machine word."""
+    assert kernels.sign_gram(a) == kernels.matmul(a, list(zip(*a)))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 70), (40, 1), (40, 64), (40, 65), (40, 70), (70, 40)])
+def test_sign_gram_matches_matmul_on_extreme_shapes(m, n):
+    rng = random.Random(m * 100 + n)
+    for a in (
+        [[rng.choice((1, -1)) for _ in range(n)] for _ in range(m)],
+        [[1] * n for _ in range(m)],
+        [[-1] * n for _ in range(m)],
+    ):
+        assert kernels.sign_gram(a) == kernels.matmul(a, list(zip(*a)))
 
 
 def test_determinant_certificates_on_big_entries(example26):

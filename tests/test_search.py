@@ -1,6 +1,7 @@
 """Exhaustive searches: frozen counts, determinism, candidate gating."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -20,7 +21,7 @@ from doptsnf.search import (
     search_circulant_tournament,
 )
 from doptsnf.snf import smith_normal_form
-from doptsnf.verify import ew_gram_check, ew_tournament_check
+from doptsnf.verify import ew_degree_template, ew_gram_check, ew_tournament_check
 
 GOLDEN_13_ROW = (1, 1, 1, 1, -1, 1, -1, -1, 1, 1, 1, -1, 1)
 
@@ -56,10 +57,23 @@ def test_enumeration_limit(witnesses5):
         assert [w.matrix for w in got] == [w.matrix for w in witnesses5[:limit]]
 
 
+def on_template(order, mask):
+    """Whether the built tournament's sorted out-degrees equal the EW template."""
+    degrees = sorted(_tournament_from_mask(order, mask).matrix.row_sums())
+    return degrees == ew_degree_template(order // 4)
+
+
+def prefilter_accepts(monkeypatch, order, masks):
+    """The masks the scan passes to ew_tournament_check, which is stubbed out."""
+    monkeypatch.setattr(search, "ew_tournament_check", lambda t: (True, 0))
+    return [m for m in masks if list(search._ew_tournament_hits(order, m, m + 1))]
+
+
 def test_limit_ends_the_scan_early(monkeypatch):
-    first_hit = next(
-        mask for mask in range(1 << 10) if ew_tournament_check(_tournament_from_mask(5, mask))[0]
-    )
+    """Only masks up to the first hit are checked, and of those only the ones
+    on the out-degree template, which the scan reads off the mask."""
+    on = [mask for mask in range(1 << 10) if on_template(5, mask)]
+    first_hit = next(mask for mask in on if ew_tournament_check(_tournament_from_mask(5, mask))[0])
     checked = []
 
     def counting(t):
@@ -68,7 +82,27 @@ def test_limit_ends_the_scan_early(monkeypatch):
 
     monkeypatch.setattr(search, "ew_tournament_check", counting)
     assert len(enumerate_ew_tournaments(5, limit=1)) == 1
-    assert len(checked) == first_hit + 1 < 1 << 10
+    expected = [_tournament_from_mask(5, mask) for mask in on if mask <= first_hit]
+    assert checked == expected
+    assert len(checked) == sum(mask <= first_hit for mask in on) < 280
+
+
+def test_prefilter_is_exact_at_order_5(monkeypatch):
+    on = [mask for mask in range(1 << 10) if on_template(5, mask)]
+    assert len(on) == 280
+    assert prefilter_accepts(monkeypatch, 5, range(1 << 10)) == on
+
+
+def test_prefilter_is_exact_on_sampled_order_9_masks(monkeypatch):
+    rng = random.Random(909)
+    masks = sorted(rng.getrandbits(36) for _ in range(3000))
+    arcs = list(enumerate(search._arc_masks(9)))
+    for mask in masks:  # the packed out-degrees, vertex by vertex
+        degrees = tuple((mask & w).bit_count() + i - (mask & l).bit_count() for i, (w, l) in arcs)
+        assert degrees == _tournament_from_mask(9, mask).matrix.row_sums()
+    on = [mask for mask in masks if on_template(9, mask)]
+    assert on  # the sample reaches the accepting side too
+    assert prefilter_accepts(monkeypatch, 9, masks) == on
 
 
 def test_enumeration_rejects_bad_orders():

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from doptsnf import kernels
 from doptsnf.designs import (
     Tournament,
     barba_double,
+    is_barba,
     skew_from_tournament,
     tournament_from_skew,
     normalize_skew_to_border,
@@ -21,8 +23,10 @@ from doptsnf.exactmat import (
     determinant,
     matmul,
 )
+from doptsnf.search import _tournament_from_mask, search_circulant_barba
 from doptsnf.snf import smith_normal_form
 from doptsnf.verify import (
+    EwReport,
     CLAIMS,
     TheoremCheck,
     block_determinant_formula,
@@ -426,6 +430,170 @@ def test_normalized_block_row_sums(witnesses5, skew14):
     d11, d22, d12, d21 = normalized_block_row_sums(skew14)
     assert (d11, d22) == (1, 1)
     assert {d12, d21} == {5, -5}
+
+
+# ---------------------------------------------------------------------------
+# The popcount Gram checks against a reference on kernels.matmul
+
+
+def ref_gram(rows):
+    return kernels.matmul(rows, list(zip(*rows)))
+
+
+def ref_analyze_gram(g, n):
+    """The two-clique analysis as written before the checks used sign_gram."""
+    for i in range(n):
+        if g[i][i] != n:
+            return None, None, f"Gram diagonal entry {i} is {g[i][i]}, not {n}"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(g[i][j]) not in (0, 2):
+                return None, None, f"off-diagonal Gram entry ({i},{j}) = {g[i][j]}"
+    blocks = verify._components(range(n), lambda i, j: abs(g[i][j]) == 2)
+    if len(blocks) != 2 or any(len(b) != n // 2 for b in blocks):
+        sizes = tuple(len(b) for b in blocks)
+        return None, None, f"Gram 2-support components have sizes {sizes}, expected two halves"
+    signs = [0] * n
+    for block in blocks:
+        root = block[0]
+        signs[root] = 1
+        for j in block[1:]:
+            if abs(g[root][j]) != 2:
+                return None, None, f"Gram block is not a clique at ({root},{j})"
+            signs[j] = g[root][j] // 2
+        for a in block:
+            for b in block:
+                if a < b and g[a][b] != 2 * signs[a] * signs[b]:
+                    return None, None, f"Gram signs are not switching-consistent at ({a},{b})"
+    return (tuple(blocks[0]), tuple(blocks[1])), tuple(signs), ""
+
+
+def ref_ew_gram_check(x, strict=False):
+    if not x.is_square:
+        raise DimensionError("ew_gram_check needs a square matrix")
+    if any(v not in (1, -1) for v in x.entries):
+        raise ValueError("entries must be +-1")
+    n = x.rows
+    if n % 4 != 2:
+        return EwReport(False, n, reason=f"order {n} is not 2 (mod 4)")
+    rows = x.to_rows()
+    rows_part, row_signs, why = ref_analyze_gram(ref_gram(rows), n)
+    if rows_part is None:
+        return EwReport(False, n, reason="rows: " + why)
+    cols_part, col_signs, why = ref_analyze_gram(ref_gram(list(zip(*rows))), n)
+    if cols_part is None:
+        return EwReport(False, n, reason="columns: " + why)
+    if strict:
+        halves = (tuple(range(n // 2)), tuple(range(n // 2, n)))
+        if rows_part != halves or cols_part != halves or -1 in row_signs + col_signs:
+            return EwReport(False, n, reason="Gram matrices differ from the literal block form")
+    return EwReport(True, n, rows_part, cols_part, verify._block_row_sums(x, rows_part))
+
+
+def ref_is_barba(r):
+    if not r.is_square:
+        raise DimensionError("is_barba needs a square matrix")
+    if any(v not in (1, -1) for v in r.entries):
+        raise ValueError("entries must be +-1")
+    n = r.rows
+    target = [[n if i == j else 1 for j in range(n)] for i in range(n)]
+    rows = r.to_rows()
+    return ref_gram(rows) == target and ref_gram(list(zip(*rows))) == target
+
+
+def ref_normalized_block_row_sums(s):
+    if not verify.is_skew_type(s):
+        raise PreconditionError("input is not skew-type")
+    if any(v not in (1, -1) for v in s.entries):
+        raise PreconditionError("entries must be +-1")
+    n = s.rows
+    part, signs, why = ref_analyze_gram(ref_gram(s.to_rows()), n)
+    if part is None:
+        raise PreconditionError(f"input lacks the EW Gram structure ({why})")
+    order = list(part[0]) + list(part[1])
+    m = [[signs[i] * signs[j] * s.at(i, j) for j in order] for i in order]
+    h = n // 2
+
+    def common_sum(rows, cols):
+        vals = {sum(m[i][j] for j in cols) for i in rows}
+        if len(vals) != 1:
+            raise PreconditionError("block row sums are not constant")
+        return vals.pop()
+
+    return (
+        common_sum(range(h), range(h)),
+        common_sum(range(h, n), range(h, n)),
+        common_sum(range(h), range(h, n)),
+        common_sum(range(h, n), range(h)),
+    )
+
+
+def outcome(f, *args):
+    """f's return value, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ValueError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_checks_match_reference(x):
+    """Same reports field for field (default and strict), same Barba verdict,
+    same block row sums, and the same exceptions with the same messages."""
+    assert outcome(ew_gram_check, x) == outcome(ref_ew_gram_check, x)
+    assert outcome(ew_gram_check, x, True) == outcome(ref_ew_gram_check, x, True)
+    assert outcome(is_barba, x) == outcome(ref_is_barba, x)
+    assert outcome(normalized_block_row_sums, x) == outcome(ref_normalized_block_row_sums, x)
+
+
+def test_packed_checks_match_reference_on_designs(example26, example66, skew14):
+    for x in (example26, example66, skew14):
+        assert ew_gram_check(x).verdict
+        assert_checks_match_reference(x)
+
+
+def test_packed_checks_match_reference_on_bordered_tournaments():
+    """Every order-6 bordered tournament: 40 EW, the rest failing on rows."""
+    verdicts = []
+    for mask in range(1 << 10):
+        x = skew_from_tournament(_tournament_from_mask(5, mask))
+        assert_checks_match_reference(x)
+        verdicts.append(ew_gram_check(x).verdict)
+    assert sum(verdicts) == 40
+
+
+def test_packed_checks_match_reference_on_paley_non_designs():
+    """q = 7 fails on switching consistency, q = 19 on entries of 10."""
+    from test_snf import paley_two_block
+
+    for q, why in ((7, "switching-consistent"), (19, "= 10")):
+        x = paley_two_block(q)
+        assert why in ew_gram_check(x).reason
+        assert_checks_match_reference(x)
+
+
+@pytest.mark.parametrize("n", [6, 10, 14])
+def test_packed_checks_match_reference_on_random_squares(n):
+    rng = random.Random(1400 + n)
+    for _ in range(40):
+        assert_checks_match_reference(
+            IntMatrix.from_rows([[rng.choice((1, -1)) for _ in range(n)] for _ in range(n)])
+        )
+
+
+def test_packed_checks_match_reference_on_circulants():
+    """Every order-13 Barba hit and its double, and circulants that are not Barba."""
+    hits = search_circulant_barba(13)
+    assert len(hits) == 104
+    for r in hits:
+        assert is_barba(r)
+        assert_checks_match_reference(r)
+        assert_checks_match_reference(barba_double(r))
+    rng = random.Random(13)
+    for n in (5, 7, 13, 14, 21):
+        for _ in range(20):
+            r = circulant([rng.choice((1, -1)) for _ in range(n)])
+            assert_checks_match_reference(r)
+    assert not is_barba(circulant([1] * 13))
 
 
 # ---------------------------------------------------------------------------
