@@ -7,21 +7,24 @@ are refused with InfeasibleSearchError instead of starting an open-ended
 scan; the cap is raised per call with max_candidates (the CLI's
 --max-candidates).
 
-Every search runs through one driver, _scan, which stops the scan once
-`limit` masks are found. Optional data parallelism partitions the mask
-range into contiguous chunks handled by worker processes, each stopping
-after `limit` hits; the merged result is exactly the sequential one. The
-pool never has more processes than CPUs or candidates.
+Every scan runs through one driver, _scan, which returns the values its
+hit generator yields for the accepted masks (a Tournament, a first row),
+in ascending mask order, and stops once `limit` are found. Optional data
+parallelism partitions the mask range into contiguous chunks handled by
+worker processes, each stopping after `limit` hits; the merged result is
+exactly the sequential one. The pool never has more processes than CPUs
+or candidates.
 
 Each search rejects candidates by an exact necessary condition before its
-costly test: the tournament searches by the out-degree template that
-ew_tournament_check applies before any Gram matrix, and which the
-exhaustive scan reads off each mask before building the tournament; the
-circulant Barba search by its row sum s, which must satisfy s^2 = 2n - 1.
-Where 2n - 1 is not a square no row can qualify, so that search returns
-no rows without a scan. barba_problem_scan computes one SNF per orbit of
-first rows under rotation and negation, which only permute rows of the
-doubled matrix or negate it.
+costly test: the EW tournament scan by the out-degree template that
+ew_tournament_check applies before any Gram matrix, read off each mask
+before the tournament is built; the circulant Barba search by its row sum
+s, which must satisfy s^2 = 2n - 1. Some searches are empty by arithmetic
+and return no hits without a scan: circulant tournaments are regular, so
+none meets the template's three out-degrees, and where 2n - 1 is not a
+square no Barba row qualifies. barba_problem_scan computes one SNF per
+orbit of first rows under rotation and negation, which only permute rows
+of the doubled matrix or negate it.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def _integer(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _chunk(job: tuple) -> list[int]:
+def _chunk(job: tuple) -> list:
     hits, order, lo, hi, limit = job
     return list(islice(hits(order, lo, hi), limit))
 
@@ -71,12 +74,13 @@ def _scan_cap(limit, workers: int, max_candidates) -> int:
     return cap
 
 
-def _scan(hits, order: int, total: int, space: str, limit, workers: int, max_candidates) -> list[int]:
-    """The first `limit` (all if None) masks in [0, total) accepted by a search.
+def _scan(hits, order: int, total: int, space: str, limit, workers: int, max_candidates) -> list:
+    """The first `limit` (all if None) hits of a search over masks [0, total).
 
     hits(order, lo, hi) is a top-level generator function, so that workers
-    can unpickle it, yielding the accepted masks of [lo, hi) in ascending
-    order; space names the candidate space in the refusal message.
+    can unpickle it, yielding one picklable value per accepted mask of
+    [lo, hi) in ascending mask order; those values are returned. space
+    names the candidate space in the refusal message.
     """
     cap = _scan_cap(limit, workers, max_candidates)
     if total > cap:
@@ -93,7 +97,7 @@ def _scan(hits, order: int, total: int, space: str, limit, workers: int, max_can
 
     size = -(-total // workers)
     jobs = [(hits, order, lo, min(lo + size, total), limit) for lo in range(0, total, size)]
-    out: list[int] = []
+    out: list = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_chunk, jobs):
             out.extend(part)
@@ -135,16 +139,17 @@ def _arc_masks(order: int) -> list[tuple[int, int]]:
 
 
 def _ew_tournament_hits(order: int, lo: int, hi: int):
-    """Masks of EW tournaments; those off the out-degree template are dropped
-    from the mask alone, before the tournament is built."""
+    """The EW tournaments among masks [lo, hi); masks off the out-degree
+    template are dropped from the mask alone, before a tournament is built."""
     template = ew_degree_template(order // 4)
     arcs = list(enumerate(_arc_masks(order)))
     for mask in range(lo, hi):
         degrees = [(mask & w).bit_count() + i - (mask & l).bit_count() for i, (w, l) in arcs]
         if sorted(degrees) != template:
             continue
-        if ew_tournament_check(_tournament_from_mask(order, mask))[0]:
-            yield mask
+        t = _tournament_from_mask(order, mask)
+        if ew_tournament_check(t)[0]:
+            yield t
 
 
 def enumerate_ew_tournaments(
@@ -159,32 +164,13 @@ def enumerate_ew_tournaments(
     bit pattern. Order 5 means 2^10 candidates; order 9 already means 2^36
     and is refused unless the candidate cap is raised explicitly.
     """
+    order = _integer("order", order)
     if order % 4 != 1:
         raise ValueError(f"order {order} is not 1 (mod 4)")
     if not 5 <= order <= 9:
         raise ValueError("only orders 5 and 9 are supported")
     total = 1 << (order * (order - 1) // 2)
-    masks = _scan(
-        _ew_tournament_hits, order, total, "tournament space", limit, workers, max_candidates
-    )
-    return [_tournament_from_mask(order, m) for m in masks]
-
-
-def _circulant_tournament_from_mask(order: int, mask: int) -> Tournament:
-    half = (order - 1) // 2
-    row = [0] * order
-    for i in range(half):
-        lag = i + 1
-        bit = (mask >> (half - 1 - i)) & 1
-        row[lag] = bit
-        row[order - lag] = 1 - bit
-    return Tournament(circulant(row))
-
-
-def _circulant_tournament_hits(order: int, lo: int, hi: int):
-    for mask in range(lo, hi):
-        if ew_tournament_check(_circulant_tournament_from_mask(order, mask))[0]:
-            yield mask
+    return _scan(_ew_tournament_hits, order, total, "tournament space", limit, workers, max_candidates)
 
 
 def search_circulant_tournament(
@@ -195,21 +181,19 @@ def search_circulant_tournament(
     """Circulant tournaments of odd order passing the EW tournament check.
 
     Candidates are the antisymmetric lag subsets (lag s in the subset iff
-    order-s is not), 2^((order-1)/2) in total, scanned in ascending mask
-    order. Circulant tournaments are regular of degree (order-1)/2, so
-    ew_tournament_check's out-degree template, which needs three distinct
-    out-degrees, rejects every candidate before any Gram matrix is built.
-    The search therefore comes back empty; it exists to make that emptiness
-    a computed fact rather than an assumption.
+    order-s is not), 2^((order-1)/2) in total. Circulant tournaments are
+    regular of degree (order-1)/2, while ew_tournament_check's out-degree
+    template needs three distinct out-degrees, so no candidate qualifies:
+    after its arguments are checked the result is [] without a scan,
+    whatever the candidate cap.
     """
+    order = _integer("order", order)
     if order % 2 == 0:
         raise ValueError("circulant tournaments need odd order")
     if order < 1:
         raise ValueError("order must be positive")
-    total = 1 << ((order - 1) // 2)
-    space = "circulant tournament space"
-    masks = _scan(_circulant_tournament_hits, order, total, space, limit, 1, max_candidates)
-    return [_circulant_tournament_from_mask(order, m) for m in masks]
+    _scan_cap(limit, 1, max_candidates)
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +218,7 @@ def _barba_row_sum(order: int) -> Optional[int]:
 
 
 def _circulant_barba_hits(order: int, lo: int, hi: int):
-    """Masks whose rows have every nonzero-lag autocorrelation equal to 1.
+    """First rows, as +-1 tuples, with every nonzero-lag autocorrelation 1.
 
     A row summing to +-s has popcount (order +- s) / 2; other masks, and
     every mask when 2 * order - 1 is not a square, are skipped. Rows agree
@@ -256,7 +240,7 @@ def _circulant_barba_hits(order: int, lo: int, hi: int):
             if (mask ^ rot).bit_count() != want:
                 break
         else:
-            yield mask
+            yield _barba_row_from_mask(order, mask)
 
 
 def search_circulant_barba(
@@ -276,6 +260,7 @@ def search_circulant_barba(
     re-verified against the textbook autocorrelations and then is_barba
     before it is returned.
     """
+    order = _integer("order", order)
     if order % 4 != 1:
         raise ValueError(f"order {order} is not 1 (mod 4)")
     if order < 1:
@@ -283,17 +268,14 @@ def search_circulant_barba(
     if _barba_row_sum(order) is None:
         _scan_cap(limit, workers, max_candidates)
         return []
-    masks = _scan(
+    rows = _scan(
         _circulant_barba_hits, order, 1 << order, "circulant space", limit, workers, max_candidates
     )
     out = []
-    for mask in masks:
-        row = _barba_row_from_mask(order, mask)
+    for row in rows:
         r = circulant(row)
         if any(c != 1 for c in autocorrelations(row)[1:]) or not is_barba(r):
-            raise RuntimeError(
-                f"popcount filter accepted a non-conforming row (mask {mask})"
-            )
+            raise RuntimeError(f"popcount filter accepted a non-conforming row {row}")
         out.append(r)
     return out
 

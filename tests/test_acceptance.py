@@ -214,7 +214,7 @@ def test_criterion_12_conditional_p_rank(capsys):
     if not witnesses:
         skipped(
             capsys, 12,
-            "exhaustive circulant search at order 13 is empty (circulants are "
+            "circulant search at order 13 is empty (circulants are "
             "regular; qualifying tournaments need three distinct degrees)",
         )
     ok = True

@@ -222,6 +222,16 @@ def test_search_empty_is_still_success(capsys):
     assert summary["count"] == "0"
 
 
+def test_circulant_tournament_search_needs_no_cap(capsys, schema):
+    # order 45 has 2^22 candidates, above the default cap, but the answer is
+    # known without a scan
+    argv = ["search", "--kind", "circulant-tournament", "--order", "45", "--json"]
+    doc = run_json(capsys, argv, 0, schema)
+    assert doc["status"] == "pass"
+    assert [r["count"] for r in doc["results"]] == ["0"]
+    assert "--parallel" in run(capsys, argv + ["--parallel", "2"], 2).err
+
+
 def test_search_refusal_and_usage(capsys):
     captured = run(capsys, ["search", "--kind", "ew-tournaments", "--order", "9"], 1)
     assert "refused" in captured.err

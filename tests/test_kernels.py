@@ -40,14 +40,11 @@ def test_pure_backend_always_available():
 
 @pytest.mark.parametrize("order", [5, 9, 13])
 def test_popcount_filter_matches_autocorrelations(order):
-    """The scan's popcount filter keeps exactly the rows the textbook
+    """The scan's popcount filter yields exactly the rows the textbook
     autocorrelation definition accepts, checked on every mask."""
     total = 1 << order
-    expected = [
-        mask
-        for mask in range(total)
-        if all(c == 1 for c in kernels.autocorrelations(_barba_row_from_mask(order, mask))[1:])
-    ]
+    rows = (_barba_row_from_mask(order, mask) for mask in range(total))
+    expected = [row for row in rows if all(c == 1 for c in kernels.autocorrelations(row)[1:])]
     assert list(_circulant_barba_hits(order, 0, total)) == expected
 
 

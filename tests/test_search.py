@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doptsnf import search
-from doptsnf.designs import barba_double, is_barba, skew_from_tournament
+from doptsnf.designs import Tournament, barba_double, is_barba, skew_from_tournament
 from doptsnf.exactmat import InfeasibleSearchError, circulant
 from doptsnf.search import (
     DEFAULT_MAX_CANDIDATES,
-    _circulant_tournament_from_mask,
     _pool_size,
     _tournament_from_mask,
     barba_problem_scan,
@@ -134,15 +133,29 @@ def test_candidate_cap_env(monkeypatch):
     assert len(enumerate_ew_tournaments(5, limit=1)) == 1
 
 
-def test_circulant_tournament_searches_are_empty():
+def test_circulant_tournament_searches_are_empty(monkeypatch):
     # the three degree classes of a qualifying tournament have different
-    # sizes, while every circulant is regular; the search can only be empty
-    for order in (5, 13):
+    # sizes, while every circulant is regular; the search can only be empty,
+    # and it answers without a scan
+    def no_scan(*args):
+        raise AssertionError("_scan was called")
+
+    monkeypatch.setattr(search, "_scan", no_scan)
+    for order in (1, 5, 13):
         assert search_circulant_tournament(order) == []
     for limit in LIMITS:
         assert search_circulant_tournament(13, limit=limit) == []
-    with pytest.raises(ValueError):
+    # 2^22 candidates, above the default cap: still no refusal, whatever the cap
+    assert search_circulant_tournament(45) == []
+    assert search_circulant_tournament(45, max_candidates=1) == []
+    with pytest.raises(ValueError, match="limit"):
+        search_circulant_tournament(45, limit=-1)
+    with pytest.raises(ValueError, match="max_candidates"):
+        search_circulant_tournament(45, max_candidates=0)
+    with pytest.raises(ValueError, match="odd order"):
         search_circulant_tournament(6)
+    with pytest.raises(ValueError, match="order must be positive"):
+        search_circulant_tournament(-1)
 
 
 def test_circulant_barba_counts():
@@ -211,6 +224,15 @@ def test_out_of_range_arguments_are_rejected():
     with pytest.raises(TypeError, match="max_candidates must be an integer, got 32.5"):
         search_circulant_barba(5, max_candidates=32.5)
     assert search_circulant_barba(5, limit=0) == []
+    for order in (13.5, 13.0):
+        for bad in (
+            lambda: enumerate_ew_tournaments(order),
+            lambda: search_circulant_tournament(order),
+            lambda: search_circulant_barba(order),
+            lambda: barba_problem_scan((5, order)),
+        ):
+            with pytest.raises(TypeError, match=f"order must be an integer, got {order}"):
+                bad()
 
 
 def test_pool_size_is_clamped_without_starting_a_pool(monkeypatch):
@@ -236,12 +258,29 @@ def _degree_rejected(a):
     return rejected
 
 
+def circulant_tournaments(order):
+    """Every circulant tournament of odd order: for each lag s <= (order-1)/2,
+    either s or order-s is an out-lag."""
+    half = (order - 1) // 2
+    for lags in itertools.product((0, 1), repeat=half):
+        row = [0] * order
+        for s, bit in enumerate(lags, start=1):
+            row[s], row[order - s] = bit, 1 - bit
+        yield Tournament(circulant(row))
+
+
 def test_degree_template_rejects_only_gram_failures():
     assert sum(_degree_rejected(_tournament_from_mask(5, m)) for m in range(1 << 10)) == 744
-    for order in (5, 9, 13):
-        # circulants are regular, so the template rejects every one
-        masks = range(1 << ((order - 1) // 2))
-        assert all(_degree_rejected(_circulant_tournament_from_mask(order, m)) for m in masks)
+    for order in (5, 9, 13, 17):
+        # circulants are regular, so the template rejects every one; this is
+        # the slow path behind search_circulant_tournament's empty answer
+        found = list(circulant_tournaments(order))
+        assert len(found) == 1 << ((order - 1) // 2)
+        assert len(set(found)) == len(found)
+        for a in found:
+            assert _degree_rejected(a)
+            assert not ew_tournament_check(a)[0]
+            assert not ew_gram_check(skew_from_tournament(a)).verdict
 
 
 @settings(max_examples=80, deadline=None)
