@@ -93,6 +93,17 @@ def skew_from_tournament(t: Tournament) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def _require_skew(s: IntMatrix) -> None:
+    """The input check of tournament_from_skew and normalize_skew_to_border:
+    a square +-1 matrix with S + S^T = 2I."""
+    if not s.is_square:
+        raise NormalizationError("input must be square")
+    if any(v not in (1, -1) for v in s.entries):
+        raise NormalizationError("entries must be +-1")
+    if s + s.transpose() != 2 * IntMatrix.identity(s.rows):
+        raise NormalizationError("input is not skew-type (S + S^T != 2I)")
+
+
 def tournament_from_skew(s: IntMatrix) -> Tournament:
     """Inverse of skew_from_tournament; rejects anything not in that exact form.
 
@@ -100,15 +111,10 @@ def tournament_from_skew(s: IntMatrix) -> Tournament:
     and an all-minus-ones first column. Other normalizations are rejected
     rather than silently repaired (see normalize_skew_to_border).
     """
-    if not s.is_square:
-        raise NormalizationError("input must be square")
+    _require_skew(s)
     n = s.rows - 1
     if n < 1:
         raise NormalizationError("input must have order at least 2")
-    if any(v not in (1, -1) for v in s.entries):
-        raise NormalizationError("entries must be +-1")
-    if s + s.transpose() != 2 * IntMatrix.identity(n + 1):
-        raise NormalizationError("input is not skew-type (S + S^T != 2I)")
     if any(s.at(0, j) != 1 for j in range(n + 1)):
         raise NormalizationError("first row must be all ones")
     if any(s.at(i, 0) != -1 for i in range(1, n + 1)):
@@ -131,13 +137,8 @@ def normalize_skew_to_border(s: IntMatrix) -> IntMatrix:
     the first column all minus ones, after which tournament_from_skew
     applies.
     """
-    if not s.is_square:
-        raise NormalizationError("input must be square")
-    if any(v not in (1, -1) for v in s.entries):
-        raise NormalizationError("entries must be +-1")
+    _require_skew(s)
     n = s.rows
-    if s + s.transpose() != 2 * IntMatrix.identity(n):
-        raise NormalizationError("input is not skew-type (S + S^T != 2I)")
     eps = [s.at(0, j) for j in range(n)]
     return IntMatrix.from_rows(
         [[eps[i] * eps[j] * s.at(i, j) for j in range(n)] for i in range(n)]

@@ -84,6 +84,7 @@ class IntMatrix(Frozen):
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]) -> None:
+        rows, cols = operator.index(rows), operator.index(cols)
         if rows < 1 or cols < 1:
             raise DimensionError("matrix dimensions must be positive")
         ent = tuple(map(operator.index, entries))  # rejects 1.5 rather than truncating it
@@ -268,6 +269,8 @@ def is_prime(n: int) -> bool:
 
 def rank_mod_p(a: IntMatrix, p: int) -> int:
     """Rank of a over GF(p); p must be prime."""
+    if not isinstance(p, int):
+        raise TypeError(f"p must be an integer, got {p!r}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return kernels.gf_rank(a.to_rows(), p)

@@ -169,21 +169,6 @@ def ew_gram_check(x: IntMatrix, strict: bool = False) -> EwReport:
 # Tournament structure
 
 
-def degree_classes(a: Tournament) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Vertices grouped by out-degree (2t-1, 2t+1, 2t) for order 4t+1."""
-    n = a.order
-    if n % 4 != 1 or n < 5:
-        raise PreconditionError(f"order {n} is not 4t+1 with t >= 1")
-    t = n // 4
-    sums = a.matrix.row_sums()
-    low = tuple(i for i, s in enumerate(sums) if s == 2 * t - 1)
-    high = tuple(i for i, s in enumerate(sums) if s == 2 * t + 1)
-    mid = tuple(i for i, s in enumerate(sums) if s == 2 * t)
-    if len(low) + len(high) + len(mid) != n:
-        raise PreconditionError("out-degrees fall outside {2t-1, 2t, 2t+1}")
-    return low, high, mid
-
-
 def ew_degree_template(t: int) -> list[int]:
     """The sorted out-degrees [2t-1]^t + [2t]^(2t+1) + [2t+1]^t of an EW
     tournament of order 4t+1 (see ew_tournament_check)."""
@@ -194,17 +179,28 @@ def ew_tournament_check(a: Tournament) -> tuple[bool, Optional[int]]:
     """Verdict plus the extracted split parameter of a candidate tournament.
 
     The verdict is true exactly when the bordered matrix
-    skew_from_tournament(a) passes ew_gram_check. That Gram form forces the
-    out-degrees {2t-1}^t, {2t}^(2t+1), {2t+1}^t: row i+1 of the bordered
-    matrix meets the all-ones border row in 2d_i - 4t, which must be 0 for
-    the 2t+1 rows outside the border row's half and +-2 for the other 2t
-    rows of that half, and the out-degrees sum to 2t(4t+1). So any other
-    profile is rejected before the Gram matrices are built. On a true
-    verdict the product AA^T must match the class template, and the
-    degree-2t class must split into two parts of sizes (a, 2t+1-a) with a
-    solving a^2 - (2t+1)a + t(t-1) = 0; the smaller part size is returned.
-    A true Gram verdict with a failed template is an internal
-    contradiction and raises RuntimeError.
+    S = skew_from_tournament(a), of order n + 1 = 4t + 2, passes
+    ew_gram_check. Row i+1 of S meets the all-ones border row in
+    2d_i - 4t, where d_i is the out-degree of vertex i; that entry must be
+    0 for the 2t+1 rows outside the border row's half and +-2 for the
+    other 2t rows of that half, and the out-degrees sum to 2t(4t+1). So
+    an EW tournament has the out-degrees {2t-1}^t, {2t}^(2t+1),
+    {2t+1}^t, and any other profile is rejected before a Gram matrix is
+    built. Two identities let one row Gram analysis of S decide the rest:
+
+    1. S is skew-type, so S^TS = (2I - S)S = SS^T: the column analysis of
+       ew_gram_check repeats the row analysis, so the row verdict alone is
+       ew_gram_check(S).verdict.
+    2. For i != j, (SS^T)_{i+1,j+1} = 4(AA^T)_ij - 2d_i - 2d_j + 4t + 2.
+       The rows i+1 with d_i = 2t are the half of S's rows without the
+       border row, and the row verdict's blocks and signs fix every other
+       entry of AA^T. Within that half (AA^T)_ij is t where the switching
+       signs of rows i+1 and j+1 agree and t - 1 where they differ.
+
+    The smaller sign class has size a, which must solve
+    a^2 - (2t+1)a + t(t-1) = 0 (that does not follow from the identities);
+    a true Gram verdict with any other a raises RuntimeError. Returns
+    (verdict, a), with a None on a false verdict.
     """
     n = a.order
     if n % 4 != 1 or n < 5:
@@ -212,45 +208,11 @@ def ew_tournament_check(a: Tournament) -> tuple[bool, Optional[int]]:
     t = n // 4
     if sorted(a.matrix.row_sums()) != ew_degree_template(t):
         return False, None
-    if not ew_gram_check(skew_from_tournament(a)).verdict:
+    part, signs, _ = _analyze_gram(sign_gram(skew_from_tournament(a).to_rows()), n + 1)
+    if part is None:
         return False, None
-    low, high, mid = degree_classes(a)
-    g = matmul(a.matrix, a.matrix.transpose())
-    cls = {}
-    for i in low:
-        cls[i] = "low"
-    for i in high:
-        cls[i] = "high"
-    for i in mid:
-        cls[i] = "mid"
-    template = {
-        ("low", "low"): t - 1,
-        ("low", "high"): t - 1,
-        ("high", "high"): t + 1,
-        ("low", "mid"): t - 1,
-        ("high", "mid"): t,
-    }
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = (cls[i], cls[j])
-            if pair == ("mid", "mid"):
-                if g.at(i, j) not in (t - 1, t):
-                    raise RuntimeError(f"mid-class product entry ({i},{j}) = {g.at(i, j)}")
-                continue
-            value = template.get(pair, template.get((pair[1], pair[0])))
-            if g.at(i, j) != value:
-                raise RuntimeError(
-                    f"product template fails at ({i},{j}): {g.at(i, j)} != {value}"
-                )
-    parts = _components(mid, lambda i, j: g.at(i, j) == t)
-    for part in parts:
-        for i in part:
-            for j in part:
-                if i < j and g.at(i, j) != t:
-                    raise RuntimeError("degree-2t class does not split into two cliques")
-    if len(parts) > 2:
-        raise RuntimeError(f"degree-2t class splits into {len(parts)} parts")
-    a_param = 0 if len(parts) == 1 else min(len(p) for p in parts)
+    plus = sum(signs[i] == 1 for i in part[1])  # halves are sorted by least index, 0 in the first
+    a_param = min(plus, 2 * t + 1 - plus)
     if a_param * a_param - (2 * t + 1) * a_param + t * (t - 1) != 0:
         raise RuntimeError(f"split size {a_param} fails the quadratic at t = {t}")
     return True, a_param

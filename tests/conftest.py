@@ -1,9 +1,11 @@
-"""Shared fixtures: the exhaustive order-5 witness list and a hand-built
-order-14 skew design (two circulant blocks) with its order-13 tournament."""
+"""Shared fixtures: the exhaustive order-5 witness list, skew designs of
+orders 14 and 26 (two circulant blocks each) with their bordered
+tournaments, and the reference designs of orders 26 and 66."""
 
 import pytest
 
 from doptsnf.designs import (
+    BlockEwSpec,
     build_example_26,
     build_example_66,
     normalize_skew_to_border,
@@ -28,6 +30,22 @@ def skew14():
 @pytest.fixture(scope="session")
 def tournament13(skew14):
     return tournament_from_skew(normalize_skew_to_border(skew14))
+
+
+# The t=6 member: r1 is skew (r1[j] = -r1[13-j]) with row sum 1, r2 has row
+# sum -7, and 1 + 49 = 8t + 2.
+SKEW26_ROW_A = (1, 1, -1, 1, -1, -1, -1, 1, 1, 1, -1, 1, -1)
+SKEW26_ROW_B = (1, 1, -1, -1, 1, -1, -1, -1, -1, -1, -1, -1, -1)
+
+
+@pytest.fixture(scope="session")
+def skew26():
+    return BlockEwSpec(circulant(SKEW26_ROW_A), circulant(SKEW26_ROW_B)).assemble()
+
+
+@pytest.fixture(scope="session")
+def tournament25(skew26):
+    return tournament_from_skew(normalize_skew_to_border(skew26))
 
 
 @pytest.fixture(scope="session")

@@ -186,6 +186,8 @@ def test_rank_mod_p():
     assert rank_mod_p(3 * IntMatrix.identity(4), 3) == 0
     with pytest.raises(ValueError):
         rank_mod_p(m, 6)
+    with pytest.raises(TypeError, match="p must be an integer, got 3.0"):
+        rank_mod_p(m, 3.0)  # refused before the primality test, which would pass it
 
 
 def test_rank_mod_p_matches_det():

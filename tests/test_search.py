@@ -21,6 +21,7 @@ from doptsnf.search import (
 )
 from doptsnf.snf import smith_normal_form
 from doptsnf.verify import ew_degree_template, ew_gram_check, ew_tournament_check
+from test_verify import ref_ew_tournament_check
 
 GOLDEN_13_ROW = (1, 1, 1, 1, -1, 1, -1, -1, 1, 1, 1, -1, 1)
 
@@ -290,7 +291,9 @@ def test_degree_template_rejects_only_gram_failures():
     )
 )
 def test_degree_template_on_random_tournaments(case):
-    _degree_rejected(_tournament_from_mask(*case))
+    a = _tournament_from_mask(*case)
+    _degree_rejected(a)
+    assert ew_tournament_check(a) == ref_ew_tournament_check(a)
 
 
 def test_barba_search_is_empty_by_arithmetic(monkeypatch):

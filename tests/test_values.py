@@ -26,6 +26,7 @@ CASES = {
             ((0, 1, ()), DimensionError, "matrix dimensions must be positive"),
             ((2, 2, (1, 2, 3)), ValueError, "expected 4 entries, got 3"),
             ((1, 1, (1.5,)), TypeError, "'float' object cannot be interpreted as an integer"),
+            ((2.0, 2, (1, 2, 3, 4)), TypeError, "'float' object cannot be interpreted as an integer"),
         ],
     ),
     "Tournament": (

@@ -1,8 +1,10 @@
 """Structure recognition and closed-form conformance checks."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doptsnf import kernels
 from doptsnf.designs import (
@@ -30,7 +32,7 @@ from doptsnf.verify import (
     CLAIMS,
     TheoremCheck,
     block_determinant_formula,
-    degree_classes,
+    ew_degree_template,
     ew_gram_check,
     ew_tournament_check,
     existence_filter,
@@ -114,37 +116,24 @@ def test_strict_gram_check():
 # Tournament checks
 
 
-def test_degree_classes_small(witnesses5):
-    for t in witnesses5:
-        low, high, mid = degree_classes(t)
-        assert (len(low), len(high), len(mid)) == (1, 1, 3)
-        row_sums = t.matrix.row_sums()
-        assert all(row_sums[i] == 1 for i in low)
-        assert all(row_sums[i] == 3 for i in high)
-        assert all(row_sums[i] == 2 for i in mid)
-
-
-def test_degree_classes_13(tournament13):
-    low, high, mid = degree_classes(tournament13)
-    assert (len(low), len(high), len(mid)) == (3, 3, 7)
-
-
-def test_degree_classes_rejects_non_ew_profile():
-    with pytest.raises(PreconditionError):
-        degree_classes(Tournament(circulant((0, 1, 0))))
-
-
 def test_ew_tournament_check_witnesses(witnesses5):
     for t in witnesses5:
         verdict, a = ew_tournament_check(t)
         assert verdict
         assert a in (0, 3)  # the two roots of a^2 - 3a = 0
+        assert sorted(t.matrix.row_sums()) == ew_degree_template(1)
 
 
 def test_ew_tournament_check_13(tournament13):
     verdict, a = ew_tournament_check(tournament13)
     assert verdict
     assert a == 1  # a^2 - 7a + 6 = 0 has roots 1 and 6
+    assert sorted(tournament13.matrix.row_sums()) == ew_degree_template(3)
+
+
+def test_ew_tournament_check_25(tournament25):
+    assert ew_tournament_check(tournament25) == (True, 3)  # a^2 - 13a + 30 = 0: 3 and 10
+    assert sorted(tournament25.matrix.row_sums()) == ew_degree_template(6)
 
 
 def test_ew_tournament_check_rejects_cycle():
@@ -178,7 +167,16 @@ def test_p_rank_13(tournament13):
     assert rep.passed
 
 
+def test_p_rank_25(tournament25):
+    for p in (2, 3):
+        rep = p_rank_report(tournament25, p)
+        assert (rep.rank_a_plus_i, rep.rank_a) == (13, 14)
+        assert rep.passed
+
+
 def test_p_rank_preconditions(witnesses5, tournament13):
+    with pytest.raises(TypeError):
+        p_rank_report(tournament13, 3.0)  # 3.0 in factorize(3) holds; rank_mod_p refuses it
     with pytest.raises(PreconditionError):
         p_rank_report(tournament13, 4)  # not prime
     with pytest.raises(PreconditionError):
@@ -327,6 +325,26 @@ def test_claims_on_14(skew14, tournament13):
         assert theorem_conformance(skew14, claim).passed, claim
     for claim in ("tournament-snf", "border-link", "aplusi-head", "a2a-tail"):
         assert theorem_conformance(tournament13.matrix, claim).passed, claim
+
+
+def test_claims_on_26(skew26, tournament25):
+    """The first skew-type design of order 26, t = 6, and its bordered tournament."""
+    assert smith_normal_form(skew26).factors == predicted_snf_skew_ew(6)
+    assert predicted_snf_skew_ew(6) == (1,) + (2,) * 13 + (12,) * 11 + (300,)
+    for claim in (
+        "main", "skew-head", "skew-last", "ew-head", "scaled-inverse", "block-prime-square"
+    ):
+        assert theorem_conformance(skew26, claim).passed, claim
+    for claim in ("tournament-snf", "border-link", "aplusi-head", "a2a-tail"):
+        assert theorem_conformance(tournament25.matrix, claim).passed, claim
+
+
+def test_skew26_is_not_equivalent_to_example26(example26, skew26):
+    """The paper's application on two real EW designs of order 26: both pass
+    the Gram check, and their Smith normal forms differ, so no signed
+    permutations carry one to the other."""
+    assert ew_gram_check(example26).verdict and ew_gram_check(skew26).verdict
+    assert smith_normal_form(example26).factors != smith_normal_form(skew26).factors
 
 
 def test_block_claims_route_by_case(example26, example66):
@@ -490,6 +508,54 @@ def ref_ew_gram_check(x, strict=False):
     return EwReport(True, n, rows_part, cols_part, verify._block_row_sums(x, rows_part))
 
 
+def ref_ew_tournament_check(a):
+    """ew_tournament_check as written before it read the split parameter off
+    the row Gram analysis: the degree classes, AA^T, its class template and
+    the clique split of the degree-2t class."""
+    n = a.order
+    if n % 4 != 1 or n < 5:
+        return False, None
+    t = n // 4
+    sums = a.matrix.row_sums()
+    if sorted(sums) != ew_degree_template(t):
+        return False, None
+    if not ref_ew_gram_check(skew_from_tournament(a)).verdict:
+        return False, None
+    label = {2 * t - 1: "low", 2 * t + 1: "high", 2 * t: "mid"}
+    cls = [label[d] for d in sums]
+    g = ref_gram(a.matrix.to_rows())
+    template = {
+        ("low", "low"): t - 1,
+        ("low", "high"): t - 1,
+        ("high", "high"): t + 1,
+        ("low", "mid"): t - 1,
+        ("high", "mid"): t,
+    }
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = (cls[i], cls[j])
+            if pair == ("mid", "mid"):
+                if g[i][j] not in (t - 1, t):
+                    raise RuntimeError(f"mid-class product entry ({i},{j}) = {g[i][j]}")
+                continue
+            value = template.get(pair, template.get((pair[1], pair[0])))
+            if g[i][j] != value:
+                raise RuntimeError(f"product template fails at ({i},{j}): {g[i][j]} != {value}")
+    mid = [i for i in range(n) if cls[i] == "mid"]
+    parts = verify._components(mid, lambda i, j: g[i][j] == t)
+    for part in parts:
+        for i in part:
+            for j in part:
+                if i < j and g[i][j] != t:
+                    raise RuntimeError("degree-2t class does not split into two cliques")
+    if len(parts) > 2:
+        raise RuntimeError(f"degree-2t class splits into {len(parts)} parts")
+    a_param = 0 if len(parts) == 1 else min(len(p) for p in parts)
+    if a_param * a_param - (2 * t + 1) * a_param + t * (t - 1) != 0:
+        raise RuntimeError(f"split size {a_param} fails the quadratic at t = {t}")
+    return True, a_param
+
+
 def ref_is_barba(r):
     if not r.is_square:
         raise DimensionError("is_barba needs a square matrix")
@@ -569,6 +635,54 @@ def test_packed_checks_match_reference_on_paley_non_designs():
         x = paley_two_block(q)
         assert why in ew_gram_check(x).reason
         assert_checks_match_reference(x)
+
+
+def relabel(a, rng):
+    """a with its vertices renamed by a random permutation."""
+    perm = list(range(a.order))
+    rng.shuffle(perm)
+    return Tournament(IntMatrix.from_rows([[a.matrix.at(i, j) for j in perm] for i in perm]))
+
+
+def test_tournament_check_matches_reference(tournament13, tournament25):
+    """Every order-5 tournament (40 true), the order-13 and order-25 bordered
+    tournaments and a relabelling of the latter: the same (verdict, a)."""
+    verdicts = []
+    for mask in range(1 << 10):
+        a = _tournament_from_mask(5, mask)
+        verdicts.append(ew_tournament_check(a))
+        assert verdicts[-1] == ref_ew_tournament_check(a)
+    assert Counter(verdicts) == {(False, None): 984, (True, 0): 40}
+    shuffled = relabel(tournament25, random.Random(2501))
+    assert shuffled != tournament25
+    for a in (tournament13, tournament25, shuffled):
+        assert ew_tournament_check(a) == ref_ew_tournament_check(a)
+        assert ew_tournament_check(a)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(5, 21).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    )
+)
+def test_bordered_gram_identities(case):
+    """The identities ew_tournament_check rests on, for any tournament A of
+    order n with out-degrees d and S its bordered matrix: S^TS = SS^T; row 0
+    of S meets row i+1 in 2d_i - (n - 1); and for i != j,
+    (SS^T)_{i+1,j+1} = 4(AA^T)_ij - 2d_i - 2d_j + n + 1."""
+    a = _tournament_from_mask(*case)
+    n = a.order
+    d = a.matrix.row_sums()
+    s = skew_from_tournament(a).to_rows()
+    sst = ref_gram(s)
+    assert sst == ref_gram(list(zip(*s)))
+    aat = ref_gram(a.matrix.to_rows())
+    for i in range(n):
+        assert sst[0][i + 1] == 2 * d[i] - (n - 1)
+        for j in range(n):
+            if i != j:
+                assert sst[i + 1][j + 1] == 4 * aat[i][j] - 2 * d[i] - 2 * d[j] + n + 1
 
 
 @pytest.mark.parametrize("n", [6, 10, 14])
