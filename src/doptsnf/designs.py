@@ -79,6 +79,14 @@ class BlockEwSpec(Frozen):
         return block2x2(r1, r2, -(r2.transpose()), r1.transpose())
 
 
+def bordered_rows(a: list[list[int]]) -> list[list[int]]:
+    """The rows of skew_from_tournament's matrix, from the 0/1 rows of A."""
+    rows = [[1] * (len(a) + 1)]
+    for i, ai in enumerate(a):
+        rows.append([-1] + [int(i == j) + v - a[j][i] for j, v in enumerate(ai)])
+    return rows
+
+
 def skew_from_tournament(t: Tournament) -> IntMatrix:
     """Bordered +-1 matrix of order n+1 from a tournament of order n.
 
@@ -86,11 +94,7 @@ def skew_from_tournament(t: Tournament) -> IntMatrix:
     the trailing block is I + A - A^T. The result always satisfies
     S + S^T = 2I.
     """
-    a = t.matrix.to_rows()
-    rows = [[1] * (t.order + 1)]
-    for i, ai in enumerate(a):
-        rows.append([-1] + [int(i == j) + v - a[j][i] for j, v in enumerate(ai)])
-    return IntMatrix.from_rows(rows)
+    return IntMatrix.from_rows(bordered_rows(t.matrix.to_rows()))
 
 
 def _require_skew(s: IntMatrix) -> None:

@@ -231,6 +231,14 @@ def adjugate_and_det(a: IntMatrix) -> tuple[IntMatrix, int]:
     return IntMatrix.from_rows(adj), det
 
 
+def as_integer(name: str, value) -> int:
+    """value as an int; like IntMatrix entries, 1.5 is refused rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def trial_divide(n: int, bound: int | None = None) -> tuple[dict[int, int], int]:
     """Split n >= 1 into prime powers {p: e} and a cofactor c by trial division.
 
@@ -241,6 +249,9 @@ def trial_divide(n: int, bound: int | None = None) -> tuple[dict[int, int], int]
     factor below the bound: it may be prime or composite.
     ``n == c * prod(p**e)`` always holds.
     """
+    n = as_integer("n", n)
+    if bound is not None:
+        bound = as_integer("bound", bound)
     if n < 1:
         raise ValueError(f"trial division needs n >= 1, got {n}")
     powers: dict[int, int] = {}
@@ -269,8 +280,7 @@ def is_prime(n: int) -> bool:
 
 def rank_mod_p(a: IntMatrix, p: int) -> int:
     """Rank of a over GF(p); p must be prime."""
-    if not isinstance(p, int):
-        raise TypeError(f"p must be an integer, got {p!r}")
+    p = as_integer("p", p)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return kernels.gf_rank(a.to_rows(), p)

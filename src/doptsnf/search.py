@@ -15,31 +15,30 @@ worker processes, each stopping after `limit` hits; the merged result is
 exactly the sequential one. The pool never has more processes than CPUs
 or candidates.
 
-Each search rejects candidates by an exact necessary condition before its
-costly test: the EW tournament scan by the out-degree template that
-ew_tournament_check applies before any Gram matrix, read off each mask
-before the tournament is built; the circulant Barba search by its row sum
-s, which must satisfy s^2 = 2n - 1. Some searches are empty by arithmetic
-and return no hits without a scan: circulant tournaments are regular, so
-none meets the template's three out-degrees, and where 2n - 1 is not a
-square no Barba row qualifies. barba_problem_scan computes one SNF per
-orbit of first rows under rotation and negation, which only permute rows
-of the doubled matrix or negate it.
+The EW tournament scan tests each candidate on its 0/1 rows with
+ew_split, which rejects an out-degree profile off the template before it
+forms a Gram matrix, and builds a Tournament only for a hit. The circulant
+Barba search skips a row whose sum s misses s^2 = 2n - 1. Some searches
+are empty by arithmetic and return no hits without a scan: circulant
+tournaments are regular, so none meets the template's three out-degrees,
+and where 2n - 1 is not a square no Barba row qualifies.
+barba_problem_scan computes one SNF per orbit of first rows under
+rotation and negation, which only permute rows of the doubled matrix or
+negate it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import os
 from itertools import islice
 from typing import Iterable, NamedTuple, Optional
 
 from .designs import Tournament, barba_double, is_barba
-from .exactmat import InfeasibleSearchError, IntMatrix, circulant
+from .exactmat import InfeasibleSearchError, IntMatrix, as_integer, circulant
 from .kernels import autocorrelations
 from .snf import smith_normal_form
-from .verify import ew_degree_template, ew_tournament_check
+from .verify import ew_split
 
 DEFAULT_MAX_CANDIDATES = 1 << 20
 
@@ -49,14 +48,6 @@ def _pool_size(workers: int, total: int) -> int:
     return min(workers, os.cpu_count() or 1, total)
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; like IntMatrix entries, 1.5 is refused rather than truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _chunk(job: tuple) -> list:
     hits, order, lo, hi, limit = job
     return list(islice(hits(order, lo, hi), limit))
@@ -64,11 +55,11 @@ def _chunk(job: tuple) -> list:
 
 def _scan_cap(limit, workers: int, max_candidates) -> int:
     """The candidate cap, after checking the arguments every scan takes."""
-    if limit is not None and _integer("limit", limit) < 0:
+    if limit is not None and as_integer("limit", limit) < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
-    if _integer("workers", workers) < 1:
+    if as_integer("workers", workers) < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    cap = DEFAULT_MAX_CANDIDATES if max_candidates is None else _integer("max_candidates", max_candidates)
+    cap = DEFAULT_MAX_CANDIDATES if max_candidates is None else as_integer("max_candidates", max_candidates)
     if cap < 1:
         raise ValueError(f"max_candidates must be at least 1, got {cap}")
     return cap
@@ -108,8 +99,8 @@ def _scan(hits, order: int, total: int, space: str, limit, workers: int, max_can
 # Tournament searches
 
 
-def _tournament_from_mask(order: int, mask: int) -> Tournament:
-    """Decode a strictly-upper-triangular bitmask, most significant bit first."""
+def _tournament_rows(order: int, mask: int) -> list[list[int]]:
+    """The 0/1 rows of a strictly-upper-triangular bitmask, most significant bit first."""
     rows = [[0] * order for _ in range(order)]
     shift = order * (order - 1) // 2
     for i in range(order):
@@ -118,38 +109,21 @@ def _tournament_from_mask(order: int, mask: int) -> Tournament:
             bit = (mask >> shift) & 1
             rows[i][j] = bit
             rows[j][i] = 1 - bit
-    return Tournament(IntMatrix.from_rows(rows))
+    return rows
 
 
-def _arc_masks(order: int) -> list[tuple[int, int]]:
-    """Per vertex i, the bits of a tournament mask that i wins and loses when set.
-
-    Bit (i, j), i < j, set means i beats j; so vertex i's out-degree in
-    mask m is popcount(m & wins) + i - popcount(m & losses).
-    """
-    wins = [0] * order
-    losses = [0] * order
-    shift = order * (order - 1) // 2
-    for i in range(order):
-        for j in range(i + 1, order):
-            shift -= 1
-            wins[i] |= 1 << shift
-            losses[j] |= 1 << shift
-    return list(zip(wins, losses))
+def _tournament_from_mask(order: int, mask: int) -> Tournament:
+    """The Tournament of a mask; a tool for tests, which the scan does not use."""
+    return Tournament(IntMatrix.from_rows(_tournament_rows(order, mask)))
 
 
 def _ew_tournament_hits(order: int, lo: int, hi: int):
-    """The EW tournaments among masks [lo, hi); masks off the out-degree
-    template are dropped from the mask alone, before a tournament is built."""
-    template = ew_degree_template(order // 4)
-    arcs = list(enumerate(_arc_masks(order)))
+    """The EW tournaments among masks [lo, hi): ew_split tests each mask's
+    rows, and a Tournament is built only for a hit."""
     for mask in range(lo, hi):
-        degrees = [(mask & w).bit_count() + i - (mask & l).bit_count() for i, (w, l) in arcs]
-        if sorted(degrees) != template:
-            continue
-        t = _tournament_from_mask(order, mask)
-        if ew_tournament_check(t)[0]:
-            yield t
+        rows = _tournament_rows(order, mask)
+        if ew_split(rows) is not None:
+            yield Tournament(IntMatrix.from_rows(rows))
 
 
 def enumerate_ew_tournaments(
@@ -164,7 +138,7 @@ def enumerate_ew_tournaments(
     bit pattern. Order 5 means 2^10 candidates; order 9 already means 2^36
     and is refused unless the candidate cap is raised explicitly.
     """
-    order = _integer("order", order)
+    order = as_integer("order", order)
     if order % 4 != 1:
         raise ValueError(f"order {order} is not 1 (mod 4)")
     if not 5 <= order <= 9:
@@ -187,7 +161,7 @@ def search_circulant_tournament(
     after its arguments are checked the result is [] without a scan,
     whatever the candidate cap.
     """
-    order = _integer("order", order)
+    order = as_integer("order", order)
     if order % 2 == 0:
         raise ValueError("circulant tournaments need odd order")
     if order < 1:
@@ -260,7 +234,7 @@ def search_circulant_barba(
     re-verified against the textbook autocorrelations and then is_barba
     before it is returned.
     """
-    order = _integer("order", order)
+    order = as_integer("order", order)
     if order % 4 != 1:
         raise ValueError(f"order {order} is not 1 (mod 4)")
     if order < 1:

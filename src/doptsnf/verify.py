@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .designs import Tournament, skew_from_tournament
+from .designs import Tournament, bordered_rows, skew_from_tournament
 from .exactmat import (
     DimensionError,
     IntMatrix,
@@ -200,22 +200,29 @@ def ew_tournament_check(a: Tournament) -> tuple[bool, Optional[int]]:
     The smaller sign class has size a, which must solve
     a^2 - (2t+1)a + t(t-1) = 0 (that does not follow from the identities);
     a true Gram verdict with any other a raises RuntimeError. Returns
-    (verdict, a), with a None on a false verdict.
+    (verdict, a), with a None on a false verdict; ew_split does the work.
     """
-    n = a.order
+    a_param = ew_split(a.matrix.to_rows())
+    return a_param is not None, a_param
+
+
+def ew_split(rows: list[list[int]]) -> Optional[int]:
+    """ew_tournament_check's split parameter a, or None on a false verdict,
+    for a tournament given by its 0/1 rows (which are not validated)."""
+    n = len(rows)
     if n % 4 != 1 or n < 5:
-        return False, None
+        return None
     t = n // 4
-    if sorted(a.matrix.row_sums()) != ew_degree_template(t):
-        return False, None
-    part, signs, _ = _analyze_gram(sign_gram(skew_from_tournament(a).to_rows()), n + 1)
+    if sorted(map(sum, rows)) != ew_degree_template(t):
+        return None
+    part, signs, _ = _analyze_gram(sign_gram(bordered_rows(rows)), n + 1)
     if part is None:
-        return False, None
+        return None
     plus = sum(signs[i] == 1 for i in part[1])  # halves are sorted by least index, 0 in the first
     a_param = min(plus, 2 * t + 1 - plus)
     if a_param * a_param - (2 * t + 1) * a_param + t * (t - 1) != 0:
         raise RuntimeError(f"split size {a_param} fails the quadratic at t = {t}")
-    return True, a_param
+    return a_param
 
 
 class PRankReport(NamedTuple):
@@ -414,6 +421,7 @@ def _skew_ew_t(x: IntMatrix) -> int:
     _require(is_skew_type(x), "input is not skew-type")
     rep = ew_gram_check(x)
     _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
+    _require(x.rows >= 6, f"the claim needs t >= 1; order {x.rows} gives t = 0")
     return (x.rows - 2) // 4
 
 
@@ -603,6 +611,7 @@ def _block_claim(case: str) -> Callable[[IntMatrix], TheoremCheck]:
             rep.row_block_sums is not None,
             "rows do not have constant block sums; cannot recover (r1, r2)",
         )
+        _require(x.rows >= 6, f"the claim needs t >= 1; order {x.rows} gives t = 0")
         r1, r2 = rep.row_block_sums
         constraints = predicted_block_snf((x.rows - 2) // 4, r1, r2)
         _require(

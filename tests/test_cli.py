@@ -201,6 +201,18 @@ def test_check_main_refuses_inputs_outside_the_family(tmp_path, capsys, text, co
     assert captured.err == message + "\n"
 
 
+@pytest.mark.parametrize(
+    "claim", ["main", "skew-head", "skew-last", "scaled-inverse", "block-squarefree", "block-prime-square"]
+)
+def test_check_refuses_order_2_as_a_precondition(tmp_path, capsys, claim):
+    # [[1, 1], [-1, 1]] is skew-type and EW, but t = 0 predicts nothing
+    path = tmp_path / "x.mat"
+    path.write_text("2 2\n1 1\n-1 1\n")
+    captured = run(capsys, ["check", str(path), "--theorem", claim], 1)
+    assert captured.err == "precondition failed: the claim needs t >= 1; order 2 gives t = 0\n"
+    run(capsys, ["check", str(path), "--theorem", "ew-head"], 0)
+
+
 def test_check_chain_on_tournament(capsys, t5_path):
     for claim in ("tournament-snf", "border-link", "aplusi-head", "a2a-tail"):
         run(capsys, ["check", t5_path, "--theorem", claim], 0)
@@ -448,6 +460,23 @@ def test_refusals_under_python_m(tmp_path, schema, example66, argv, prefix, as_j
         assert doc["error"] == proc.stderr[len(prefix):].rstrip("\n")
     else:
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("limit", [[], ["--limit", "7"]])
+def test_parallel_search_under_python_m(tmp_path, schema, limit):
+    """With --parallel 2 the pool's workers build the tournaments; the report
+    equals the serial one but for its elapsed time."""
+    argv = ["-m", "doptsnf.cli", "search", "--kind", "ew-tournaments", "--order", "5", "--json", *limit]
+    docs = []
+    for parallel in ([], ["--parallel", "2"]):
+        proc = python(argv + parallel, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        jsonschema.validate(doc, schema)
+        del doc["elapsed_ms"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0]["results"][0]["count"] == ("7" if limit else "40")
 
 
 #: Runs the command in argv, if any, then prints the names of the loaded modules.

@@ -175,6 +175,15 @@ def test_factorize():
             factorize(n)
         with pytest.raises(ValueError):
             trial_divide(n, 10)
+    # Non-integers are refused, not factored: 7.5 is not {7.5: 1}, 12.0 not {2: 2, 3.0: 1}.
+    for call, message in (
+        (lambda: factorize(7.5), "n must be an integer, got 7.5"),
+        (lambda: factorize(12.0), "n must be an integer, got 12.0"),
+        (lambda: is_prime(7.0), "n must be an integer, got 7.0"),
+        (lambda: trial_divide(12, 3.0), "bound must be an integer, got 3.0"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            call()
 
 
 def test_rank_mod_p():

@@ -1,31 +1,33 @@
 """Exhaustive searches: frozen counts, determinism, candidate gating."""
 
 import itertools
-import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doptsnf import search
+from doptsnf import designs, search, verify
 from doptsnf.designs import Tournament, barba_double, is_barba, skew_from_tournament
 from doptsnf.exactmat import InfeasibleSearchError, circulant
 from doptsnf.search import (
     DEFAULT_MAX_CANDIDATES,
     _pool_size,
     _tournament_from_mask,
+    _tournament_rows,
     barba_problem_scan,
     enumerate_ew_tournaments,
     search_circulant_barba,
     search_circulant_tournament,
 )
 from doptsnf.snf import smith_normal_form
-from doptsnf.verify import ew_degree_template, ew_gram_check, ew_tournament_check
+from doptsnf.verify import ew_gram_check, ew_split, ew_tournament_check
 from test_verify import ref_ew_tournament_check
 
 GOLDEN_13_ROW = (1, 1, 1, 1, -1, 1, -1, -1, 1, 1, 1, -1, 1)
 
 LIMITS = (0, 1, 7, None)
+#: Limits for the 40-hit tournament scan, up to and past the last hit.
+TOURNAMENT_LIMITS = LIMITS + (39, 40)
 
 
 def test_order5_count_and_quality(witnesses5):
@@ -44,7 +46,7 @@ def test_enumeration_is_deterministic(witnesses5):
 
 def test_enumeration_parallel_parity(witnesses5):
     # each chunk stops after `limit` hits; the merge must still be the prefix
-    for limit in LIMITS:
+    for limit in TOURNAMENT_LIMITS:
         par = enumerate_ew_tournaments(5, limit=limit, workers=2)
         assert [w.matrix for w in par] == [w.matrix for w in witnesses5[:limit]]
 
@@ -52,57 +54,43 @@ def test_enumeration_parallel_parity(witnesses5):
 def test_enumeration_limit(witnesses5):
     first = enumerate_ew_tournaments(5, limit=7)
     assert len(first) == 7
-    for limit in LIMITS:
+    for limit in TOURNAMENT_LIMITS:
         got = enumerate_ew_tournaments(5, limit=limit)
         assert [w.matrix for w in got] == [w.matrix for w in witnesses5[:limit]]
 
 
-def on_template(order, mask):
-    """Whether the built tournament's sorted out-degrees equal the EW template."""
-    degrees = sorted(_tournament_from_mask(order, mask).matrix.row_sums())
-    return degrees == ew_degree_template(order // 4)
-
-
-def prefilter_accepts(monkeypatch, order, masks):
-    """The masks the scan passes to ew_tournament_check, which is stubbed out."""
-    monkeypatch.setattr(search, "ew_tournament_check", lambda t: (True, 0))
-    return [m for m in masks if list(search._ew_tournament_hits(order, m, m + 1))]
-
-
 def test_limit_ends_the_scan_early(monkeypatch):
-    """Only masks up to the first hit are checked, and of those only the ones
-    on the out-degree template, which the scan reads off the mask."""
-    on = [mask for mask in range(1 << 10) if on_template(5, mask)]
-    first_hit = next(mask for mask in on if ew_tournament_check(_tournament_from_mask(5, mask))[0])
-    checked = []
+    """limit=1 tests the rows of masks 0..80 in order, 80 being the first hit,
+    and nothing after."""
+    tested = []
 
-    def counting(t):
-        checked.append(t)
-        return ew_tournament_check(t)
+    def counting(rows):
+        tested.append(rows)
+        return ew_split(rows)
 
-    monkeypatch.setattr(search, "ew_tournament_check", counting)
+    monkeypatch.setattr(search, "ew_split", counting)
     assert len(enumerate_ew_tournaments(5, limit=1)) == 1
-    expected = [_tournament_from_mask(5, mask) for mask in on if mask <= first_hit]
-    assert checked == expected
-    assert len(checked) == sum(mask <= first_hit for mask in on) < 280
+    assert tested == [_tournament_rows(5, mask) for mask in range(81)]
+    assert ew_split(tested[-1]) == 0
+    assert all(ew_split(rows) is None for rows in tested[:-1])
 
 
-def test_prefilter_is_exact_at_order_5(monkeypatch):
-    on = [mask for mask in range(1 << 10) if on_template(5, mask)]
-    assert len(on) == 280
-    assert prefilter_accepts(monkeypatch, 5, range(1 << 10)) == on
+def test_scan_builds_a_tournament_only_per_hit(monkeypatch, witnesses5):
+    """40 Tournaments for the 40 hits among 1024 masks, and no bordered IntMatrix."""
+    built = []
 
+    def counting(matrix):
+        built.append(matrix)
+        return Tournament(matrix)
 
-def test_prefilter_is_exact_on_sampled_order_9_masks(monkeypatch):
-    rng = random.Random(909)
-    masks = sorted(rng.getrandbits(36) for _ in range(3000))
-    arcs = list(enumerate(search._arc_masks(9)))
-    for mask in masks:  # the packed out-degrees, vertex by vertex
-        degrees = tuple((mask & w).bit_count() + i - (mask & l).bit_count() for i, (w, l) in arcs)
-        assert degrees == _tournament_from_mask(9, mask).matrix.row_sums()
-    on = [mask for mask in masks if on_template(9, mask)]
-    assert on  # the sample reaches the accepting side too
-    assert prefilter_accepts(monkeypatch, 9, masks) == on
+    def refuse(t):
+        raise AssertionError("skew_from_tournament was called")
+
+    monkeypatch.setattr(search, "Tournament", counting)
+    for module in (designs, verify):
+        monkeypatch.setattr(module, "skew_from_tournament", refuse)
+    found = enumerate_ew_tournaments(5)
+    assert built == [w.matrix for w in witnesses5] == [t.matrix for t in found]
 
 
 def test_enumeration_rejects_bad_orders():

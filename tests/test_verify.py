@@ -25,7 +25,7 @@ from doptsnf.exactmat import (
     determinant,
     matmul,
 )
-from doptsnf.search import _tournament_from_mask, search_circulant_barba
+from doptsnf.search import _tournament_from_mask, _tournament_rows, search_circulant_barba
 from doptsnf.snf import smith_normal_form
 from doptsnf.verify import (
     EwReport,
@@ -34,6 +34,7 @@ from doptsnf.verify import (
     block_determinant_formula,
     ew_degree_template,
     ew_gram_check,
+    ew_split,
     ew_tournament_check,
     existence_filter,
     normalized_block_row_sums,
@@ -303,6 +304,22 @@ def test_claims_registry():
 def test_theorem_conformance_unknown_claim(example26):
     with pytest.raises(ValueError, match="main"):
         theorem_conformance(example26, "no-such-claim")
+
+
+CLAIMS_NEEDING_T = (
+    "main", "skew-head", "skew-last", "scaled-inverse", "block-squarefree", "block-prime-square"
+)
+
+
+def test_claims_at_order_2_are_refused_as_preconditions():
+    """X = [[1, 1], [-1, 1]] is skew-type and EW at n = 2, where t = 0: every
+    claim that predicts from t refuses it, and ew-head's (1, 2) holds."""
+    x = IntMatrix.from_rows([[1, 1], [-1, 1]])
+    assert verify.is_skew_type(x) and ew_gram_check(x).verdict
+    for claim in CLAIMS_NEEDING_T:
+        with pytest.raises(PreconditionError, match="order 2 gives t = 0"):
+            theorem_conformance(x, claim)
+    assert theorem_conformance(x, "ew-head").passed
 
 
 def test_skew_claims_on_witnesses(witnesses5):
@@ -658,6 +675,16 @@ def test_tournament_check_matches_reference(tournament13, tournament25):
     for a in (tournament13, tournament25, shuffled):
         assert ew_tournament_check(a) == ref_ew_tournament_check(a)
         assert ew_tournament_check(a)[0]
+
+
+def test_ew_split_matches_reference():
+    """ew_split on the rows of every order-5 tournament gives the reference's
+    split parameter, and None where its verdict is false."""
+    for mask in range(1 << 10):
+        rows = _tournament_rows(5, mask)
+        a_param = ew_split(rows)
+        expected = ref_ew_tournament_check(Tournament(IntMatrix.from_rows(rows)))
+        assert (a_param is not None, a_param) == expected
 
 
 @settings(max_examples=60, deadline=None)
