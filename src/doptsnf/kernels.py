@@ -6,7 +6,9 @@ intermediates grow. Two kernels pack each row into one int, so that a row
 operation is a few big-integer operations instead of one interpreted
 operation per entry: the one modular kernel, ``local_exponents`` (which
 ``gf_rank`` calls with k = 1), packs fixed-width slots, and ``sign_gram``
-packs a +-1 row as the bitmask of its -1 entries. ``matmul`` stays the one
+packs a +-1 row as the bitmask of its -1 entries. Modulo 2^k the slots are
+read with bit masks alone: one AND tests bit e of every slot of a row, or
+keeps every slot's low k bits, so no row is unpacked. ``matmul`` stays the one
 general product. Callers own all shape validation — kernels assume
 well-formed input.
 """
@@ -175,10 +177,12 @@ def smith_reduce(a, want_transforms):
 
     The transforms live in the one working array: with them, each of the
     first m rows is A's row followed by that row of I_m, and n extra rows
-    below hold I_n. Row operations run over the array's width and column
-    operations over its height, so ``left`` accumulates in columns n.. of
-    the first m rows and ``right`` in the last n rows; the pivot search and
-    the divisibility test read only A's m x n block.
+    below hold I_n. Row operations run over the array's width, so ``left``
+    accumulates in columns n.. of the first m rows. A column operation
+    runs only when the row pass has cleared column k below the pivot, so
+    it changes only the pivot row and the last n rows, where ``right``
+    accumulates. The pivot search and the divisibility test read only A's
+    m x n block.
 
     Returns ``(factors, left, right)``: nonnegative invariant factors of
     length min(m, n), plus unimodular transforms with
@@ -192,7 +196,7 @@ def smith_reduce(a, want_transforms):
     else:
         w = [row[:] for row in a]
     width = len(w[0])
-    height = len(w)
+    tail = w[m:]
     size = m if m < n else n
     for k in range(size):
         while True:
@@ -232,13 +236,16 @@ def smith_reduce(a, want_transforms):
                         dirty = True
             if dirty:
                 continue
+            # Column k is 0 below row k in A's block, so a column operation
+            # changes only row k and the rows of ``right``.
             for j in range(k + 1, n):
                 v = wk[j]
                 if v != 0:
                     q = v // pivot
                     if q:
-                        for i in range(k, height):
-                            w[i][j] -= q * w[i][k]
+                        wk[j] = v - q * pivot
+                        for wi in tail:
+                            wi[j] -= q * wi[k]
                     if wk[j]:
                         dirty = True
             if dirty:
@@ -271,7 +278,8 @@ def local_exponents(a, p, k):
     entry of the trailing block is a multiple of p^e modulo q, and an entry
     x may pivot iff gcd(x, p^(e+1)) == p^e; when none may, the level goes
     up. The pivot's level is the step's exponent, so the exponents come out
-    nondecreasing.
+    nondecreasing. The pivot is the first eligible entry of column 0 or,
+    failing that, the first eligible entry of the rows in order.
 
     Each row is one int of fixed-width byte slots, column 0 in the lowest.
     Only a pivot row is reduced modulo q; every other slot grows by less
@@ -280,6 +288,13 @@ def local_exponents(a, p, k):
     ``(r + (q - f) * pivot) >> bits`` clears it from row r and drops the
     column: the pivot divides every entry of its row modulo q, so the
     column operations that would clear that row change nothing else.
+
+    For p = 2 no row is unpacked. A slot's low e bits are 0 at level e, so
+    it may pivot iff its bit e is set, and its residue modulo q is its low
+    k bits. With ``ones`` holding a 1 in every slot, ``r & 2**e`` tests
+    column 0, the lowest set bit of ``r & (ones << e)`` is the row's first
+    eligible column, and ``r & (ones * (q - 1))`` reduces a pivot row. Odd
+    p unpacks a row to test its slots by gcd and to reduce it.
 
     Returns the exponents below k. The other min(m, n) - len(result)
     invariant factors vanish modulo p^k: their exponents are k or more.
@@ -292,21 +307,33 @@ def local_exponents(a, p, k):
     bits = 8 * size
     mask = (1 << bits) - 1
     rows = [_pack([x % q for x in row], size) for row in a]
+    # For p = 2: a 1 in every slot, and the low k bits of every slot.
+    ones = _pack([1] * n, size)
+    low = ones * (q - 1)
     out = []
     pe = 1
     for e in range(k):
         g = pe * p
         while rows and n:
-            for i, r in enumerate(rows):
-                if gcd(r & mask, g) == pe:
-                    break
+            if p == 2:
+                for i, r in enumerate(rows):
+                    if r & pe:
+                        break
+                else:
+                    i = _swap_bit_in(rows, ones * pe, bits)
+                    if i < 0:
+                        break
+                pivot = rows.pop(i) & low
             else:
-                i = _swap_pivot_in(rows, n, size, g, pe)
-                if i < 0:
-                    break
-            vals = [x % q for x in _unpack(rows.pop(i), n, size)]
-            pivot = _pack(vals, size)
-            inv = pow(vals[0] // pe, -1, q)
+                for i, r in enumerate(rows):
+                    if gcd(r & mask, g) == pe:
+                        break
+                else:
+                    i = _swap_pivot_in(rows, n, size, g, pe)
+                    if i < 0:
+                        break
+                pivot = _pack([x % q for x in _unpack(rows.pop(i), n, size)], size)
+            inv = pow((pivot & mask) // pe, -1, q)
             for t, r in enumerate(rows):
                 f = (r & mask) // pe * inv % q
                 rows[t] = (r + (q - f) * pivot) >> bits if f else r >> bits
@@ -326,16 +353,30 @@ def _swap_pivot_in(rows, n, size, g, pe):
 
     A pivot is an entry x with gcd(x, g) == pe; returns -1 if there is none.
     """
-    mask = (1 << 8 * size) - 1
     for i, row in enumerate(rows):
         for j, x in enumerate(_unpack(row, n, size)):
             if gcd(x, g) == pe:
-                shift = 8 * size * j
-                for t, r in enumerate(rows):
-                    x = ((r >> shift) ^ r) & mask
-                    rows[t] = r ^ x ^ (x << shift)
+                _swap_to_front(rows, 8 * size * j, (1 << 8 * size) - 1)
                 return i
     return -1
+
+
+def _swap_bit_in(rows, sel, bits):
+    """Index of the first row with a bit of sel set, after swapping the
+    column of its lowest such bit to 0; -1 if no row has one."""
+    for i, r in enumerate(rows):
+        x = r & sel
+        if x:
+            _swap_to_front(rows, ((x & -x).bit_length() - 1) // bits * bits, (1 << bits) - 1)
+            return i
+    return -1
+
+
+def _swap_to_front(rows, shift, mask):
+    """Swap the slot at bit offset shift with slot 0 in every row, by XOR."""
+    for t, r in enumerate(rows):
+        x = ((r >> shift) ^ r) & mask
+        rows[t] = r ^ x ^ (x << shift)
 
 
 def _pack(vals, size):

@@ -36,9 +36,9 @@ from .exactmat import Frozen, IntMatrix, trial_divide
 
 #: Square inputs of this order or more go to the local engine. Its time over
 #: the Euclidean engine's, best of 9 interleaved, over two runs on 6 seeded
-#: random +-1 squares per order: 0.61-1.23x at order 50, 0.47-0.60x at order
-#: 66 and 0.37-0.51x at order 80; on the Paley two-block matrices, 1.01-1.04x
-#: at order 42, 0.87-0.89x on example66 and 0.39-0.41x at order 78.
+#: random +-1 squares per order: 0.51-0.98x at order 50, 0.43-0.51x at order
+#: 66 and 0.34-0.43x at order 80; on the Paley two-block matrices, 0.90-0.95x
+#: at order 42 and 0.34-0.46x at order 78; 0.68-0.74x on example66.
 LOCAL_MIN_ORDER = 66
 
 #: The local engine trial-divides the part of |det| that shares its primes

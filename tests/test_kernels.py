@@ -176,6 +176,29 @@ def test_local_exponents_match_references(a, p, k, swap):
     assert got == [v for v in vals if v is not None and v < k]
 
 
+def test_local_exponents_unpack_no_row_for_p_2(monkeypatch, example66):
+    """For p = 2 every slot is read by masks, in column 0, in the swap scan
+    and in the pivot row's reduction. On example66, k of 2 or more reaches
+    levels where no column-0 entry may pivot; the sparse input, mostly 0 or
+    even, needs pivots swapped in at level 0 too."""
+    rng = random.Random(1801)
+    square = [[rng.choice((1, -1)) for _ in range(20)] for _ in range(20)]
+    sparse = [[rng.choice((0, 0, 0, 0, 0, 1, 2, 4, 8, 12)) for _ in range(20)] for _ in range(20)]
+
+    def refuse(*args):
+        raise AssertionError("a row was unpacked")
+
+    monkeypatch.setattr(kernels, "_unpack", refuse)
+    monkeypatch.setattr(kernels, "_swap_pivot_in", refuse)
+    for a in (example66.to_rows(), square, sparse):
+        factors, _, _ = kernels.smith_reduce(a, False)
+        vals = [valuation(f, 2) for f in factors]
+        for k in (1, 2, 4, 8):
+            got = kernels.local_exponents(a, 2, k)
+            assert got == list_eliminate(a, 2**k, 2, k)
+            assert got == [v for v in vals if v is not None and v < k]
+
+
 def growth_matrix(n):
     """Order-n matrix whose packed elimination pivots on row 0 with value 1
     at every step, with every other entry of the pivot row -1 and every row
@@ -186,9 +209,13 @@ def growth_matrix(n):
     return a
 
 
-@pytest.mark.parametrize("q, prime_power", [(243, (3, 5)), (251, (251, 1)), (65521, (65521, 1))])
+@pytest.mark.parametrize(
+    "q, prime_power",
+    [(243, (3, 5)), (251, (251, 1)), (65521, (65521, 1)), (2**7, (2, 7)), (2**15, (2, 15))],
+)
 def test_packed_slots_hold_the_largest_growth(q, prime_power):
-    """Entries q - 1 with q just below a byte boundary, at order 100."""
+    """Entries q - 1 with q just below a byte boundary, at order 100; for
+    p = 2 the pivot row is reduced by a mask, not modulo q."""
     n = 100
     full = [[q - 1] * n for _ in range(n)]
     growth = growth_matrix(n)

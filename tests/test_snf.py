@@ -91,10 +91,14 @@ def test_matches_minor_gcd_oracle():
         assert smith_normal_form(m).factors == factors_via_minor_gcds(m)
 
 
-def test_transform_soundness(example26, skew14):
+def test_transform_soundness(example26, skew14, example66):
+    """Taller and wider inputs too: a column operation changes only the
+    pivot row and the rows of ``right``, which start at row m, so whether m
+    is below or above n decides which rows it touches."""
     rng = random.Random(202)
     randoms = [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(150)]
-    for m in randoms + [example26, skew14]:
+    randoms += [random_matrix(rng, 12, 20, -5, 5), random_matrix(rng, 20, 12, -5, 5)]
+    for m in randoms + [example26, skew14, example66]:
         res = smith_normal_form(m, want_transforms=True)
         assert res.factors == smith_normal_form(m).factors
         assert determinant(res.left) in (1, -1)
