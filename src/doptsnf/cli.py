@@ -172,8 +172,8 @@ def cmd_snf(args):
 
 
 def cmd_verify(args):
-    from .designs import Tournament, is_barba
-    from .verify import ew_gram_check, ew_tournament_check, is_skew_type
+    from .designs import Tournament, is_barba, is_skew_type
+    from .verify import ew_gram_check, ew_tournament_check
 
     if args.kind != "ew":
         _refuse_unused(args, ("strict",), f"--kind {args.kind}")

@@ -97,6 +97,21 @@ def skew_from_tournament(t: Tournament) -> IntMatrix:
     return IntMatrix.from_rows(bordered_rows(t.matrix.to_rows()))
 
 
+def require_pm1_square(x: IntMatrix, caller: str) -> None:
+    """The input check of the +-1 families: a square matrix of +-1 entries."""
+    if not x.is_square:
+        raise DimensionError(f"{caller} needs a square matrix")
+    if any(v not in (1, -1) for v in x.entries):
+        raise ValueError("entries must be +-1")
+
+
+def is_skew_type(x: IntMatrix) -> bool:
+    """True iff X + X^T = 2I."""
+    if not x.is_square:
+        raise DimensionError("is_skew_type needs a square matrix")
+    return x + x.transpose() == 2 * IntMatrix.identity(x.rows)
+
+
 def _require_skew(s: IntMatrix) -> None:
     """The input check of tournament_from_skew and normalize_skew_to_border:
     a square +-1 matrix with S + S^T = 2I."""
@@ -104,7 +119,7 @@ def _require_skew(s: IntMatrix) -> None:
         raise NormalizationError("input must be square")
     if any(v not in (1, -1) for v in s.entries):
         raise NormalizationError("entries must be +-1")
-    if s + s.transpose() != 2 * IntMatrix.identity(s.rows):
+    if not is_skew_type(s):
         raise NormalizationError("input is not skew-type (S + S^T != 2I)")
 
 
@@ -116,20 +131,17 @@ def tournament_from_skew(s: IntMatrix) -> Tournament:
     rather than silently repaired (see normalize_skew_to_border).
     """
     _require_skew(s)
-    n = s.rows - 1
-    if n < 1:
+    if s.rows < 2:
         raise NormalizationError("input must have order at least 2")
-    if any(s.at(0, j) != 1 for j in range(n + 1)):
+    border, *rows = s.to_rows()
+    if any(v != 1 for v in border):
         raise NormalizationError("first row must be all ones")
-    if any(s.at(i, 0) != -1 for i in range(1, n + 1)):
+    if any(r[0] != -1 for r in rows):
         raise NormalizationError("first column below the corner must be all minus ones")
-    a_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            m = s.at(i + 1, j + 1)
-            row.append((m + 1 - 2 * int(i == j)) // 2)
-        a_rows.append(row)
+    a_rows = [
+        [(m + 1 - 2 * int(i == j)) // 2 for j, m in enumerate(r[1:])]
+        for i, r in enumerate(rows)
+    ]
     return Tournament(IntMatrix.from_rows(a_rows))
 
 
@@ -142,10 +154,10 @@ def normalize_skew_to_border(s: IntMatrix) -> IntMatrix:
     applies.
     """
     _require_skew(s)
-    n = s.rows
-    eps = [s.at(0, j) for j in range(n)]
+    rows = s.to_rows()
+    eps = rows[0]
     return IntMatrix.from_rows(
-        [[eps[i] * eps[j] * s.at(i, j) for j in range(n)] for i in range(n)]
+        [[ei * ej * v for ej, v in zip(eps, r)] for ei, r in zip(eps, rows)]
     )
 
 
@@ -174,10 +186,7 @@ def build_example_66() -> IntMatrix:
 
 def is_barba(r: IntMatrix) -> bool:
     """Whether RR^T = R^TR = (n-1)I + J (a +-1 matrix is required)."""
-    if not r.is_square:
-        raise DimensionError("is_barba needs a square matrix")
-    if any(v not in (1, -1) for v in r.entries):
-        raise ValueError("entries must be +-1")
+    require_pm1_square(r, "is_barba")
     n = r.rows
     target = [[n if i == j else 1 for j in range(n)] for i in range(n)]
     rows = r.to_rows()
@@ -186,8 +195,5 @@ def is_barba(r: IntMatrix) -> bool:
 
 def barba_double(r: IntMatrix) -> IntMatrix:
     """Double an odd-order +-1 matrix to [[R, R], [-R^T, R^T]] of order 2n."""
-    if not r.is_square:
-        raise DimensionError("barba_double needs a square matrix")
-    if any(v not in (1, -1) for v in r.entries):
-        raise ValueError("entries must be +-1")
+    require_pm1_square(r, "barba_double")
     return BlockEwSpec(r, r).assemble()

@@ -15,9 +15,14 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .designs import Tournament, bordered_rows, skew_from_tournament
+from .designs import (
+    Tournament,
+    bordered_rows,
+    is_skew_type,
+    require_pm1_square,
+    skew_from_tournament,
+)
 from .exactmat import (
-    DimensionError,
     IntMatrix,
     PreconditionError,
     adjugate_and_det,
@@ -57,30 +62,9 @@ class EwReport(NamedTuple):
     reason: str = ""
 
 
-def _components(items: Sequence[int], related: Callable[[int, int], bool]) -> list[list[int]]:
-    """Connected components of an undirected relation, each sorted."""
-    parent = {i: i for i in items}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    items = list(items)
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            if related(items[a], items[b]):
-                parent[find(items[a])] = find(items[b])
-    comps: dict[int, list[int]] = {}
-    for i in items:
-        comps.setdefault(find(i), []).append(i)
-    return sorted((sorted(c) for c in comps.values()), key=lambda c: c[0])
-
-
 def _analyze_gram(g: list[list[int]], n: int):
-    """Check one Gram matrix, as row lists, for the switching-consistent
-    two-clique pattern.
+    """Check one Gram matrix, as symmetric row lists, for the
+    switching-consistent two-clique pattern.
 
     Returns (partition, signs, "") on success, (None, None, reason) on
     failure. signs is a +-1 vector making every within-clique entry +2
@@ -93,7 +77,19 @@ def _analyze_gram(g: list[list[int]], n: int):
         for j in range(i + 1, n):
             if abs(g[i][j]) not in (0, 2):
                 return None, None, f"off-diagonal Gram entry ({i},{j}) = {g[i][j]}"
-    blocks = _components(range(n), lambda i, j: abs(g[i][j]) == 2)
+    # The components of the |entry| = 2 graph, in order of least index:
+    # each row is read once, when its vertex is reached.
+    blocks = []
+    seen = set()
+    for root in range(n):
+        if root not in seen:
+            seen.add(root)
+            block = [root]
+            for i in block:
+                reached = [j for j, v in enumerate(g[i]) if abs(v) == 2 and j not in seen]
+                seen.update(reached)
+                block += reached
+            blocks.append(sorted(block))
     if len(blocks) != 2 or any(len(b) != n // 2 for b in blocks):
         sizes = tuple(len(b) for b in blocks)
         return None, None, f"Gram 2-support components have sizes {sizes}, expected two halves"
@@ -127,14 +123,6 @@ def _block_row_sums(x: IntMatrix, partition) -> Optional[tuple[int, int]]:
     return (u + v) // 2, (u - v) // 2
 
 
-def _require_pm1_square(x: IntMatrix) -> None:
-    """The input check of ew_gram_check: a square matrix of +-1 entries."""
-    if not x.is_square:
-        raise DimensionError("ew_gram_check needs a square matrix")
-    if any(v not in (1, -1) for v in x.entries):
-        raise ValueError("entries must be +-1")
-
-
 def ew_gram_check(x: IntMatrix, strict: bool = False) -> EwReport:
     """Test whether XX^T and X^TX both take the two-block Gram form.
 
@@ -147,7 +135,7 @@ def ew_gram_check(x: IntMatrix, strict: bool = False) -> EwReport:
     blockdiag((n-2)I + 2J, (n-2)I + 2J): both analyses must find the halves
     range(n/2), range(n/2, n) and need no sign switch.
     """
-    _require_pm1_square(x)
+    require_pm1_square(x, "ew_gram_check")
     n = x.rows
     if n % 4 != 2:
         return EwReport(False, n, reason=f"order {n} is not 2 (mod 4)")
@@ -404,20 +392,13 @@ class TheoremCheck(NamedTuple):
         return self.computed == self.predicted
 
 
-def is_skew_type(x: IntMatrix) -> bool:
-    """True iff X + X^T = 2I."""
-    if not x.is_square:
-        raise DimensionError("is_skew_type needs a square matrix")
-    return x + x.transpose() == 2 * IntMatrix.identity(x.rows)
-
-
 def _skew_ew_t(x: IntMatrix) -> int:
     """t for a skew-type EW matrix of order 4t+2.
 
     The O(n^2) skew-type test runs before the two Gram products of
     ew_gram_check, after the same input check.
     """
-    _require_pm1_square(x)
+    require_pm1_square(x, "ew_gram_check")
     _require(is_skew_type(x), "input is not skew-type")
     rep = ew_gram_check(x)
     _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
@@ -447,9 +428,7 @@ def scaled_inverse_check(s: IntMatrix) -> TheoremCheck:
     }
     adj, det = adjugate_and_det(s)
     bad = sum(1 for v in adj.entries if abs(v) not in allowed)
-    g = 0
-    for v in adj.entries:
-        g = math.gcd(g, v)
+    g = math.gcd(*adj.entries)
     last = smith_normal_form(s).factors[-1]
     seen = sorted({abs(v) // base for v in adj.entries if abs(v) % base == 0})
     return TheoremCheck(
@@ -536,14 +515,15 @@ def block_determinant_formula(alpha: int, beta: int, gamma: int, a: int, b: int)
     )
 
 
-def _as_ew_tournament(x: IntMatrix) -> Tournament:
+def _as_ew_tournament(x: IntMatrix) -> tuple[Tournament, int]:
+    """The EW tournament with matrix x and its parameter t (order 4t+1)."""
     try:
         a = Tournament(x)
     except ValueError as exc:
         raise PreconditionError(f"not a tournament matrix: {exc}") from exc
     ok, _ = ew_tournament_check(a)
     _require(ok, "not an EW tournament")
-    return a
+    return a, a.order // 4
 
 
 def _skew_claim(
@@ -569,8 +549,7 @@ def _claim_ew_head(x: IntMatrix) -> TheoremCheck:
 
 
 def _claim_border_link(x: IntMatrix) -> TheoremCheck:
-    a = _as_ew_tournament(x)
-    t = a.order // 4
+    a, t = _as_ew_tournament(x)
     aplusi = a.matrix + IntMatrix.identity(a.order)
     sf = smith_normal_form(skew_from_tournament(a)).factors
     bf = smith_normal_form(aplusi).factors
@@ -580,22 +559,19 @@ def _claim_border_link(x: IntMatrix) -> TheoremCheck:
 
 
 def _claim_aplusi_head(x: IntMatrix) -> TheoremCheck:
-    a = _as_ew_tournament(x)
-    t = a.order // 4
+    a, t = _as_ew_tournament(x)
     bf = smith_normal_form(a.matrix + IntMatrix.identity(a.order)).factors
     return TheoremCheck("aplusi-head", (bf[2 * t],), (1,))
 
 
 def _claim_a2a_tail(x: IntMatrix) -> TheoremCheck:
-    a = _as_ew_tournament(x)
-    t = a.order // 4
+    a, t = _as_ew_tournament(x)
     facs = smith_normal_form(matmul(a.matrix, a.matrix) + a.matrix).factors
     return TheoremCheck("a2a-tail", facs[-2:], (t, t * t * (16 * t * t - 1)))
 
 
 def _claim_tournament_snf(x: IntMatrix) -> TheoremCheck:
-    a = _as_ew_tournament(x)
-    t = a.order // 4
+    a, t = _as_ew_tournament(x)
     return TheoremCheck(
         "tournament-snf", smith_normal_form(a.matrix).factors, predicted_snf_tournament(t)
     )

@@ -171,6 +171,16 @@ def test_verify_fail_is_exit_1(capsys, e26_path):
     run(capsys, ["verify", e26_path, "--kind", "skew"], 1)
 
 
+def test_verify_skew_pass_and_refusal(tmp_path, capsys):
+    ok = tmp_path / "ok.mat"
+    ok.write_text("2 2\n1 1\n-1 1\n")
+    assert run(capsys, ["verify", str(ok), "--kind", "skew"], 0).out == "skew: pass\n"
+    wide = tmp_path / "wide.mat"
+    wide.write_text("2 6\n" + "1 1 1 1 1 1\n" * 2)
+    captured = run(capsys, ["verify", str(wide), "--kind", "skew"], 2)
+    assert captured.err == "error: is_skew_type needs a square matrix\n"
+
+
 def test_verify_tournament(capsys, t5_path):
     captured = run(capsys, ["verify", t5_path, "--kind", "tournament"], 0)
     assert "a = " in captured.out

@@ -1,5 +1,7 @@
 """Constructions: tournaments, bordered skew designs, doubling."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,13 +13,14 @@ from doptsnf.designs import (
     Tournament,
     barba_double,
     is_barba,
+    is_skew_type,
     normalize_skew_to_border,
     skew_from_tournament,
     tournament_from_skew,
 )
-from doptsnf.exactmat import IntMatrix, circulant, determinant, matmul
+from doptsnf.exactmat import DimensionError, IntMatrix, circulant, determinant, matmul
 from doptsnf.snf import smith_normal_form
-from doptsnf.verify import ew_gram_check, is_skew_type
+from doptsnf.verify import ew_gram_check, theorem_conformance
 
 
 def cyclic3() -> Tournament:
@@ -115,7 +118,7 @@ def test_tournament_from_skew_requires_normal_border():
     ]
     fm = IntMatrix.from_rows(flipped)
     assert is_skew_type(fm)
-    with pytest.raises(NormalizationError):
+    with pytest.raises(NormalizationError, match="^first row must be all ones$"):
         tournament_from_skew(fm)
     # normalization undoes the flip
     assert tournament_from_skew(normalize_skew_to_border(fm)).matrix == cyclic3().matrix
@@ -190,6 +193,46 @@ def test_barba_double_is_ew():
     assert doubled.rows == 10
     assert ew_gram_check(doubled).verdict
     assert smith_normal_form(doubled).factors == (1,) + (2,) * 5 + (4,) * 2 + (12,) * 2
+
+
+NON_SQUARE = IntMatrix.all_ones(2, 6)
+ZERO_ONE = IntMatrix.identity(6)
+ONE = IntMatrix.from_rows([[1]])
+MINUS_ONE = IntMatrix.from_rows([[-1]])
+NOT_SKEW = "input is not skew-type (S + S^T != 2I)"
+MAIN_CLAIM = functools.partial(theorem_conformance, claim="main")
+
+
+@pytest.mark.parametrize(
+    "check, x, error, message",
+    [
+        (ew_gram_check, NON_SQUARE, DimensionError, "ew_gram_check needs a square matrix"),
+        (ew_gram_check, ZERO_ONE, ValueError, "entries must be +-1"),
+        (is_barba, NON_SQUARE, DimensionError, "is_barba needs a square matrix"),
+        (is_barba, ZERO_ONE, ValueError, "entries must be +-1"),
+        (barba_double, NON_SQUARE, DimensionError, "barba_double needs a square matrix"),
+        (barba_double, ZERO_ONE, ValueError, "entries must be +-1"),
+        (MAIN_CLAIM, NON_SQUARE, DimensionError, "ew_gram_check needs a square matrix"),
+        (MAIN_CLAIM, ZERO_ONE, ValueError, "entries must be +-1"),
+        (is_skew_type, NON_SQUARE, DimensionError, "is_skew_type needs a square matrix"),
+        (tournament_from_skew, NON_SQUARE, NormalizationError, "input must be square"),
+        (tournament_from_skew, ZERO_ONE, NormalizationError, "entries must be +-1"),
+        (tournament_from_skew, ONE, NormalizationError, "input must have order at least 2"),
+        (tournament_from_skew, MINUS_ONE, NormalizationError, NOT_SKEW),
+        (normalize_skew_to_border, NON_SQUARE, NormalizationError, "input must be square"),
+        (normalize_skew_to_border, ZERO_ONE, NormalizationError, "entries must be +-1"),
+        (normalize_skew_to_border, MINUS_ONE, NormalizationError, NOT_SKEW),
+    ],
+)
+def test_input_checks_raise_the_same_classes_and_messages(check, x, error, message):
+    with pytest.raises(ValueError) as exc:
+        check(x)
+    assert (exc.type, str(exc.value)) == (error, message)
+
+
+def test_skew_type_conditions_on_small_inputs():
+    assert is_skew_type(ONE) and not is_skew_type(MINUS_ONE)
+    assert normalize_skew_to_border(ONE) == ONE
 
 
 def test_barba_double_rejects_bad_entries():

@@ -11,6 +11,7 @@ from doptsnf.designs import (
     Tournament,
     barba_double,
     is_barba,
+    is_skew_type,
     skew_from_tournament,
     tournament_from_skew,
     normalize_skew_to_border,
@@ -315,7 +316,7 @@ def test_claims_at_order_2_are_refused_as_preconditions():
     """X = [[1, 1], [-1, 1]] is skew-type and EW at n = 2, where t = 0: every
     claim that predicts from t refuses it, and ew-head's (1, 2) holds."""
     x = IntMatrix.from_rows([[1, 1], [-1, 1]])
-    assert verify.is_skew_type(x) and ew_gram_check(x).verdict
+    assert is_skew_type(x) and ew_gram_check(x).verdict
     for claim in CLAIMS_NEEDING_T:
         with pytest.raises(PreconditionError, match="order 2 gives t = 0"):
             theorem_conformance(x, claim)
@@ -409,7 +410,7 @@ def test_skew_claims_keep_the_gram_input_checks(claim):
         theorem_conformance(IntMatrix.all_ones(6), claim)
     # skew-type but not EW: the Gram test still refuses it
     skew = IntMatrix.from_rows([[1 if i <= j else -1 for j in range(6)] for i in range(6)])
-    assert verify.is_skew_type(skew)
+    assert is_skew_type(skew)
     with pytest.raises(PreconditionError, match="^input lacks the EW Gram structure"):
         theorem_conformance(skew, claim)
 
@@ -475,6 +476,28 @@ def ref_gram(rows):
     return kernels.matmul(rows, list(zip(*rows)))
 
 
+def ref_components(items, related):
+    """Connected components of an undirected relation, each sorted, in order
+    of least element: a union-find, independent of the library's pass."""
+    parent = {i: i for i in items}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    items = list(items)
+    for a in range(len(items)):
+        for b in range(a + 1, len(items)):
+            if related(items[a], items[b]):
+                parent[find(items[a])] = find(items[b])
+    comps = {}
+    for i in items:
+        comps.setdefault(find(i), []).append(i)
+    return sorted((sorted(c) for c in comps.values()), key=lambda c: c[0])
+
+
 def ref_analyze_gram(g, n):
     """The two-clique analysis as written before the checks used sign_gram."""
     for i in range(n):
@@ -484,7 +507,7 @@ def ref_analyze_gram(g, n):
         for j in range(i + 1, n):
             if abs(g[i][j]) not in (0, 2):
                 return None, None, f"off-diagonal Gram entry ({i},{j}) = {g[i][j]}"
-    blocks = verify._components(range(n), lambda i, j: abs(g[i][j]) == 2)
+    blocks = ref_components(range(n), lambda i, j: abs(g[i][j]) == 2)
     if len(blocks) != 2 or any(len(b) != n // 2 for b in blocks):
         sizes = tuple(len(b) for b in blocks)
         return None, None, f"Gram 2-support components have sizes {sizes}, expected two halves"
@@ -559,7 +582,7 @@ def ref_ew_tournament_check(a):
             if g[i][j] != value:
                 raise RuntimeError(f"product template fails at ({i},{j}): {g[i][j]} != {value}")
     mid = [i for i in range(n) if cls[i] == "mid"]
-    parts = verify._components(mid, lambda i, j: g[i][j] == t)
+    parts = ref_components(mid, lambda i, j: g[i][j] == t)
     for part in parts:
         for i in part:
             for j in part:
@@ -585,7 +608,7 @@ def ref_is_barba(r):
 
 
 def ref_normalized_block_row_sums(s):
-    if not verify.is_skew_type(s):
+    if not is_skew_type(s):
         raise PreconditionError("input is not skew-type")
     if any(v not in (1, -1) for v in s.entries):
         raise PreconditionError("entries must be +-1")
@@ -652,6 +675,58 @@ def test_packed_checks_match_reference_on_paley_non_designs():
         x = paley_two_block(q)
         assert why in ew_gram_check(x).reason
         assert_checks_match_reference(x)
+
+
+def hand_gram(n, cliques, *entries):
+    """An order-n Gram matrix: n on the diagonal, 2*s_a*s_b within each clique
+    given as {index: sign}, 0 elsewhere, then each entry (i, j, v) set at
+    (i,j) and (j,i)."""
+    g = [[n * (i == j) for j in range(n)] for i in range(n)]
+    for clique in cliques:
+        for a, sa in clique.items():
+            for b, sb in clique.items():
+                if a != b:
+                    g[a][b] = 2 * sa * sb
+    for i, j, v in entries:
+        g[i][j] = g[j][i] = v
+    return g
+
+
+HALVES = ({0: 1, 3: -1, 5: 1}, {1: -1, 2: 1, 4: 1})
+SIZES = "Gram 2-support components have sizes {}, expected two halves"
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (hand_gram(6, HALVES), (((0, 3, 5), (1, 2, 4)), (1, 1, -1, -1, -1, 1), "")),
+        (hand_gram(6, HALVES, (2, 2, 4)), (None, None, "Gram diagonal entry 2 is 4, not 6")),
+        (hand_gram(6, HALVES, (1, 3, 4)), (None, None, "off-diagonal Gram entry (1,3) = 4")),
+        (hand_gram(6, (), (0, 3, 2), (1, 4, -2), (2, 5, 2)), (None, None, SIZES.format((2, 2, 2)))),
+        (
+            hand_gram(6, ({0: 1, 1: 1, 2: 1, 3: 1}, {4: 1, 5: 1})),
+            (None, None, SIZES.format((4, 2))),
+        ),
+        (
+            hand_gram(8, ({1: 1, 3: 1, 5: 1, 7: 1},), (0, 6, 2), (4, 6, 2), (2, 4, 2)),
+            (None, None, "Gram block is not a clique at (0,2)"),
+        ),
+        (
+            hand_gram(6, HALVES, (3, 5, 2)),
+            (None, None, "Gram signs are not switching-consistent at (3,5)"),
+        ),
+        (
+            hand_gram(6, HALVES, (3, 5, 0)),
+            (None, None, "Gram signs are not switching-consistent at (3,5)"),
+        ),
+    ],
+    ids=["halves", "diagonal", "entry-4", "three", "unequal", "not-clique", "signs", "gap"],
+)
+def test_analyze_gram_reasons_match_the_union_find_reference(g, expected):
+    """Hand-built Gram matrices reach each branch of the two-clique analysis.
+    The halves interleave, and the path 0-6-4-2 is reached out of index
+    order, so both the order of the halves and of their members count."""
+    assert verify._analyze_gram(g, len(g)) == ref_analyze_gram(g, len(g)) == expected
 
 
 def relabel(a, rng):
