@@ -101,7 +101,7 @@ def require_pm1_square(x: IntMatrix, caller: str) -> None:
     """The input check of the +-1 families: a square matrix of +-1 entries."""
     if not x.is_square:
         raise DimensionError(f"{caller} needs a square matrix")
-    if any(v not in (1, -1) for v in x.entries):
+    if not x.is_pm1:
         raise ValueError("entries must be +-1")
 
 
@@ -117,7 +117,7 @@ def _require_skew(s: IntMatrix) -> None:
     a square +-1 matrix with S + S^T = 2I."""
     if not s.is_square:
         raise NormalizationError("input must be square")
-    if any(v not in (1, -1) for v in s.entries):
+    if not s.is_pm1:
         raise NormalizationError("entries must be +-1")
     if not is_skew_type(s):
         raise NormalizationError("input is not skew-type (S + S^T != 2I)")
@@ -126,9 +126,10 @@ def _require_skew(s: IntMatrix) -> None:
 def tournament_from_skew(s: IntMatrix) -> Tournament:
     """Inverse of skew_from_tournament; rejects anything not in that exact form.
 
-    The input must be a +-1 matrix with S + S^T = 2I, an all-ones first row
-    and an all-minus-ones first column. Other normalizations are rejected
-    rather than silently repaired (see normalize_skew_to_border).
+    The input must be a +-1 matrix with S + S^T = 2I and an all-ones first
+    row. The first column below the corner is then all minus ones, since
+    s_i0 = -s_0i for i >= 1. Other normalizations are rejected rather than
+    silently repaired (see normalize_skew_to_border).
     """
     _require_skew(s)
     if s.rows < 2:
@@ -136,8 +137,6 @@ def tournament_from_skew(s: IntMatrix) -> Tournament:
     border, *rows = s.to_rows()
     if any(v != 1 for v in border):
         raise NormalizationError("first row must be all ones")
-    if any(r[0] != -1 for r in rows):
-        raise NormalizationError("first column below the corner must be all minus ones")
     a_rows = [
         [(m + 1 - 2 * int(i == j)) // 2 for j, m in enumerate(r[1:])]
         for i, r in enumerate(rows)

@@ -142,6 +142,11 @@ class IntMatrix(Frozen):
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    @property
+    def is_pm1(self) -> bool:
+        """True iff every entry is 1 or -1."""
+        return set(self.entries) <= {1, -1}
+
     # ---------- shape-preserving operations ----------
 
     def transpose(self) -> "IntMatrix":

@@ -1,7 +1,13 @@
 """Smith normal form over the integers, plus a brute-force minor-gcd oracle.
 
-``smith_normal_form`` is the workhorse used everywhere else. It has two
-engines, chosen from the input:
+``smith_normal_form`` is the workhorse used everywhere else. A +-1 input
+without transforms, of at least two rows and two columns, first reduces to
+its 0/1 core. Flipping the signs of rows and columns makes row 0 and
+column 0 all ones; subtracting them then leaves diag(1, -2C), where C is
+the 0/1 matrix with c_ij = (1 - a_ij a_i0 a_0j a_00) / 2 for i, j >= 1.
+So the factors are 1, then twice those of C, and the engines below run on
+C, which is one order smaller and carries no common power of 2. Which
+engine runs is still keyed to the input's own shape:
 
 - The Euclidean engine (``kernels.smith_reduce``) runs on every input that
   is rectangular, of order below ``LOCAL_MIN_ORDER``, or asks for
@@ -80,19 +86,42 @@ def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SnfResult:
     Factors are nonnegative, each divides the next, and zeros (if any) come
     last. With ``want_transforms=True`` the result carries unimodular left
     and right matrices with ``left @ a @ right == diag(factors)``. Which
-    engine runs follows from the shape, the order and ``want_transforms``
-    (see the module docstring); both give the same factors.
+    engine runs follows from the shape, the order and ``want_transforms``,
+    and a +-1 input without transforms runs it on its 0/1 core (see the
+    module docstring); every path gives the same factors.
     """
-    if a.rows == a.cols >= LOCAL_MIN_ORDER and not want_transforms:
-        factors = local_smith_form(a)
+    if want_transforms:
+        factors, left, right = kernels.smith_reduce(a.to_rows(), True)
+        return SnfResult(tuple(factors), IntMatrix.from_rows(left), IntMatrix.from_rows(right))
+    local = a.rows == a.cols >= LOCAL_MIN_ORDER
+    if min(a.rows, a.cols) >= 2 and a.is_pm1:
+        return SnfResult((1,) + tuple(2 * f for f in _factors(_zero_one_core(a), local)))
+    return SnfResult(_factors(a.to_rows(), local))
+
+
+def _zero_one_core(a: IntMatrix) -> list[list[int]]:
+    """The rows of the 0/1 core C of a +-1 matrix A, with A ~ diag(1, -2C).
+
+    c_ij = (1 - a_ij a_i0 a_0j a_00) / 2 is 1 exactly where a_ij differs
+    from a_i0 a_00 a_0j, the entry of row 0 scaled to start like row i.
+    """
+    head, *rows = a.to_rows()
+    plus = head[1:]
+    minus = [-v for v in plus]
+    return [
+        [int(v != h) for v, h in zip(r[1:], plus if r[0] == head[0] else minus)]
+        for r in rows
+    ]
+
+
+def _factors(rows: list[list[int]], local: bool) -> tuple[int, ...]:
+    """Invariant factors of rows: by the local engine when local is set and
+    it does not hand them back, else by the Euclidean engine."""
+    if local:
+        factors = _local_factors(rows)
         if factors is not None:
-            return SnfResult(factors)
-    factors, left, right = kernels.smith_reduce(a.to_rows(), want_transforms)
-    return SnfResult(
-        factors=tuple(factors),
-        left=IntMatrix.from_rows(left) if left is not None else None,
-        right=IntMatrix.from_rows(right) if right is not None else None,
-    )
+            return factors
+    return tuple(kernels.smith_reduce(rows, False)[0])
 
 
 def local_smith_form(a: IntMatrix) -> tuple[int, ...] | None:
@@ -102,14 +131,19 @@ def local_smith_form(a: IntMatrix) -> tuple[int, ...] | None:
     that Bareiss returns with det, so the part w of |det| prime to M sits in
     the last factor alone. Every prime of |det| // w divides M; trial
     division below ``TRIAL_BOUND`` finds them, and each is eliminated
-    modulo p^k.
+    modulo p^k. This is the raw engine: it runs on a itself, with no 0/1
+    core.
 
     None means the engine hands the input back: a is singular, or |det| // w
     has a prime factor the trial division does not reach. Raises
     ArithmeticError if an elimination contradicts the determinant, which no
     correct kernel does.
     """
-    rows = a.to_rows()
+    return _local_factors(a.to_rows())
+
+
+def _local_factors(rows: list[list[int]]) -> tuple[int, ...] | None:
+    """local_smith_form on the rows of a square matrix."""
     det, minor = kernels.bareiss_determinant(rows)
     if det == 0:
         return None

@@ -392,13 +392,13 @@ class TheoremCheck(NamedTuple):
         return self.computed == self.predicted
 
 
-def _skew_ew_t(x: IntMatrix) -> int:
+def _skew_ew_t(x: IntMatrix, claim_id: str) -> int:
     """t for a skew-type EW matrix of order 4t+2.
 
     The O(n^2) skew-type test runs before the two Gram products of
-    ew_gram_check, after the same input check.
+    ew_gram_check, after the same input check, which names the claim.
     """
-    require_pm1_square(x, "ew_gram_check")
+    require_pm1_square(x, f"claim {claim_id}")
     _require(is_skew_type(x), "input is not skew-type")
     rep = ew_gram_check(x)
     _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
@@ -415,7 +415,7 @@ def scaled_inverse_check(s: IntMatrix) -> TheoremCheck:
     factor equals det/gcd = 2t(4t+1). computed/predicted carry
     (gcd, last factor, number of out-of-set entries).
     """
-    t = _skew_ew_t(s)
+    t = _skew_ew_t(s, "scaled-inverse")
     disc = 8 * t + 1
     root = math.isqrt(disc)
     _require(root * root == disc, f"8t+1 = {disc} is not a perfect square")
@@ -450,9 +450,8 @@ def normalized_block_row_sums(s: IntMatrix) -> tuple[int, int, int, int]:
     carries which sign is not canonical, so callers should accept either
     assignment.
     """
+    require_pm1_square(s, "normalized_block_row_sums")
     _require(is_skew_type(s), "input is not skew-type")
-    if any(v not in (1, -1) for v in s.entries):
-        raise PreconditionError("entries must be +-1")
     n = s.rows
     part, signs, why = _analyze_gram(sign_gram(s.to_rows()), n)
     _require(part is not None, f"input lacks the EW Gram structure ({why})")
@@ -532,7 +531,7 @@ def _skew_claim(
     """Claim on the slice part(t) of the skew-type diagonal predicted_snf_skew_ew(t)."""
 
     def check(x: IntMatrix) -> TheoremCheck:
-        t = _skew_ew_t(x)
+        t = _skew_ew_t(x, claim_id)
         cut = part(t)
         return TheoremCheck(
             claim_id, smith_normal_form(x).factors[cut], predicted_snf_skew_ew(t)[cut]

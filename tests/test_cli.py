@@ -199,7 +199,7 @@ def test_check_pass_fail_unknown(capsys, e26_path):
 @pytest.mark.parametrize(
     "text, code, message",
     [
-        ("2 6\n" + "1 1 1 1 1 1\n" * 2, 2, "error: ew_gram_check needs a square matrix"),
+        ("2 6\n" + "1 1 1 1 1 1\n" * 2, 2, "error: claim main needs a square matrix"),
         ("2 2\n1 0\n1 1\n", 2, "error: entries must be +-1"),
         ("2 2\n1 1\n1 1\n", 1, "precondition failed: input is not skew-type"),
     ],

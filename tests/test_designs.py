@@ -20,7 +20,7 @@ from doptsnf.designs import (
 )
 from doptsnf.exactmat import DimensionError, IntMatrix, circulant, determinant, matmul
 from doptsnf.snf import smith_normal_form
-from doptsnf.verify import ew_gram_check, theorem_conformance
+from doptsnf.verify import ew_gram_check, normalized_block_row_sums, theorem_conformance
 
 
 def cyclic3() -> Tournament:
@@ -212,7 +212,7 @@ MAIN_CLAIM = functools.partial(theorem_conformance, claim="main")
         (is_barba, ZERO_ONE, ValueError, "entries must be +-1"),
         (barba_double, NON_SQUARE, DimensionError, "barba_double needs a square matrix"),
         (barba_double, ZERO_ONE, ValueError, "entries must be +-1"),
-        (MAIN_CLAIM, NON_SQUARE, DimensionError, "ew_gram_check needs a square matrix"),
+        (MAIN_CLAIM, NON_SQUARE, DimensionError, "claim main needs a square matrix"),
         (MAIN_CLAIM, ZERO_ONE, ValueError, "entries must be +-1"),
         (is_skew_type, NON_SQUARE, DimensionError, "is_skew_type needs a square matrix"),
         (tournament_from_skew, NON_SQUARE, NormalizationError, "input must be square"),
@@ -222,6 +222,13 @@ MAIN_CLAIM = functools.partial(theorem_conformance, claim="main")
         (normalize_skew_to_border, NON_SQUARE, NormalizationError, "input must be square"),
         (normalize_skew_to_border, ZERO_ONE, NormalizationError, "entries must be +-1"),
         (normalize_skew_to_border, MINUS_ONE, NormalizationError, NOT_SKEW),
+        (
+            normalized_block_row_sums,
+            NON_SQUARE,
+            DimensionError,
+            "normalized_block_row_sums needs a square matrix",
+        ),
+        (normalized_block_row_sums, ZERO_ONE, ValueError, "entries must be +-1"),
     ],
 )
 def test_input_checks_raise_the_same_classes_and_messages(check, x, error, message):

@@ -199,9 +199,11 @@ def diagonal_matrix(diagonal) -> IntMatrix:
     return IntMatrix.from_rows([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def random_pm1(seed: int, n: int) -> IntMatrix:
+def random_pm1(seed: int, n: int, cols: int | None = None) -> IntMatrix:
+    """A seeded n x n, or n x cols, +-1 matrix."""
     rng = random.Random(seed)
-    return IntMatrix.from_rows([[rng.choice((1, -1)) for _ in range(n)] for _ in range(n)])
+    width = n if cols is None else cols
+    return IntMatrix.from_rows([[rng.choice((1, -1)) for _ in range(width)] for _ in range(n)])
 
 
 def scrambled(m: IntMatrix, rng: random.Random) -> IntMatrix:
@@ -326,3 +328,59 @@ def test_local_engine_never_eliminates_modulo_a_rough_prime(monkeypatch):
     rough = 65537 * 65539
     assert local_smith_form(diagonal_matrix((rough, 1, 1))) is None
     assert calls == []
+
+
+def with_rows_copied(m: IntMatrix, *moves) -> IntMatrix:
+    """m with row dst replaced by sign * row src, for each (dst, src, sign)."""
+    rows = m.to_rows()
+    for dst, src, sign in moves:
+        rows[dst] = [sign * v for v in rows[src]]
+    return IntMatrix.from_rows(rows)
+
+
+PM1_CASES = {
+    "1x1": random_pm1(301, 1, 1),
+    "1x7": random_pm1(302, 1, 7),
+    "7x1": random_pm1(303, 7, 1),
+    "2x2": random_pm1(304, 2, 2),
+    "5x9": random_pm1(305, 5, 9),
+    "9x5": random_pm1(306, 9, 5),
+    "singular-7": with_rows_copied(random_pm1(307, 7, 7), (3, 1, 1), (5, 0, -1)),
+    "singular-66": with_rows_copied(random_pm1(308, 66, 66), (1, 0, 1), (2, 0, -1)),
+    "order-65": random_pm1(309, 65, 65),
+    "order-66": random_pm1(310, 66, 66),
+    "order-67": random_pm1(311, 67, 67),
+}
+
+
+@pytest.mark.parametrize("name", PM1_CASES)
+def test_zero_one_core_keeps_the_factors(name):
+    """A +-1 input without transforms runs its engine on the 0/1 core; the
+    factors are those of the Euclidean engine on the uncut input, and of the
+    minor-gcd oracle where it reaches."""
+    m = PM1_CASES[name]
+    factors = smith_normal_form(m).factors
+    assert factors == euclidean_factors(m)
+    if min(m.rows, m.cols) <= MINOR_GCD_SIZE_LIMIT:
+        assert factors == factors_via_minor_gcds(m)
+    if m.is_square:
+        assert math.prod(factors) == abs(determinant(m))
+
+
+@pytest.mark.parametrize("name", PM1_CASES)
+def test_transforms_of_a_pm1_input_run_on_the_uncut_input(name):
+    m = PM1_CASES[name]
+    res = smith_normal_form(m, want_transforms=True)
+    factors, left, right = kernels.smith_reduce(m.to_rows(), True)
+    assert (res.factors, res.left.to_rows(), res.right.to_rows()) == (tuple(factors), left, right)
+
+
+def test_bareiss_runs_on_the_core_of_a_pm1_input_only(monkeypatch):
+    orders = []
+    bareiss = kernels.bareiss_determinant
+    monkeypatch.setattr(kernels, "bareiss_determinant", lambda a: orders.append(len(a)) or bareiss(a))
+    smith_normal_form(random_pm1(312, 66, 66))
+    rng = random.Random(313)
+    small = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(66)] for _ in range(66)])
+    smith_normal_form(small)
+    assert orders == [65, 66]

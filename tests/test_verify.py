@@ -400,7 +400,7 @@ def test_skew_claims_test_skew_type_before_the_gram_products(monkeypatch, exampl
 
 @pytest.mark.parametrize("claim", SKEW_CLAIMS)
 def test_skew_claims_keep_the_gram_input_checks(claim):
-    with pytest.raises(DimensionError, match="^ew_gram_check needs a square matrix$"):
+    with pytest.raises(DimensionError, match=f"^claim {claim} needs a square matrix$"):
         theorem_conformance(IntMatrix.all_ones(2, 6), claim)
     with pytest.raises(ValueError, match=r"^entries must be \+-1$") as exc:
         theorem_conformance(IntMatrix.identity(6), claim)
@@ -608,10 +608,12 @@ def ref_is_barba(r):
 
 
 def ref_normalized_block_row_sums(s):
+    if not s.is_square:
+        raise DimensionError("normalized_block_row_sums needs a square matrix")
+    if any(v not in (1, -1) for v in s.entries):
+        raise ValueError("entries must be +-1")
     if not is_skew_type(s):
         raise PreconditionError("input is not skew-type")
-    if any(v not in (1, -1) for v in s.entries):
-        raise PreconditionError("entries must be +-1")
     n = s.rows
     part, signs, why = ref_analyze_gram(ref_gram(s.to_rows()), n)
     if part is None:
