@@ -1,30 +1,32 @@
 """Smith normal form over the integers, plus a brute-force minor-gcd oracle.
 
-``smith_normal_form`` is the workhorse used everywhere else. A +-1 input
-without transforms, of at least two rows and two columns, first reduces to
-its 0/1 core. Flipping the signs of rows and columns makes row 0 and
+``smith_normal_form`` is the workhorse used everywhere else. Without
+transforms, a +-1 input of at least two rows and two columns first reduces
+to its 0/1 core. Flipping the signs of rows and columns makes row 0 and
 column 0 all ones; subtracting them then leaves diag(1, -2C), where C is
 the 0/1 matrix with c_ij = (1 - a_ij a_i0 a_0j a_00) / 2 for i, j >= 1.
-So the factors are 1, then twice those of C, and the engines below run on
-C, which is one order smaller and carries no common power of 2. Which
-engine runs is still keyed to the input's own shape:
+So the factors are 1, then twice those of C, which is one order smaller
+and carries no common power of 2.
 
-- The Euclidean engine (``kernels.smith_reduce``) runs on every input that
-  is rectangular, of order below ``LOCAL_MIN_ORDER``, or asks for
-  transforms. It diagonalizes by unimodular row and column operations over
+The engine rule: transforms come from the Euclidean engine on the input
+itself. Otherwise the engine is chosen from the rows it eliminates (the
+input, or its 0/1 core), and from nothing else:
+
+- The local engine (``local_smith_form``) runs on square rows of order
+  ``LOCAL_MIN_ORDER`` or more. It computes d = |det| and one (n-1)-minor M
+  by Bareiss. One rule places the last factor s_n: the gcd s_1...s_{n-1}
+  of the (n-1)-minors divides M, so the part w of d prime to M goes whole
+  into s_n. It trial-divides only d // w, below ``TRIAL_BOUND``; each
+  prime p it finds divides M, and the engine eliminates modulo p^k (no
+  entry grows past n*p^2k), doubling k until the exponents it sees sum to
+  v_p(d). Elimination modulo p^k gives every exponent below k exactly, and
+  the exact determinant fixes the ones at k or above, so the result is
+  exact, not probabilistic. Singular rows, or a d // w with a prime factor
+  the trial division does not reach, are handed back.
+- The Euclidean engine (``kernels.smith_reduce``) runs on everything else:
+  rectangular rows, squares of lower order and the local engine's
+  hand-backs. It diagonalizes by unimodular row and column operations over
   the integers, so its entries can grow far past the final factors.
-- The local engine (``local_smith_form``) runs on square inputs of order
-  ``LOCAL_MIN_ORDER`` or more without transforms. It computes d = |det|
-  and one (n-1)-minor M by Bareiss. One rule places the last factor s_n:
-  the gcd s_1...s_{n-1} of the (n-1)-minors divides M, so the part w of d
-  prime to M goes whole into s_n. It trial-divides only d // w, below
-  ``TRIAL_BOUND``; each prime p it finds divides M, and the engine
-  eliminates modulo p^k (no entry grows past n*p^2k), doubling k until the
-  exponents it sees sum to v_p(d). Elimination modulo p^k gives every
-  exponent below k exactly, and the exact determinant fixes the ones at k
-  or above, so the result is exact, not probabilistic. A singular input,
-  or a d // w with a prime factor the trial division does not reach, goes
-  to the Euclidean engine.
 
 ``minor_gcd`` is deliberately independent of both (it enumerates every
 i x i minor and takes gcds), so they can cross-check each other: the i-th
@@ -40,12 +42,13 @@ from math import gcd
 from . import kernels
 from .exactmat import Frozen, IntMatrix, trial_divide
 
-#: Square inputs of this order or more go to the local engine. Its time over
-#: the Euclidean engine's, best of 9 interleaved, over two runs on 6 seeded
-#: random +-1 squares per order: 0.51-0.98x at order 50, 0.43-0.51x at order
-#: 66 and 0.34-0.43x at order 80; on the Paley two-block matrices, 0.90-0.95x
-#: at order 42 and 0.34-0.46x at order 78; 0.68-0.74x on example66.
-LOCAL_MIN_ORDER = 66
+#: Square rows of this order or more go to the local engine: the 0/1 core of a
+#: +-1 input of order 66 or more, or any other square of order 65 or more. Its
+#: time over the Euclidean engine's on uncut inputs, best of 9 interleaved, on
+#: 6 seeded random +-1 squares per order: 0.51-0.98x at order 50, 0.43-0.51x
+#: at 66 and 0.34-0.43x at 80; on the Paley two-block matrices, 0.90-0.95x at
+#: order 42 and 0.34-0.46x at 78; 0.68-0.74x on example66.
+LOCAL_MIN_ORDER = 65
 
 #: The local engine trial-divides the part of |det| that shares its primes
 #: with the (n-1)-minor by every number below this bound.
@@ -85,18 +88,15 @@ def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SnfResult:
 
     Factors are nonnegative, each divides the next, and zeros (if any) come
     last. With ``want_transforms=True`` the result carries unimodular left
-    and right matrices with ``left @ a @ right == diag(factors)``. Which
-    engine runs follows from the shape, the order and ``want_transforms``,
-    and a +-1 input without transforms runs it on its 0/1 core (see the
-    module docstring); every path gives the same factors.
+    and right matrices with ``left @ a @ right == diag(factors)``. What runs
+    is the module docstring's engine rule; every path gives the same factors.
     """
     if want_transforms:
         factors, left, right = kernels.smith_reduce(a.to_rows(), True)
         return SnfResult(tuple(factors), IntMatrix.from_rows(left), IntMatrix.from_rows(right))
-    local = a.rows == a.cols >= LOCAL_MIN_ORDER
     if min(a.rows, a.cols) >= 2 and a.is_pm1:
-        return SnfResult((1,) + tuple(2 * f for f in _factors(_zero_one_core(a), local)))
-    return SnfResult(_factors(a.to_rows(), local))
+        return SnfResult((1,) + tuple(2 * f for f in _factors(_zero_one_core(a))))
+    return SnfResult(_factors(a.to_rows()))
 
 
 def _zero_one_core(a: IntMatrix) -> list[list[int]]:
@@ -114,36 +114,20 @@ def _zero_one_core(a: IntMatrix) -> list[list[int]]:
     ]
 
 
-def _factors(rows: list[list[int]], local: bool) -> tuple[int, ...]:
-    """Invariant factors of rows: by the local engine when local is set and
-    it does not hand them back, else by the Euclidean engine."""
-    if local:
-        factors = _local_factors(rows)
+def _factors(rows: list[list[int]]) -> tuple[int, ...]:
+    """Invariant factors of rows, by the engine the module docstring's rule picks."""
+    if len(rows) >= LOCAL_MIN_ORDER and len(rows) == len(rows[0]):
+        factors = local_smith_form(rows)
         if factors is not None:
             return factors
     return tuple(kernels.smith_reduce(rows, False)[0])
 
 
-def local_smith_form(a: IntMatrix) -> tuple[int, ...] | None:
-    """Invariant factors of a square matrix by the local engine, or None.
-
-    The gcd s_1...s_{n-1} of the (n-1)-minors divides the (n-1)-minor M
-    that Bareiss returns with det, so the part w of |det| prime to M sits in
-    the last factor alone. Every prime of |det| // w divides M; trial
-    division below ``TRIAL_BOUND`` finds them, and each is eliminated
-    modulo p^k. This is the raw engine: it runs on a itself, with no 0/1
-    core.
-
-    None means the engine hands the input back: a is singular, or |det| // w
-    has a prime factor the trial division does not reach. Raises
+def local_smith_form(rows: list[list[int]]) -> tuple[int, ...] | None:
+    """Invariant factors of square rows by the local engine of the module
+    docstring, at any order, or None when it hands them back. Raises
     ArithmeticError if an elimination contradicts the determinant, which no
-    correct kernel does.
-    """
-    return _local_factors(a.to_rows())
-
-
-def _local_factors(rows: list[list[int]]) -> tuple[int, ...] | None:
-    """local_smith_form on the rows of a square matrix."""
+    correct kernel does."""
     det, minor = kernels.bareiss_determinant(rows)
     if det == 0:
         return None

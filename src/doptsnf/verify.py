@@ -15,13 +15,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .designs import (
-    Tournament,
-    bordered_rows,
-    is_skew_type,
-    require_pm1_square,
-    skew_from_tournament,
-)
+from .designs import Tournament, bordered_rows, is_skew_type, require_pm1_square
 from .exactmat import (
     IntMatrix,
     PreconditionError,
@@ -31,7 +25,7 @@ from .exactmat import (
     matmul,
     rank_mod_p,
 )
-from .kernels import sign_gram
+from .kernels import sign_gram, smith_reduce
 from .snf import smith_normal_form
 
 
@@ -117,9 +111,8 @@ def _block_row_sums(x: IntMatrix, partition) -> Optional[tuple[int, int]]:
         if len(vals) != 1:
             return None
         per_block.append(vals.pop())
+    # Rows of even length sum to even values, so (u + v) / 2 is exact.
     u, v = abs(per_block[0]), abs(per_block[1])
-    if (u + v) % 2 != 0:
-        return None
     return (u + v) // 2, (u - v) // 2
 
 
@@ -550,9 +543,11 @@ def _claim_ew_head(x: IntMatrix) -> TheoremCheck:
 def _claim_border_link(x: IntMatrix) -> TheoremCheck:
     a, t = _as_ew_tournament(x)
     aplusi = a.matrix + IntMatrix.identity(a.order)
-    sf = smith_normal_form(skew_from_tournament(a)).factors
+    # S is reduced uncut: its 0/1 core is A + I, so smith_normal_form(S)
+    # would repeat the computation of bf rather than check it.
+    sf = smith_reduce(bordered_rows(a.matrix.to_rows()), False)[0]
     bf = smith_normal_form(aplusi).factors
-    computed = sf + (determinant(aplusi),)
+    computed = tuple(sf) + (determinant(aplusi),)
     predicted = (1,) + tuple(2 * b for b in bf) + (t ** (2 * t) * (4 * t + 1),)
     return TheoremCheck("border-link", computed, predicted, "bordered factors, then det(A+I)")
 

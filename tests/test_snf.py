@@ -235,7 +235,7 @@ def test_local_engine_differential(rows):
     for a reason it states."""
     m = IntMatrix.from_rows(rows)
     want = euclidean_factors(m)
-    got = local_smith_form(m)
+    got = local_smith_form(m.to_rows())
     if got is None:
         d = abs(determinant(m))
         assert d == 0 or trial_divide(d, TRIAL_BOUND)[1] > 1
@@ -270,7 +270,7 @@ def test_local_engine_hand_cases():
     for diagonal, *wants in cases:
         d = diagonal_matrix(diagonal)
         for m, want in zip((d, scrambled(d, rng)), wants):
-            assert local_smith_form(m) == want
+            assert local_smith_form(m.to_rows()) == want
             if want is not None:
                 assert euclidean_factors(m) == want
 
@@ -293,24 +293,31 @@ def test_paley_two_block_is_a_design_only_at_q_11():
         assert ew_gram_check(paley_two_block(q)).verdict is verdict
 
 
-def test_local_engine_on_the_public_path(example66):
+def test_local_engine_on_the_public_path(example66, monkeypatch):
     assert paley_two_block(11) == example66
     for m in (paley_two_block(19), random_pm1(207, 100)):
         assert m.rows >= LOCAL_MIN_ORDER
-        local = local_smith_form(m)
+        local = local_smith_form(m.to_rows())
         assert local is not None
         assert smith_normal_form(m).factors == local == euclidean_factors(m)
         assert math.prod(local) == abs(determinant(m))
     rough = 65537 * 65539
-    singular = random_pm1(209, LOCAL_MIN_ORDER).to_rows()
+    # a +-1 input is eliminated as its core, one order smaller
+    singular = random_pm1(209, LOCAL_MIN_ORDER + 1).to_rows()
     singular[1] = singular[0]
     handed_back = (
         IntMatrix.from_rows(singular),
         scrambled(diagonal_matrix((1,) * (LOCAL_MIN_ORDER - 2) + (rough, rough)), random.Random(208)),
     )
     for m in handed_back:
-        assert local_smith_form(m) is None
+        assert local_smith_form(m.to_rows()) is None
+    orders = []
+    bareiss = kernels.bareiss_determinant
+    monkeypatch.setattr(kernels, "bareiss_determinant", lambda a: orders.append(len(a)) or bareiss(a))
+    for m in handed_back:
         assert smith_normal_form(m).factors == euclidean_factors(m)
+    # both reached the local engine before it handed them back
+    assert orders == [LOCAL_MIN_ORDER, LOCAL_MIN_ORDER]
 
 
 def test_local_engine_never_eliminates_modulo_a_rough_prime(monkeypatch):
@@ -322,11 +329,11 @@ def test_local_engine_never_eliminates_modulo_a_rough_prime(monkeypatch):
     monkeypatch.setattr(kernels, "local_exponents", lambda a, p, k: calls.append(p) or eliminate(a, p, k))
     m = random_pm1(207, 100)
     assert trial_divide(abs(determinant(m)), TRIAL_BOUND)[1] > 1
-    assert local_smith_form(m) is not None
+    assert local_smith_form(m.to_rows()) is not None
     assert calls and max(calls) < TRIAL_BOUND
     calls.clear()
     rough = 65537 * 65539
-    assert local_smith_form(diagonal_matrix((rough, 1, 1))) is None
+    assert local_smith_form(diagonal_matrix((rough, 1, 1)).to_rows()) is None
     assert calls == []
 
 

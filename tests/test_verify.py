@@ -16,7 +16,7 @@ from doptsnf.designs import (
     tournament_from_skew,
     normalize_skew_to_border,
 )
-from doptsnf import verify
+from doptsnf import snf, verify
 from doptsnf.exactmat import (
     DimensionError,
     IntMatrix,
@@ -239,6 +239,24 @@ def test_block_constraints_zero_factors_fail():
     assert not ev.passed
 
 
+def test_block_constraints_count_the_factors_first():
+    ev = predicted_block_snf(3, 5, -1).evaluate((1, 2))
+    assert (ev.observed, ev.expected, ev.description) == ((2,), (14,), "factor count")
+    assert not ev.passed
+
+
+def test_block_constraints_prime_square_with_t_not_squarefree():
+    """At n = 50, 4t+1 = 49 = 7^2 but t = 12 = 2^2 * 3: only the leading
+    factors (1, 2) are predicted."""
+    cons = predicted_block_snf(12, 7, 7)
+    assert (cons.case, cons.p, cons.gcd_r, cons.full_prediction) == ("prime-square", 7, 7, None)
+    ev = cons.evaluate((1, 2) + (4,) * 48)
+    assert ev.passed
+    assert (ev.observed, ev.expected) == ((1, 2), (1, 2))
+    assert ev.description == "leading factors only (t is not square-free)"
+    assert not cons.evaluate((1, 4) + (4,) * 48).passed
+
+
 def test_block_constraints_prime_square(example26):
     cons = predicted_block_snf(6, 5, 5)
     assert cons.case == "prime-square"
@@ -355,6 +373,25 @@ def test_claims_on_26(skew26, tournament25):
         assert theorem_conformance(skew26, claim).passed, claim
     for claim in ("tournament-snf", "border-link", "aplusi-head", "a2a-tail"):
         assert theorem_conformance(tournament25.matrix, claim).passed, claim
+
+
+def test_every_claim_fails_on_a_wrong_engine(monkeypatch, skew26, tournament25):
+    """With every SNF factor tripled (still a divisibility chain), each claim
+    that applies to skew26 or tournament25 fails: a claim that still passed
+    would be comparing the engine with itself."""
+    engine = snf._factors
+    monkeypatch.setattr(snf, "_factors", lambda rows: tuple(3 * f for f in engine(rows)))
+    assert smith_normal_form(IntMatrix.identity(2)).factors == (3, 3)
+    applied = set()
+    for x in (skew26, tournament25.matrix):
+        for claim in CLAIMS:
+            try:
+                check = theorem_conformance(x, claim)
+            except ValueError:  # the claim does not apply to x
+                continue
+            applied.add(claim)
+            assert not check.passed, claim
+    assert applied == set(CLAIMS) - {"block-squarefree"}
 
 
 def test_skew26_is_not_equivalent_to_example26(example26, skew26):
