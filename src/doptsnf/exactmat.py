@@ -29,10 +29,6 @@ class DimensionError(ValueError):
     """Operand shapes do not conform."""
 
 
-class SingularMatrixError(ValueError):
-    """A nonsingular matrix was required."""
-
-
 class PreconditionError(ValueError):
     """Hypotheses of a checker are not satisfied by the input."""
 
@@ -220,20 +216,6 @@ def determinant(a: IntMatrix) -> int:
     if not a.is_square:
         raise DimensionError("determinant needs a square matrix")
     return kernels.bareiss_determinant(a.to_rows())[0]
-
-
-def adjugate_and_det(a: IntMatrix) -> tuple[IntMatrix, int]:
-    """Adjugate matrix together with the determinant.
-
-    Computed by fraction-free Gauss-Jordan elimination on [A | I] in O(n^3)
-    big-int operations; satisfies a @ adj == det * I exactly.
-    """
-    if not a.is_square:
-        raise DimensionError("adjugate needs a square matrix")
-    adj, det = kernels.adjugate(a.to_rows())
-    if adj is None:
-        raise SingularMatrixError("matrix is singular")
-    return IntMatrix.from_rows(adj), det
 
 
 def as_integer(name: str, value) -> int:

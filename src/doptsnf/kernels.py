@@ -9,8 +9,9 @@ operation per entry: the one modular kernel, ``local_exponents`` (which
 packs a +-1 row as the bitmask of its -1 entries. Modulo 2^k the slots are
 read with bit masks alone: one AND tests bit e of every slot of a row, or
 keeps every slot's low k bits, so no row is unpacked. ``matmul`` stays the one
-general product. Callers own all shape validation — kernels assume
-well-formed input.
+general product. ``adjugate`` has no caller in the library: it is kept as
+the tests' oracle and as a name the layered benchmark traces. Callers own
+all shape validation — kernels assume well-formed input.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def adjugate(a):
     above and below each pivot in one sweep, which keeps the arithmetic
     integral throughout (O(n^3) big-int operations rather than the O(n^5)
     of cofactor expansion). Returns ``(adj, det)``; ``(None, 0)`` when the
-    matrix is singular.
+    matrix is singular. No library code calls it (see the module docstring).
     """
     n = len(a)
     w = [row[:] + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(a)]

@@ -19,7 +19,6 @@ from .designs import Tournament, bordered_rows, is_skew_type, require_pm1_square
 from .exactmat import (
     IntMatrix,
     PreconditionError,
-    adjugate_and_det,
     determinant,
     factorize,
     matmul,
@@ -385,50 +384,67 @@ class TheoremCheck(NamedTuple):
         return self.computed == self.predicted
 
 
-def _skew_ew_t(x: IntMatrix, claim_id: str) -> int:
-    """t for a skew-type EW matrix of order 4t+2.
+def _skew_ew(x: IntMatrix, name: str):
+    """(t, rows, halves, signs) of a skew-type EW matrix S of order 4t+2.
 
-    The O(n^2) skew-type test runs before the two Gram products of
-    ew_gram_check, after the same input check, which names the claim.
+    After the input check, which names the caller, the O(n^2) skew-type
+    test runs before the one Gram product: S + S^T = 2I gives
+    S^TS = (2I - S)S = SS^T, so ew_gram_check's column analysis would
+    repeat the row one. SS^T = D((n-2)I + 2K)D with D = diag(signs) and
+    K_ij = 1 iff i and j lie in the same half.
     """
-    require_pm1_square(x, f"claim {claim_id}")
+    require_pm1_square(x, name)
     _require(is_skew_type(x), "input is not skew-type")
-    rep = ew_gram_check(x)
-    _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
-    _require(x.rows >= 6, f"the claim needs t >= 1; order {x.rows} gives t = 0")
-    return (x.rows - 2) // 4
+    n = x.rows
+    _require(n % 4 == 2, f"input lacks the EW Gram structure (order {n} is not 2 (mod 4))")
+    rows = x.to_rows()
+    halves, signs, why = _analyze_gram(sign_gram(rows), n)
+    _require(halves is not None, f"input lacks the EW Gram structure (rows: {why})")
+    _require(n >= 6, f"the claim needs t >= 1; order {n} gives t = 0")
+    return (n - 2) // 4, rows, halves, signs
+
+
+def _scaled_inverse(rows: list[list[int]], halves, signs) -> list[list[int]]:
+    """Y = (n-1)(n-2) X^-1 in O(n^2), from the rows of an EW matrix X and
+    the halves and signs of its row Gram analysis: XX^T = DLD with
+    L = (n-2)I + 2K (see _skew_ew) and L^-1 = ((n-1)I - K) / ((n-1)(n-2)),
+    so X^-1 = X^T D L^-1 D and Y_ij = (n-1) x_ji - s_j sum_{k in half(j)} s_k x_ki.
+    """
+    n = len(rows)
+    cols = [None] * n
+    for half in halves:
+        v = [sum(c) for c in zip(*([signs[k] * e for e in rows[k]] for k in half))]
+        for j in half:
+            cols[j] = [(n - 1) * e - signs[j] * w for e, w in zip(rows[j], v)]
+    return [list(r) for r in zip(*cols)]
 
 
 def scaled_inverse_check(s: IntMatrix) -> TheoremCheck:
-    """Adjugate entry analysis for a skew-type EW matrix.
+    """Adjugate entry analysis for a skew-type EW matrix X of order n = 4t+2.
 
-    Checks that every adjugate entry magnitude lies in
-    2(4t)^(2t-1) * {4t, 4t+2, 4t+1-sqrt(8t+1), 4t+1+sqrt(8t+1)}, that the
-    gcd of all entries is 4(4t)^(2t-1), and that the final invariant
-    factor equals det/gcd = 2t(4t+1). computed/predicted carry
-    (gcd, last factor, number of out-of-set entries).
+    No elimination: det(XX^T) = det L = (n-2)^(n-2) (2n-2)^2 gives
+    |det X| = (4t)^(2t) (8t+2) (its sign is not computed), so
+    adj X = det X * X^-1 = +-2(4t)^(2t-1) Y with Y from _scaled_inverse.
+    Checks that every |Y_ij| lies in {4t, 4t+2, 4t+1 -+ sqrt(8t+1)}, that
+    the adjugate's gcd 2(4t)^(2t-1) gcd(Y) is 4(4t)^(2t-1), and that the
+    last invariant factor is |det|/gcd = 2t(4t+1). computed/predicted
+    carry (gcd, last factor, number of out-of-set entries).
     """
-    t = _skew_ew_t(s, "scaled-inverse")
+    t, rows, halves, signs = _skew_ew(s, "claim scaled-inverse")
     disc = 8 * t + 1
     root = math.isqrt(disc)
     _require(root * root == disc, f"8t+1 = {disc} is not a perfect square")
     base = 2 * (4 * t) ** (2 * t - 1)
-    allowed = {
-        base * 4 * t,
-        base * (4 * t + 2),
-        base * (4 * t + 1 - root),
-        base * (4 * t + 1 + root),
-    }
-    adj, det = adjugate_and_det(s)
-    bad = sum(1 for v in adj.entries if abs(v) not in allowed)
-    g = math.gcd(*adj.entries)
+    allowed = {4 * t, 4 * t + 2, 4 * t + 1 - root, 4 * t + 1 + root}
+    y = [abs(v) for row in _scaled_inverse(rows, halves, signs) for v in row]
+    bad = sum(1 for v in y if v not in allowed)
     last = smith_normal_form(s).factors[-1]
-    seen = sorted({abs(v) // base for v in adj.entries if abs(v) % base == 0})
     return TheoremCheck(
         "scaled-inverse",
-        (g, last, bad),
+        (base * math.gcd(*y), last, bad),
         (4 * (4 * t) ** (2 * t - 1), 2 * t * (4 * t + 1), 0),
-        f"det = {det}; |entry|/(2(4t)^(2t-1)) values seen: {seen}",
+        f"|det| = {(4 * t) ** (2 * t) * (8 * t + 2)}; "
+        f"|entry|/(2(4t)^(2t-1)) values seen: {sorted(set(y))}",
     )
 
 
@@ -443,11 +459,8 @@ def normalized_block_row_sums(s: IntMatrix) -> tuple[int, int, int, int]:
     carries which sign is not canonical, so callers should accept either
     assignment.
     """
-    require_pm1_square(s, "normalized_block_row_sums")
-    _require(is_skew_type(s), "input is not skew-type")
+    _, _, part, signs = _skew_ew(s, "normalized_block_row_sums")
     n = s.rows
-    part, signs, why = _analyze_gram(sign_gram(s.to_rows()), n)
-    _require(part is not None, f"input lacks the EW Gram structure ({why})")
     order = list(part[0]) + list(part[1])
     m = [[signs[i] * signs[j] * s.at(i, j) for j in order] for i in order]
     h = n // 2
@@ -524,7 +537,7 @@ def _skew_claim(
     """Claim on the slice part(t) of the skew-type diagonal predicted_snf_skew_ew(t)."""
 
     def check(x: IntMatrix) -> TheoremCheck:
-        t = _skew_ew_t(x, claim_id)
+        t = _skew_ew(x, f"claim {claim_id}")[0]
         cut = part(t)
         return TheoremCheck(
             claim_id, smith_normal_form(x).factors[cut], predicted_snf_skew_ew(t)[cut]

@@ -12,8 +12,9 @@ import time
 
 import pytest
 
+from doptsnf import kernels
 from doptsnf.designs import build_example_26, build_example_66, skew_from_tournament
-from doptsnf.exactmat import IntMatrix, adjugate_and_det, determinant, rank_mod_p
+from doptsnf.exactmat import IntMatrix, determinant, rank_mod_p
 from doptsnf.snf import minor_gcd, smith_normal_form
 from doptsnf.search import search_circulant_tournament
 from doptsnf.verify import (
@@ -118,8 +119,8 @@ def test_criterion_07_scaled_inverse_t1(capsys, witnesses5):
         chk = scaled_inverse_check(s)
         if not chk.passed or chk.computed != (16, 10, 0):
             ok = False
-        adj, _ = adjugate_and_det(s)
-        if not {abs(v) for v in adj.entries} <= {16, 32, 48, 64}:
+        adj, _ = kernels.adjugate(s.to_rows())
+        if not {abs(v) for row in adj for v in row} <= {16, 32, 48, 64}:
             ok = False
     announce(capsys, 7, ok, "adj entries in +-{16,32,48,64}, gcd 16, last factor 10")
 

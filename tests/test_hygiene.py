@@ -1,6 +1,8 @@
 """Source hygiene: every name a doptsnf module imports is used in that
-module, only ``IntMatrix.is_pm1`` spells the +-1 entry test, and every
-doptsnf name the benchmark harness in ``layerbench/`` uses still exists."""
+module, every public module-level name has a caller in the library or a
+stated reason, only ``IntMatrix.is_pm1`` spells the +-1 entry test, and
+every doptsnf name the benchmark harness in ``layerbench/`` uses still
+exists."""
 
 import ast
 import importlib
@@ -40,6 +42,80 @@ c(re)
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def callerless(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each public module-level function, class or
+    constant of sources (module name -> source) that no source names, as
+    a name or an attribute, outside the name's own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = [
+        (node, node.id if isinstance(node, ast.Name) else node.attr)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            inside = {id(sub) for sub in ast.walk(node)}
+            for name in names:
+                if not name.startswith("_") and not any(
+                    used_name == name and id(user) not in inside for user, used_name in used
+                ):
+                    found.append(f"{module}.{name}")
+    return sorted(found)
+
+
+def test_callerless_finds_unnamed_public_definitions():
+    sources = {
+        "a": """
+LIMIT = 3
+_PRIVATE = 4
+def used(x):
+    return helper(x) + LIMIT
+def helper(x):
+    return helper(x - 1) if x else 0
+def recursive(x):
+    return recursive(x - 1)
+class Report:
+    pass
+""",
+        "b": """
+from . import a
+a.used(2)
+""",
+    }
+    assert callerless(sources) == ["a.Report", "a.recursive"]
+
+
+#: Public names with no caller in the library, each kept for a reason.
+CALLERLESS = {
+    "cli.parse_factors_rle": "layerbench decodes the CLI's run-length factors with it",
+    "designs.normalize_skew_to_border": "layerbench builds its order-13 tournament with it",
+    "designs.tournament_from_skew": "layerbench builds its order-13 tournament with it",
+    "kernels.BACKEND": "layerbench records it with each run",
+    "kernels.adjugate": "layerbench traces it; the tests' Gauss-Jordan adjugate oracle",
+    "snf.minor_gcd": "the tests' independent SNF oracle",
+    "verify.block_determinant_formula": "a statement of the paper the tests check",
+    "verify.existence_filter": "a statement of the paper the tests check",
+    "verify.normalized_block_row_sums": "a statement of the paper the tests check",
+    "verify.p_rank_report": "a statement of the paper the tests check; layerbench traces it",
+}
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    found = callerless({path.stem: path.read_text() for path in SRC.glob("*.py")})
+    assert [name for name in found if name not in CALLERLESS] == []
+    # An entry whose name gained a caller, or was deleted, goes too.
+    assert sorted(CALLERLESS) == found
 
 
 def hand_spelled_pm1(source: str) -> list[int]:

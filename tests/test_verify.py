@@ -21,7 +21,6 @@ from doptsnf.exactmat import (
     DimensionError,
     IntMatrix,
     PreconditionError,
-    adjugate_and_det,
     circulant,
     determinant,
     matmul,
@@ -427,12 +426,27 @@ SKEW_CLAIMS = ("main", "skew-head", "skew-last", "scaled-inverse")
 def test_skew_claims_test_skew_type_before_the_gram_products(monkeypatch, example66, claim):
     # example66 is EW but not skew-type; the O(n^2) test refuses it with no Gram product
     def no_gram(*args, **kwargs):
-        raise AssertionError("ew_gram_check ran")
+        raise AssertionError("a Gram product ran")
 
     monkeypatch.setattr(verify, "ew_gram_check", no_gram)
+    monkeypatch.setattr(verify, "sign_gram", no_gram)
     monkeypatch.setattr(verify, "matmul", no_gram)
     with pytest.raises(PreconditionError, match="^input is not skew-type$"):
         theorem_conformance(example66, claim)
+
+
+@pytest.mark.parametrize("claim", SKEW_CLAIMS)
+def test_skew_claims_build_one_gram_product(monkeypatch, skew26, claim):
+    # S + S^T = 2I gives S^TS = SS^T, so the row Gram matrix decides the EW test alone
+    sizes = []
+
+    def counting_gram(rows):
+        sizes.append(len(rows))
+        return kernels.sign_gram(rows)
+
+    monkeypatch.setattr(verify, "sign_gram", counting_gram)
+    assert theorem_conformance(skew26, claim).passed
+    assert sizes == [26]
 
 
 @pytest.mark.parametrize("claim", SKEW_CLAIMS)
@@ -478,9 +492,9 @@ def test_scaled_inverse_t1(witnesses5):
     chk = scaled_inverse_check(s)
     assert chk.passed
     assert chk.computed == (16, 10, 0)
-    adj, det = adjugate_and_det(s)
+    adj, det = kernels.adjugate(s.to_rows())
     assert det == 2 * 5 * 4**2
-    assert {abs(v) for v in adj.entries} <= {16, 32, 48, 64}
+    assert {abs(v) for row in adj for v in row} <= {16, 32, 48, 64}
 
 
 def test_scaled_inverse_t3(skew14):
@@ -489,6 +503,28 @@ def test_scaled_inverse_t3(skew14):
     # gcd = 4 * (4t)^{2t-1} at t = 3
     assert chk.computed[0] == 4 * 12**5
     assert chk.computed[1] == 6 * 13
+
+
+def test_scaled_inverse_matches_the_gauss_jordan_adjugate(
+    witnesses5, skew14, skew26, example26, example66
+):
+    """Y = (n-1)(n-2) X^-1 from the Gram form against kernels.adjugate:
+    adj X = sign(det) 2(n-2)^(n/2-2) Y entry for entry,
+    |det X| = (n-2)^(n/2-1) (2n-2) and XY = (n-1)(n-2) I. example26 and
+    example66 are EW but not skew-type, outside the claim's inputs."""
+    designs = [skew_from_tournament(w) for w in witnesses5]
+    for x in designs + [skew14, skew26, example26, example66]:
+        rows = x.to_rows()
+        n = len(rows)
+        halves, signs, why = verify._analyze_gram(kernels.sign_gram(rows), n)
+        assert halves is not None, why
+        y = verify._scaled_inverse(rows, halves, signs)
+        adj, det = kernels.adjugate(rows)
+        assert abs(det) == (n - 2) ** (n // 2 - 1) * (2 * n - 2)
+        scale = (1 if det > 0 else -1) * 2 * (n - 2) ** (n // 2 - 2)
+        assert adj == [[scale * v for v in row] for row in y]
+        identity = [[(n - 1) * (n - 2) * (i == j) for j in range(n)] for i in range(n)]
+        assert kernels.matmul(rows, y) == identity
 
 
 def test_scaled_inverse_rejects_non_skew(example26):
@@ -652,9 +688,13 @@ def ref_normalized_block_row_sums(s):
     if not is_skew_type(s):
         raise PreconditionError("input is not skew-type")
     n = s.rows
+    if n % 4 != 2:
+        raise PreconditionError(f"input lacks the EW Gram structure (order {n} is not 2 (mod 4))")
     part, signs, why = ref_analyze_gram(ref_gram(s.to_rows()), n)
     if part is None:
-        raise PreconditionError(f"input lacks the EW Gram structure ({why})")
+        raise PreconditionError(f"input lacks the EW Gram structure (rows: {why})")
+    if n < 6:
+        raise PreconditionError(f"the claim needs t >= 1; order {n} gives t = 0")
     order = list(part[0]) + list(part[1])
     m = [[signs[i] * signs[j] * s.at(i, j) for j in order] for i in order]
     h = n // 2
