@@ -166,6 +166,7 @@ def cmd_snf(args):
     text = rle + "\n"
     if args.transforms:
         payload.update(left=res.left, right=res.right)
+    if args.transforms and not args.json:  # the JSON report carries no text
         text += "\n" + format_matrix(res.left, comments=("left transform",))
         text += "\n" + format_matrix(res.right, comments=("right transform",))
     return "pass", [payload], text

@@ -106,10 +106,18 @@ def require_pm1_square(x: IntMatrix, caller: str) -> None:
 
 
 def is_skew_type(x: IntMatrix) -> bool:
-    """True iff X + X^T = 2I."""
+    """True iff X + X^T = 2I: the diagonal is all ones and x_ij = -x_ji off it.
+
+    The entries are compared with those of -X^T, whose diagonal is set to
+    ones first, in one list comparison.
+    """
     if not x.is_square:
         raise DimensionError("is_skew_type needs a square matrix")
-    return x + x.transpose() == 2 * IntMatrix.identity(x.rows)
+    n = x.rows
+    entries = x.entries
+    negated = [-v for j in range(n) for v in entries[j::n]]  # -X^T, row-major
+    negated[:: n + 1] = [1] * n
+    return list(entries) == negated
 
 
 def _require_skew(s: IntMatrix) -> None:

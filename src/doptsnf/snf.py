@@ -28,6 +28,16 @@ input, or its 0/1 core), and from nothing else:
   hand-backs. It diagonalizes by unimodular row and column operations over
   the integers, so its entries can grow far past the final factors.
 
+The certificate rule: a caller that has proved |det a| = D passes it as
+``abs_det``. A +-1 input hands D >> (n-1) to its 0/1 core, since
+|det A| = 2^(n-1) |det C|. The local engine then trial-divides D itself
+below ``TRIAL_BOUND`` and eliminates modulo p^k for each prime it finds,
+at any order, with no Bareiss determinant and no (n-1)-minor. A D with a
+prime factor the trial division does not reach sends the rows on to the
+engine rule above. The factors are exact when D is |det|; a wrong D is
+the caller's fault, and shows as an ArithmeticError only where an
+elimination contradicts it.
+
 ``minor_gcd`` is deliberately independent of both (it enumerates every
 i x i minor and takes gcds), so they can cross-check each other: the i-th
 invariant factor equals minor_gcd(a, i) / minor_gcd(a, i-1) as long as
@@ -83,20 +93,32 @@ class SnfResult(Frozen):
         return sum(1 for f in self.factors if f)
 
 
-def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SnfResult:
+def smith_normal_form(
+    a: IntMatrix, want_transforms: bool = False, *, abs_det: int | None = None
+) -> SnfResult:
     """Smith normal form of any rectangular integer matrix.
 
     Factors are nonnegative, each divides the next, and zeros (if any) come
     last. With ``want_transforms=True`` the result carries unimodular left
     and right matrices with ``left @ a @ right == diag(factors)``. What runs
-    is the module docstring's engine rule; every path gives the same factors.
+    is the module docstring's engine rule, or its certificate rule when
+    ``abs_det`` is given; every path gives the same factors.
     """
+    if abs_det is not None:
+        if want_transforms:
+            raise ValueError("abs_det does not apply to transforms")
+        if abs_det < 1 or not a.is_square:
+            raise ValueError(f"abs_det = {abs_det} is not |det| of a {a.rows}x{a.cols} matrix")
     if want_transforms:
         factors, left, right = kernels.smith_reduce(a.to_rows(), True)
         return SnfResult(tuple(factors), IntMatrix.from_rows(left), IntMatrix.from_rows(right))
     if min(a.rows, a.cols) >= 2 and a.is_pm1:
-        return SnfResult((1,) + tuple(2 * f for f in _factors(_zero_one_core(a))))
-    return SnfResult(_factors(a.to_rows()))
+        if abs_det is not None:
+            abs_det, low = divmod(abs_det, 2 ** (a.rows - 1))
+            if low:
+                raise ValueError(f"a +-1 square of order {a.rows} has 2^{a.rows - 1} | det")
+        return SnfResult((1,) + tuple(2 * f for f in _factors(_zero_one_core(a), abs_det)))
+    return SnfResult(_factors(a.to_rows(), abs_det))
 
 
 def _zero_one_core(a: IntMatrix) -> list[list[int]]:
@@ -114,8 +136,12 @@ def _zero_one_core(a: IntMatrix) -> list[list[int]]:
     ]
 
 
-def _factors(rows: list[list[int]]) -> tuple[int, ...]:
-    """Invariant factors of rows, by the engine the module docstring's rule picks."""
+def _factors(rows: list[list[int]], abs_det: int | None = None) -> tuple[int, ...]:
+    """Invariant factors of rows, by the rule the module docstring gives."""
+    if abs_det is not None:
+        factors = local_smith_form(rows, abs_det)
+        if factors is not None:
+            return factors
     if len(rows) >= LOCAL_MIN_ORDER and len(rows) == len(rows[0]):
         factors = local_smith_form(rows)
         if factors is not None:
@@ -123,20 +149,26 @@ def _factors(rows: list[list[int]]) -> tuple[int, ...]:
     return tuple(kernels.smith_reduce(rows, False)[0])
 
 
-def local_smith_form(rows: list[list[int]]) -> tuple[int, ...] | None:
+def local_smith_form(
+    rows: list[list[int]], abs_det: int | None = None
+) -> tuple[int, ...] | None:
     """Invariant factors of square rows by the local engine of the module
-    docstring, at any order, or None when it hands them back. Raises
-    ArithmeticError if an elimination contradicts the determinant, which no
-    correct kernel does."""
-    det, minor = kernels.bareiss_determinant(rows)
-    if det == 0:
-        return None
-    # w: the part of d prime to minor.
-    d = w = abs(det)
-    g = gcd(d, minor)
-    while g > 1:
-        w //= g
-        g = gcd(w, g)
+    docstring, at any order, or None when it hands them back. Given
+    ``abs_det``, it runs the certificate rule: no Bareiss, and all of abs_det
+    is trial-divided. Raises ArithmeticError if an elimination contradicts
+    the determinant, which no correct kernel does."""
+    if abs_det is None:
+        det, minor = kernels.bareiss_determinant(rows)
+        if det == 0:
+            return None
+        # w: the part of d prime to minor.
+        d = w = abs(det)
+        g = gcd(d, minor)
+        while g > 1:
+            w //= g
+            g = gcd(w, g)
+    else:
+        d, w = abs_det, 1
     powers, c = trial_divide(d // w, TRIAL_BOUND)
     if c > 1:
         return None

@@ -384,6 +384,13 @@ class TheoremCheck(NamedTuple):
         return self.computed == self.predicted
 
 
+def _ew_abs_det(n: int) -> int:
+    """|det X| of an EW matrix X of order n, once its Gram check has passed:
+    XX^T = D((n-2)I + 2K)D (see _skew_ew), and (n-2)I + 2K has eigenvalues
+    2n-2 (twice) and n-2 (n-2 times), so |det X| = (n-2)^(n/2-1) (2n-2)."""
+    return (n - 2) ** (n // 2 - 1) * (2 * n - 2)
+
+
 def _skew_ew(x: IntMatrix, name: str):
     """(t, rows, halves, signs) of a skew-type EW matrix S of order 4t+2.
 
@@ -422,13 +429,15 @@ def _scaled_inverse(rows: list[list[int]], halves, signs) -> list[list[int]]:
 def scaled_inverse_check(s: IntMatrix) -> TheoremCheck:
     """Adjugate entry analysis for a skew-type EW matrix X of order n = 4t+2.
 
-    No elimination: det(XX^T) = det L = (n-2)^(n-2) (2n-2)^2 gives
-    |det X| = (4t)^(2t) (8t+2) (its sign is not computed), so
-    adj X = det X * X^-1 = +-2(4t)^(2t-1) Y with Y from _scaled_inverse.
+    No elimination: |det X| = (4t)^(2t) (8t+2) by _ew_abs_det (its sign is
+    not computed), so adj X = det X * X^-1 = +-2(4t)^(2t-1) Y with Y from
+    _scaled_inverse.
     Checks that every |Y_ij| lies in {4t, 4t+2, 4t+1 -+ sqrt(8t+1)}, that
     the adjugate's gcd 2(4t)^(2t-1) gcd(Y) is 4(4t)^(2t-1), and that the
-    last invariant factor is |det|/gcd = 2t(4t+1). computed/predicted
-    carry (gcd, last factor, number of out-of-set entries).
+    last invariant factor is |det|/gcd = 2t(4t+1). That factor comes from
+    smith_normal_form without the |det| certificate, so it is computed apart
+    from the adjugate. computed/predicted carry (gcd, last factor, number
+    of out-of-set entries).
     """
     t, rows, halves, signs = _skew_ew(s, "claim scaled-inverse")
     disc = 8 * t + 1
@@ -443,7 +452,7 @@ def scaled_inverse_check(s: IntMatrix) -> TheoremCheck:
         "scaled-inverse",
         (base * math.gcd(*y), last, bad),
         (4 * (4 * t) ** (2 * t - 1), 2 * t * (4 * t + 1), 0),
-        f"|det| = {(4 * t) ** (2 * t) * (8 * t + 2)}; "
+        f"|det| = {_ew_abs_det(s.rows)}; "
         f"|entry|/(2(4t)^(2t-1)) values seen: {sorted(set(y))}",
     )
 
@@ -539,9 +548,8 @@ def _skew_claim(
     def check(x: IntMatrix) -> TheoremCheck:
         t = _skew_ew(x, f"claim {claim_id}")[0]
         cut = part(t)
-        return TheoremCheck(
-            claim_id, smith_normal_form(x).factors[cut], predicted_snf_skew_ew(t)[cut]
-        )
+        facs = smith_normal_form(x, abs_det=_ew_abs_det(x.rows)).factors
+        return TheoremCheck(claim_id, facs[cut], predicted_snf_skew_ew(t)[cut])
 
     return check
 
@@ -549,7 +557,7 @@ def _skew_claim(
 def _claim_ew_head(x: IntMatrix) -> TheoremCheck:
     rep = ew_gram_check(x)
     _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
-    facs = smith_normal_form(x).factors
+    facs = smith_normal_form(x, abs_det=_ew_abs_det(x.rows)).factors
     return TheoremCheck("ew-head", facs[:2], (1, 2))
 
 
@@ -601,7 +609,7 @@ def _block_claim(case: str) -> Callable[[IntMatrix], TheoremCheck]:
             constraints.case == case,
             f"claim applies to the {case} case, input is {constraints.case}",
         )
-        ev = constraints.evaluate(smith_normal_form(x).factors)
+        ev = constraints.evaluate(smith_normal_form(x, abs_det=_ew_abs_det(x.rows)).factors)
         return TheoremCheck(f"block-{case}", ev.observed, ev.expected, ev.description)
 
     return check

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 import doptsnf
+from doptsnf import cli
 from doptsnf.cli import format_factors_rle, main, parse_factors_rle
 from doptsnf.designs import skew_from_tournament
 from doptsnf.exactmat import format_matrix, parse_matrix
@@ -376,6 +377,19 @@ def test_json_snf(capsys, schema, e26_path):
     assert res["factors"][-1] == "60"
     assert res["rank"] == "26"
     assert res["left"]["rows"] == "26"
+
+
+def test_json_snf_formats_no_transform_text(monkeypatch, capsys, schema, e26_path):
+    """The --json report prints no text, so the transforms' text is not built;
+    the report itself is unchanged."""
+    doc = run_json(capsys, ["snf", e26_path, "--json", "--transforms"], 0, schema)
+
+    def no_format(*args, **kwargs):
+        raise AssertionError("format_matrix ran")
+
+    monkeypatch.setattr(cli, "format_matrix", no_format)
+    again = run_json(capsys, ["snf", e26_path, "--json", "--transforms"], 0, schema)
+    assert {**again, "elapsed_ms": None} == {**doc, "elapsed_ms": None}
 
 
 def test_json_verify(capsys, schema, e26_path):

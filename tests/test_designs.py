@@ -1,6 +1,7 @@
 """Constructions: tournaments, bordered skew designs, doubling."""
 
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +241,34 @@ def test_input_checks_raise_the_same_classes_and_messages(check, x, error, messa
 def test_skew_type_conditions_on_small_inputs():
     assert is_skew_type(ONE) and not is_skew_type(MINUS_ONE)
     assert normalize_skew_to_border(ONE) == ONE
+
+
+def ref_is_skew_type(x: IntMatrix) -> bool:
+    """The matrix expression is_skew_type used to build: X + X^T == 2I."""
+    return x + x.transpose() == 2 * IntMatrix.identity(x.rows)
+
+
+def test_is_skew_type_matches_the_matrix_expression(
+    witnesses5, skew14, skew26, example26, example66
+):
+    """The entry test against ref_is_skew_type on the bordered witnesses,
+    the fixtures, random +-1 squares, and each skew design with one entry
+    negated (which a test that skipped the diagonal or a triangle would pass)."""
+    rng = random.Random(4021)
+    skew = [skew_from_tournament(w) for w in witnesses5] + [skew14, skew26]
+    cases = skew + [example26, example66]
+    for x in skew[::6] + [skew14, skew26]:
+        n = x.rows
+        for k in rng.sample(range(n * n), 6) + [0, n * n - 1]:
+            cases.append(IntMatrix(n, n, [-v if i == k else v for i, v in enumerate(x.entries)]))
+    for n in range(1, 9):
+        for _ in range(20):
+            cases.append(IntMatrix(n, n, [rng.choice((1, -1)) for _ in range(n * n)]))
+    cases += [IntMatrix.from_rows([[1, 2], [-2, 1]]), IntMatrix.from_rows([[2, 0], [0, 0]])]
+    verdicts = [is_skew_type(x) for x in cases]
+    assert verdicts == [ref_is_skew_type(x) for x in cases]
+    assert verdicts[: len(skew)] == [True] * len(skew)
+    assert 0 < sum(verdicts[len(skew) :]) < len(verdicts) - len(skew)
 
 
 def test_barba_double_rejects_bad_entries():

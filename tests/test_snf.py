@@ -390,3 +390,36 @@ def test_bareiss_runs_on_the_core_of_a_pm1_input_only(monkeypatch):
     small = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(66)] for _ in range(66)])
     smith_normal_form(small)
     assert orders == [65, 66]
+
+
+def test_certificate_refusals():
+    x = IntMatrix.from_rows([[1, 1], [1, -1]])
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match=r"^abs_det = -?\d+ is not \|det\| of a 2x2 matrix$"):
+            smith_normal_form(x, abs_det=bad)
+    with pytest.raises(ValueError, match="^abs_det does not apply to transforms$"):
+        smith_normal_form(x, want_transforms=True, abs_det=2)
+    with pytest.raises(ValueError, match="is not"):
+        smith_normal_form(IntMatrix.all_ones(2, 3), abs_det=1)
+    # every +-1 square of order n has 2^(n-1) | det
+    with pytest.raises(ValueError, match=r"^a \+-1 square of order 2 has 2\^1 \| det$"):
+        smith_normal_form(x, abs_det=3)
+    assert smith_normal_form(x, abs_det=2).factors == (1, 2)
+
+
+def test_certificate_with_a_rough_prime_takes_the_uncertified_rule(monkeypatch):
+    """A certified |det| with a part the trial division cannot split (two
+    primes above TRIAL_BOUND) goes on to the engine rule: the Euclidean
+    engine below LOCAL_MIN_ORDER, the Bareiss local engine from it on."""
+    rough = 65537 * 65539
+    small = scrambled(diagonal_matrix((1, 1, 2, rough)), random.Random(401))
+    assert local_smith_form(small.to_rows(), 2 * rough) is None
+    assert smith_normal_form(small, abs_det=2 * rough).factors == euclidean_factors(small)
+    big = PM1_CASES["order-66"]
+    abs_det = abs(determinant(big))
+    assert trial_divide(abs_det >> 65, TRIAL_BOUND)[1] > 1
+    orders = []
+    bareiss = kernels.bareiss_determinant
+    monkeypatch.setattr(kernels, "bareiss_determinant", lambda a: orders.append(len(a)) or bareiss(a))
+    assert smith_normal_form(big, abs_det=abs_det).factors == euclidean_factors(big)
+    assert orders == [65]

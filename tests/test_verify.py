@@ -374,15 +374,18 @@ def test_claims_on_26(skew26, tournament25):
         assert theorem_conformance(tournament25.matrix, claim).passed, claim
 
 
-def test_every_claim_fails_on_a_wrong_engine(monkeypatch, skew26, tournament25):
+def test_every_claim_fails_on_a_wrong_engine(monkeypatch, skew26, tournament25, example66):
     """With every SNF factor tripled (still a divisibility chain), each claim
-    that applies to skew26 or tournament25 fails: a claim that still passed
-    would be comparing the engine with itself."""
+    that applies to skew26, tournament25 or example66 fails: a claim that
+    still passed would be comparing the engine with itself."""
     engine = snf._factors
-    monkeypatch.setattr(snf, "_factors", lambda rows: tuple(3 * f for f in engine(rows)))
+    monkeypatch.setattr(
+        snf, "_factors", lambda rows, *args: tuple(3 * f for f in engine(rows, *args))
+    )
     assert smith_normal_form(IntMatrix.identity(2)).factors == (3, 3)
+    assert smith_normal_form(IntMatrix.identity(2), abs_det=1).factors == (3, 3)
     applied = set()
-    for x in (skew26, tournament25.matrix):
+    for x in (skew26, tournament25.matrix, example66):
         for claim in CLAIMS:
             try:
                 check = theorem_conformance(x, claim)
@@ -390,7 +393,68 @@ def test_every_claim_fails_on_a_wrong_engine(monkeypatch, skew26, tournament25):
                 continue
             applied.add(claim)
             assert not check.passed, claim
-    assert applied == set(CLAIMS) - {"block-squarefree"}
+    assert applied == set(CLAIMS)
+
+
+@pytest.mark.parametrize(
+    "x_name, claim",
+    [("skew26", "main"), ("skew26", "skew-last"), ("example66", "block-squarefree")],
+)
+def test_claims_fail_on_a_wrong_certificate(monkeypatch, request, x_name, claim):
+    """With _ew_abs_det off by a factor of 3, each claim that reads the last
+    factor fails or meets an elimination that contradicts the certificate."""
+    x = request.getfixturevalue(x_name)
+    abs_det = verify._ew_abs_det
+    monkeypatch.setattr(verify, "_ew_abs_det", lambda n: 3 * abs_det(n))
+    try:
+        assert not theorem_conformance(x, claim).passed
+    except ArithmeticError:
+        pass
+
+
+def no_bareiss(rows):
+    raise AssertionError("bareiss_determinant ran")
+
+
+def test_ew_claims_pass_the_certificate_and_run_no_bareiss(
+    monkeypatch, skew14, skew26, example26, example66
+):
+    """Every claim on an EW design hands its SNF the |det| of _ew_abs_det,
+    so none runs a Bareiss determinant; example66 took one per claim before."""
+    monkeypatch.setattr(kernels, "bareiss_determinant", no_bareiss)
+    designs = {"skew14": skew14, "skew26": skew26, "e26": example26, "e66": example66}
+    ran = []
+    for name, x in designs.items():
+        for claim in ("main", "skew-head", "skew-last", "ew-head", "block-squarefree", "block-prime-square"):
+            try:
+                check = theorem_conformance(x, claim)
+            except PreconditionError:
+                continue
+            assert check.passed, (name, claim)
+            ran.append(f"{name}:{claim}")
+    assert len(ran) == 14 and {"e66:ew-head", "e66:block-squarefree"} <= set(ran)
+
+
+def test_ew_abs_det_certifies_every_ew_fixture(
+    monkeypatch, witnesses5, skew14, skew26, example26, example66
+):
+    """On the bordered order-6 witnesses, the Barba doubles of orders 10
+    and 26, the skew and example designs and the order-2 design,
+    _ew_abs_det(n) is |det X| by Bareiss, and the SNF it certifies equals
+    the uncertified one."""
+    doubles = [barba_double(r) for order in (5, 13) for r in search_circulant_barba(order)]
+    assert len(doubles) == 114
+    designs = [skew_from_tournament(w) for w in witnesses5] + doubles
+    designs += [skew14, skew26, example26, example66, IntMatrix.from_rows([[1, 1], [1, -1]])]
+    expected = []
+    for x in designs:
+        assert ew_gram_check(x).verdict
+        n = x.rows
+        assert verify._ew_abs_det(n) == abs(kernels.bareiss_determinant(x.to_rows())[0])
+        expected.append(smith_normal_form(x).factors)
+    monkeypatch.setattr(kernels, "bareiss_determinant", no_bareiss)
+    certified = [smith_normal_form(x, abs_det=verify._ew_abs_det(x.rows)).factors for x in designs]
+    assert certified == expected
 
 
 def test_skew26_is_not_equivalent_to_example26(example26, skew26):
