@@ -10,33 +10,25 @@ and carries no common power of 2.
 
 The engine rule: transforms come from the Euclidean engine on the input
 itself. Otherwise the engine is chosen from the rows it eliminates (the
-input, or its 0/1 core), and from nothing else:
+input, or its 0/1 core) and the caller's ``abs_det``, and nothing else:
 
-- The local engine (``local_smith_form``) runs on square rows of order
-  ``LOCAL_MIN_ORDER`` or more. It computes d = |det| and one (n-1)-minor M
-  by Bareiss. One rule places the last factor s_n: the gcd s_1...s_{n-1}
-  of the (n-1)-minors divides M, so the part w of d prime to M goes whole
-  into s_n. It trial-divides only d // w, below ``TRIAL_BOUND``; each
-  prime p it finds divides M, and the engine eliminates modulo p^k (no
-  entry grows past n*p^2k), doubling k until the exponents it sees sum to
-  v_p(d). Elimination modulo p^k gives every exponent below k exactly, and
-  the exact determinant fixes the ones at k or above, so the result is
-  exact, not probabilistic. Singular rows, or a d // w with a prime factor
-  the trial division does not reach, are handed back.
+- The local engine (``local_smith_form``) runs once, on square rows whose
+  d = |det| it has: the caller's ``abs_det`` at any order (a +-1 input
+  hands d >> (n-1) to its core, as |det A| = 2^(n-1) |det C|), or else d
+  and one (n-1)-minor M from Bareiss at order ``LOCAL_MIN_ORDER`` or more.
+  The part w of d prime to M goes whole into s_n, as s_1...s_{n-1} (the
+  gcd of the (n-1)-minors) divides M; w = 1 without M. Each prime p of
+  d // w below ``TRIAL_BOUND`` is eliminated modulo p^k (no entry grows
+  past n*p^2k), doubling k until the exponents seen sum to v_p(d). That
+  gives every exponent below k exactly, and d fixes the ones at k or
+  above, so the result is exact, not probabilistic. Singular rows, or a
+  d // w with a prime factor the trial division does not reach, are
+  handed back; a wrong ``abs_det`` shows as an ArithmeticError only where
+  an elimination contradicts it.
 - The Euclidean engine (``kernels.smith_reduce``) runs on everything else:
-  rectangular rows, squares of lower order and the local engine's
-  hand-backs. It diagonalizes by unimodular row and column operations over
+  rectangular rows, squares of lower order with no ``abs_det``, and every
+  hand-back. It diagonalizes by unimodular row and column operations over
   the integers, so its entries can grow far past the final factors.
-
-The certificate rule: a caller that has proved |det a| = D passes it as
-``abs_det``. A +-1 input hands D >> (n-1) to its 0/1 core, since
-|det A| = 2^(n-1) |det C|. The local engine then trial-divides D itself
-below ``TRIAL_BOUND`` and eliminates modulo p^k for each prime it finds,
-at any order, with no Bareiss determinant and no (n-1)-minor. A D with a
-prime factor the trial division does not reach sends the rows on to the
-engine rule above. The factors are exact when D is |det|; a wrong D is
-the caller's fault, and shows as an ArithmeticError only where an
-elimination contradicts it.
 
 ``minor_gcd`` is deliberately independent of both (it enumerates every
 i x i minor and takes gcds), so they can cross-check each other: the i-th
@@ -50,7 +42,7 @@ from itertools import combinations
 from math import gcd
 
 from . import kernels
-from .exactmat import Frozen, IntMatrix, trial_divide
+from .exactmat import Frozen, IntMatrix, as_integer, trial_divide
 
 #: Square rows of this order or more go to the local engine: the 0/1 core of a
 #: +-1 input of order 66 or more, or any other square of order 65 or more. Its
@@ -100,11 +92,12 @@ def smith_normal_form(
 
     Factors are nonnegative, each divides the next, and zeros (if any) come
     last. With ``want_transforms=True`` the result carries unimodular left
-    and right matrices with ``left @ a @ right == diag(factors)``. What runs
-    is the module docstring's engine rule, or its certificate rule when
-    ``abs_det`` is given; every path gives the same factors.
+    and right matrices with ``left @ a @ right == diag(factors)``. The
+    module docstring's engine rule picks what runs; every path gives the
+    same factors.
     """
     if abs_det is not None:
+        abs_det = as_integer("abs_det", abs_det)
         if want_transforms:
             raise ValueError("abs_det does not apply to transforms")
         if abs_det < 1 or not a.is_square:
@@ -137,13 +130,9 @@ def _zero_one_core(a: IntMatrix) -> list[list[int]]:
 
 
 def _factors(rows: list[list[int]], abs_det: int | None = None) -> tuple[int, ...]:
-    """Invariant factors of rows, by the rule the module docstring gives."""
-    if abs_det is not None:
+    """Invariant factors of rows, by the engine rule of the module docstring."""
+    if abs_det is not None or (len(rows) >= LOCAL_MIN_ORDER and len(rows) == len(rows[0])):
         factors = local_smith_form(rows, abs_det)
-        if factors is not None:
-            return factors
-    if len(rows) >= LOCAL_MIN_ORDER and len(rows) == len(rows[0]):
-        factors = local_smith_form(rows)
         if factors is not None:
             return factors
     return tuple(kernels.smith_reduce(rows, False)[0])
@@ -154,9 +143,8 @@ def local_smith_form(
 ) -> tuple[int, ...] | None:
     """Invariant factors of square rows by the local engine of the module
     docstring, at any order, or None when it hands them back. Given
-    ``abs_det``, it runs the certificate rule: no Bareiss, and all of abs_det
-    is trial-divided. Raises ArithmeticError if an elimination contradicts
-    the determinant, which no correct kernel does."""
+    ``abs_det``, it runs no Bareiss and trial-divides all of abs_det. Raises
+    ArithmeticError if an elimination contradicts the determinant."""
     if abs_det is None:
         det, minor = kernels.bareiss_determinant(rows)
         if det == 0:

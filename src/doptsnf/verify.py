@@ -555,6 +555,7 @@ def _skew_claim(
 
 
 def _claim_ew_head(x: IntMatrix) -> TheoremCheck:
+    require_pm1_square(x, "claim ew-head")
     rep = ew_gram_check(x)
     _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
     facs = smith_normal_form(x, abs_det=_ew_abs_det(x.rows)).factors
@@ -596,6 +597,7 @@ def _block_claim(case: str) -> Callable[[IntMatrix], TheoremCheck]:
     """Claim "block-<case>": the predicted_block_snf constraints of that case."""
 
     def check(x: IntMatrix) -> TheoremCheck:
+        require_pm1_square(x, f"claim block-{case}")
         rep = ew_gram_check(x)
         _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
         _require(

@@ -14,8 +14,8 @@ import pytest
 import doptsnf
 from doptsnf import cli
 from doptsnf.cli import format_factors_rle, main, parse_factors_rle
-from doptsnf.designs import skew_from_tournament
-from doptsnf.exactmat import format_matrix, parse_matrix
+from doptsnf.designs import barba_double, skew_from_tournament
+from doptsnf.exactmat import IntMatrix, circulant, format_matrix, parse_matrix
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,22 @@ def test_construct_barba_double(capsys):
     assert parse_matrix(captured.out).rows == 10
 
 
+def test_construct_example66_round_trip(capsys, example66):
+    captured = run(capsys, ["construct", "--family", "example66"], 0)
+    assert parse_matrix(captured.out) == example66
+
+
+def test_construct_barba_double_from_input(tmp_path, capsys, t5_path):
+    base = circulant((-1, -1, -1, -1, 1))
+    path = tmp_path / "base.mat"
+    path.write_text(format_matrix(base))
+    captured = run(capsys, ["construct", "--family", "barba-double", "--input", str(path)], 0)
+    assert parse_matrix(captured.out) == barba_double(base)
+    # a 0/1 tournament matrix is no +-1 base: refused, not a usage error
+    captured = run(capsys, ["construct", "--family", "barba-double", "--input", t5_path], 1)
+    assert captured.err == "construction failed: entries must be +-1\n"
+
+
 def test_construct_failure_paths(tmp_path, capsys):
     # non-barba base: well-formed request that cannot be satisfied -> 1
     captured = run(capsys, ["construct", "--family", "barba-double", "--row", "1 1 1 1 1"], 1)
@@ -126,6 +142,11 @@ def test_construct_failure_paths(tmp_path, capsys):
     # missing required arguments -> usage error 2
     run(capsys, ["construct", "--family", "circulant"], 2)
     run(capsys, ["construct", "--family", "barba-double"], 2)
+    captured = run(capsys, ["construct", "--family", "skew-from-tournament"], 2)
+    assert captured.err == "error: --family skew-from-tournament needs --input\n"
+    for row in ("", " , "):
+        captured = run(capsys, ["construct", "--family", "circulant", "--row", row], 2)
+        assert captured.err == "error: empty --row\n"
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +193,13 @@ def test_verify_fail_is_exit_1(capsys, e26_path):
     run(capsys, ["verify", e26_path, "--kind", "skew"], 1)
 
 
+def test_verify_ew_fail_names_the_reason(tmp_path, capsys):
+    path = tmp_path / "ones.mat"
+    path.write_text(format_matrix(IntMatrix.all_ones(3)))
+    captured = run(capsys, ["verify", str(path), "--kind", "ew"], 1)
+    assert captured.out == "ew: fail (order 3 is not 2 (mod 4))\n"
+
+
 def test_verify_skew_pass_and_refusal(tmp_path, capsys):
     ok = tmp_path / "ok.mat"
     ok.write_text("2 2\n1 1\n-1 1\n")
@@ -195,6 +223,8 @@ def test_check_pass_fail_unknown(capsys, e26_path):
     assert "bogus" in captured.err
     captured = run(capsys, ["check", "--list"], 0)
     assert "block-squarefree" in captured.out
+    captured = run(capsys, ["check", e26_path], 2)
+    assert captured.err == "error: check needs an input file and --theorem CLAIM (or --list)\n"
 
 
 @pytest.mark.parametrize(

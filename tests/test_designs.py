@@ -230,6 +230,22 @@ MAIN_CLAIM = functools.partial(theorem_conformance, claim="main")
             "normalized_block_row_sums needs a square matrix",
         ),
         (normalized_block_row_sums, ZERO_ONE, ValueError, "entries must be +-1"),
+    ]
+    + [
+        (
+            functools.partial(theorem_conformance, claim=claim),
+            NON_SQUARE,
+            DimensionError,
+            f"claim {claim} needs a square matrix",
+        )
+        for claim in (
+            "ew-head",
+            "block-squarefree",
+            "block-prime-square",
+            "skew-head",
+            "skew-last",
+            "scaled-inverse",
+        )
     ],
 )
 def test_input_checks_raise_the_same_classes_and_messages(check, x, error, message):

@@ -85,6 +85,8 @@ def test_operators():
     assert a @ b == matmul(a, b)
     with pytest.raises(DimensionError):
         a @ IntMatrix.from_rows([[1, 2, 3]])
+    with pytest.raises(DimensionError, match=r"^shape mismatch: 2x2 vs 3x3$"):
+        a + IntMatrix.identity(3)
 
 
 def test_submatrix():
@@ -249,8 +251,10 @@ def test_block2x2():
         [0, 0, -1, 0],
         [0, 0, 0, -1],
     ]
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="^row counts of horizontal neighbors differ$"):
         block2x2(i, IntMatrix.zeros(3, 2), z, i)
+    with pytest.raises(DimensionError, match="^column counts of vertical neighbors differ$"):
+        block2x2(i, i, IntMatrix.zeros(2, 3), IntMatrix.zeros(2, 1))
 
 
 def test_text_format_round_trip():

@@ -1,17 +1,19 @@
 """Source hygiene: every name a doptsnf module imports is used in that
 module, every public module-level name has a caller in the library or a
-stated reason, only ``IntMatrix.is_pm1`` spells the +-1 entry test, and
+stated reason, only ``IntMatrix.is_pm1`` spells the +-1 entry test,
 every doptsnf name the benchmark harness in ``layerbench/`` uses still
-exists."""
+exists, and the README's library example prints what its comments say."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "doptsnf"
 LAYERBENCH = SRC.parent.parent / "layerbench"
+README = SRC.parent.parent / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -230,3 +232,14 @@ def test_every_doptsnf_name_layerbench_uses_resolves():
     assert {"doptsnf.kernels.BACKEND", "doptsnf.cli.parse_factors_rle"} <= names
     assert "doptsnf.designs.skew_from_tournament" in names  # from spans.TARGETS
     assert sorted(n for n in names if not resolves(n)) == []
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    """Each line the ```python block under "## Library" prints equals the
+    trailing ``# ...`` comment of its print call."""
+    library = README.read_text().split("\n## Library\n", 1)[1]
+    source = library.split("```python\n", 1)[1].split("```", 1)[0]
+    promised = re.findall(r"^print\(.*#\s*(.*?)\s*$", source, re.MULTILINE)
+    assert promised
+    exec(compile(source, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == promised

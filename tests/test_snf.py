@@ -8,12 +8,14 @@ the Euclidean one, and its product against |det|.
 
 import math
 import random
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from doptsnf import kernels
-from doptsnf.designs import BlockEwSpec
+from doptsnf.designs import BlockEwSpec, build_example_26, build_example_66
 from doptsnf.exactmat import (
     IntMatrix,
     circulant,
@@ -30,7 +32,7 @@ from doptsnf.snf import (
     minor_gcd,
     smith_normal_form,
 )
-from doptsnf.verify import ew_gram_check
+from doptsnf.verify import _ew_abs_det, ew_gram_check
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -405,21 +407,73 @@ def test_certificate_refusals():
     with pytest.raises(ValueError, match=r"^a \+-1 square of order 2 has 2\^1 \| det$"):
         smith_normal_form(x, abs_det=3)
     assert smith_normal_form(x, abs_det=2).factors == (1, 2)
+    # abs_det is checked as an integer before anything reads it
+    for m, bad in ((diagonal_matrix((2, 3)), 6.5), (x, 2.0), (x, "2")):
+        with pytest.raises(TypeError, match=rf"^abs_det must be an integer, got {re.escape(repr(bad))}$"):
+            smith_normal_form(m, abs_det=bad)
 
 
-def test_certificate_with_a_rough_prime_takes_the_uncertified_rule(monkeypatch):
-    """A certified |det| with a part the trial division cannot split (two
-    primes above TRIAL_BOUND) goes on to the engine rule: the Euclidean
-    engine below LOCAL_MIN_ORDER, the Bareiss local engine from it on."""
-    rough = 65537 * 65539
-    small = scrambled(diagonal_matrix((1, 1, 2, rough)), random.Random(401))
-    assert local_smith_form(small.to_rows(), 2 * rough) is None
-    assert smith_normal_form(small, abs_det=2 * rough).factors == euclidean_factors(small)
-    big = PM1_CASES["order-66"]
-    abs_det = abs(determinant(big))
-    assert trial_divide(abs_det >> 65, TRIAL_BOUND)[1] > 1
-    orders = []
-    bareiss = kernels.bareiss_determinant
-    monkeypatch.setattr(kernels, "bareiss_determinant", lambda a: orders.append(len(a)) or bareiss(a))
-    assert smith_normal_form(big, abs_det=abs_det).factors == euclidean_factors(big)
-    assert orders == [65]
+def integer_square(seed: int, n: int) -> IntMatrix:
+    """A seeded n x n matrix of entries in -2..2: square, but not +-1."""
+    rng = random.Random(seed)
+    return IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+
+
+def ew_abs_det(m: IntMatrix) -> int:
+    return _ew_abs_det(m.rows)
+
+
+def true_abs_det(m: IntMatrix) -> int:
+    return abs(determinant(m))
+
+
+ROUGH = 65537 * 65539  # two primes just above TRIAL_BOUND
+
+#: name -> (matrix, its abs_det or None, want_transforms, and the calls the
+#: engine rule makes to bareiss_determinant, local_exponents and smith_reduce)
+ENGINE_RULE_CASES = {
+    "e66-certified": (build_example_66, ew_abs_det, False, (0, 3, 0)),
+    "e66": (build_example_66, None, False, (1, 3, 0)),
+    # a proved |det| the trial division cannot split goes straight to the
+    # Euclidean engine, at any order, with no Bareiss
+    "order-66-rough-certified": (lambda: PM1_CASES["order-66"], true_abs_det, False, (0, 0, 1)),
+    "order-4-rough-certified": (
+        lambda: scrambled(diagonal_matrix((1, 1, 2, ROUGH)), random.Random(401)),
+        lambda m: 2 * ROUGH,
+        False,
+        (0, 0, 1),
+    ),
+    "e26-certified": (build_example_26, ew_abs_det, False, (0, 3, 0)),
+    "e26": (build_example_26, None, False, (0, 0, 1)),
+    "integer-64": (lambda: integer_square(501, 64), None, False, (0, 0, 1)),
+    "integer-65": (lambda: integer_square(502, 65), None, False, (1, 0, 0)),
+    "singular-66": (lambda: PM1_CASES["singular-66"], None, False, (1, 0, 1)),
+    "rectangular-5x9": (lambda: PM1_CASES["5x9"], None, False, (0, 0, 1)),
+    "transforms-e26": (build_example_26, None, True, (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", ENGINE_RULE_CASES)
+def test_engine_rule_cell_by_cell(name, monkeypatch):
+    """Each cell of the engine rule runs the kernels it names, the local
+    engine at most once, and gives the factors of the Euclidean engine on
+    the uncut input."""
+    make, certify, transforms, want_calls = ENGINE_RULE_CASES[name]
+    m = make()
+    abs_det = None if certify is None else certify(m)
+    want = euclidean_factors(m)
+    calls = Counter()
+
+    def counted(kernel):
+        def run(*args):
+            calls[kernel.__name__] += 1
+            return kernel(*args)
+
+        return run
+
+    counted_kernels = ("bareiss_determinant", "local_exponents", "smith_reduce")
+    for kernel in counted_kernels:
+        monkeypatch.setattr(kernels, kernel, counted(getattr(kernels, kernel)))
+    got = smith_normal_form(m, transforms, abs_det=abs_det).factors
+    assert got == want
+    assert tuple(calls[kernel] for kernel in counted_kernels) == want_calls

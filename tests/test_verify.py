@@ -280,6 +280,9 @@ def test_block_constraints_preconditions():
         predicted_block_snf(6, 7, 3)  # wrong norm: 49 + 9 != 50
     with pytest.raises(PreconditionError):
         predicted_block_snf(11, 3, 9)  # 45 = 9 * 5 is neither squarefree nor p^2
+    # r1^2 + r2^2 = 2 = 8t + 2 at t = 0, but no design has order 2 here
+    with pytest.raises(ValueError, match="^t must be >= 1$"):
+        predicted_block_snf(0, 1, 1)
 
 
 def test_evaluation_fails_on_wrong_factors(example26):
@@ -969,6 +972,8 @@ def test_existence_filter():
         rep = existence_filter(t)
         assert rep.has_square_discriminant == bool(rep)
         assert rep.has_two_square_norm
+    with pytest.raises(ValueError, match="^t must be >= 1$"):
+        existence_filter(0)
 
 
 def test_block_determinant_formula_matches_literal():
