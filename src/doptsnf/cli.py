@@ -173,8 +173,8 @@ def cmd_snf(args):
 
 
 def cmd_verify(args):
-    from .designs import Tournament, is_barba, is_skew_type
-    from .verify import ew_gram_check, ew_tournament_check
+    from .designs import is_barba, is_skew_type
+    from .verify import _tournament, ew_gram_check, ew_tournament_check
 
     if args.kind != "ew":
         _refuse_unused(args, ("strict",), f"--kind {args.kind}")
@@ -192,10 +192,7 @@ def cmd_verify(args):
         verdict = is_skew_type(m)
         payload = {"kind": "verdict", "name": "skew", "verdict": verdict}
     elif args.kind == "tournament":
-        try:
-            verdict, a_param = ew_tournament_check(Tournament(m))
-        except ValueError as exc:
-            raise PreconditionError(f"not a tournament matrix: {exc}") from exc
+        verdict, a_param = ew_tournament_check(_tournament(m))
         payload = {"kind": "tournament-check", "verdict": verdict, "a_param": a_param}
         if verdict:
             suffix = f"; split parameter a = {a_param}"

@@ -120,13 +120,10 @@ def is_skew_type(x: IntMatrix) -> bool:
     return list(entries) == negated
 
 
-def _require_skew(s: IntMatrix) -> None:
+def _require_skew(s: IntMatrix, caller: str) -> None:
     """The input check of tournament_from_skew and normalize_skew_to_border:
     a square +-1 matrix with S + S^T = 2I."""
-    if not s.is_square:
-        raise NormalizationError("input must be square")
-    if not s.is_pm1:
-        raise NormalizationError("entries must be +-1")
+    require_pm1_square(s, caller)
     if not is_skew_type(s):
         raise NormalizationError("input is not skew-type (S + S^T != 2I)")
 
@@ -139,7 +136,7 @@ def tournament_from_skew(s: IntMatrix) -> Tournament:
     s_i0 = -s_0i for i >= 1. Other normalizations are rejected rather than
     silently repaired (see normalize_skew_to_border).
     """
-    _require_skew(s)
+    _require_skew(s, "tournament_from_skew")
     if s.rows < 2:
         raise NormalizationError("input must have order at least 2")
     border, *rows = s.to_rows()
@@ -160,7 +157,7 @@ def normalize_skew_to_border(s: IntMatrix) -> IntMatrix:
     the first column all minus ones, after which tournament_from_skew
     applies.
     """
-    _require_skew(s)
+    _require_skew(s, "normalize_skew_to_border")
     rows = s.to_rows()
     eps = rows[0]
     return IntMatrix.from_rows(

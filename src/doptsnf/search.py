@@ -38,7 +38,7 @@ from .designs import Tournament, barba_double, is_barba
 from .exactmat import InfeasibleSearchError, IntMatrix, as_integer, circulant
 from .kernels import autocorrelations
 from .snf import smith_normal_form
-from .verify import ew_split
+from .verify import ew_split, existence_filter
 
 DEFAULT_MAX_CANDIDATES = 1 << 20
 
@@ -309,12 +309,9 @@ def barba_problem_scan(
         )
         t = (order - 1) // 2
         reference: Optional[tuple[int, ...]] = None
-        if t >= 1:
+        if t >= 1 and existence_filter(t):
             root = math.isqrt(8 * t + 1)
-            if root * root == 8 * t + 1:
-                reference = (
-                    (1,) + (2,) * (2 * t) + (2 * t,) * (2 * t - 1) + (2 * t * root,)
-                )
+            reference = (1,) + (2,) * (2 * t) + (2 * t,) * (2 * t - 1) + (2 * t * root,)
         factors: dict[str, tuple[int, ...]] = {}
         entries = []
         for r in found:

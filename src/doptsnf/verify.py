@@ -7,7 +7,10 @@ predicted closed forms.
 
 Every checker fails closed: when an input does not satisfy a check's
 hypotheses the checker raises PreconditionError instead of reporting a
-pass (or a silently meaningless False).
+pass (or a silently meaningless False). Each claim family has one input
+check, which raises each of its refusals from one place: _skew_ew for
+skew-type EW matrices, _ew_design for EW matrices and _ew_tournament for
+EW tournaments (which p_rank_report also runs).
 """
 
 from __future__ import annotations
@@ -225,11 +228,8 @@ class PRankReport(NamedTuple):
 
 def p_rank_report(a: Tournament, p: int) -> PRankReport:
     """Compute rank_p(A+I) and rank_p(A) for an EW tournament, p | t."""
-    ok, _ = ew_tournament_check(a)
-    _require(ok, "input is not an EW tournament")
-    t = a.order // 4
+    t, aplusi = _ew_tournament(a.matrix)
     _require(p in factorize(t), f"{p} is not a prime divisor of t = {t}")
-    aplusi = a.matrix + IntMatrix.identity(a.order)
     return PRankReport(
         t, p, rank_mod_p(aplusi, p), rank_mod_p(a.matrix, p), 2 * t + 1, 2 * t + 2
     )
@@ -351,15 +351,9 @@ def predicted_block_snf(t: int, r1: int, r2: int) -> BlockSnfConstraints:
         _require(g in (1, p), f"gcd(r1, r2) = {g}, expected 1 or {p}")
         full = None
         if max(t_powers.values(), default=1) == 1:  # t square-free
-            if g == 1:
-                full = predicted_snf_skew_ew(t)
-            else:
-                full = (
-                    (1,)
-                    + (2,) * (2 * t + 1)
-                    + (2 * t,) * (2 * t - 2)
-                    + (2 * t * p, 2 * t * p)
-                )
+            full = predicted_snf_skew_ew(t)
+            if g == p:
+                full = full[:-2] + (2 * t * p, 2 * t * p)
         return BlockSnfConstraints(t, r1, r2, g, ell, q, "prime-square", p, full)
     if max(m_powers.values()) == 1:
         _require(g == 1, f"gcd(r1, r2) = {g}; the square-free case needs coprime row sums")
@@ -391,6 +385,17 @@ def _ew_abs_det(n: int) -> int:
     return (n - 2) ** (n // 2 - 1) * (2 * n - 2)
 
 
+def _ew_factors(x: IntMatrix) -> tuple[int, ...]:
+    """The invariant factors of an EW matrix x, whose proved |det| the engine gets."""
+    return smith_normal_form(x, abs_det=_ew_abs_det(x.rows)).factors
+
+
+def _claim_t(n: int) -> int:
+    """t = (n-2)/4 of a claim's EW input of order n; the claims need t >= 1."""
+    _require(n >= 6, f"the claim needs t >= 1; order {n} gives t = 0")
+    return (n - 2) // 4
+
+
 def _skew_ew(x: IntMatrix, name: str):
     """(t, rows, halves, signs) of a skew-type EW matrix S of order 4t+2.
 
@@ -407,8 +412,31 @@ def _skew_ew(x: IntMatrix, name: str):
     rows = x.to_rows()
     halves, signs, why = _analyze_gram(sign_gram(rows), n)
     _require(halves is not None, f"input lacks the EW Gram structure (rows: {why})")
-    _require(n >= 6, f"the claim needs t >= 1; order {n} gives t = 0")
-    return (n - 2) // 4, rows, halves, signs
+    return _claim_t(n), rows, halves, signs
+
+
+def _ew_design(x: IntMatrix, name: str) -> EwReport:
+    """ew_gram_check's report on an EW matrix x, after the input check that names the caller."""
+    require_pm1_square(x, name)
+    rep = ew_gram_check(x)
+    _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
+    return rep
+
+
+def _tournament(x: IntMatrix) -> Tournament:
+    """The tournament with matrix x; a matrix that is none is refused."""
+    try:
+        return Tournament(x)
+    except ValueError as exc:
+        raise PreconditionError(f"not a tournament matrix: {exc}") from exc
+
+
+def _ew_tournament(x: IntMatrix) -> tuple[int, IntMatrix]:
+    """(t, A + I) of the EW tournament with matrix A = x, of order 4t+1;
+    a matrix that is no tournament is refused before the EW test."""
+    a = _tournament(x)
+    _require(ew_tournament_check(a)[0], "not an EW tournament")
+    return a.order // 4, x + IntMatrix.identity(a.order)
 
 
 def _scaled_inverse(rows: list[list[int]], halves, signs) -> list[list[int]]:
@@ -440,9 +468,8 @@ def scaled_inverse_check(s: IntMatrix) -> TheoremCheck:
     of out-of-set entries).
     """
     t, rows, halves, signs = _skew_ew(s, "claim scaled-inverse")
-    disc = 8 * t + 1
-    root = math.isqrt(disc)
-    _require(root * root == disc, f"8t+1 = {disc} is not a perfect square")
+    _require(existence_filter(t), f"8t+1 = {8 * t + 1} is not a perfect square")
+    root = math.isqrt(8 * t + 1)
     base = 2 * (4 * t) ** (2 * t - 1)
     allowed = {4 * t, 4 * t + 2, 4 * t + 1 - root, 4 * t + 1 + root}
     y = [abs(v) for row in _scaled_inverse(rows, halves, signs) for v in row]
@@ -529,17 +556,6 @@ def block_determinant_formula(alpha: int, beta: int, gamma: int, a: int, b: int)
     )
 
 
-def _as_ew_tournament(x: IntMatrix) -> tuple[Tournament, int]:
-    """The EW tournament with matrix x and its parameter t (order 4t+1)."""
-    try:
-        a = Tournament(x)
-    except ValueError as exc:
-        raise PreconditionError(f"not a tournament matrix: {exc}") from exc
-    ok, _ = ew_tournament_check(a)
-    _require(ok, "not an EW tournament")
-    return a, a.order // 4
-
-
 def _skew_claim(
     claim_id: str, part: Callable[[int], slice]
 ) -> Callable[[IntMatrix], TheoremCheck]:
@@ -548,26 +564,21 @@ def _skew_claim(
     def check(x: IntMatrix) -> TheoremCheck:
         t = _skew_ew(x, f"claim {claim_id}")[0]
         cut = part(t)
-        facs = smith_normal_form(x, abs_det=_ew_abs_det(x.rows)).factors
-        return TheoremCheck(claim_id, facs[cut], predicted_snf_skew_ew(t)[cut])
+        return TheoremCheck(claim_id, _ew_factors(x)[cut], predicted_snf_skew_ew(t)[cut])
 
     return check
 
 
 def _claim_ew_head(x: IntMatrix) -> TheoremCheck:
-    require_pm1_square(x, "claim ew-head")
-    rep = ew_gram_check(x)
-    _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
-    facs = smith_normal_form(x, abs_det=_ew_abs_det(x.rows)).factors
-    return TheoremCheck("ew-head", facs[:2], (1, 2))
+    _ew_design(x, "claim ew-head")
+    return TheoremCheck("ew-head", _ew_factors(x)[:2], (1, 2))
 
 
 def _claim_border_link(x: IntMatrix) -> TheoremCheck:
-    a, t = _as_ew_tournament(x)
-    aplusi = a.matrix + IntMatrix.identity(a.order)
+    t, aplusi = _ew_tournament(x)
     # S is reduced uncut: its 0/1 core is A + I, so smith_normal_form(S)
     # would repeat the computation of bf rather than check it.
-    sf = smith_reduce(bordered_rows(a.matrix.to_rows()), False)[0]
+    sf = smith_reduce(bordered_rows(x.to_rows()), False)[0]
     bf = smith_normal_form(aplusi).factors
     computed = tuple(sf) + (determinant(aplusi),)
     predicted = (1,) + tuple(2 * b for b in bf) + (t ** (2 * t) * (4 * t + 1),)
@@ -575,43 +586,38 @@ def _claim_border_link(x: IntMatrix) -> TheoremCheck:
 
 
 def _claim_aplusi_head(x: IntMatrix) -> TheoremCheck:
-    a, t = _as_ew_tournament(x)
-    bf = smith_normal_form(a.matrix + IntMatrix.identity(a.order)).factors
+    t, aplusi = _ew_tournament(x)
+    bf = smith_normal_form(aplusi).factors
     return TheoremCheck("aplusi-head", (bf[2 * t],), (1,))
 
 
 def _claim_a2a_tail(x: IntMatrix) -> TheoremCheck:
-    a, t = _as_ew_tournament(x)
-    facs = smith_normal_form(matmul(a.matrix, a.matrix) + a.matrix).factors
+    t, aplusi = _ew_tournament(x)
+    facs = smith_normal_form(matmul(x, aplusi)).factors  # A^2 + A = A(A + I)
     return TheoremCheck("a2a-tail", facs[-2:], (t, t * t * (16 * t * t - 1)))
 
 
 def _claim_tournament_snf(x: IntMatrix) -> TheoremCheck:
-    a, t = _as_ew_tournament(x)
-    return TheoremCheck(
-        "tournament-snf", smith_normal_form(a.matrix).factors, predicted_snf_tournament(t)
-    )
+    t = _ew_tournament(x)[0]
+    facs = smith_normal_form(x).factors
+    return TheoremCheck("tournament-snf", facs, predicted_snf_tournament(t))
 
 
 def _block_claim(case: str) -> Callable[[IntMatrix], TheoremCheck]:
     """Claim "block-<case>": the predicted_block_snf constraints of that case."""
 
     def check(x: IntMatrix) -> TheoremCheck:
-        require_pm1_square(x, f"claim block-{case}")
-        rep = ew_gram_check(x)
-        _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
+        rep = _ew_design(x, f"claim block-{case}")
         _require(
             rep.row_block_sums is not None,
             "rows do not have constant block sums; cannot recover (r1, r2)",
         )
-        _require(x.rows >= 6, f"the claim needs t >= 1; order {x.rows} gives t = 0")
-        r1, r2 = rep.row_block_sums
-        constraints = predicted_block_snf((x.rows - 2) // 4, r1, r2)
+        constraints = predicted_block_snf(_claim_t(x.rows), *rep.row_block_sums)
         _require(
             constraints.case == case,
             f"claim applies to the {case} case, input is {constraints.case}",
         )
-        ev = constraints.evaluate(smith_normal_form(x, abs_det=_ew_abs_det(x.rows)).factors)
+        ev = constraints.evaluate(_ew_factors(x))
         return TheoremCheck(f"block-{case}", ev.observed, ev.expected, ev.description)
 
     return check

@@ -254,6 +254,14 @@ def test_check_refuses_order_2_as_a_precondition(tmp_path, capsys, claim):
     run(capsys, ["check", str(path), "--theorem", "ew-head"], 0)
 
 
+def test_tournament_verify_and_claims_refuse_a_non_tournament_alike(tmp_path, capsys):
+    path = tmp_path / "x.mat"
+    path.write_text(format_matrix(IntMatrix.identity(5)))
+    refusal = "precondition failed: not a tournament matrix: tournament diagonal must be zero\n"
+    assert run(capsys, ["verify", str(path), "--kind", "tournament"], 1).err == refusal
+    assert run(capsys, ["check", str(path), "--theorem", "tournament-snf"], 1).err == refusal
+
+
 def test_check_chain_on_tournament(capsys, t5_path):
     for claim in ("tournament-snf", "border-link", "aplusi-head", "a2a-tail"):
         run(capsys, ["check", t5_path, "--theorem", claim], 0)

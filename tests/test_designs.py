@@ -19,9 +19,21 @@ from doptsnf.designs import (
     skew_from_tournament,
     tournament_from_skew,
 )
-from doptsnf.exactmat import DimensionError, IntMatrix, circulant, determinant, matmul
+from doptsnf.exactmat import (
+    DimensionError,
+    IntMatrix,
+    PreconditionError,
+    circulant,
+    determinant,
+    matmul,
+)
 from doptsnf.snf import smith_normal_form
-from doptsnf.verify import ew_gram_check, normalized_block_row_sums, theorem_conformance
+from doptsnf.verify import (
+    ew_gram_check,
+    normalized_block_row_sums,
+    p_rank_report,
+    theorem_conformance,
+)
 
 
 def cyclic3() -> Tournament:
@@ -202,6 +214,13 @@ ONE = IntMatrix.from_rows([[1]])
 MINUS_ONE = IntMatrix.from_rows([[-1]])
 NOT_SKEW = "input is not skew-type (S + S^T != 2I)"
 MAIN_CLAIM = functools.partial(theorem_conformance, claim="main")
+#: A tournament of order 4t+1 = 13 whose out-degrees are not those of an EW tournament.
+TRANSITIVE_13 = IntMatrix.from_rows([[int(i < j) for j in range(13)] for i in range(13)])
+
+
+def p_rank_3(x):
+    """p_rank_report at p = 3 on the tournament with matrix x."""
+    return p_rank_report(Tournament(x), 3)
 
 
 @pytest.mark.parametrize(
@@ -216,12 +235,22 @@ MAIN_CLAIM = functools.partial(theorem_conformance, claim="main")
         (MAIN_CLAIM, NON_SQUARE, DimensionError, "claim main needs a square matrix"),
         (MAIN_CLAIM, ZERO_ONE, ValueError, "entries must be +-1"),
         (is_skew_type, NON_SQUARE, DimensionError, "is_skew_type needs a square matrix"),
-        (tournament_from_skew, NON_SQUARE, NormalizationError, "input must be square"),
-        (tournament_from_skew, ZERO_ONE, NormalizationError, "entries must be +-1"),
+        (
+            tournament_from_skew,
+            NON_SQUARE,
+            DimensionError,
+            "tournament_from_skew needs a square matrix",
+        ),
+        (tournament_from_skew, ZERO_ONE, ValueError, "entries must be +-1"),
         (tournament_from_skew, ONE, NormalizationError, "input must have order at least 2"),
         (tournament_from_skew, MINUS_ONE, NormalizationError, NOT_SKEW),
-        (normalize_skew_to_border, NON_SQUARE, NormalizationError, "input must be square"),
-        (normalize_skew_to_border, ZERO_ONE, NormalizationError, "entries must be +-1"),
+        (
+            normalize_skew_to_border,
+            NON_SQUARE,
+            DimensionError,
+            "normalize_skew_to_border needs a square matrix",
+        ),
+        (normalize_skew_to_border, ZERO_ONE, ValueError, "entries must be +-1"),
         (normalize_skew_to_border, MINUS_ONE, NormalizationError, NOT_SKEW),
         (
             normalized_block_row_sums,
@@ -246,7 +275,16 @@ MAIN_CLAIM = functools.partial(theorem_conformance, claim="main")
             "skew-last",
             "scaled-inverse",
         )
-    ],
+    ]
+    + [
+        (functools.partial(theorem_conformance, claim=claim), x, PreconditionError, message)
+        for x, message in (
+            (ZERO_ONE, "not a tournament matrix: tournament diagonal must be zero"),
+            (TRANSITIVE_13, "not an EW tournament"),
+        )
+        for claim in ("border-link", "aplusi-head", "tournament-snf", "a2a-tail")
+    ]
+    + [(p_rank_3, TRANSITIVE_13, PreconditionError, "not an EW tournament")],
 )
 def test_input_checks_raise_the_same_classes_and_messages(check, x, error, message):
     with pytest.raises(ValueError) as exc:

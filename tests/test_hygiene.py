@@ -1,6 +1,7 @@
 """Source hygiene: every name a doptsnf module imports is used in that
 module, every public module-level name has a caller in the library or a
-stated reason, only ``IntMatrix.is_pm1`` spells the +-1 entry test,
+stated reason, each refusal message is raised from one place unless a
+reason is stated, only ``IntMatrix.is_pm1`` spells the +-1 entry test,
 every doptsnf name the benchmark harness in ``layerbench/`` uses still
 exists, and the README's library example prints what its comments say."""
 
@@ -107,7 +108,6 @@ CALLERLESS = {
     "kernels.adjugate": "layerbench traces it; the tests' Gauss-Jordan adjugate oracle",
     "snf.minor_gcd": "the tests' independent SNF oracle",
     "verify.block_determinant_formula": "a statement of the paper the tests check",
-    "verify.existence_filter": "a statement of the paper the tests check",
     "verify.normalized_block_row_sums": "a statement of the paper the tests check",
     "verify.p_rank_report": "a statement of the paper the tests check; layerbench traces it",
 }
@@ -118,6 +118,69 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert [name for name in found if name not in CALLERLESS] == []
     # An entry whose name gained a caller, or was deleted, goes too.
     assert sorted(CALLERLESS) == found
+
+
+def raise_sites(sources: dict[str, str]) -> dict[str, list[str]]:
+    """``file:line`` of each ``raise X(message)`` and ``_require(cond, message)``
+    in sources (file name -> source), keyed by the message with each
+    f-string placeholder written ``{}``; other messages are skipped."""
+    sites = {}
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                args = node.exc.args[:1]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "_require":
+                args = node.args[1:2]
+            else:
+                continue
+            for arg in args:
+                if isinstance(arg, ast.JoinedStr):
+                    parts = [v.value if isinstance(v, ast.Constant) else "{}" for v in arg.values]
+                    message = "".join(parts)
+                elif isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    message = arg.value
+                else:
+                    continue
+                sites.setdefault(message, []).append(f"{name}:{node.lineno}")
+    return sites
+
+
+def test_raise_sites_compares_literal_parts():
+    sources = {
+        "a.py": """
+def f(x, n):
+    if n:
+        raise ValueError(f"order {n} is bad")
+    _require(x, f"order {x + 1} is bad")
+    _require(x, "plain")
+    raise TypeError(str(x))
+""",
+        "b.py": """
+raise KeyError("plain")
+raise ValueError(f"order {n!r} is bad: {why}")
+raise
+""",
+    }
+    assert raise_sites(sources) == {
+        "order {} is bad": ["a.py:4", "a.py:5"],
+        "plain": ["a.py:6", "b.py:2"],
+        "order {} is bad: {}": ["b.py:3"],
+    }
+
+
+#: Refusals raised from more than one place, each for a reason.
+REPEATED_REFUSALS = {
+    "t must be >= 1": "each closed form checks its own argument",
+    "order {} is not 1 (mod 4)": "each search checks its own order",
+}
+
+
+def test_each_refusal_is_raised_from_one_place():
+    sites = raise_sites({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))})
+    repeated = {message: where for message, where in sites.items() if len(where) > 1}
+    assert {m: w for m, w in repeated.items() if m not in REPEATED_REFUSALS} == {}
+    # An entry whose message is raised from one place, or none, goes too.
+    assert sorted(REPEATED_REFUSALS) == sorted(repeated)
 
 
 def hand_spelled_pm1(source: str) -> list[int]:
