@@ -192,9 +192,14 @@ def is_barba(r: IntMatrix) -> bool:
     """Whether RR^T = R^TR = (n-1)I + J (a +-1 matrix is required)."""
     require_pm1_square(r, "is_barba")
     n = r.rows
-    target = [[n if i == j else 1 for j in range(n)] for i in range(n)]
+    ones = [1] * n
     rows = r.to_rows()
-    return sign_gram(rows) == target and sign_gram(list(zip(*rows))) == target
+    for m in (rows, list(zip(*rows))):
+        for i, g in enumerate(sign_gram(m)):
+            g[i] -= n - 1  # row i of (n-1)I + J, less (n-1)I, is a row of J
+            if g != ones:
+                return False
+    return True
 
 
 def barba_double(r: IntMatrix) -> IntMatrix:

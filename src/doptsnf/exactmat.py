@@ -286,7 +286,8 @@ def circulant(first_row: Sequence[int]) -> IntMatrix:
     n = len(row)
     if n == 0:
         raise DimensionError("circulant needs a nonempty first row")
-    return IntMatrix.from_rows([[row[(j - i) % n] for j in range(n)] for i in range(n)])
+    # Row i is the first row rotated right by i.
+    return IntMatrix(n, n, [v for i in range(n) for v in row[n - i :] + row[: n - i]])
 
 
 def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -174,7 +174,10 @@ def smith_reduce(a, want_transforms):
     repair divisibility violations in the trailing block by folding the
     offending row into the pivot row. Each stage therefore ends with the
     pivot equal to the gcd of the trailing block, which makes the diagonal
-    a divisibility chain by construction.
+    a divisibility chain by construction. No entry is smaller than a unit,
+    so the pivot search stops at the first |entry| = 1 in row-major order,
+    the entry a full scan would pick, and a unit pivot skips the
+    divisibility test.
 
     The transforms live in the one working array: with them, each of the
     first m rows is A's row followed by that row of I_m, and n extra rows
@@ -201,7 +204,7 @@ def smith_reduce(a, want_transforms):
     size = m if m < n else n
     for k in range(size):
         while True:
-            # Locate the minimal nonzero |entry| of the trailing block.
+            # Locate the first minimal nonzero |entry| of the trailing block.
             pi = pj = -1
             best = 0
             for i in range(k, m):
@@ -213,6 +216,10 @@ def smith_reduce(a, want_transforms):
                             v = -v
                         if pi < 0 or v < best:
                             pi, pj, best = i, j, v
+                            if v == 1:
+                                break
+                if best == 1:
+                    break
             if pi < 0:
                 break  # trailing block is all zero; remaining factors are 0
             if pi != k:
@@ -251,7 +258,10 @@ def smith_reduce(a, want_transforms):
                         dirty = True
             if dirty:
                 continue
-            # Row and column k are clear; enforce pivot | trailing block.
+            # Row and column k are clear; enforce pivot | trailing block,
+            # which a unit pivot divides.
+            if pivot == 1:
+                break
             offender = -1
             for i in range(k + 1, m):
                 wi = w[i]

@@ -15,13 +15,14 @@ worker processes, each stopping after `limit` hits; the merged result is
 exactly the sequential one. The pool never has more processes than CPUs
 or candidates.
 
-The EW tournament scan tests each candidate on its 0/1 rows with
-ew_split, which rejects an out-degree profile off the template before it
-forms a Gram matrix, and builds a Tournament only for a hit. The circulant
-Barba search skips a row whose sum s misses s^2 = 2n - 1. Some searches
-are empty by arithmetic and return no hits without a scan: circulant
-tournaments are regular, so none meets the template's three out-degrees,
-and where 2n - 1 is not a square no Barba row qualifies.
+The EW tournament scan reads each candidate's out-degrees off its mask by
+popcounts, builds 0/1 rows only for a profile equal to the template and
+tests them with ew_split, and builds a Tournament only for a hit. A Barba
+row sums to +-s with s^2 = 2n - 1, so the circulant Barba search walks
+only the masks of the two popcounts (n -+ s) / 2. Some searches are empty
+by arithmetic and return no hits without a scan: circulant tournaments
+are regular, so none meets the template's three out-degrees, and where
+2n - 1 is not a square no Barba row qualifies.
 barba_problem_scan computes one SNF per orbit of first rows under
 rotation and negation, which only permute rows of the doubled matrix or
 negate it.
@@ -38,7 +39,7 @@ from .designs import Tournament, barba_double, is_barba
 from .exactmat import InfeasibleSearchError, IntMatrix, as_integer, circulant
 from .kernels import autocorrelations
 from .snf import smith_normal_form
-from .verify import ew_split, existence_filter
+from .verify import ew_degree_template, ew_split, existence_filter
 
 DEFAULT_MAX_CANDIDATES = 1 << 20
 
@@ -117,13 +118,38 @@ def _tournament_from_mask(order: int, mask: int) -> Tournament:
     return Tournament(IntMatrix.from_rows(_tournament_rows(order, mask)))
 
 
+def _degree_masks(order: int) -> list[tuple[int, int, int]]:
+    """(i, out, into) per vertex i: the mask bits of its pairs (i, j > i),
+    set where i beats j, and of its pairs (j < i, i), set where j beats i."""
+    out = [0] * order
+    into = [0] * order
+    shift = order * (order - 1) // 2
+    for i in range(order):
+        for j in range(i + 1, order):
+            shift -= 1
+            out[i] |= 1 << shift
+            into[j] |= 1 << shift
+    return list(zip(range(order), out, into))
+
+
+def _degree_profile(degree_masks: list[tuple[int, int, int]], mask: int) -> list[int]:
+    """The sorted out-degrees of a mask's tournament, by two popcounts per vertex."""
+    return sorted(
+        i + (mask & out).bit_count() - (mask & into).bit_count() for i, out, into in degree_masks
+    )
+
+
 def _ew_tournament_hits(order: int, lo: int, hi: int):
-    """The EW tournaments among masks [lo, hi): ew_split tests each mask's
-    rows, and a Tournament is built only for a hit."""
+    """The EW tournaments among masks [lo, hi). A mask's rows are built, and
+    ew_split tests them, only when its out-degree profile is the template;
+    a Tournament is built only for a hit."""
+    degree_masks = _degree_masks(order)
+    template = ew_degree_template(order // 4)
     for mask in range(lo, hi):
-        rows = _tournament_rows(order, mask)
-        if ew_split(rows) is not None:
-            yield Tournament(IntMatrix.from_rows(rows))
+        if _degree_profile(degree_masks, mask) == template:
+            rows = _tournament_rows(order, mask)
+            if ew_split(rows) is not None:
+                yield Tournament(IntMatrix.from_rows(rows))
 
 
 def enumerate_ew_tournaments(
@@ -191,24 +217,77 @@ def _barba_row_sum(order: int) -> Optional[int]:
     return root if root * root == 2 * order - 1 else None
 
 
+def _least_of_weight(w: int, lo: int) -> int:
+    """The least mask >= lo >= 0 with w >= 1 bits set.
+
+    A greater mask first exceeds lo at some bit p that lo lacks: it keeps
+    lo's bits above p, sets p and puts its other bits lowest. The lowest
+    such p that leaves room for w bits gives the least mask.
+    """
+    if lo.bit_count() == w:
+        return lo
+    p = 0
+    while True:
+        if not lo >> p & 1:
+            high = lo >> (p + 1) << (p + 1)
+            rest = w - 1 - high.bit_count()
+            if 0 <= rest <= p:
+                return high | 1 << p | (1 << rest) - 1
+        p += 1
+
+
+def _masks_of_weight(w: int, lo: int, hi: int):
+    """The masks of [lo, hi), lo >= 0, with w bits set, ascending.
+
+    The walk starts at the least such mask and steps by Gosper's hack: add
+    the lowest set bit, then put the bits the carry cleared, less one,
+    back at the bottom.
+    """
+    if w == 0:
+        if lo <= 0 < hi:
+            yield 0
+        return
+    mask = _least_of_weight(w, lo)
+    while mask < hi:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((ripple ^ mask) >> 2) // low
+
+
+def _merged(a, b):
+    """Two ascending iterators of distinct values, merged in ascending order."""
+    x, y = next(a, None), next(b, None)
+    while x is not None or y is not None:
+        if y is None or (x is not None and x < y):
+            yield x
+            x = next(a, None)
+        else:
+            yield y
+            y = next(b, None)
+
+
 def _circulant_barba_hits(order: int, lo: int, hi: int):
     """First rows, as +-1 tuples, with every nonzero-lag autocorrelation 1.
 
-    A row summing to +-s has popcount (order +- s) / 2; other masks, and
-    every mask when 2 * order - 1 is not a square, are skipped. Rows agree
-    where the mask and its rotation by k agree, so
+    A row summing to +-s has popcount (order +- s) / 2, so the scan walks
+    the masks of [lo, hi) of those two weights, in ascending mask order;
+    when 2 * order - 1 is not a square it walks none. Rows agree where the
+    mask and its rotation by k agree, so
     c_k = order - 2 * popcount(mask ^ rot_k(mask)), and c_k == 1 iff that
     popcount is (order - 1) / 2. Since c_k == c_(order-k), lags up to
     (order - 1) / 2 suffice.
     """
+    s = _barba_row_sum(order)
+    if s is None:
+        return
     full = (1 << order) - 1
     want = (order - 1) // 2
-    s = _barba_row_sum(order)
-    weights = set() if s is None else {(order - s) // 2, (order + s) // 2}
     lags = range(1, want + 1)
-    for mask in range(lo, hi):
-        if mask.bit_count() not in weights:
-            continue
+    masks = _merged(
+        _masks_of_weight((order - s) // 2, lo, hi), _masks_of_weight((order + s) // 2, lo, hi)
+    )
+    for mask in masks:
         for k in lags:
             rot = ((mask << k) | (mask >> (order - k))) & full
             if (mask ^ rot).bit_count() != want:
@@ -228,11 +307,11 @@ def search_circulant_barba(
     Such a matrix has row sum +-s with s^2 = 2*order - 1. When 2*order - 1
     is not a square (orders 9, 17, 29, 37, ...) no row qualifies and the
     result is [] without a scan, whatever the candidate cap. Otherwise the
-    2^order first rows are scanned in ascending mask order (bit i set means
-    entry +1); rows whose sum is not +-s are skipped, the rest are kept when
-    their nonzero-lag autocorrelations all equal 1, and each survivor is
-    re-verified against the textbook autocorrelations and then is_barba
-    before it is returned.
+    first rows summing to +-s among the 2^order candidates (bit i set means
+    entry +1) are walked in ascending mask order, the cap still counting
+    all 2^order; a row is kept when its nonzero-lag autocorrelations all
+    equal 1, and each survivor is re-verified against the textbook
+    autocorrelations and then is_barba before it is returned.
     """
     order = as_integer("order", order)
     if order % 4 != 1:

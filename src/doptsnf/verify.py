@@ -105,6 +105,22 @@ def _analyze_gram(g: list[list[int]], n: int):
     return (tuple(blocks[0]), tuple(blocks[1])), tuple(signs), ""
 
 
+def _row_analysis(x: IntMatrix):
+    """(rows, halves, signs, reason) of the row Gram analysis of a +-1
+    square x; reason is "" when the rows pass, and names the failure else."""
+    n = x.rows
+    if n % 4 != 2:
+        return None, None, None, f"order {n} is not 2 (mod 4)"
+    rows = x.to_rows()
+    halves, signs, why = _analyze_gram(sign_gram(rows), n)
+    return rows, halves, signs, why and "rows: " + why
+
+
+def _require_ew_gram(reason: str) -> None:
+    """Refuse an input whose EW Gram analysis failed for reason ("" passes)."""
+    _require(not reason, f"input lacks the EW Gram structure ({reason})")
+
+
 def _block_row_sums(x: IntMatrix, partition) -> Optional[tuple[int, int]]:
     sums = x.row_sums()
     per_block = []
@@ -132,12 +148,9 @@ def ew_gram_check(x: IntMatrix, strict: bool = False) -> EwReport:
     """
     require_pm1_square(x, "ew_gram_check")
     n = x.rows
-    if n % 4 != 2:
-        return EwReport(False, n, reason=f"order {n} is not 2 (mod 4)")
-    rows = x.to_rows()
-    rows_part, row_signs, why = _analyze_gram(sign_gram(rows), n)
-    if rows_part is None:
-        return EwReport(False, n, reason="rows: " + why)
+    rows, rows_part, row_signs, why = _row_analysis(x)
+    if why:
+        return EwReport(False, n, reason=why)
     cols_part, col_signs, why = _analyze_gram(sign_gram(list(zip(*rows))), n)
     if cols_part is None:
         return EwReport(False, n, reason="columns: " + why)
@@ -407,19 +420,16 @@ def _skew_ew(x: IntMatrix, name: str):
     """
     require_pm1_square(x, name)
     _require(is_skew_type(x), "input is not skew-type")
-    n = x.rows
-    _require(n % 4 == 2, f"input lacks the EW Gram structure (order {n} is not 2 (mod 4))")
-    rows = x.to_rows()
-    halves, signs, why = _analyze_gram(sign_gram(rows), n)
-    _require(halves is not None, f"input lacks the EW Gram structure (rows: {why})")
-    return _claim_t(n), rows, halves, signs
+    rows, halves, signs, why = _row_analysis(x)
+    _require_ew_gram(why)
+    return _claim_t(x.rows), rows, halves, signs
 
 
 def _ew_design(x: IntMatrix, name: str) -> EwReport:
     """ew_gram_check's report on an EW matrix x, after the input check that names the caller."""
     require_pm1_square(x, name)
     rep = ew_gram_check(x)
-    _require(rep.verdict, f"input lacks the EW Gram structure ({rep.reason})")
+    _require_ew_gram(rep.reason)
     return rep
 
 

@@ -11,6 +11,9 @@ from doptsnf.designs import Tournament, barba_double, is_barba, skew_from_tourna
 from doptsnf.exactmat import InfeasibleSearchError, circulant
 from doptsnf.search import (
     DEFAULT_MAX_CANDIDATES,
+    _degree_masks,
+    _degree_profile,
+    _masks_of_weight,
     _pool_size,
     _tournament_from_mask,
     _tournament_rows,
@@ -20,7 +23,7 @@ from doptsnf.search import (
     search_circulant_tournament,
 )
 from doptsnf.snf import smith_normal_form
-from doptsnf.verify import ew_gram_check, ew_split, ew_tournament_check
+from doptsnf.verify import ew_degree_template, ew_gram_check, ew_split, ew_tournament_check
 from test_verify import ref_ew_tournament_check
 
 GOLDEN_13_ROW = (1, 1, 1, 1, -1, 1, -1, -1, 1, 1, 1, -1, 1)
@@ -60,8 +63,9 @@ def test_enumeration_limit(witnesses5):
 
 
 def test_limit_ends_the_scan_early(monkeypatch):
-    """limit=1 tests the rows of masks 0..80 in order, 80 being the first hit,
-    and nothing after."""
+    """limit=1 hands ew_split the rows of the masks among 0..80 whose
+    out-degree profile is the template, 72, 76 and 80, in order, 80 being
+    the first hit, and nothing after."""
     tested = []
 
     def counting(rows):
@@ -70,9 +74,30 @@ def test_limit_ends_the_scan_early(monkeypatch):
 
     monkeypatch.setattr(search, "ew_split", counting)
     assert len(enumerate_ew_tournaments(5, limit=1)) == 1
-    assert tested == [_tournament_rows(5, mask) for mask in range(81)]
+    passing = [m for m in range(81) if sorted(map(sum, _tournament_rows(5, m))) == ew_degree_template(1)]
+    assert passing == [72, 76, 80]
+    assert tested == [_tournament_rows(5, mask) for mask in passing]
     assert ew_split(tested[-1]) == 0
     assert all(ew_split(rows) is None for rows in tested[:-1])
+
+
+def test_popcount_profile_matches_the_rows():
+    """The scan's out-degree profile, by popcounts on the mask, equals the
+    sorted row sums of the mask's tournament on all 1024 order-5 masks."""
+    degree_masks = _degree_masks(5)
+    for mask in range(1 << 10):
+        assert _degree_profile(degree_masks, mask) == sorted(map(sum, _tournament_rows(5, mask)))
+
+
+@pytest.mark.parametrize("order", range(10))
+def test_fixed_weight_walk_matches_a_filter(order):
+    """Every weight, over the whole space and over unaligned windows."""
+    total = 1 << order
+    windows = [(0, total), (total // 3, total - 3), (5, total // 2 + 1), (total - 1, total + 2), (7, 7)]
+    for w, (lo, hi) in itertools.product(range(order + 1), windows):
+        lo = min(lo, total)
+        expected = [m for m in range(lo, hi) if m.bit_count() == w]
+        assert list(_masks_of_weight(w, lo, hi)) == expected, (w, lo, hi)
 
 
 def test_scan_builds_a_tournament_only_per_hit(monkeypatch, witnesses5):
