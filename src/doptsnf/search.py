@@ -23,9 +23,18 @@ only the masks of the two popcounts (n -+ s) / 2. Some searches are empty
 by arithmetic and return no hits without a scan: circulant tournaments
 are regular, so none meets the template's three out-degrees, and where
 2n - 1 is not a square no Barba row qualifies.
-barba_problem_scan computes one SNF per orbit of first rows under
-rotation and negation, which only permute rows of the doubled matrix or
-negate it.
+
+Each scan does its work once per symmetric pair or orbit:
+
+- Complementing a mask reverses every arc of a tournament, which keeps
+  ew_split's verdict and a (see _ew_tournament_hits), and negates a Barba
+  row, which keeps every autocorrelation. So a mask whose complement is
+  smaller and in its chunk takes the complement's verdict untested
+  (_by_complement).
+- barba_problem_scan computes one SNF per orbit of first rows under
+  rotation, negation and multipliers: rotating the row permutes the rows
+  of the doubled matrix, negating it negates the matrix, and a multiplier
+  conjugates it by a permutation (see _orbit_key).
 """
 
 from __future__ import annotations
@@ -139,17 +148,47 @@ def _degree_profile(degree_masks: list[tuple[int, int, int]], mask: int) -> list
     )
 
 
+def _by_complement(masks, full: int, lo: int, test):
+    """The masks that pass test, from an ascending iterable of masks >= lo,
+    for a test that gives a mask and its complement full ^ mask one verdict.
+
+    A mask whose complement is smaller but at least lo was reached first,
+    so it takes that verdict from the set of hits so far, untested.
+    """
+    hits = set()
+    for mask in masks:
+        twin = full ^ mask
+        if (twin in hits) if lo <= twin < mask else test(mask):
+            hits.add(mask)
+            yield mask
+
+
 def _ew_tournament_hits(order: int, lo: int, hi: int):
     """The EW tournaments among masks [lo, hi). A mask's rows are built, and
     ew_split tests them, only when its out-degree profile is the template;
-    a Tournament is built only for a hit."""
+    a Tournament is built only for a hit.
+
+    The complement of a mask is the tournament with every arc reversed,
+    A^T, and ew_split gives both the same verdict and a. Out-degrees d map
+    to 4t - d, and the template is symmetric. The bordered matrix of A^T is
+    S' = D S^T D with D = diag(-1, 1, ..., 1), and S^T S = S S^T since
+    S + S^T = 2I, so S'S'^T = D SS^T D: the Gram switched at the border
+    row. That keeps the halves, the verdict and the signs of the half
+    without the border row, which count a. So the scan tests a mask only
+    when its complement is not an earlier mask of the chunk.
+    """
     degree_masks = _degree_masks(order)
     template = ew_degree_template(order // 4)
-    for mask in range(lo, hi):
-        if _degree_profile(degree_masks, mask) == template:
-            rows = _tournament_rows(order, mask)
-            if ew_split(rows) is not None:
-                yield Tournament(IntMatrix.from_rows(rows))
+
+    def is_ew(mask: int) -> bool:
+        return (
+            _degree_profile(degree_masks, mask) == template
+            and ew_split(_tournament_rows(order, mask)) is not None
+        )
+
+    full = (1 << (order * (order - 1) // 2)) - 1
+    for mask in _by_complement(range(lo, hi), full, lo, is_ew):
+        yield Tournament(IntMatrix.from_rows(_tournament_rows(order, mask)))
 
 
 def enumerate_ew_tournaments(
@@ -277,6 +316,11 @@ def _circulant_barba_hits(order: int, lo: int, hi: int):
     c_k = order - 2 * popcount(mask ^ rot_k(mask)), and c_k == 1 iff that
     popcount is (order - 1) / 2. Since c_k == c_(order-k), lags up to
     (order - 1) / 2 suffice.
+
+    The complement of a mask is the negated row, which has the other
+    weight and the same autocorrelations (c_k is a sum of products of two
+    entries), so a mask whose complement is an earlier mask of the chunk
+    takes its verdict without the lag tests.
     """
     s = _barba_row_sum(order)
     if s is None:
@@ -284,16 +328,18 @@ def _circulant_barba_hits(order: int, lo: int, hi: int):
     full = (1 << order) - 1
     want = (order - 1) // 2
     lags = range(1, want + 1)
+
+    def is_barba_row(mask: int) -> bool:
+        for k in lags:
+            if (mask ^ ((mask << k | mask >> (order - k)) & full)).bit_count() != want:
+                return False
+        return True
+
     masks = _merged(
         _masks_of_weight((order - s) // 2, lo, hi), _masks_of_weight((order + s) // 2, lo, hi)
     )
-    for mask in masks:
-        for k in lags:
-            rot = ((mask << k) | (mask >> (order - k))) & full
-            if (mask ^ rot).bit_count() != want:
-                break
-        else:
-            yield _barba_row_from_mask(order, mask)
+    for mask in _by_complement(masks, full, lo, is_barba_row):
+        yield _barba_row_from_mask(order, mask)
 
 
 def search_circulant_barba(
@@ -364,6 +410,11 @@ def _orbit_key(row: tuple[int, ...]) -> str:
 
     Rotating the first row permutes the rows of barba_double(circulant(row))
     and negating it negates the matrix, so rows with one key share an SNF.
+    A unit u mod n maps r to r_u[i] = r[u*i mod n], and
+    circulant(r_u) = P_u R P_u^T with P_u[i][u*i mod n] = 1, since
+    R[u*i][u*j] = r[u*(j - i)]. The double [[R, R], [-R^T, R^T]] is then
+    conjugated by diag(P_u, P_u), so the keys of r's multiplier images
+    share its SNF too.
     """
     n = len(row)
     bits = "".join("1" if v == 1 else "0" for v in row)
@@ -378,8 +429,12 @@ def barba_problem_scan(
 ) -> BarbaScanReport:
     """Tabulate SNFs of doubled circulant Barba matrices, order by order.
 
-    One SNF is computed per orbit of first rows under rotation and
-    negation and shared by the orbit's other rows.
+    One SNF is computed per orbit of first rows under rotation, negation
+    and multipliers and shared by the orbit's other rows. A row with a new
+    rotation/negation key gets its SNF, which is then registered under the
+    key of each multiplier image r(u*i mod n), gcd(u, n) = 1; these doubles
+    are permutation-equivalent (_orbit_key). Each multiplier maps rotations
+    to rotations, so every row of the orbit finds the SNF by its own key.
     """
     reports = []
     for order in orders:
@@ -391,12 +446,16 @@ def barba_problem_scan(
         if t >= 1 and existence_filter(t):
             root = math.isqrt(8 * t + 1)
             reference = (1,) + (2,) * (2 * t) + (2 * t,) * (2 * t - 1) + (2 * t * root,)
+        units = [u for u in range(order) if math.gcd(u, order) == 1]
         factors: dict[str, tuple[int, ...]] = {}
         entries = []
         for r in found:
-            key = _orbit_key(r.row(0))
+            row = r.row(0)
+            key = _orbit_key(row)
             if key not in factors:
-                factors[key] = smith_normal_form(barba_double(r)).factors
-            entries.append(BarbaScanEntry(r.row(0), factors[key]))
+                snf = smith_normal_form(barba_double(r)).factors
+                for u in units:
+                    factors[_orbit_key(tuple(row[u * i % order] for i in range(order)))] = snf
+            entries.append(BarbaScanEntry(row, factors[key]))
         reports.append(BarbaScanOrderReport(order, t, reference, tuple(entries)))
     return BarbaScanReport(tuple(reports))

@@ -1,18 +1,22 @@
 """Exhaustive searches: frozen counts, determinism, candidate gating."""
 
 import itertools
+import math
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doptsnf import designs, search
-from doptsnf.designs import Tournament, barba_double, is_barba, skew_from_tournament
+from doptsnf import designs, kernels, search
+from doptsnf.designs import Tournament, barba_double, bordered_rows, is_barba, skew_from_tournament
 from doptsnf.exactmat import InfeasibleSearchError, circulant
+from doptsnf.kernels import autocorrelations
 from doptsnf.search import (
     DEFAULT_MAX_CANDIDATES,
+    _circulant_barba_hits,
     _degree_masks,
     _degree_profile,
+    _ew_tournament_hits,
     _masks_of_weight,
     _pool_size,
     _tournament_from_mask,
@@ -98,6 +102,108 @@ def test_fixed_weight_walk_matches_a_filter(order):
         lo = min(lo, total)
         expected = [m for m in range(lo, hi) if m.bit_count() == w]
         assert list(_masks_of_weight(w, lo, hi)) == expected, (w, lo, hi)
+
+
+def _windows(bits):
+    """Windows of [0, 2^bits): the whole range, its halves, windows that
+    straddle the mirror point 2^(bits-1) where a mask's complement changes
+    side, unaligned ones, and empty ones."""
+    total = 1 << bits
+    mid = total // 2
+    return [
+        (0, total), (0, mid), (mid, total), (mid - 1, mid + 1), (mid - mid // 9, mid + mid // 5),
+        (total // 3, total - 5), (5, mid + 3), (total - 1, total), (7, 7),
+    ]
+
+
+def _assert_matches_reference(bits, scan, reference):
+    """scan(lo, hi) equals reference(lo, hi) on every window, and the windows
+    hold hit masks both with and without their complement."""
+    full = (1 << bits) - 1
+    with_twin = without_twin = 0
+    for lo, hi in _windows(bits):
+        expected = reference(lo, hi)
+        assert list(scan(lo, hi)) == [value for _, value in expected], (lo, hi)
+        for mask, _ in expected:
+            if lo <= full ^ mask < hi:
+                with_twin += 1
+            else:
+                without_twin += 1
+    assert with_twin and without_twin
+
+
+def test_tournament_hits_match_an_unreduced_scan():
+    """Every mask of each window through ew_split, with no degree prefilter
+    and no complement lookup, gives the generator's tournaments."""
+
+    def reference(lo, hi):
+        rows = ((m, _tournament_rows(5, m)) for m in range(lo, hi))
+        return [(m, r) for m, r in rows if ew_split(r) is not None]
+
+    _assert_matches_reference(
+        10, lambda lo, hi: (t.matrix.to_rows() for t in _ew_tournament_hits(5, lo, hi)), reference
+    )
+
+
+@pytest.mark.parametrize("order", (5, 13))
+def test_barba_hits_match_the_textbook_autocorrelations(order):
+    """Every mask of popcount (n -+ s)/2 in each window, through the textbook
+    autocorrelations, gives the generator's rows."""
+    s = math.isqrt(2 * order - 1)
+    weights = {(order - s) // 2, (order + s) // 2}
+
+    def reference(lo, hi):
+        rows = (
+            (m, tuple(1 if m >> (order - 1 - i) & 1 else -1 for i in range(order)))
+            for m in range(lo, hi)
+            if m.bit_count() in weights
+        )
+        return [(m, row) for m, row in rows if all(c == 1 for c in autocorrelations(row)[1:])]
+
+    _assert_matches_reference(order, lambda lo, hi: _circulant_barba_hits(order, lo, hi), reference)
+
+
+def test_reversing_every_arc_keeps_the_verdict_and_a(tournament13):
+    """The complement of an order-5 mask is the reversed tournament: its
+    bordered matrix is D S^T D, D = diag(-1, 1, ..., 1), and ew_split gives
+    it the verdict and a of the mask itself. t13 reversed stays EW with the
+    same a."""
+    full = (1 << 10) - 1
+    for mask in range(1 << 10):
+        rows, twin = _tournament_rows(5, mask), _tournament_rows(5, full ^ mask)
+        assert twin == [list(col) for col in zip(*rows)]
+        s = bordered_rows(rows)
+        d = [-1] + [1] * 5
+        assert bordered_rows(twin) == [[d[i] * s[j][i] * d[j] for j in range(6)] for i in range(6)]
+        assert ew_split(twin) == ew_split(rows)
+    verdict, a = ew_tournament_check(tournament13)
+    assert verdict
+    assert ew_tournament_check(Tournament(tournament13.matrix.transpose())) == (True, a)
+
+
+def test_each_symmetric_pair_is_tested_once(monkeypatch):
+    """A full scan runs ew_split on 140 of order 5's 280 template masks, and
+    the lag tests on 715 of order 13's 1430 Barba-weight masks."""
+    split_calls = []
+
+    def counting_split(rows):
+        split_calls.append(rows)
+        return ew_split(rows)
+
+    monkeypatch.setattr(search, "ew_split", counting_split)
+    assert len(enumerate_ew_tournaments(5)) == 40
+    assert len(split_calls) == 140
+    tested = []
+    by_complement = search._by_complement
+
+    def counting_lookup(masks, full, lo, test):
+        return by_complement(masks, full, lo, lambda m: tested.append(m) or test(m))
+
+    monkeypatch.setattr(search, "_by_complement", counting_lookup)
+    assert len(search_circulant_barba(13)) == 104
+    assert len(tested) == math.comb(13, 4) == 715
+    assert len(search_circulant_barba(5)) == 10
+    assert len(tested) == 715 + 5
 
 
 def test_scan_builds_a_tournament_only_per_hit(monkeypatch, witnesses5):
@@ -321,8 +427,35 @@ def test_barba_search_is_empty_by_arithmetic(monkeypatch):
         search_circulant_barba(29, limit=-1)  # the arguments are still checked
 
 
+def _multiplier_permutation(n, u):
+    """diag(P_u, P_u), with P_u[i][u*i mod n] = 1, written out as rows."""
+    p = [[int(j == u * i % n) for j in range(n)] for i in range(n)]
+    zero = [0] * n
+    return [pi + zero for pi in p] + [zero + pi for pi in p]
+
+
+def _conjugate(q, x):
+    """q x q^T for a 0/1 matrix q: (q y)_i sums the rows of y where q_i has
+    a 1, and q x q^T is the transpose of q (q x)^T."""
+    ones = [[a for a, v in enumerate(qi) if v] for qi in q]
+
+    def times(y):
+        return [list(map(sum, zip(*(y[a] for a in s)))) for s in ones]
+
+    return [list(col) for col in zip(*times([list(col) for col in zip(*times(x))]))]
+
+
+def test_conjugate_is_the_matrix_product():
+    q = _multiplier_permutation(5, 2)
+    x = [[(7 * i + j * j) % 11 - 5 for j in range(10)] for i in range(10)]
+    q_t = [list(col) for col in zip(*q)]
+    assert _conjugate(q, x) == kernels.matmul(kernels.matmul(q, x), q_t)
+
+
 def test_rotation_permutes_and_negation_negates_the_double():
     n = 13
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    perms = {u: _multiplier_permutation(n, u) for u in units}
     for r in search_circulant_barba(n):
         row = r.row(0)
         m = barba_double(r)
@@ -332,6 +465,10 @@ def test_rotation_permutes_and_negation_negates_the_double():
             for i in range(n):
                 assert moved.row(i) == m.row((i + k) % n)
                 assert moved.row(n + i) == m.row(n + (i - k) % n)
+        # a multiplier u conjugates the double by diag(P_u, P_u)
+        for u, q in perms.items():
+            image = barba_double(circulant(tuple(row[u * i % n] for i in range(n))))
+            assert image.to_rows() == _conjugate(q, m.to_rows())
 
 
 def test_barba_scan_factors_match_a_direct_snf():
@@ -341,7 +478,9 @@ def test_barba_scan_factors_match_a_direct_snf():
 
 
 def test_one_snf_per_orbit(monkeypatch):
-    for order, count in ((1, 1), (5, 1), (13, 4)):
+    """Rotation and negation leave 1, 1 and 4 orbits at orders 1, 5 and 13;
+    multipliers join order 13's four, so a scan of (5, 13) runs 2 SNFs."""
+    for order, count, full_count in ((1, 1, 1), (5, 1, 1), (13, 4, 1)):
         rows = [r.row(0) for r in search_circulant_barba(order)]
         orbits = {
             frozenset(tuple(sign * v for v in row[k:] + row[:k]) for k in range(order) for sign in (1, -1))
@@ -349,6 +488,12 @@ def test_one_snf_per_orbit(monkeypatch):
         }
         assert all(len({search._orbit_key(row) for row in orbit}) == 1 for orbit in orbits)
         assert len({search._orbit_key(row) for row in rows}) == len(orbits) == count
+        units = [u for u in range(order) if math.gcd(u, order) == 1]
+        full_orbits = {
+            frozenset(tuple(v[u * i % order] for i in range(order)) for v in orbit for u in units)
+            for orbit in orbits
+        }
+        assert len(full_orbits) == full_count
     calls = []
 
     def counting(m):
@@ -357,4 +502,4 @@ def test_one_snf_per_orbit(monkeypatch):
 
     monkeypatch.setattr(search, "smith_normal_form", counting)
     assert sum(len(r.entries) for r in barba_problem_scan((5, 13)).per_order) == 114
-    assert len(calls) == 5
+    assert len(calls) == 2
