@@ -9,11 +9,13 @@ scan; the cap is raised per call with max_candidates (the CLI's
 
 Every scan runs through one driver, _scan, which returns the values its
 hit generator yields for the accepted masks (a Tournament, a first row),
-in ascending mask order, and stops once `limit` are found. Optional data
-parallelism partitions the mask range into contiguous chunks handled by
-worker processes, each stopping after `limit` hits; the merged result is
-exactly the sequential one. The pool never has more processes than CPUs
-or candidates.
+in ascending mask order, and stops once `limit` are found. Each scan
+walks the lower half of its masks, and a hit's complement is its twin
+(see below), so _scan assembles the upper half's hits from the twins.
+Optional data parallelism partitions the lower half into contiguous
+chunks handled by worker processes, each stopping after `limit` hits;
+the merged result is exactly the sequential one, and both test the same
+masks. The pool never has more processes than CPUs or candidates.
 
 The EW tournament scan reads each candidate's out-degrees off its mask by
 popcounts, builds 0/1 rows only for a profile equal to the template and
@@ -28,9 +30,9 @@ Each scan does its work once per symmetric pair or orbit:
 
 - Complementing a mask reverses every arc of a tournament, which keeps
   ew_split's verdict and a (see _ew_tournament_hits), and negates a Barba
-  row, which keeps every autocorrelation. So a mask whose complement is
-  smaller and in its chunk takes the complement's verdict untested
-  (_by_complement).
+  row, which keeps every autocorrelation. So each scan walks the lower
+  half of its masks, and a hit's complement is its twin: a mask of the
+  upper half is never tested.
 - barba_problem_scan computes one SNF per orbit of first rows under
   rotation, negation and multipliers: rotating the row permutes the rows
   of the doubled matrix, negating it negates the matrix, and a multiplier
@@ -78,10 +80,16 @@ def _scan_cap(limit, workers: int, max_candidates) -> int:
 def _scan(hits, order: int, total: int, space: str, limit, workers: int, max_candidates) -> list:
     """The first `limit` (all if None) hits of a search over masks [0, total).
 
-    hits(order, lo, hi) is a top-level generator function, so that workers
-    can unpickle it, yielding one picklable value per accepted mask of
-    [lo, hi) in ascending mask order; those values are returned. space
-    names the candidate space in the refusal message.
+    total is a power of two, and the search's test gives a mask and its
+    complement (total - 1) ^ mask one verdict, so only the lower half
+    [0, total // 2) is walked. hits(order, lo, hi) is a top-level
+    generator function, so that workers can unpickle it, yielding a
+    picklable (value, twin) pair per accepted mask of [lo, hi) in
+    ascending mask order: the values of the mask and of its complement.
+    Complementing reverses mask order, so the twins, reversed, are the
+    upper half's values in ascending order. If a chunk stopped at `limit`,
+    the lower half alone fills the result. space names the candidate
+    space in the refusal message.
     """
     cap = _scan_cap(limit, workers, max_candidates)
     if total > cap:
@@ -89,20 +97,22 @@ def _scan(hits, order: int, total: int, space: str, limit, workers: int, max_can
             f"the order-{order} {space} has {total} candidates, above the cap of "
             f"{cap}; raise it via max_candidates= or --max-candidates to proceed"
         )
+    half = total // 2
     workers = _pool_size(workers, total)
     if workers <= 1:
-        return _chunk((hits, order, 0, total, limit))
-    # Imported here: multiprocessing is a quarter of the package's import time,
-    # and only parallel scans need it.
-    from concurrent.futures import ProcessPoolExecutor
+        pairs = _chunk((hits, order, 0, half, limit))
+    else:
+        # Imported here: multiprocessing is a quarter of the package's import time,
+        # and only parallel scans need it.
+        from concurrent.futures import ProcessPoolExecutor
 
-    size = -(-total // workers)
-    jobs = [(hits, order, lo, min(lo + size, total), limit) for lo in range(0, total, size)]
-    out: list = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_chunk, jobs):
-            out.extend(part)
-    return out[:limit]
+        size = -(-half // workers)
+        jobs = [(hits, order, lo, min(lo + size, half), limit) for lo in range(0, half, size)]
+        pairs = []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(_chunk, jobs):
+                pairs.extend(part)
+    return ([v for v, _ in pairs] + [t for _, t in reversed(pairs)])[:limit]
 
 
 # ---------------------------------------------------------------------------
@@ -148,25 +158,11 @@ def _degree_profile(degree_masks: list[tuple[int, int, int]], mask: int) -> list
     )
 
 
-def _by_complement(masks, full: int, lo: int, test):
-    """The masks that pass test, from an ascending iterable of masks >= lo,
-    for a test that gives a mask and its complement full ^ mask one verdict.
-
-    A mask whose complement is smaller but at least lo was reached first,
-    so it takes that verdict from the set of hits so far, untested.
-    """
-    hits = set()
-    for mask in masks:
-        twin = full ^ mask
-        if (twin in hits) if lo <= twin < mask else test(mask):
-            hits.add(mask)
-            yield mask
-
-
 def _ew_tournament_hits(order: int, lo: int, hi: int):
-    """The EW tournaments among masks [lo, hi). A mask's rows are built, and
-    ew_split tests them, only when its out-degree profile is the template;
-    a Tournament is built only for a hit.
+    """(A, A^T) per EW tournament A among masks [lo, hi) of the lower half.
+    A mask's rows are built, and ew_split tests them, only when its
+    out-degree profile is the template; the Tournaments are built from
+    those rows, only for a hit.
 
     The complement of a mask is the tournament with every arc reversed,
     A^T, and ew_split gives both the same verdict and a. Out-degrees d map
@@ -174,21 +170,16 @@ def _ew_tournament_hits(order: int, lo: int, hi: int):
     S' = D S^T D with D = diag(-1, 1, ..., 1), and S^T S = S S^T since
     S + S^T = 2I, so S'S'^T = D SS^T D: the Gram switched at the border
     row. That keeps the halves, the verdict and the signs of the half
-    without the border row, which count a. So the scan tests a mask only
-    when its complement is not an earlier mask of the chunk.
+    without the border row, which count a. So A^T is the twin of A.
     """
     degree_masks = _degree_masks(order)
     template = ew_degree_template(order // 4)
-
-    def is_ew(mask: int) -> bool:
-        return (
-            _degree_profile(degree_masks, mask) == template
-            and ew_split(_tournament_rows(order, mask)) is not None
-        )
-
-    full = (1 << (order * (order - 1) // 2)) - 1
-    for mask in _by_complement(range(lo, hi), full, lo, is_ew):
-        yield Tournament(IntMatrix.from_rows(_tournament_rows(order, mask)))
+    for mask in range(lo, hi):
+        if _degree_profile(degree_masks, mask) == template:
+            rows = _tournament_rows(order, mask)
+            if ew_split(rows) is not None:
+                a = IntMatrix.from_rows(rows)
+                yield Tournament(a), Tournament(a.transpose())
 
 
 def enumerate_ew_tournaments(
@@ -307,7 +298,8 @@ def _merged(a, b):
 
 
 def _circulant_barba_hits(order: int, lo: int, hi: int):
-    """First rows, as +-1 tuples, with every nonzero-lag autocorrelation 1.
+    """(row, -row) per first row, as +-1 tuples, with every nonzero-lag
+    autocorrelation 1, among masks [lo, hi) of the lower half.
 
     A row summing to +-s has popcount (order +- s) / 2, so the scan walks
     the masks of [lo, hi) of those two weights, in ascending mask order;
@@ -319,8 +311,7 @@ def _circulant_barba_hits(order: int, lo: int, hi: int):
 
     The complement of a mask is the negated row, which has the other
     weight and the same autocorrelations (c_k is a sum of products of two
-    entries), so a mask whose complement is an earlier mask of the chunk
-    takes its verdict without the lag tests.
+    entries), so each hit is yielded with its negation as its twin.
     """
     s = _barba_row_sum(order)
     if s is None:
@@ -328,18 +319,13 @@ def _circulant_barba_hits(order: int, lo: int, hi: int):
     full = (1 << order) - 1
     want = (order - 1) // 2
     lags = range(1, want + 1)
-
-    def is_barba_row(mask: int) -> bool:
-        for k in lags:
-            if (mask ^ ((mask << k | mask >> (order - k)) & full)).bit_count() != want:
-                return False
-        return True
-
     masks = _merged(
         _masks_of_weight((order - s) // 2, lo, hi), _masks_of_weight((order + s) // 2, lo, hi)
     )
-    for mask in _by_complement(masks, full, lo, is_barba_row):
-        yield _barba_row_from_mask(order, mask)
+    for mask in masks:
+        if all((mask ^ ((mask << k | mask >> (order - k)) & full)).bit_count() == want for k in lags):
+            row = _barba_row_from_mask(order, mask)
+            yield row, tuple(-v for v in row)
 
 
 def search_circulant_barba(

@@ -1,9 +1,10 @@
 """Source hygiene: every name a doptsnf module imports is used in that
-module, every public module-level name has a caller in the library or a
-stated reason, each refusal message is raised from one place unless a
-reason is stated, only ``IntMatrix.is_pm1`` spells the +-1 entry test,
-every doptsnf name the benchmark harness in ``layerbench/`` uses still
-exists, and the README's library example prints what its comments say."""
+module, every module-level function and class and every public
+module-level constant has a caller in the library or a stated reason,
+each refusal message is raised from one place unless a reason is stated,
+only ``IntMatrix.is_pm1`` spells the +-1 entry test, every doptsnf name
+the benchmark harness in ``layerbench/`` uses still exists, and the
+README's library example prints what its comments say."""
 
 import ast
 import importlib
@@ -48,9 +49,10 @@ def test_every_imported_name_is_used(path):
 
 
 def callerless(sources: dict[str, str]) -> list[str]:
-    """``module.name`` for each public module-level function, class or
-    constant of sources (module name -> source) that no source names, as
-    a name or an attribute, outside the name's own definition."""
+    """``module.name`` for each module-level function or class, public or
+    private, and each public module-level constant of sources (module name
+    -> source) that no source names, as a name or an attribute, outside the
+    name's own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     used = [
         (node, node.id if isinstance(node, ast.Name) else node.attr)
@@ -65,12 +67,12 @@ def callerless(sources: dict[str, str]) -> list[str]:
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [target.id for target in targets if isinstance(target, ast.Name)]
+                names = [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("_")]
             else:
                 continue
             inside = {id(sub) for sub in ast.walk(node)}
             for name in names:
-                if not name.startswith("_") and not any(
+                if not any(
                     used_name == name and id(user) not in inside for user, used_name in used
                 ):
                     found.append(f"{module}.{name}")
@@ -83,7 +85,11 @@ def test_callerless_finds_unnamed_public_definitions():
 LIMIT = 3
 _PRIVATE = 4
 def used(x):
-    return helper(x) + LIMIT
+    return helper(x) + LIMIT + _scaled(x)
+def _scaled(x):
+    return 2 * x
+def _unused(x):
+    return x
 def helper(x):
     return helper(x - 1) if x else 0
 def recursive(x):
@@ -96,16 +102,17 @@ from . import a
 a.used(2)
 """,
     }
-    assert callerless(sources) == ["a.Report", "a.recursive"]
+    assert callerless(sources) == ["a.Report", "a._unused", "a.recursive"]
 
 
-#: Public names with no caller in the library, each kept for a reason.
+#: Names with no caller in the library, each kept for a reason.
 CALLERLESS = {
     "cli.parse_factors_rle": "layerbench decodes the CLI's run-length factors with it",
     "designs.normalize_skew_to_border": "layerbench builds its order-13 tournament with it",
     "designs.tournament_from_skew": "layerbench builds its order-13 tournament with it",
     "kernels.BACKEND": "layerbench records it with each run",
     "kernels.adjugate": "layerbench traces it; the tests' Gauss-Jordan adjugate oracle",
+    "search._tournament_from_mask": "the tests build a mask's Tournament with it",
     "snf.minor_gcd": "the tests' independent SNF oracle",
     "verify.block_determinant_formula": "a statement of the paper the tests check",
     "verify.normalized_block_row_sums": "a statement of the paper the tests check",

@@ -40,12 +40,17 @@ def test_pure_backend_always_available():
 
 @pytest.mark.parametrize("order", [5, 9, 13])
 def test_popcount_filter_matches_autocorrelations(order):
-    """The scan's popcount filter yields exactly the rows the textbook
-    autocorrelation definition accepts, checked on every mask."""
+    """The scan's popcount filter yields exactly the rows of the lower half
+    that the textbook autocorrelation definition accepts, each with its
+    negation, and those negations, reversed, are exactly the accepted rows
+    of the upper half: checked on every mask."""
     total = 1 << order
-    rows = (_barba_row_from_mask(order, mask) for mask in range(total))
-    expected = [row for row in rows if all(c == 1 for c in kernels.autocorrelations(row)[1:])]
-    assert list(_circulant_barba_hits(order, 0, total)) == expected
+    rows = [_barba_row_from_mask(order, mask) for mask in range(total)]
+    accepted = [row for row in rows if all(c == 1 for c in kernels.autocorrelations(row)[1:])]
+    pairs = list(_circulant_barba_hits(order, 0, total // 2))
+    assert [row for row, _ in pairs] == [row for row in accepted if row[0] == -1]
+    assert [twin for _, twin in reversed(pairs)] == [row for row in accepted if row[0] == 1]
+    assert all(twin == tuple(-v for v in row) for row, twin in pairs)
 
 
 def pm1_matrices(max_rows, max_cols):

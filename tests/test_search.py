@@ -1,5 +1,6 @@
 """Exhaustive searches: frozen counts, determinism, candidate gating."""
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -104,63 +105,130 @@ def test_fixed_weight_walk_matches_a_filter(order):
         assert list(_masks_of_weight(w, lo, hi)) == expected, (w, lo, hi)
 
 
-def _windows(bits):
-    """Windows of [0, 2^bits): the whole range, its halves, windows that
-    straddle the mirror point 2^(bits-1) where a mask's complement changes
-    side, unaligned ones, and empty ones."""
-    total = 1 << bits
-    mid = total // 2
+def _lower_windows(bits):
+    """Windows of the lower half [0, 2^(bits-1)) of [0, 2^bits), the masks a
+    scan walks: the whole half, its halves, unaligned windows, one at the
+    top of the half, and empty ones."""
+    half = 1 << (bits - 1)
     return [
-        (0, total), (0, mid), (mid, total), (mid - 1, mid + 1), (mid - mid // 9, mid + mid // 5),
-        (total // 3, total - 5), (5, mid + 3), (total - 1, total), (7, 7),
+        (0, half), (0, half // 2), (half // 2, half), (half // 3, half - 5), (5, half // 2 + 3),
+        (half - 1, half), (7, 7), (half, half),
     ]
 
 
-def _assert_matches_reference(bits, scan, reference):
-    """scan(lo, hi) equals reference(lo, hi) on every window, and the windows
-    hold hit masks both with and without their complement."""
-    full = (1 << bits) - 1
-    with_twin = without_twin = 0
-    for lo, hi in _windows(bits):
-        expected = reference(lo, hi)
-        assert list(scan(lo, hi)) == [value for _, value in expected], (lo, hi)
-        for mask, _ in expected:
-            if lo <= full ^ mask < hi:
-                with_twin += 1
-            else:
-                without_twin += 1
-    assert with_twin and without_twin
+def _assert_pairs_match(bits, pairs, reference):
+    """pairs(lo, hi) yields reference[m], a (value, twin) pair, for each hit
+    mask m of [lo, hi) in ascending order, on every window of the lower half."""
+    for lo, hi in _lower_windows(bits):
+        assert list(pairs(lo, hi)) == [reference[m] for m in range(lo, hi) if m in reference], (lo, hi)
 
 
-def test_tournament_hits_match_an_unreduced_scan():
-    """Every mask of each window through ew_split, with no degree prefilter
-    and no complement lookup, gives the generator's tournaments."""
+def _textbook_row(order, mask):
+    """The +-1 row of a mask, most significant bit first, bit set meaning +1."""
+    return tuple(1 if mask >> (order - 1 - i) & 1 else -1 for i in range(order))
 
-    def reference(lo, hi):
-        rows = ((m, _tournament_rows(5, m)) for m in range(lo, hi))
-        return [(m, r) for m, r in rows if ew_split(r) is not None]
 
-    _assert_matches_reference(
-        10, lambda lo, hi: (t.matrix.to_rows() for t in _ew_tournament_hits(5, lo, hi)), reference
+@functools.cache
+def _textbook_barba_masks(order):
+    """Every mask of [0, 2^order) whose row passes the textbook autocorrelations."""
+    return tuple(
+        m
+        for m in range(1 << order)
+        if all(c == 1 for c in autocorrelations(_textbook_row(order, m))[1:])
     )
 
 
-@pytest.mark.parametrize("order", (5, 13))
+def _chunks(total, count):
+    """[0, total) cut into count contiguous windows, as _scan cuts it."""
+    size = -(-total // count)
+    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+
+
+def test_tournament_hits_match_an_unreduced_scan():
+    """Every mask of the lower half through ew_split, with no degree
+    prefilter, gives the generator's tournaments on each window, each with
+    the tournament of its complement mask as its twin, which is its
+    transpose."""
+    full = (1 << 10) - 1
+    reference = {}
+    for m in range(1 << 9):
+        rows = _tournament_rows(5, m)
+        if ew_split(rows) is not None:
+            twin = _tournament_rows(5, full ^ m)
+            assert twin == [list(col) for col in zip(*rows)]
+            reference[m] = (rows, twin)
+    assert len(reference) == 20
+
+    def pairs(lo, hi):
+        return ((a.matrix.to_rows(), b.matrix.to_rows()) for a, b in _ew_tournament_hits(5, lo, hi))
+
+    _assert_pairs_match(10, pairs, reference)
+
+
+@pytest.mark.parametrize("order", (5, 9, 13))
 def test_barba_hits_match_the_textbook_autocorrelations(order):
-    """Every mask of popcount (n -+ s)/2 in each window, through the textbook
-    autocorrelations, gives the generator's rows."""
-    s = math.isqrt(2 * order - 1)
-    weights = {(order - s) // 2, (order + s) // 2}
+    """Every mask of the lower half through the textbook autocorrelations,
+    with no popcount filter, gives the generator's rows on each window,
+    each with the row of its complement mask as its twin, which is its
+    negation."""
+    full = (1 << order) - 1
+    reference = {}
+    for m in _textbook_barba_masks(order):
+        if m <= full >> 1:
+            row, twin = _textbook_row(order, m), _textbook_row(order, full ^ m)
+            assert twin == tuple(-v for v in row)
+            reference[m] = (row, twin)
+    assert len(reference) == {5: 5, 9: 0, 13: 52}[order]
+    _assert_pairs_match(order, lambda lo, hi: _circulant_barba_hits(order, lo, hi), reference)
 
-    def reference(lo, hi):
-        rows = (
-            (m, tuple(1 if m >> (order - 1 - i) & 1 else -1 for i in range(order)))
-            for m in range(lo, hi)
-            if m.bit_count() in weights
-        )
-        return [(m, row) for m, row in rows if all(c == 1 for c in autocorrelations(row)[1:])]
 
-    _assert_matches_reference(order, lambda lo, hi: _circulant_barba_hits(order, lo, hi), reference)
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Pools run their chunks in order in this process, on a host of 3
+    CPUs, so a test sees the chunking of any worker count; returns the
+    (lo, hi) chunks of each pooled scan."""
+    import concurrent.futures
+
+    scans = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            assert len(jobs) <= self.max_workers
+            scans.append([job[2:4] for job in jobs])
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    return scans
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_scan_matches_the_unreduced_scan_around_the_mirror(in_process_pool, workers):
+    """_scan, over the scan's own chunks, gives the prefix of the unreduced
+    scan over all masks for limits up to, at and past the mirror point,
+    where the lower half's hits end and the twins begin."""
+    everything = [r for r in (_tournament_rows(5, m) for m in range(1024)) if ew_split(r) is not None]
+    assert len(everything) == 40
+    for limit in (0, 1, 19, 20, 21, 39, 40, None):
+        got = search._scan(_ew_tournament_hits, 5, 1 << 10, "tournament space", limit, workers, None)
+        assert [t.matrix.to_rows() for t in got] == everything[:limit], limit
+    barba = [_textbook_row(13, m) for m in _textbook_barba_masks(13)]
+    assert len(barba) == 104
+    for limit in (0, 1, 51, 52, 53, 103, 104, None):
+        got = search._scan(_circulant_barba_hits, 13, 1 << 13, "circulant space", limit, workers, None)
+        assert got == barba[:limit], limit
+    pooled = [_chunks(1 << 9, workers)] * 8 + [_chunks(1 << 12, workers)] * 8
+    assert in_process_pool == ([] if workers == 1 else pooled)
 
 
 def test_reversing_every_arc_keeps_the_verdict_and_a(tournament13):
@@ -181,33 +249,61 @@ def test_reversing_every_arc_keeps_the_verdict_and_a(tournament13):
     assert ew_tournament_check(Tournament(tournament13.matrix.transpose())) == (True, a)
 
 
-def test_each_symmetric_pair_is_tested_once(monkeypatch):
-    """A full scan runs ew_split on 140 of order 5's 280 template masks, and
-    the lag tests on 715 of order 13's 1430 Barba-weight masks."""
-    split_calls = []
+@pytest.fixture
+def tested(monkeypatch):
+    """The rows ew_split is given and the masks the Barba walk visits."""
+    seen = {"ew_split": [], "barba": []}
+    walk = search._masks_of_weight
 
     def counting_split(rows):
-        split_calls.append(rows)
+        seen["ew_split"].append(rows)
         return ew_split(rows)
 
+    def counting_walk(w, lo, hi):
+        for mask in walk(w, lo, hi):
+            seen["barba"].append(mask)
+            yield mask
+
     monkeypatch.setattr(search, "ew_split", counting_split)
-    assert len(enumerate_ew_tournaments(5)) == 40
-    assert len(split_calls) == 140
-    tested = []
-    by_complement = search._by_complement
+    monkeypatch.setattr(search, "_masks_of_weight", counting_walk)
+    return seen
 
-    def counting_lookup(masks, full, lo, test):
-        return by_complement(masks, full, lo, lambda m: tested.append(m) or test(m))
 
-    monkeypatch.setattr(search, "_by_complement", counting_lookup)
-    assert len(search_circulant_barba(13)) == 104
-    assert len(tested) == math.comb(13, 4) == 715
-    assert len(search_circulant_barba(5)) == 10
-    assert len(tested) == 715 + 5
+def test_each_symmetric_pair_is_tested_once(tested):
+    """However the lower half is chunked, ew_split runs on 140 of order 5's
+    280 template masks, one per complement pair, and the Barba walk visits
+    715 of order 13's 1430 masks of its two weights, each once."""
+    for count in (1, 2, 3):
+        tested["ew_split"].clear()
+        tested["barba"].clear()
+        hits = [pair for lo, hi in _chunks(1 << 9, count) for pair in _ew_tournament_hits(5, lo, hi)]
+        assert (len(hits), len(tested["ew_split"])) == (20, 140), count
+        rows = [pair for lo, hi in _chunks(1 << 12, count) for pair in _circulant_barba_hits(13, lo, hi)]
+        assert len(rows) == 52
+        assert sorted(tested["barba"]) == sorted(set(tested["barba"]))
+        assert len(tested["barba"]) == math.comb(13, 4) == 715, count
+        assert max(tested["barba"]) < 1 << 12
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_pooled_scans_test_each_pair_once(tested, in_process_pool, workers):
+    """A pool of any size tests what the sequential scan tests: 140
+    ew_split calls for the 40 order-5 tournaments and 715 walked masks for
+    the 104 order-13 Barba rows (and 5 for order 5's 10)."""
+    assert len(enumerate_ew_tournaments(5, workers=workers)) == 40
+    assert len(tested["ew_split"]) == 140
+    assert len(search_circulant_barba(13, workers=workers)) == 104
+    assert len(tested["barba"]) == 715
+    assert len(search_circulant_barba(5, workers=workers)) == 10
+    assert len(tested["barba"]) == 715 + 5
+    halves = (1 << 9, 1 << 12, 1 << 4)
+    assert in_process_pool == ([] if workers == 1 else [_chunks(half, workers) for half in halves])
 
 
 def test_scan_builds_a_tournament_only_per_hit(monkeypatch, witnesses5):
-    """40 Tournaments for the 40 hits among 1024 masks, and no bordered IntMatrix."""
+    """40 Tournaments for the 40 hits among 1024 masks, built in pairs: each
+    hit of the lower half, then its transpose, the hit of its complement
+    mask; and no bordered IntMatrix."""
     built = []
 
     def counting(matrix):
@@ -219,8 +315,11 @@ def test_scan_builds_a_tournament_only_per_hit(monkeypatch, witnesses5):
 
     monkeypatch.setattr(search, "Tournament", counting)
     monkeypatch.setattr(designs, "skew_from_tournament", refuse)
-    found = enumerate_ew_tournaments(5)
-    assert built == [w.matrix for w in witnesses5] == [t.matrix for t in found]
+    found = [t.matrix for t in enumerate_ew_tournaments(5)]
+    assert found == [w.matrix for w in witnesses5]
+    lower, upper = found[:20], found[20:]
+    assert built == [m for pair in zip(lower, reversed(upper)) for m in pair]
+    assert all(b == a.transpose() for a, b in zip(built[::2], built[1::2]))
 
 
 def test_enumeration_rejects_bad_orders():
