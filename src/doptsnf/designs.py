@@ -189,17 +189,30 @@ def build_example_66() -> IntMatrix:
 
 
 def is_barba(r: IntMatrix) -> bool:
-    """Whether RR^T = R^TR = (n-1)I + J (a +-1 matrix is required)."""
+    """Whether RR^T = R^TR = (n-1)I + J (a +-1 matrix is required).
+
+    Only RR^T is built. Given RR^T = (n-1)I + J, R^TR = (n-1)I + J holds
+    iff every row sum and every column sum of R take one value:
+
+    - (n-1)I + J has eigenvalues 2n - 1 (on the all-ones vector) and n - 1
+      (n - 1 times), so det RR^T = (n-1)^(n-1) (2n-1) != 0 and R is
+      invertible;
+    - then R^TR = R^-1 (RR^T) R = (n-1)I + R^-1 J R;
+    - so R^TR = (n-1)I + J iff R^-1 J R = J iff JR = RJ. (JR)_ij is the sum
+      of column j and (RJ)_ij the sum of row i, so JR = RJ iff all 2n line
+      sums are equal.
+    """
     require_pm1_square(r, "is_barba")
     n = r.rows
     ones = [1] * n
-    rows = r.to_rows()
-    for m in (rows, list(zip(*rows))):
-        for i, g in enumerate(sign_gram(m)):
-            g[i] -= n - 1  # row i of (n-1)I + J, less (n-1)I, is a row of J
-            if g != ones:
-                return False
-    return True
+    for i, g in enumerate(sign_gram(r.to_rows())):
+        g[i] -= n - 1  # row i of (n-1)I + J, less (n-1)I, is a row of J
+        if g != ones:
+            return False
+    entries = r.entries
+    sums = set(r.row_sums())
+    sums.update(sum(entries[j::n]) for j in range(n))
+    return len(sums) == 1
 
 
 def barba_double(r: IntMatrix) -> IntMatrix:

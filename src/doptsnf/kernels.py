@@ -6,12 +6,14 @@ intermediates grow. Two kernels pack each row into one int, so that a row
 operation is a few big-integer operations instead of one interpreted
 operation per entry: the one modular kernel, ``local_exponents`` (which
 ``gf_rank`` calls with k = 1), packs fixed-width slots, and ``sign_gram``
-packs a +-1 row as the bitmask of its -1 entries. Modulo 2^k the slots are
-read with bit masks alone: one AND tests bit e of every slot of a row, or
-keeps every slot's low k bits, so no row is unpacked. ``matmul`` stays the one
-general product. ``adjugate`` has no caller in the library: it is kept as
-the tests' oracle and as a name the layered benchmark traces. Callers own
-all shape validation — kernels assume well-formed input.
+packs a +-1 row as the bitmask of its -1 entries (``_mask_gram``, its
+popcount loop, serves callers that hold those masks already). Modulo 2^k
+the slots are read with bit masks alone: one AND tests bit e of every slot
+of a row, or keeps every slot's low k bits, so no row is unpacked.
+``matmul`` stays the one general product. ``adjugate`` has no caller in
+the library: it is kept as the tests' oracle and as a name the layered
+benchmark traces. Callers own all shape validation — kernels assume
+well-formed input.
 """
 
 from __future__ import annotations
@@ -33,13 +35,21 @@ def matmul(a, b):
 def sign_gram(rows):
     """AA^T of a +-1 matrix A given as row lists, by popcount on packed rows.
 
-    Each row is packed as the bitmask of its -1 entries. Rows i and j of
-    length k agree in k - popcount(m_i ^ m_j) places and differ in the
+    Each row is packed as the bitmask of its -1 entries, and _mask_gram
+    takes it from there.
+    """
+    masks = [int("".join(["1" if v < 0 else "0" for v in row]), 2) for row in rows]
+    return _mask_gram(masks, len(rows[0]))
+
+
+def _mask_gram(masks, k):
+    """AA^T of the +-1 matrix whose rows, of length k, have the -1 masks
+    given: any bit order will do, if it is one order for every row.
+
+    Rows i and j agree in k - popcount(m_i ^ m_j) places and differ in the
     rest, so G_ij = k - 2 * popcount(m_i ^ m_j) exactly. Only the upper
     triangle is computed; the lower one is its mirror.
     """
-    k = len(rows[0])
-    masks = [int("".join(["1" if v < 0 else "0" for v in row]), 2) for row in rows]
     n = len(masks)
     g = [[k] * n for _ in range(n)]
     for i, mi in enumerate(masks):

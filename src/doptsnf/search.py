@@ -15,13 +15,17 @@ walks the lower half of its masks, and a hit's complement is its twin
 Optional data parallelism partitions the lower half into contiguous
 chunks handled by worker processes, each stopping after `limit` hits;
 the merged result is exactly the sequential one, and both test the same
-masks. The pool never has more processes than CPUs or candidates.
+masks. The pool never has more processes than CPUs or masks to walk.
 
 The EW tournament scan reads each candidate's out-degrees off its mask by
-popcounts, builds 0/1 rows only for a profile equal to the template and
-tests them with ew_split, and builds a Tournament only for a hit. A Barba
-row sums to +-s with s^2 = 2n - 1, so the circulant Barba search walks
-only the masks of the two popcounts (n -+ s) / 2. Some searches are empty
+popcounts. Only for a profile equal to the template does it read
+ew_split's per-vertex masks off the mask's bits, and ew_split builds the
+bordered Gram from those by popcounts; 0/1 rows are built only for a
+hit's Tournament. A Barba row sums to +-s with s^2 = 2n - 1, so the
+circulant Barba search walks only the masks of the two popcounts
+(n -+ s) / 2. Each Barba hit is re-checked by the textbook
+autocorrelations and then by is_barba, which builds RR^T alone and
+settles R^TR by the line sums of R. Some searches are empty
 by arithmetic and return no hits without a scan: circulant tournaments
 are regular, so none meets the template's three out-degrees, and where
 2n - 1 is not a square no Barba row qualifies.
@@ -56,7 +60,7 @@ DEFAULT_MAX_CANDIDATES = 1 << 20
 
 
 def _pool_size(workers: int, total: int) -> int:
-    """Worker processes for a scan: at most one per CPU and per candidate."""
+    """Worker processes for a scan: at most one per CPU and per mask walked."""
     return min(workers, os.cpu_count() or 1, total)
 
 
@@ -98,7 +102,7 @@ def _scan(hits, order: int, total: int, space: str, limit, workers: int, max_can
             f"{cap}; raise it via max_candidates= or --max-candidates to proceed"
         )
     half = total // 2
-    workers = _pool_size(workers, total)
+    workers = _pool_size(workers, half)
     if workers <= 1:
         pairs = _chunk((hits, order, 0, half, limit))
     else:
@@ -119,16 +123,26 @@ def _scan(hits, order: int, total: int, space: str, limit, workers: int, max_can
 # Tournament searches
 
 
-def _tournament_rows(order: int, mask: int) -> list[list[int]]:
-    """The 0/1 rows of a strictly-upper-triangular bitmask, most significant bit first."""
-    rows = [[0] * order for _ in range(order)]
+def _arc_bits(order: int) -> list[tuple[int, int, int]]:
+    """(bit, i, j) per pair i < j, the mask bit that is set where i beats j:
+    the pairs in row-major order, the first at the most significant bit."""
     shift = order * (order - 1) // 2
+    arcs = []
     for i in range(order):
         for j in range(i + 1, order):
             shift -= 1
-            bit = (mask >> shift) & 1
-            rows[i][j] = bit
-            rows[j][i] = 1 - bit
+            arcs.append((1 << shift, i, j))
+    return arcs
+
+
+def _tournament_rows(order: int, mask: int) -> list[list[int]]:
+    """The 0/1 rows of a tournament mask."""
+    rows = [[0] * order for _ in range(order)]
+    for bit, i, j in _arc_bits(order):
+        if mask & bit:
+            rows[i][j] = 1
+        else:
+            rows[j][i] = 1
     return rows
 
 
@@ -142,12 +156,9 @@ def _degree_masks(order: int) -> list[tuple[int, int, int]]:
     set where i beats j, and of its pairs (j < i, i), set where j beats i."""
     out = [0] * order
     into = [0] * order
-    shift = order * (order - 1) // 2
-    for i in range(order):
-        for j in range(i + 1, order):
-            shift -= 1
-            out[i] |= 1 << shift
-            into[j] |= 1 << shift
+    for bit, i, j in _arc_bits(order):
+        out[i] |= bit
+        into[j] |= bit
     return list(zip(range(order), out, into))
 
 
@@ -160,9 +171,11 @@ def _degree_profile(degree_masks: list[tuple[int, int, int]], mask: int) -> list
 
 def _ew_tournament_hits(order: int, lo: int, hi: int):
     """(A, A^T) per EW tournament A among masks [lo, hi) of the lower half.
-    A mask's rows are built, and ew_split tests them, only when its
-    out-degree profile is the template; the Tournaments are built from
-    those rows, only for a hit.
+    Only a mask whose out-degree profile is the template goes to ew_split,
+    as the per-vertex masks ew_split takes (bit j of beaten_by[i] set iff
+    j -> i), read off the mask's bits: where the bit of pair i < j is set,
+    i -> j sets bit i of beaten_by[j], and where it is clear, j -> i sets
+    bit j of beaten_by[i]. 0/1 rows are built only for a hit's Tournaments.
 
     The complement of a mask is the tournament with every arc reversed,
     A^T, and ew_split gives both the same verdict and a. Out-degrees d map
@@ -173,12 +186,18 @@ def _ew_tournament_hits(order: int, lo: int, hi: int):
     without the border row, which count a. So A^T is the twin of A.
     """
     degree_masks = _degree_masks(order)
+    arcs = _arc_bits(order)
     template = ew_degree_template(order // 4)
     for mask in range(lo, hi):
         if _degree_profile(degree_masks, mask) == template:
-            rows = _tournament_rows(order, mask)
-            if ew_split(rows) is not None:
-                a = IntMatrix.from_rows(rows)
+            beaten_by = [0] * order
+            for bit, i, j in arcs:
+                if mask & bit:
+                    beaten_by[j] |= 1 << i
+                else:
+                    beaten_by[i] |= 1 << j
+            if ew_split(beaten_by) is not None:
+                a = IntMatrix.from_rows(_tournament_rows(order, mask))
                 yield Tournament(a), Tournament(a.transpose())
 
 
@@ -343,7 +362,10 @@ def search_circulant_barba(
     entry +1) are walked in ascending mask order, the cap still counting
     all 2^order; a row is kept when its nonzero-lag autocorrelations all
     equal 1, and each survivor is re-verified against the textbook
-    autocorrelations and then is_barba before it is returned.
+    autocorrelations and then is_barba before it is returned. is_barba
+    builds RR^T alone: once that is (n-1)I + J, R^TR is too iff all row
+    and column sums of R are equal, which it tests instead of a second
+    Gram matrix.
     """
     order = as_integer("order", order)
     if order % 4 != 1:

@@ -27,7 +27,7 @@ from .exactmat import (
     matmul,
     rank_mod_p,
 )
-from .kernels import sign_gram, smith_reduce
+from .kernels import _mask_gram, sign_gram, smith_reduce
 from .snf import smith_normal_form
 
 
@@ -196,22 +196,34 @@ def ew_tournament_check(a: Tournament) -> tuple[bool, Optional[int]]:
     The smaller sign class has size a, which must solve
     a^2 - (2t+1)a + t(t-1) = 0 (that does not follow from the identities);
     a true Gram verdict with any other a raises RuntimeError. Returns
-    (verdict, a), with a None on a false verdict; ew_split does the work.
+    (verdict, a), with a None on a false verdict; ew_split does the work,
+    on the columns of A packed as bitmasks.
     """
-    a_param = ew_split(a.matrix.to_rows())
+    n = a.order
+    entries = a.matrix.entries
+    a_param = ew_split([sum(v << j for j, v in enumerate(entries[i::n])) for i in range(n)])
     return a_param is not None, a_param
 
 
-def ew_split(rows: list[list[int]]) -> Optional[int]:
+def ew_split(beaten_by: list[int]) -> Optional[int]:
     """ew_tournament_check's split parameter a, or None on a false verdict,
-    for a tournament given by its 0/1 rows (which are not validated)."""
-    n = len(rows)
+    for a tournament of order n given by one bitmask per vertex:
+    beaten_by[i] has bit j set iff j -> i (the masks are not validated).
+
+    Vertex i has out-degree n - 1 - popcount(beaten_by[i]). Row i+1 of the
+    bordered matrix S is -1 in column 0 and in column j+1 iff j -> i, so
+    its -1 mask, column c at bit c, is 1 | beaten_by[i] << 1; the all-ones
+    border row has mask 0. SS^T is built from these n + 1 masks by
+    popcounts, with no list row.
+    """
+    n = len(beaten_by)
     if n % 4 != 1 or n < 5:
         return None
     t = n // 4
-    if sorted(map(sum, rows)) != ew_degree_template(t):
+    if sorted(n - 1 - b.bit_count() for b in beaten_by) != ew_degree_template(t):
         return None
-    part, signs, _ = _analyze_gram(sign_gram(bordered_rows(rows)), n + 1)
+    masks = [0] + [1 | b << 1 for b in beaten_by]
+    part, signs, _ = _analyze_gram(_mask_gram(masks, n + 1), n + 1)
     if part is None:
         return None
     plus = sum(signs[i] == 1 for i in part[1])  # halves are sorted by least index, 0 in the first

@@ -29,7 +29,7 @@ from doptsnf.search import (
 )
 from doptsnf.snf import smith_normal_form
 from doptsnf.verify import ew_degree_template, ew_gram_check, ew_split, ew_tournament_check
-from test_verify import ref_ew_tournament_check
+from test_verify import beaten_by_masks, ref_ew_tournament_check
 
 GOLDEN_13_ROW = (1, 1, 1, 1, -1, 1, -1, -1, 1, 1, 1, -1, 1)
 
@@ -68,22 +68,22 @@ def test_enumeration_limit(witnesses5):
 
 
 def test_limit_ends_the_scan_early(monkeypatch):
-    """limit=1 hands ew_split the rows of the masks among 0..80 whose
-    out-degree profile is the template, 72, 76 and 80, in order, 80 being
-    the first hit, and nothing after."""
+    """limit=1 hands ew_split the per-vertex masks of the masks among 0..80
+    whose out-degree profile is the template, 72, 76 and 80, in order, 80
+    being the first hit, and nothing after."""
     tested = []
 
-    def counting(rows):
-        tested.append(rows)
-        return ew_split(rows)
+    def counting(beaten_by):
+        tested.append(beaten_by)
+        return ew_split(beaten_by)
 
     monkeypatch.setattr(search, "ew_split", counting)
     assert len(enumerate_ew_tournaments(5, limit=1)) == 1
     passing = [m for m in range(81) if sorted(map(sum, _tournament_rows(5, m))) == ew_degree_template(1)]
     assert passing == [72, 76, 80]
-    assert tested == [_tournament_rows(5, mask) for mask in passing]
+    assert tested == [beaten_by_masks(_tournament_rows(5, mask)) for mask in passing]
     assert ew_split(tested[-1]) == 0
-    assert all(ew_split(rows) is None for rows in tested[:-1])
+    assert all(ew_split(masks) is None for masks in tested[:-1])
 
 
 def test_popcount_profile_matches_the_rows():
@@ -153,7 +153,7 @@ def test_tournament_hits_match_an_unreduced_scan():
     reference = {}
     for m in range(1 << 9):
         rows = _tournament_rows(5, m)
-        if ew_split(rows) is not None:
+        if ew_split(beaten_by_masks(rows)) is not None:
             twin = _tournament_rows(5, full ^ m)
             assert twin == [list(col) for col in zip(*rows)]
             reference[m] = (rows, twin)
@@ -217,7 +217,8 @@ def test_scan_matches_the_unreduced_scan_around_the_mirror(in_process_pool, work
     """_scan, over the scan's own chunks, gives the prefix of the unreduced
     scan over all masks for limits up to, at and past the mirror point,
     where the lower half's hits end and the twins begin."""
-    everything = [r for r in (_tournament_rows(5, m) for m in range(1024)) if ew_split(r) is not None]
+    rows = (_tournament_rows(5, m) for m in range(1024))
+    everything = [r for r in rows if ew_split(beaten_by_masks(r)) is not None]
     assert len(everything) == 40
     for limit in (0, 1, 19, 20, 21, 39, 40, None):
         got = search._scan(_ew_tournament_hits, 5, 1 << 10, "tournament space", limit, workers, None)
@@ -243,7 +244,7 @@ def test_reversing_every_arc_keeps_the_verdict_and_a(tournament13):
         s = bordered_rows(rows)
         d = [-1] + [1] * 5
         assert bordered_rows(twin) == [[d[i] * s[j][i] * d[j] for j in range(6)] for i in range(6)]
-        assert ew_split(twin) == ew_split(rows)
+        assert ew_split(beaten_by_masks(twin)) == ew_split(beaten_by_masks(rows))
     verdict, a = ew_tournament_check(tournament13)
     assert verdict
     assert ew_tournament_check(Tournament(tournament13.matrix.transpose())) == (True, a)
@@ -251,13 +252,14 @@ def test_reversing_every_arc_keeps_the_verdict_and_a(tournament13):
 
 @pytest.fixture
 def tested(monkeypatch):
-    """The rows ew_split is given and the masks the Barba walk visits."""
+    """The per-vertex masks ew_split is given and the masks the Barba walk
+    visits."""
     seen = {"ew_split": [], "barba": []}
     walk = search._masks_of_weight
 
-    def counting_split(rows):
-        seen["ew_split"].append(rows)
-        return ew_split(rows)
+    def counting_split(beaten_by):
+        seen["ew_split"].append(beaten_by)
+        return ew_split(beaten_by)
 
     def counting_walk(w, lo, hi):
         for mask in walk(w, lo, hi):
@@ -303,22 +305,31 @@ def test_pooled_scans_test_each_pair_once(tested, in_process_pool, workers):
 def test_scan_builds_a_tournament_only_per_hit(monkeypatch, witnesses5):
     """40 Tournaments for the 40 hits among 1024 masks, built in pairs: each
     hit of the lower half, then its transpose, the hit of its complement
-    mask; and no bordered IntMatrix."""
+    mask; 0/1 rows only for the 20 hits of the lower half; and no bordered
+    IntMatrix."""
     built = []
+    row_masks = []
+    rows_of = search._tournament_rows
 
     def counting(matrix):
         built.append(matrix)
         return Tournament(matrix)
 
+    def counting_rows(order, mask):
+        row_masks.append(mask)
+        return rows_of(order, mask)
+
     def refuse(t):
         raise AssertionError("skew_from_tournament was called")
 
     monkeypatch.setattr(search, "Tournament", counting)
+    monkeypatch.setattr(search, "_tournament_rows", counting_rows)
     monkeypatch.setattr(designs, "skew_from_tournament", refuse)
     found = [t.matrix for t in enumerate_ew_tournaments(5)]
     assert found == [w.matrix for w in witnesses5]
     lower, upper = found[:20], found[20:]
     assert built == [m for pair in zip(lower, reversed(upper)) for m in pair]
+    assert [rows_of(5, mask) for mask in row_masks] == [m.to_rows() for m in lower]
     assert all(b == a.transpose() for a, b in zip(built[::2], built[1::2]))
 
 
@@ -460,6 +471,14 @@ def test_pool_size_is_clamped_without_starting_a_pool(monkeypatch):
     assert _pool_size(1, 1 << 17) == 1
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert _pool_size(10**6, 1 << 17) == 1
+
+
+def test_pool_is_sized_by_the_masks_walked(in_process_pool):
+    """Order 1's space [0, 2) has a lower half of one mask, so two workers
+    start no pool and give what one worker gives."""
+    assert search_circulant_barba(1, workers=2) == search_circulant_barba(1, workers=1)
+    assert [m.to_rows() for m in search_circulant_barba(1)] == [[[-1]], [[1]]]
+    assert in_process_pool == []
 
 
 # ---------------------------------------------------------------------------

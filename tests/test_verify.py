@@ -736,6 +736,12 @@ def ref_ew_tournament_check(a):
     return True, a_param
 
 
+def beaten_by_masks(rows):
+    """ew_split's argument for a tournament's 0/1 rows: bit j of mask i is
+    set iff rows[j][i], that is iff j -> i."""
+    return [sum(row[i] << j for j, row in enumerate(rows)) for i in range(len(rows))]
+
+
 def ref_is_barba(r):
     if not r.is_square:
         raise DimensionError("is_barba needs a square matrix")
@@ -899,13 +905,44 @@ def test_tournament_check_matches_reference(tournament13, tournament25):
 
 
 def test_ew_split_matches_reference():
-    """ew_split on the rows of every order-5 tournament gives the reference's
-    split parameter, and None where its verdict is false."""
+    """ew_split on the masks of every order-5 tournament gives the
+    reference's split parameter, and None where its verdict is false."""
     for mask in range(1 << 10):
         rows = _tournament_rows(5, mask)
-        a_param = ew_split(rows)
+        a_param = ew_split(beaten_by_masks(rows))
         expected = ref_ew_tournament_check(Tournament(IntMatrix.from_rows(rows)))
         assert (a_param is not None, a_param) == expected
+
+
+def assert_mask_split_matches_reference(a):
+    """The bordered masks' popcount Gram is SS^T by matmul, and ew_split on
+    a's masks gives ref_ew_tournament_check's verdict and a."""
+    rows = a.matrix.to_rows()
+    masks = beaten_by_masks(rows)
+    bordered = [0] + [1 | m << 1 for m in masks]
+    assert kernels._mask_gram(bordered, a.order + 1) == ref_gram(skew_from_tournament(a).to_rows())
+    a_param = ew_split(masks)
+    assert (a_param is not None, a_param) == ref_ew_tournament_check(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(5, 21).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    )
+)
+def test_ew_split_matches_reference_on_drawn_tournaments(case):
+    assert_mask_split_matches_reference(_tournament_from_mask(*case))
+
+
+def test_ew_split_matches_reference_on_ew_tournaments(tournament13, tournament25):
+    """The order-13 and order-25 EW tournaments, a relabelling of each and
+    their transposes: true verdicts, with the reference's a."""
+    rng = random.Random(2502)
+    for a in (tournament13, tournament25):
+        for b in (a, relabel(a, rng), Tournament(a.matrix.transpose())):
+            assert_mask_split_matches_reference(b)
+            assert ew_split(beaten_by_masks(b.matrix.to_rows())) is not None
 
 
 @settings(max_examples=60, deadline=None)
@@ -956,6 +993,35 @@ def test_packed_checks_match_reference_on_circulants():
             r = circulant([rng.choice((1, -1)) for _ in range(n)])
             assert_checks_match_reference(r)
     assert not is_barba(circulant([1] * 13))
+
+
+def test_is_barba_settles_the_columns_by_line_sums():
+    """Negating column j of R adds nothing to RR^T = sum_j c_j c_j^T, but
+    moves that column's sum off the common value, so R^TR is no longer
+    (n-1)I + J: the line-sum test alone can refuse these."""
+    hits = search_circulant_barba(13)
+    assert len(hits) == 104
+    for k, r in enumerate(hits):
+        j = k % 13
+        rows = [[-v if c == j else v for c, v in enumerate(row)] for row in r.to_rows()]
+        negated = IntMatrix.from_rows(rows)
+        assert ref_gram(rows) == ref_gram(r.to_rows())
+        assert not is_barba(negated)
+        assert not ref_is_barba(negated)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_is_barba_matches_reference_on_every_small_square(n):
+    """All 2^(n^2) +-1 squares of order n. Both of order 1 are Barba, and
+    none of order 2 or 3 is: at order 2 an off-diagonal entry of RR^T is
+    even, and at order 3 det RR^T would be 20, which is not a square."""
+    verdicts = []
+    for bits in range(1 << (n * n)):
+        rows = [[1 - 2 * (bits >> (i * n + j) & 1) for j in range(n)] for i in range(n)]
+        r = IntMatrix.from_rows(rows)
+        verdicts.append(is_barba(r))
+        assert verdicts[-1] == ref_is_barba(r)
+    assert sum(verdicts) == {1: 2, 2: 0, 3: 0}[n]
 
 
 # ---------------------------------------------------------------------------
