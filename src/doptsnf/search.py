@@ -24,8 +24,7 @@ bordered Gram from those by popcounts; 0/1 rows are built only for a
 hit's Tournament. A Barba row sums to +-s with s^2 = 2n - 1, so the
 circulant Barba search walks only the masks of the two popcounts
 (n -+ s) / 2. Each Barba hit is re-checked by the textbook
-autocorrelations and then by is_barba, which builds RR^T alone and
-settles R^TR by the line sums of R. Some searches are empty
+autocorrelations and then by is_barba. Some searches are empty
 by arithmetic and return no hits without a scan: circulant tournaments
 are regular, so none meets the template's three out-degrees, and where
 2n - 1 is not a square no Barba row qualifies.
@@ -38,9 +37,10 @@ Each scan does its work once per symmetric pair or orbit:
   half of its masks, and a hit's complement is its twin: a mask of the
   upper half is never tested.
 - barba_problem_scan computes one SNF per orbit of first rows under
-  rotation, negation and multipliers: rotating the row permutes the rows
-  of the doubled matrix, negating it negates the matrix, and a multiplier
-  conjugates it by a permutation (see _orbit_key).
+  rotation, negation and multipliers, and stores it under every row of
+  the orbit: rotating the row permutes the rows of the doubled matrix,
+  negating it negates the matrix, and a multiplier conjugates it by a
+  permutation (see barba_problem_scan).
 """
 
 from __future__ import annotations
@@ -269,20 +269,15 @@ def _barba_row_sum(order: int) -> Optional[int]:
 def _least_of_weight(w: int, lo: int) -> int:
     """The least mask >= lo >= 0 with w >= 1 bits set.
 
-    A greater mask first exceeds lo at some bit p that lo lacks: it keeps
-    lo's bits above p, sets p and puts its other bits lowest. The lowest
-    such p that leaves room for w bits gives the least mask.
+    Carry: above w bits, every mask in [lo, lo + (lo & -lo)) keeps all of
+    lo's bits, so none qualifies. Fill: below w bits, every mask in
+    [lo, lo | lo + 1) has at most lo's bits, and lo | lo + 1 has one more.
     """
-    if lo.bit_count() == w:
-        return lo
-    p = 0
-    while True:
-        if not lo >> p & 1:
-            high = lo >> (p + 1) << (p + 1)
-            rest = w - 1 - high.bit_count()
-            if 0 <= rest <= p:
-                return high | 1 << p | (1 << rest) - 1
-        p += 1
+    while lo.bit_count() > w:
+        lo += lo & -lo
+    while lo.bit_count() < w:
+        lo |= lo + 1
+    return lo
 
 
 def _masks_of_weight(w: int, lo: int, hi: int):
@@ -362,10 +357,7 @@ def search_circulant_barba(
     entry +1) are walked in ascending mask order, the cap still counting
     all 2^order; a row is kept when its nonzero-lag autocorrelations all
     equal 1, and each survivor is re-verified against the textbook
-    autocorrelations and then is_barba before it is returned. is_barba
-    builds RR^T alone: once that is (n-1)I + J, R^TR is too iff all row
-    and column sums of R are equal, which it tests instead of a second
-    Gram matrix.
+    autocorrelations and then is_barba before it is returned.
     """
     order = as_integer("order", order)
     if order % 4 != 1:
@@ -413,23 +405,6 @@ class BarbaScanReport(NamedTuple):
     per_order: tuple[BarbaScanOrderReport, ...]
 
 
-def _orbit_key(row: tuple[int, ...]) -> str:
-    """The least mask, as a bit string, among the rotations of row and of -row.
-
-    Rotating the first row permutes the rows of barba_double(circulant(row))
-    and negating it negates the matrix, so rows with one key share an SNF.
-    A unit u mod n maps r to r_u[i] = r[u*i mod n], and
-    circulant(r_u) = P_u R P_u^T with P_u[i][u*i mod n] = 1, since
-    R[u*i][u*j] = r[u*(j - i)]. The double [[R, R], [-R^T, R^T]] is then
-    conjugated by diag(P_u, P_u), so the keys of r's multiplier images
-    share its SNF too.
-    """
-    n = len(row)
-    bits = "".join("1" if v == 1 else "0" for v in row)
-    flipped = bits.translate(str.maketrans("01", "10"))
-    return min((b + b)[k : k + n] for b in (bits, flipped) for k in range(n))
-
-
 def barba_problem_scan(
     orders: Iterable[int],
     workers: int = 1,
@@ -438,11 +413,16 @@ def barba_problem_scan(
     """Tabulate SNFs of doubled circulant Barba matrices, order by order.
 
     One SNF is computed per orbit of first rows under rotation, negation
-    and multipliers and shared by the orbit's other rows. A row with a new
-    rotation/negation key gets its SNF, which is then registered under the
-    key of each multiplier image r(u*i mod n), gcd(u, n) = 1; these doubles
-    are permutation-equivalent (_orbit_key). Each multiplier maps rotations
-    to rotations, so every row of the orbit finds the SNF by its own key.
+    and multipliers and shared by the orbit's other rows. A row that is
+    not yet a key of the table gets its SNF, which is then stored under
+    each of its images +-r(u*i + k mod n), gcd(u, n) = 1, 0 <= k < n; a
+    later row of the orbit reads it off by itself. These doubles share
+    the SNF: r(u*i + k) is the multiplier image r'_u[i] = r'[u*i mod n]
+    of the rotation r'[i] = r[i + k], whose double is a row permutation
+    of r's. circulant(r'_u) = P_u R' P_u^T with P_u[i][u*i mod n] = 1,
+    since R'[u*i][u*j] = r'[u*(j - i)], so the double [[R', R'],
+    [-R'^T, R'^T]] is conjugated by diag(P_u, P_u). The double of -r is
+    -1 times the double of r.
     """
     reports = []
     for order in orders:
@@ -455,15 +435,16 @@ def barba_problem_scan(
             root = math.isqrt(8 * t + 1)
             reference = (1,) + (2,) * (2 * t) + (2 * t,) * (2 * t - 1) + (2 * t * root,)
         units = [u for u in range(order) if math.gcd(u, order) == 1]
-        factors: dict[str, tuple[int, ...]] = {}
+        factors: dict[tuple[int, ...], tuple[int, ...]] = {}
         entries = []
         for r in found:
             row = r.row(0)
-            key = _orbit_key(row)
-            if key not in factors:
+            if row not in factors:
                 snf = smith_normal_form(barba_double(r)).factors
                 for u in units:
-                    factors[_orbit_key(tuple(row[u * i % order] for i in range(order)))] = snf
-            entries.append(BarbaScanEntry(row, factors[key]))
+                    for k in range(order):
+                        image = tuple(row[(u * i + k) % order] for i in range(order))
+                        factors[image] = factors[tuple(-v for v in image)] = snf
+            entries.append(BarbaScanEntry(row, factors[row]))
         reports.append(BarbaScanOrderReport(order, t, reference, tuple(entries)))
     return BarbaScanReport(tuple(reports))

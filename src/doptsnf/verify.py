@@ -181,8 +181,8 @@ def ew_tournament_check(a: Tournament) -> tuple[bool, Optional[int]]:
     0 for the 2t+1 rows outside the border row's half and +-2 for the
     other 2t rows of that half, and the out-degrees sum to 2t(4t+1). So
     an EW tournament has the out-degrees {2t-1}^t, {2t}^(2t+1),
-    {2t+1}^t, and any other profile is rejected before a Gram matrix is
-    built. Two identities let one row Gram analysis of S decide the rest:
+    {2t+1}^t, and the Gram verdict itself rejects any other profile.
+    Two identities let one row Gram analysis of S decide the rest:
 
     1. S is skew-type, so S^TS = (2I - S)S = SS^T: the column analysis of
        ew_gram_check repeats the row analysis, so the row verdict alone is
@@ -214,14 +214,13 @@ def ew_split(beaten_by: list[int]) -> Optional[int]:
     bordered matrix S is -1 in column 0 and in column j+1 iff j -> i, so
     its -1 mask, column c at bit c, is 1 | beaten_by[i] << 1; the all-ones
     border row has mask 0. SS^T is built from these n + 1 masks by
-    popcounts, with no list row.
+    popcounts, with no list row. The out-degrees are not tested: the
+    border row's Gram entries fix them (see ew_tournament_check).
     """
     n = len(beaten_by)
     if n % 4 != 1 or n < 5:
         return None
     t = n // 4
-    if sorted(n - 1 - b.bit_count() for b in beaten_by) != ew_degree_template(t):
-        return None
     masks = [0] + [1 | b << 1 for b in beaten_by]
     part, signs, _ = _analyze_gram(_mask_gram(masks, n + 1), n + 1)
     if part is None:

@@ -4,14 +4,16 @@ module-level constant has a caller in the library or a stated reason,
 each refusal message is raised from one place unless a reason is stated,
 only ``IntMatrix.is_pm1`` spells the +-1 entry test, every doptsnf name
 the benchmark harness in ``layerbench/`` uses still exists, and the
-README's library example prints what its comments say."""
+README's library example and CLI commands print what their comments say."""
 
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+from test_cli import python
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "doptsnf"
 LAYERBENCH = SRC.parent.parent / "layerbench"
@@ -313,3 +315,22 @@ def test_readme_library_example_prints_its_comments(capsys):
     assert promised
     exec(compile(source, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines() == promised
+
+
+def test_readme_cli_commands_do_what_their_comments_say(tmp_path):
+    """The commands of the ```sh block under "## CLI" run in order, as
+    ``python -m doptsnf.cli`` subprocesses in one directory (so that no pool
+    starts inside pytest). A trailing ``# -> ...`` is the first line the
+    command prints, a trailing ``# exit N`` its exit code; any other exits 0."""
+    cli = README.read_text().split("\n## CLI\n", 1)[1]
+    block = cli.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("doptsnf ")]
+    assert commands
+    for line in commands:
+        command, _, comment = line.partition(" #")
+        proc = python(["-m", "doptsnf.cli", *shlex.split(command)[1:]], tmp_path)
+        code = re.fullmatch(r"\s*exit (\d+).*", comment)
+        assert proc.returncode == (int(code[1]) if code else 0), (line, proc.stderr)
+        printed = re.fullmatch(r"\s*->\s*(.*?)\s*", comment)
+        if printed:
+            assert proc.stdout.splitlines()[0] == printed[1], line

@@ -597,21 +597,29 @@ def test_barba_scan_factors_match_a_direct_snf():
 
 def test_one_snf_per_orbit(monkeypatch):
     """Rotation and negation leave 1, 1 and 4 orbits at orders 1, 5 and 13;
-    multipliers join order 13's four, so a scan of (5, 13) runs 2 SNFs."""
+    multipliers join order 13's four. The images +-r(u*i + k) of each
+    order's first hit r are then its whole hit list, so a scan of (5, 13)
+    runs 2 SNFs."""
     for order, count, full_count in ((1, 1, 1), (5, 1, 1), (13, 4, 1)):
         rows = [r.row(0) for r in search_circulant_barba(order)]
         orbits = {
             frozenset(tuple(sign * v for v in row[k:] + row[:k]) for k in range(order) for sign in (1, -1))
             for row in rows
         }
-        assert all(len({search._orbit_key(row) for row in orbit}) == 1 for orbit in orbits)
-        assert len({search._orbit_key(row) for row in rows}) == len(orbits) == count
+        assert len(orbits) == count
         units = [u for u in range(order) if math.gcd(u, order) == 1]
         full_orbits = {
             frozenset(tuple(v[u * i % order] for i in range(order)) for v in orbit for u in units)
             for orbit in orbits
         }
         assert len(full_orbits) == full_count
+        images = {
+            tuple(sign * rows[0][(u * i + k) % order] for i in range(order))
+            for u in units
+            for k in range(order)
+            for sign in (1, -1)
+        }
+        assert images == set(rows) and len(rows) == len(set(rows))
     calls = []
 
     def counting(m):
