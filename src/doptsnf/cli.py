@@ -12,7 +12,7 @@ under --json, also a report with status "error" and the reason in
 "error". A flag the request does not read is a usage error: --strict
 applies only to verify --kind ew, check --list takes no other flag and
 no input file, and each construct --family and search --kind names the
-flags it ignores.
+flags it ignores (search --kind barba-scan reads --orders, not --order).
 
 Every run is a fresh process, so start-up counts. At the top this module
 imports only the standard library and exactmat, which also defines the
@@ -238,19 +238,13 @@ def cmd_check(args):
 # Search flags that a --kind does not read; giving one is a usage error.
 _UNUSED_SEARCH_FLAGS = {
     "ew-tournaments": ("orders",),
-    "circulant-tournament": ("orders", "parallel"),
     "circulant-barba": ("orders",),
-    "barba-scan": ("limit",),
+    "barba-scan": ("limit", "order"),
 }
 
 
 def cmd_search(args):
-    from .search import (
-        barba_problem_scan,
-        enumerate_ew_tournaments,
-        search_circulant_barba,
-        search_circulant_tournament,
-    )
+    from .search import barba_problem_scan, enumerate_ew_tournaments, search_circulant_barba
 
     workers = 1 if args.parallel is None else args.parallel
     if workers < 1:
@@ -260,12 +254,9 @@ def cmd_search(args):
         raise ValueError(f"--max-candidates must be at least 1, got {cap}")
     _refuse_unused(args, _UNUSED_SEARCH_FLAGS[args.kind], f"--kind {args.kind}")
     if args.kind == "barba-scan":
-        if args.order is not None and args.orders is not None:
-            raise ValueError("--kind barba-scan takes --order or --orders, not both")
-        orders = args.orders if args.order is None else [args.order]
-        if orders is None:
+        if args.orders is None:
             raise ValueError("barba-scan needs --orders")
-        report = barba_problem_scan(orders, workers=workers, max_candidates=cap)
+        report = barba_problem_scan(args.orders, workers=workers, max_candidates=cap)
         results, text = [], ""
         for rep in report.per_order:
             ref = "none (8t+1 is not a perfect square)"
@@ -291,9 +282,6 @@ def cmd_search(args):
         found = enumerate_ew_tournaments(
             args.order, limit=args.limit, workers=workers, max_candidates=cap
         )
-        matrices = [t.matrix for t in found]
-    elif args.kind == "circulant-tournament":
-        found = search_circulant_tournament(args.order, limit=args.limit, max_candidates=cap)
         matrices = [t.matrix for t in found]
     else:  # circulant-barba
         matrices = search_circulant_barba(
@@ -404,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=["ew-tournaments", "circulant-tournament", "circulant-barba", "barba-scan"],
+        choices=["ew-tournaments", "circulant-barba", "barba-scan"],
     )
     p.add_argument("--order", type=int)
     p.add_argument("--orders", type=int, nargs="+", help="orders for barba-scan")

@@ -24,10 +24,11 @@ bordered Gram from those by popcounts; 0/1 rows are built only for a
 hit's Tournament. A Barba row sums to +-s with s^2 = 2n - 1, so the
 circulant Barba search walks only the masks of the two popcounts
 (n -+ s) / 2. Each Barba hit is re-checked by the textbook
-autocorrelations and then by is_barba. Some searches are empty
-by arithmetic and return no hits without a scan: circulant tournaments
-are regular, so none meets the template's three out-degrees, and where
-2n - 1 is not a square no Barba row qualifies.
+autocorrelations and then by is_barba. Where 2n - 1 is not a square no
+Barba row qualifies, so that search returns no hits without a scan.
+search_circulant_tournament, which only layerbench's search-scan still
+times, always returns []: circulant tournaments are regular, so none
+meets the template's three out-degrees.
 
 Each scan does its work once per symmetric pair or orbit:
 
@@ -222,26 +223,20 @@ def enumerate_ew_tournaments(
     return _scan(_ew_tournament_hits, order, total, "tournament space", limit, workers, max_candidates)
 
 
-def search_circulant_tournament(
-    order: int,
-    limit: Optional[int] = None,
-    max_candidates: Optional[int] = None,
-) -> list[Tournament]:
+def search_circulant_tournament(order: int) -> list[Tournament]:
     """Circulant tournaments of odd order passing the EW tournament check.
 
     Candidates are the antisymmetric lag subsets (lag s in the subset iff
     order-s is not), 2^((order-1)/2) in total. Circulant tournaments are
     regular of degree (order-1)/2, while ew_tournament_check's out-degree
     template needs three distinct out-degrees, so no candidate qualifies:
-    after its arguments are checked the result is [] without a scan,
-    whatever the candidate cap.
+    after its order is checked the result is [] without a scan.
     """
     order = as_integer("order", order)
     if order % 2 == 0:
         raise ValueError("circulant tournaments need odd order")
     if order < 1:
         raise ValueError("order must be positive")
-    _scan_cap(limit, 1, max_candidates)
     return []
 
 

@@ -277,16 +277,17 @@ def predicted_snf_tournament(t: int) -> tuple[int, ...]:
     return (1,) * (2 * t + 2) + (t,) * (2 * t - 2) + (t * t * (4 * t - 1),)
 
 
-class BlockSnfEvaluation(NamedTuple):
-    """Result of matching a computed diagonal against block-design constraints."""
+class TheoremCheck(NamedTuple):
+    """Computed-versus-predicted tuples for one named claim; it passes iff they agree."""
 
-    observed: tuple[int, ...]
-    expected: tuple[int, ...]
-    description: str
+    claim_id: str
+    computed: tuple
+    predicted: tuple
+    detail: str = ""
 
     @property
     def passed(self) -> bool:
-        return self.observed == self.expected
+        return self.computed == self.predicted
 
 
 class BlockSnfConstraints(NamedTuple):
@@ -309,26 +310,24 @@ class BlockSnfConstraints(NamedTuple):
     p: Optional[int] = None
     full_prediction: Optional[tuple[int, ...]] = None
 
-    def evaluate(self, factors: Sequence[int]) -> BlockSnfEvaluation:
+    def evaluate(self, factors: Sequence[int]) -> TheoremCheck:
+        """Claim "block-<case>": computed against predicted parts of the diagonal."""
+        claim = f"block-{self.case}"
         t = self.t_param
         n = 4 * t + 2
         facs = tuple(int(f) for f in factors)
         if len(facs) != n:
-            return BlockSnfEvaluation((len(facs),), (n,), "factor count")
+            return TheoremCheck(claim, (len(facs),), (n,), "factor count")
         if self.full_prediction is not None:
-            return BlockSnfEvaluation(
-                facs, self.full_prediction, "complete closed-form diagonal"
-            )
+            return TheoremCheck(claim, facs, self.full_prediction, "complete closed-form diagonal")
         if self.case == "prime-square":
             # Without square-free t only the leading factors are pinned.
-            return BlockSnfEvaluation(
-                facs[:2], (1, 2), "leading factors only (t is not square-free)"
-            )
+            return TheoremCheck(claim, facs[:2], (1, 2), "leading factors only (t is not square-free)")
         allowed_head = {2 ** j for j in range(1, self.ell + 2)}
         allowed_tail = {v * self.q for v in allowed_head}
         head = facs[1 : 2 * t + 2]
         tail = facs[2 * t + 2 : 4 * t]
-        observed = (
+        computed = (
             facs[0],
             facs[4 * t],
             facs[4 * t + 1],
@@ -336,7 +335,7 @@ class BlockSnfConstraints(NamedTuple):
             sum(1 for v in tail if v in allowed_tail),
             sum((v & -v).bit_length() - 1 for v in facs[1 : 4 * t]),  # 2-adic valuations
         )
-        expected = (
+        predicted = (
             1,
             2 * t,
             2 * t * (4 * t + 1),
@@ -344,8 +343,8 @@ class BlockSnfConstraints(NamedTuple):
             2 * t - 2,
             3 + 2 * (self.ell + 2) * (t - 1),
         )
-        return BlockSnfEvaluation(
-            observed, expected, "tail factors, power patterns and counting identities"
+        return TheoremCheck(
+            claim, computed, predicted, "tail factors, power patterns and counting identities"
         )
 
 
@@ -387,19 +386,6 @@ def predicted_block_snf(t: int, r1: int, r2: int) -> BlockSnfConstraints:
 
 # ---------------------------------------------------------------------------
 # Theorem conformance
-
-
-class TheoremCheck(NamedTuple):
-    """Computed-versus-predicted tuples for one named claim; it passes iff they agree."""
-
-    claim_id: str
-    computed: tuple
-    predicted: tuple
-    detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.computed == self.predicted
 
 
 def _ew_abs_det(n: int) -> int:
@@ -638,8 +624,7 @@ def _block_claim(case: str) -> Callable[[IntMatrix], TheoremCheck]:
             constraints.case == case,
             f"claim applies to the {case} case, input is {constraints.case}",
         )
-        ev = constraints.evaluate(_ew_factors(x))
-        return TheoremCheck(f"block-{case}", ev.observed, ev.expected, ev.description)
+        return constraints.evaluate(_ew_factors(x))
 
     return check
 

@@ -278,19 +278,19 @@ def test_search_text_summary(capsys):
 
 
 def test_search_empty_is_still_success(capsys):
-    captured = run(capsys, ["search", "--kind", "circulant-tournament", "--order", "13"], 0)
+    # 2 * 17 - 1 = 33 is not a square, so no circulant Barba row has order 17
+    captured = run(capsys, ["search", "--kind", "circulant-barba", "--order", "17"], 0)
     summary = json.loads(captured.out.strip().splitlines()[-1])
     assert summary["count"] == "0"
 
 
-def test_circulant_tournament_search_needs_no_cap(capsys, schema):
-    # order 45 has 2^22 candidates, above the default cap, but the answer is
-    # known without a scan
-    argv = ["search", "--kind", "circulant-tournament", "--order", "45", "--json"]
+def test_empty_search_needs_no_cap(capsys, schema):
+    # order 45 has 2^45 candidate rows, above the default cap, but 89 is not
+    # a square, so the answer is known without a scan
+    argv = ["search", "--kind", "circulant-barba", "--order", "45", "--json"]
     doc = run_json(capsys, argv, 0, schema)
     assert doc["status"] == "pass"
     assert [r["count"] for r in doc["results"]] == ["0"]
-    assert "--parallel" in run(capsys, argv + ["--parallel", "2"], 2).err
 
 
 def test_search_refusal_and_usage(capsys):
@@ -309,16 +309,16 @@ def test_search_rejects_out_of_range_arguments(capsys):
     assert "--max-candidates" in run(capsys, order5 + ["--max-candidates", "0"], 2).err
     for argv in (["--kind", "circulant-barba", "--order", "-3"], ["--kind", "barba-scan", "--orders", "-3"]):
         assert "order must be positive, got -3" in run(capsys, ["search"] + argv, 2).err
-    assert "order 0 is not 1 (mod 4)" in run(capsys, ["search", "--kind", "barba-scan", "--order", "0"], 2).err
+    assert "order 0 is not 1 (mod 4)" in run(capsys, ["search", "--kind", "barba-scan", "--orders", "0"], 2).err
 
 
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["--kind", "circulant-tournament", "--order", "13", "--parallel", "4"], "--parallel"),
-        (["--kind", "circulant-tournament", "--order", "13", "--orders", "13"], "--orders"),
+        (["--kind", "barba-scan", "--order", "5"], "--order"),
         (["--kind", "ew-tournaments", "--order", "5", "--orders", "5"], "--orders"),
         (["--kind", "circulant-barba", "--order", "5", "--orders", "5"], "--orders"),
+        (["--kind", "barba-scan", "--orders", "13", "--order", "5"], "--order"),
         (["--kind", "barba-scan", "--orders", "5", "--limit", "1"], "--limit"),
     ],
 )
@@ -373,13 +373,6 @@ def test_row_takes_ascii_decimals_only(capsys):
         captured = run(capsys, ["construct", "--family", "circulant", "--row", row], 2)
         assert "not a decimal integer" in captured.err
         assert captured.out == ""
-
-
-def test_barba_scan_takes_order_or_orders(capsys):
-    both = run(capsys, ["search", "--kind", "barba-scan", "--order", "13", "--orders", "5"], 2)
-    assert "takes --order or --orders, not both" in both.err
-    assert both.out == ""
-    assert "order 5: 10 rows" in run(capsys, ["search", "--kind", "barba-scan", "--order", "5"], 0).out
 
 
 def test_barba_scan_orders_without_rows(capsys):

@@ -3,8 +3,9 @@ module, every module-level function and class and every public
 module-level constant has a caller in the library or a stated reason,
 each refusal message is raised from one place unless a reason is stated,
 only ``IntMatrix.is_pm1`` spells the +-1 entry test, every doptsnf name
-the benchmark harness in ``layerbench/`` uses still exists, and the
-README's library example and CLI commands print what their comments say."""
+the benchmark harness in ``layerbench/`` uses still exists, the README's
+library example and CLI commands print what their comments say, and no
+test is skipped or marked to fail."""
 
 import ast
 import importlib
@@ -15,7 +16,8 @@ from pathlib import Path
 import pytest
 from test_cli import python
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "doptsnf"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "doptsnf"
 LAYERBENCH = SRC.parent.parent / "layerbench"
 README = SRC.parent.parent / "README.md"
 
@@ -115,6 +117,9 @@ CALLERLESS = {
     "kernels.BACKEND": "layerbench records it with each run",
     "kernels.adjugate": "layerbench traces it; the tests' Gauss-Jordan adjugate oracle",
     "search._tournament_from_mask": "the tests build a mask's Tournament with it",
+    "search.search_circulant_tournament": (
+        "layerbench's search-scan times it; ROADMAP item 12 deletes it with that job"
+    ),
     "snf.minor_gcd": "the tests' independent SNF oracle",
     "verify.block_determinant_formula": "a statement of the paper the tests check",
     "verify.normalized_block_row_sums": "a statement of the paper the tests check",
@@ -334,3 +339,47 @@ def test_readme_cli_commands_do_what_their_comments_say(tmp_path):
         printed = re.fullmatch(r"\s*->\s*(.*?)\s*", comment)
         if printed:
             assert proc.stdout.splitlines()[0] == printed[1], line
+
+
+#: pytest names that park a check instead of running it.
+PARKING = {"skip", "skipif", "xfail", "importorskip"}
+
+
+def parked_checks(source: str) -> list[int]:
+    """Lines of source that skip a test or expect it to fail: a
+    ``pytest.skip``, ``pytest.importorskip`` or ``pytest.xfail`` call, a
+    ``pytest.mark.skip``, ``skipif`` or ``xfail`` mark, or one of these
+    names imported from pytest."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in PARKING:
+            if ast.unparse(node.value) in ("pytest", "pytest.mark", "mark"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "pytest":
+            if PARKING & {alias.name for alias in node.names}:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_parked_checks_finds_skips_and_xfails():
+    source = """
+import pytest
+from pytest import importorskip, mark
+pytestmark = pytest.mark.skipif(True, reason="x")
+
+@pytest.mark.xfail
+def test_a():
+    pytest.skip("later")
+
+@mark.skip
+def test_b(skip):
+    skip.it()
+    pytest.mark.parametrize("x", [1])
+"""
+    assert parked_checks(source) == [3, 4, 6, 8, 10]
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda path: path.name)
+def test_no_test_is_parked(path):
+    """A check that cannot run is deleted or mended, not skipped."""
+    assert parked_checks(path.read_text()) == []

@@ -220,9 +220,9 @@ def test_block_constraints_squarefree(example66):
     assert cons.case == "squarefree"
     assert (cons.ell, cons.q, cons.gcd_r) == (4, 1, 1)
     ev = cons.evaluate(smith_normal_form(example66).factors)
-    assert ev.passed
-    assert ev.observed == (1, 32, 2080, 33, 30, 183)
-    assert ev.expected == (1, 32, 2080, 33, 30, 183)
+    assert ev.passed and ev.claim_id == "block-squarefree"
+    assert ev.computed == (1, 32, 2080, 33, 30, 183)
+    assert ev.predicted == (1, 32, 2080, 33, 30, 183)
 
 
 def test_block_constraints_squarefree_14(skew14):
@@ -240,7 +240,7 @@ def test_block_constraints_zero_factors_fail():
 
 def test_block_constraints_count_the_factors_first():
     ev = predicted_block_snf(3, 5, -1).evaluate((1, 2))
-    assert (ev.observed, ev.expected, ev.description) == ((2,), (14,), "factor count")
+    assert (ev.computed, ev.predicted, ev.detail) == ((2,), (14,), "factor count")
     assert not ev.passed
 
 
@@ -250,9 +250,9 @@ def test_block_constraints_prime_square_with_t_not_squarefree():
     cons = predicted_block_snf(12, 7, 7)
     assert (cons.case, cons.p, cons.gcd_r, cons.full_prediction) == ("prime-square", 7, 7, None)
     ev = cons.evaluate((1, 2) + (4,) * 48)
-    assert ev.passed
-    assert (ev.observed, ev.expected) == ((1, 2), (1, 2))
-    assert ev.description == "leading factors only (t is not square-free)"
+    assert ev.passed and ev.claim_id == "block-prime-square"
+    assert (ev.computed, ev.predicted) == ((1, 2), (1, 2))
+    assert ev.detail == "leading factors only (t is not square-free)"
     assert not cons.evaluate((1, 4) + (4,) * 48).passed
 
 
