@@ -259,10 +259,7 @@ def cmd_search(args):
         report = barba_problem_scan(args.orders, workers=workers, max_candidates=cap)
         results, text = [], ""
         for rep in report.per_order:
-            ref = "none (8t+1 is not a perfect square)"
-            if rep.reference is not None:
-                ref = format_factors_rle(rep.reference)
-            text += f"order {rep.order}: {len(rep.entries)} rows; reference diagonal: {ref}\n"
+            text += f"order {rep.order}: {len(rep.entries)} rows\n"
             entries = []
             for e in rep.entries:
                 rle = format_factors_rle(e.factors)
@@ -272,7 +269,6 @@ def cmd_search(args):
                 "kind": "barba-scan",
                 "order": rep.order,
                 "t_param": rep.t_param,
-                "reference": rep.reference,
                 "entries": entries,
             })
         return "pass", results, text
@@ -338,8 +334,7 @@ def _run(args) -> int:
         }
         if error is not None:
             doc["error"] = error
-        json.dump(_jsonable(doc), sys.stdout, indent=2)
-        print()
+        sys.stdout.write(json.dumps(_jsonable(doc), indent=2) + "\n")
     else:
         print(text, end="")
     return 0 if status == "pass" else 1

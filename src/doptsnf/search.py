@@ -55,7 +55,7 @@ from .designs import Tournament, barba_double, is_barba
 from .exactmat import InfeasibleSearchError, IntMatrix, as_integer, circulant
 from .kernels import autocorrelations
 from .snf import smith_normal_form
-from .verify import ew_degree_template, ew_split, existence_filter
+from .verify import ew_degree_template, ew_split
 
 DEFAULT_MAX_CANDIDATES = 1 << 20
 
@@ -384,15 +384,12 @@ class BarbaScanEntry(NamedTuple):
 class BarbaScanOrderReport(NamedTuple):
     """Scan results for one odd order n: doubles have order 2n = 4t+2.
 
-    reference is the conjectured diagonal (1, 2^2t, (2t)^(2t-1),
-    2t*sqrt(8t+1)) as displayed — note it has 4t+1 entries, one fewer
-    than the doubled order, and it only exists when 8t+1 is a perfect
-    square — so it is reported for comparison and no verdict is drawn.
+    The proved skew-type diagonal of that order is
+    verify.predicted_snf_skew_ew(t), defined where 8t+1 is a perfect square.
     """
 
     order: int
     t_param: int
-    reference: Optional[tuple[int, ...]]
     entries: tuple[BarbaScanEntry, ...]
 
 
@@ -424,11 +421,6 @@ def barba_problem_scan(
         found = search_circulant_barba(
             order, workers=workers, max_candidates=max_candidates
         )
-        t = (order - 1) // 2
-        reference: Optional[tuple[int, ...]] = None
-        if t >= 1 and existence_filter(t):
-            root = math.isqrt(8 * t + 1)
-            reference = (1,) + (2,) * (2 * t) + (2 * t,) * (2 * t - 1) + (2 * t * root,)
         units = [u for u in range(order) if math.gcd(u, order) == 1]
         factors: dict[tuple[int, ...], tuple[int, ...]] = {}
         entries = []
@@ -441,5 +433,5 @@ def barba_problem_scan(
                         image = tuple(row[(u * i + k) % order] for i in range(order))
                         factors[image] = factors[tuple(-v for v in image)] = snf
             entries.append(BarbaScanEntry(row, factors[row]))
-        reports.append(BarbaScanOrderReport(order, t, reference, tuple(entries)))
+        reports.append(BarbaScanOrderReport(order, (order - 1) // 2, tuple(entries)))
     return BarbaScanReport(tuple(reports))

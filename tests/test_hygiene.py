@@ -4,11 +4,13 @@ module-level constant has a caller in the library or a stated reason,
 each refusal message is raised from one place unless a reason is stated,
 only ``IntMatrix.is_pm1`` spells the +-1 entry test, every doptsnf name
 the benchmark harness in ``layerbench/`` uses still exists, the README's
-library example and CLI commands print what their comments say, and no
-test is skipped or marked to fail."""
+library example and CLI commands print what their comments say, no
+test is skipped or marked to fail, and every record of the hand-written
+``BENCH_layers.json`` has the format its readers rely on."""
 
 import ast
 import importlib
+import json
 import re
 import shlex
 from pathlib import Path
@@ -20,6 +22,8 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "doptsnf"
 LAYERBENCH = SRC.parent.parent / "layerbench"
 README = SRC.parent.parent / "README.md"
+BENCH_LAYERS = SRC.parent.parent / "BENCH_layers.json"
+BENCHMARK = SRC.parent.parent / "BENCHMARK.json"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -383,3 +387,66 @@ def test_b(skip):
 def test_no_test_is_parked(path):
     """A check that cannot run is deleted or mended, not skipped."""
     assert parked_checks(path.read_text()) == []
+
+
+#: The end-to-end metrics each alternating-pairs workload reports.
+PAIR_METRICS = ("setup_s", "wall_s", "cpu_s", "peak_rss_mib")
+
+
+def bench_record_problems(record: dict, workloads: set[str]) -> list[str]:
+    """What a BENCH_layers.json change record lacks: its change text, its
+    alternating pairs on known workloads, for each end-to-end metric a
+    parent and a change median inside its quartiles and a count of lower
+    change runs out of the pairs, one seed per pair, and clean runs."""
+    if "change" not in record:
+        return ["no change"]
+    problems = []
+    pairs = record.get("alternating_pairs", {}).get("workloads")
+    if not pairs:
+        return ["no alternating_pairs.workloads"]
+    for name, w in pairs.items():
+        if name not in workloads:
+            problems.append(f"{name}: not a benchmark workload")
+            continue
+        n = w.get("pairs", 0)
+        first, last = w.get("seeds", (0, -1))
+        if last - first + 1 != n:
+            problems.append(f"{name}: seeds {first}..{last} are not {n} seeds")
+        for metric in PAIR_METRICS:
+            m = w.get(metric, {})
+            for side in ("parent", "change"):
+                q = m.get(side, {})
+                if not all(k in q for k in ("q1", "median", "q3")) or not q["q1"] <= q["median"] <= q["q3"]:
+                    problems.append(f"{name}: {metric} {side} quartiles {q}")
+            if not 0 <= m.get("change_lower_in", -1) <= n:
+                problems.append(f"{name}: {metric} change_lower_in is not within {n} pairs")
+        if w.get("all_correct") is not True or w.get("failed") != 0:
+            problems.append(f"{name}: runs were not all correct")
+    return problems
+
+
+def test_bench_record_problems_finds_gaps():
+    quartiles = {"q1": 1.0, "median": 2.0, "q3": 3.0}
+    metric = {"parent": quartiles, "change": quartiles, "change_lower_in": 2}
+    good = {"seeds": [7, 8], "pairs": 2, **{m: metric for m in PAIR_METRICS}, "all_correct": True, "failed": 0}
+    record = {"change": "x", "alternating_pairs": {"workloads": {"w": good}}}
+    assert bench_record_problems(record, {"w"}) == []
+    assert bench_record_problems({"alternating_pairs": {}}, {"w"}) == ["no change"]
+    assert bench_record_problems({"change": "x"}, {"w"}) == ["no alternating_pairs.workloads"]
+    assert bench_record_problems(record, {"v"}) == ["w: not a benchmark workload"]
+    bad = dict(good, seeds=[7, 9], wall_s={"parent": {"q1": 1, "median": 0, "q3": 3}, "change_lower_in": 3}, failed=1)
+    assert bench_record_problems({"change": "x", "alternating_pairs": {"workloads": {"w": bad}}}, {"w"}) == [
+        "w: seeds 7..9 are not 2 seeds",
+        "w: wall_s parent quartiles {'q1': 1, 'median': 0, 'q3': 3}",
+        "w: wall_s change quartiles {}",
+        "w: wall_s change_lower_in is not within 2 pairs",
+        "w: runs were not all correct",
+    ]
+
+
+def test_bench_layers_records_are_well_formed():
+    workloads = {w["name"] for w in json.loads(BENCHMARK.read_text())["workloads"]}
+    records = json.loads(BENCH_LAYERS.read_text())["changes"]
+    assert records
+    for record in records:
+        assert bench_record_problems(record, workloads) == [], record.get("change")
