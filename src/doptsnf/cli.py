@@ -140,7 +140,7 @@ def cmd_construct(args):
             m = barba_double(base)
         except ValueError as exc:
             raise _ConstructionFailure(str(exc)) from exc
-    elif args.family == "skew-from-tournament":
+    else:  # skew-from-tournament: argparse's choices hold the families
         if not args.input:
             raise ValueError("--family skew-from-tournament needs --input")
         raw = _load_matrix(args.input)
@@ -148,8 +148,6 @@ def cmd_construct(args):
             m = skew_from_tournament(Tournament(raw))
         except ValueError as exc:
             raise _ConstructionFailure(str(exc)) from exc
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown family {args.family!r}")
     text = format_matrix(m)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

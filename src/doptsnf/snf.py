@@ -1,4 +1,4 @@
-"""Smith normal form over the integers, plus a brute-force minor-gcd oracle.
+"""Smith normal form over the integers.
 
 ``smith_normal_form`` is the workhorse used everywhere else. Without
 transforms, a +-1 input of at least two rows and two columns first reduces
@@ -29,16 +29,10 @@ input, or its 0/1 core) and the caller's ``abs_det``, and nothing else:
   rectangular rows, squares of lower order with no ``abs_det``, and every
   hand-back. It diagonalizes by unimodular row and column operations over
   the integers, so its entries can grow far past the final factors.
-
-``minor_gcd`` is deliberately independent of both (it enumerates every
-i x i minor and takes gcds), so they can cross-check each other: the i-th
-invariant factor equals minor_gcd(a, i) / minor_gcd(a, i-1) as long as
-i <= rank.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import gcd
 
 from . import kernels
@@ -55,10 +49,6 @@ LOCAL_MIN_ORDER = 65
 #: The local engine trial-divides the part of |det| that shares its primes
 #: with the (n-1)-minor by every number below this bound.
 TRIAL_BOUND = 2**16
-
-#: minor_gcd refuses larger matrices: the number of minors grows as
-#: binomial(n, i)^2 and this oracle is meant for desk-scale cross-checks only.
-MINOR_GCD_SIZE_LIMIT = 8
 
 
 class SnfResult(Frozen):
@@ -95,6 +85,12 @@ def smith_normal_form(
     and right matrices with ``left @ a @ right == diag(factors)``. The
     module docstring's engine rule picks what runs; every path gives the
     same factors.
+
+    ``abs_det`` must be |det a|, proved by the caller, as the claims prove
+    theirs from the Gram matrix; it is not checked. A prime of exponent 1 in
+    it goes into the last factor with no elimination, so a wrong value can
+    give wrong factors: diag(2, 3) with ``abs_det=30`` gives (1, 30). Only a
+    contradiction that an elimination meets raises ArithmeticError.
     """
     if abs_det is not None:
         abs_det = as_integer("abs_det", abs_det)
@@ -192,26 +188,3 @@ def _local_exponents(rows: list[list[int]], p: int, v: int) -> list[int]:
             return exps + ([r] if s == 1 else [k] * s)
         k *= 2
 
-
-def minor_gcd(a: IntMatrix, size: int) -> int:
-    """gcd of all size x size minors, by full enumeration.
-
-    ``size == 0`` returns 1 by convention. Returns 0 when every minor of the
-    requested size vanishes (rank < size). Refuses matrices with
-    min(rows, cols) > MINOR_GCD_SIZE_LIMIT.
-    """
-    bound = min(a.rows, a.cols)
-    if size == 0:
-        return 1
-    if not 1 <= size <= bound:
-        raise ValueError(f"minor size {size} out of range 1..{bound}")
-    if bound > MINOR_GCD_SIZE_LIMIT:
-        raise ValueError(f"matrix exceeds the {MINOR_GCD_SIZE_LIMIT}-row/col oracle limit")
-    g = 0
-    for rset in combinations(range(a.rows), size):
-        for cset in combinations(range(a.cols), size):
-            sub = [[a.at(i, j) for j in cset] for i in rset]
-            g = gcd(g, kernels.bareiss_determinant(sub)[0])
-            if g == 1:
-                return 1
-    return g

@@ -22,7 +22,7 @@ from doptsnf.designs import (
 )
 from doptsnf.exactmat import IntMatrix, circulant, determinant, rank_mod_p
 from doptsnf.kernels import autocorrelations
-from doptsnf.snf import minor_gcd, smith_normal_form
+from doptsnf.snf import smith_normal_form
 from doptsnf.verify import (
     block_determinant_formula,
     ew_gram_check,
@@ -31,6 +31,7 @@ from doptsnf.verify import (
     predicted_snf_skew_ew,
     scaled_inverse_check,
 )
+from oracles import minor_gcd
 
 GOLDEN_26 = (1,) + (2,) * 13 + (12,) * 10 + (60, 60)
 GOLDEN_66 = (1,) + (2,) * 31 + (8,) * 4 + (32,) * 29 + (2080,)

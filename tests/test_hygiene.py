@@ -2,11 +2,12 @@
 module, every module-level function and class and every public
 module-level constant has a caller in the library or a stated reason,
 each refusal message is raised from one place unless a reason is stated,
-only ``IntMatrix.is_pm1`` spells the +-1 entry test, every doptsnf name
-the benchmark harness in ``layerbench/`` uses still exists, the README's
-library example and CLI commands print what their comments say, no
-test is skipped or marked to fail, and every record of the hand-written
-``BENCH_layers.json`` has the format its readers rely on."""
+only ``IntMatrix.is_pm1`` spells the +-1 entry test, the tests' oracles
+import no doptsnf code, every doptsnf name the benchmark harness in
+``layerbench/`` uses still exists, the README's library example and CLI
+commands print what their comments say, no test is skipped or marked to
+fail, and every record of the hand-written ``BENCH_layers.json`` has the
+format its readers rely on."""
 
 import ast
 import importlib
@@ -124,7 +125,6 @@ CALLERLESS = {
     "search.search_circulant_tournament": (
         "layerbench's search-scan times it; ROADMAP item 12 deletes it with that job"
     ),
-    "snf.minor_gcd": "the tests' independent SNF oracle",
     "verify.block_determinant_formula": "a statement of the paper the tests check",
     "verify.normalized_block_row_sums": "a statement of the paper the tests check",
     "verify.p_rank_report": "a statement of the paper the tests check; layerbench traces it",
@@ -136,6 +136,14 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert [name for name in found if name not in CALLERLESS] == []
     # An entry whose name gained a caller, or was deleted, goes too.
     assert sorted(CALLERLESS) == found
+
+
+def test_the_oracles_import_no_doptsnf_code():
+    """A fault in a library kernel cannot reach the oracle that checks it."""
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert modules == {"itertools", "math"}
 
 
 def raise_sites(sources: dict[str, str]) -> dict[str, list[str]]:

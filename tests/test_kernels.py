@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from doptsnf import kernels
 from doptsnf.exactmat import format_matrix
 from doptsnf.search import _barba_row_from_mask, _circulant_barba_hits
+from oracles import one_step_bareiss
 from test_snf import paley_two_block
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -228,34 +229,6 @@ def test_packed_slots_hold_the_largest_growth(q, prime_power):
     assert kernels.local_exponents(full, p, k) == [0]
     assert kernels.local_exponents(growth, p, k) == [0] * (n - 1)
     assert kernels.gf_rank(growth, p) == n - 1
-
-
-def one_step_bareiss(a):
-    """Reference for the two-step determinant: one-step Bareiss, one column
-    per pass, pivoting on the first nonzero entry of the column."""
-    n = len(a)
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        mk = m[k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            mik = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
-            mi[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
 
 
 def cofactor_det(a):

@@ -1,8 +1,9 @@
 """Smith normal form engines vs. independent oracles.
 
-The minor-gcd oracle enumerates every i x i minor directly, so it shares no
-code with either elimination engine; agreement between them on random input
-is the core soundness argument. The local engine is also checked against
+The minor-gcd oracle of ``oracles.py`` enumerates every i x i minor
+directly, each by its own one-step Bareiss, so it shares no code with either
+elimination engine; agreement between them on random input is the core
+soundness argument. The local engine is also checked against
 the Euclidean one, and its product against |det|.
 """
 
@@ -26,15 +27,14 @@ from doptsnf.exactmat import (
 )
 from doptsnf.snf import (
     LOCAL_MIN_ORDER,
-    MINOR_GCD_SIZE_LIMIT,
     TRIAL_BOUND,
     SnfResult,
     _zero_one_core,
     local_smith_form,
-    minor_gcd,
     smith_normal_form,
 )
 from doptsnf.verify import _ew_abs_det, ew_gram_check
+from oracles import MINOR_GCD_SIZE_LIMIT, minor_gcd
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):

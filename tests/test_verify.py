@@ -1,5 +1,7 @@
 """Structure recognition and closed-form conformance checks."""
 
+import functools
+import itertools
 import random
 from collections import Counter
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from doptsnf import kernels
 from doptsnf.designs import (
+    BlockEwSpec,
     Tournament,
     barba_double,
     is_barba,
@@ -466,6 +469,66 @@ def test_skew26_is_not_equivalent_to_example26(example26, skew26):
     permutations carry one to the other."""
     assert ew_gram_check(example26).verdict and ew_gram_check(skew26).verdict
     assert smith_normal_form(example26).factors != smith_normal_form(skew26).factors
+
+
+@functools.cache
+def skew_two_circulant_designs(v: int) -> list[tuple[tuple[int, ...], tuple[int, ...], IntMatrix]]:
+    """Every (r1, r2, X) with X = [[R1, R2], [-R2^T, R1^T]] an EW design of
+    order 2v, R1 and R2 circulant and R1 skew (r1[0] = 1, r1[v - k] =
+    -r1[k]), in the order of r2 over {1, -1}^v. X is EW iff the rows'
+    autocorrelations sum to 2 at each lag 1..(v-1)/2, as the other lags
+    mirror these, so each r2 is joined on its own autocorrelations with the
+    skew rows r1 indexed by 2 minus theirs."""
+    h = (v - 1) // 2
+    by_need = {}
+    for half in itertools.product((1, -1), repeat=h):
+        r1 = (1, *half, *(-x for x in reversed(half)))
+        need = tuple(2 - c for c in kernels.autocorrelations(r1)[1 : h + 1])
+        by_need.setdefault(need, []).append(r1)
+    designs = []
+    for r2 in itertools.product((1, -1), repeat=v):
+        for r1 in by_need.get(tuple(kernels.autocorrelations(r2)[1 : h + 1]), ()):
+            designs.append((r1, r2, BlockEwSpec(circulant(r1), circulant(r2)).assemble()))
+    return designs
+
+
+@pytest.mark.parametrize("v, b, count, plus", [(7, 5, 28, 14), (13, 7, 208, 104)])
+def test_main_theorem_on_every_skew_two_circulant_design(example26, v, b, count, plus):
+    """The paper's theorem on every skew-type two-circulant design of order
+    n = 2v = 14 and 26. R1 sums to 1 and R2 to +-b, with b^2 = 8t + 1. At
+    n = 26 no design has example26's diagonal: the paper's non-equivalence
+    argument, against real skew designs of that order."""
+    designs = skew_two_circulant_designs(v)
+    assert len(designs) == count
+    assert {sum(r1) for r1, _, _ in designs} == {1}
+    assert Counter(sum(r2) for _, r2, _ in designs) == {b: plus, -b: count - plus}
+    t = (v - 1) // 2
+    assert b * b == 8 * t + 1
+    e26 = smith_normal_form(example26).factors
+    for _, _, x in designs:
+        main = theorem_conformance(x, "main")
+        assert main.passed and theorem_conformance(x, "scaled-inverse").passed
+        if x.rows == example26.rows:
+            assert main.computed != e26
+
+
+@pytest.mark.parametrize(
+    "v, step, count, ranks",
+    [(7, 1, 28, {3: (7, 8)}), (13, 4, 52, {2: (13, 14), 3: (13, 14)})],
+)
+def test_tournament_claims_on_skew_two_circulant_designs(v, step, count, ranks):
+    """The tournament statements on the bordered tournament A of every
+    step-th skew two-circulant design of order 2v; ranks maps each prime
+    p | t to the GF(p) ranks of (A + I, A)."""
+    sample = skew_two_circulant_designs(v)[::step]
+    assert len(sample) == count
+    for _, _, x in sample:
+        a = tournament_from_skew(normalize_skew_to_border(x))
+        for claim in ("border-link", "aplusi-head", "tournament-snf", "a2a-tail"):
+            assert theorem_conformance(a.matrix, claim).passed, claim
+        for p, want in ranks.items():
+            report = p_rank_report(a, p)
+            assert report.passed and (report.rank_a_plus_i, report.rank_a) == want
 
 
 def test_block_claims_route_by_case(example26, example66):
