@@ -6,10 +6,12 @@ intermediates grow. Two kernels pack each row into one int, so that a row
 operation is a few big-integer operations instead of one interpreted
 operation per entry: the one modular kernel, ``local_exponents`` (which
 ``gf_rank`` calls with k = 1), packs fixed-width slots, and ``sign_gram``
-packs a +-1 row as the bitmask of its -1 entries (``_mask_gram``, its
-popcount loop, serves callers that hold those masks already). Modulo 2^k
-the slots are read with bit masks alone: one AND tests bit e of every slot
-of a row, or keeps every slot's low k bits, so no row is unpacked.
+works on the bitmasks of the -1 entries of +-1 rows. ``_sign_masks`` is the
+one place that packs them, for ``sign_gram`` and for the SNF engine's Gram
+probe; ``_mask_gram``, the popcount loop, serves callers that hold masks
+already. Modulo 2^k the slots are read with bit masks alone: one AND tests
+bit e of every slot of a row, or keeps every slot's low k bits, so no row
+is unpacked.
 ``matmul`` stays the one general product. ``adjugate`` has no caller in
 the library: it is kept as the tests' oracle and as a name the layered
 benchmark traces. Callers own all shape validation — kernels assume
@@ -32,14 +34,16 @@ def matmul(a, b):
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
-def sign_gram(rows):
-    """AA^T of a +-1 matrix A given as row lists, by popcount on packed rows.
+def _sign_masks(rows):
+    """Each +-1 row packed as one int, the bitmask of its -1 entries (the
+    first entry in the highest bit)."""
+    return [int("".join(["1" if v < 0 else "0" for v in row]), 2) for row in rows]
 
-    Each row is packed as the bitmask of its -1 entries, and _mask_gram
-    takes it from there.
-    """
-    masks = [int("".join(["1" if v < 0 else "0" for v in row]), 2) for row in rows]
-    return _mask_gram(masks, len(rows[0]))
+
+def sign_gram(rows):
+    """AA^T of a +-1 matrix A given as row lists, by popcount on packed
+    rows: _mask_gram on their _sign_masks."""
+    return _mask_gram(_sign_masks(rows), len(rows[0]))
 
 
 def _mask_gram(masks, k):

@@ -13,9 +13,13 @@ itself. Otherwise the engine is chosen from the rows it eliminates (the
 input, or its 0/1 core) and the caller's ``abs_det``, and nothing else:
 
 - The local engine (``local_smith_form``) runs once, on square rows whose
-  d = |det| it has: the caller's ``abs_det`` at any order (a +-1 input
-  hands d >> (n-1) to its core, as |det A| = 2^(n-1) |det C|), or else d
-  and one (n-1)-minor M from Bareiss at order ``LOCAL_MIN_ORDER`` or more.
+  d = |det| it has. At any order, d is the caller's ``abs_det`` (a +-1
+  input hands d >> (n-1) to its core, as |det A| = 2^(n-1) |det C|). At
+  order ``LOCAL_MIN_ORDER`` or more with no ``abs_det``, a +-1 square
+  whose Gram AA^T splits into blocks gets d from Bareiss on the blocks
+  (``_gram_abs_det``) and hands it to its core the same way; when the
+  Gram is one block, that d is 0, or trial division leaves a rough part of
+  it, d and one (n-1)-minor M come from Bareiss on the rows themselves.
   The part w of d prime to M goes whole into s_n, as s_1...s_{n-1} (the
   gcd of the (n-1)-minors) divides M; w = 1 without M. Each prime p of
   d // w below ``TRIAL_BOUND`` is eliminated modulo p^k (no entry grows
@@ -33,7 +37,9 @@ input, or its 0/1 core) and the caller's ``abs_det``, and nothing else:
 
 from __future__ import annotations
 
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt
+from operator import not_
 
 from . import kernels
 from .exactmat import Frozen, IntMatrix, as_integer, trial_divide
@@ -106,8 +112,62 @@ def smith_normal_form(
             abs_det, low = divmod(abs_det, 2 ** (a.rows - 1))
             if low:
                 raise ValueError(f"a +-1 square of order {a.rows} has 2^{a.rows - 1} | det")
-        return SnfResult((1,) + tuple(2 * f for f in _factors(_zero_one_core(a), abs_det)))
+        core = _zero_one_core(a)
+        factors = None
+        if abs_det is None and a.is_square and len(core) >= LOCAL_MIN_ORDER:
+            d = _gram_abs_det(a.to_rows())
+            if d:
+                factors = local_smith_form(core, d >> (a.rows - 1))
+        return SnfResult((1,) + tuple(2 * f for f in factors or _factors(core, abs_det)))
     return SnfResult(_factors(a.to_rows(), abs_det))
+
+
+def _gram_abs_det(rows: list[list[int]]) -> int | None:
+    """|det A| of a +-1 square A from the diagonal blocks of its Gram
+    G = AA^T, or None when G is one block.
+
+    G_ij = n - 2 popcount(m_i ^ m_j) on the -1 masks of the rows, so it is
+    0 iff the masks differ in n/2 places, which never happens at odd n.
+    The blocks are the components of the graph of nonzero G_ij: each is
+    grown from its first row, and a row reached works out its Gram entries
+    against the rows not reached yet, and nothing else. A first component
+    that holds every row ends the probe, so a random square costs about
+    two Gram rows. Up to a permutation, G is block diagonal, so det G is
+    the product of the blocks' determinants, each from Bareiss once per
+    distinct block, and |det A| is its square root, as det G = det(A)^2.
+    A product that is no square raises ArithmeticError.
+    """
+    n = len(rows)
+    if n % 2:
+        return None
+    half = n // 2
+    masks = kernels._sign_masks(rows)
+    rest = list(range(n))
+    blocks = []
+    while rest:
+        block = [rest.pop(0)]
+        for i in block:  # block grows as the loop reaches rows
+            mi = masks[i]
+            orthogonal = [(mi ^ masks[j]).bit_count() == half for j in rest]
+            block += compress(rest, map(not_, orthogonal))
+            rest = list(compress(rest, orthogonal))
+            if not rest:
+                break
+        if not rest and not blocks:
+            return None
+        blocks.append(sorted(block))
+    dets = {}
+    square = 1
+    for block in blocks:
+        gram = kernels._mask_gram([masks[i] for i in block], n)
+        key = tuple(map(tuple, gram))
+        if key not in dets:
+            dets[key] = kernels.bareiss_determinant(gram)[0]
+        square *= dets[key]
+    d = isqrt(square)
+    if d * d != square:
+        raise ArithmeticError(f"the Gram blocks' determinants multiply to {square}, no square")
+    return d
 
 
 def _zero_one_core(a: IntMatrix) -> list[list[int]]:

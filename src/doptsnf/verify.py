@@ -470,9 +470,12 @@ def scaled_inverse_check(s: IntMatrix) -> TheoremCheck:
     Checks that every |Y_ij| lies in {4t, 4t+2, 4t+1 -+ sqrt(8t+1)}, that
     the adjugate's gcd 2(4t)^(2t-1) gcd(Y) is 4(4t)^(2t-1), and that the
     last invariant factor is |det|/gcd = 2t(4t+1). That factor comes from
-    smith_normal_form without the |det| certificate, so it is computed apart
-    from the adjugate. computed/predicted carry (gcd, last factor, number
-    of out-of-set entries).
+    smith_normal_form without the |det| certificate, so neither the
+    adjugate nor _ew_abs_det feeds it: the Euclidean engine gives it below
+    order 66, and from there on (a 0/1 core of order LOCAL_MIN_ORDER or
+    more) the local engine does, on the |det| that Bareiss on the blocks of
+    XX^T gives. computed/predicted carry (gcd, last factor, number of
+    out-of-set entries).
     """
     t, rows, halves, signs = _skew_ew(s, "claim scaled-inverse")
     _require(existence_filter(t), f"8t+1 = {8 * t + 1} is not a perfect square")

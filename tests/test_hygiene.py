@@ -3,7 +3,8 @@ module, every module-level function and class and every public
 module-level constant has a caller in the library or a stated reason,
 each refusal message is raised from one place unless a reason is stated,
 only ``IntMatrix.is_pm1`` spells the +-1 entry test, the tests' oracles
-import no doptsnf code, every doptsnf name the benchmark harness in
+import no doptsnf code, each module imports only the modules of the
+layers below it, every doptsnf name the benchmark harness in
 ``layerbench/`` uses still exists, the README's library example and CLI
 commands print what their comments say, no test is skipped or marked to
 fail, and every record of the hand-written ``BENCH_layers.json`` has the
@@ -144,6 +145,57 @@ def test_the_oracles_import_no_doptsnf_code():
     modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert modules == {"itertools", "math"}
+
+
+#: Each module's layer: a module imports only modules of lower layers, so
+#: the kernels and the SNF engine can never reach into the claims that
+#: check them. The package root imports nothing.
+LAYERS = {
+    "__init__": 0,
+    "kernels": 0,
+    "exactmat": 1,
+    "snf": 2,
+    "designs": 2,
+    "verify": 3,
+    "search": 4,
+    "cli": 5,
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """The doptsnf modules that source imports, at any depth in the file,
+    by relative or absolute import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1 or module.split(".")[0] == "doptsnf":
+                base = module.removeprefix("doptsnf").lstrip(".")
+                found |= {base} if base else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("doptsnf.")}
+    return found
+
+
+def test_package_imports_finds_relative_absolute_and_nested_imports():
+    source = """
+from . import kernels
+from .exactmat import IntMatrix
+import doptsnf.snf
+import os.path
+from doptsnf.designs import is_barba
+from collections import Counter
+
+def f():
+    from .verify import CLAIMS
+"""
+    assert package_imports(source) == {"kernels", "exactmat", "snf", "designs", "verify"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_each_module_imports_only_lower_layers(path):
+    layer = LAYERS[path.stem]
+    assert {name: LAYERS[name] for name in package_imports(path.read_text()) if LAYERS[name] >= layer} == {}
 
 
 def raise_sites(sources: dict[str, str]) -> dict[str, list[str]]:

@@ -9,17 +9,18 @@ the Euclidean one, and its product against |det|.
 
 import hashlib
 import math
+import operator
 import random
 import re
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doptsnf import kernels
+from doptsnf import kernels, snf
 from doptsnf.designs import BlockEwSpec, build_example_26, build_example_66
 from doptsnf.exactmat import (
     IntMatrix,
+    block2x2,
     circulant,
     determinant,
     kronecker,
@@ -34,7 +35,7 @@ from doptsnf.snf import (
     smith_normal_form,
 )
 from doptsnf.verify import _ew_abs_det, ew_gram_check
-from oracles import MINOR_GCD_SIZE_LIMIT, minor_gcd
+from oracles import MINOR_GCD_SIZE_LIMIT, minor_gcd, one_step_bareiss
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -431,28 +432,57 @@ def true_abs_det(m: IntMatrix) -> int:
 
 ROUGH = 65537 * 65539  # two primes just above TRIAL_BOUND
 
-#: name -> (matrix, its abs_det or None, want_transforms, and the calls the
-#: engine rule makes to bareiss_determinant, local_exponents and smith_reduce)
+
+def sylvester_hadamard(order: int) -> IntMatrix:
+    """The Sylvester Hadamard matrix of a power-of-2 order: AA^T = order * I."""
+    h = IntMatrix.from_rows([[1]])
+    while h.rows < order:
+        h = kronecker(h, IntMatrix.from_rows([[1, 1], [1, -1]]))
+    return h
+
+
+#: name -> (matrix, its abs_det or None, want_transforms, and what the engine
+#: rule runs: the orders of the rows bareiss_determinant gets, then the
+#: number of calls to _mask_gram (one per Gram block of a split +-1
+#: square), local_exponents and smith_reduce)
 ENGINE_RULE_CASES = {
-    "e66-certified": (build_example_66, ew_abs_det, False, (0, 3, 0)),
-    "e66": (build_example_66, None, False, (1, 3, 0)),
+    "e66-certified": (build_example_66, ew_abs_det, False, ((), 0, 3, 0)),
+    # the Gram of e66 splits into two equal order-33 blocks: one Bareiss on
+    # a block, none on the order-65 core
+    "e66": (build_example_66, None, False, ((33,), 2, 3, 0)),
+    "paley-q19": (lambda: paley_two_block(19), None, False, ((57,), 2, 4, 0)),
+    # AA^T = 128 I: 128 one-entry blocks, all equal, so one Bareiss of order 1
+    "hadamard-128": (lambda: sylvester_hadamard(128), None, False, ((1,), 128, 4, 0)),
+    # a connected Gram leaves the probe nothing to split: Bareiss on the core
+    "order-66": (lambda: PM1_CASES["order-66"], None, False, ((65,), 0, 1, 0)),
+    # a rough part of the probe's |det| sends the core to Bareiss, whose own
+    # trial division then hands it back (see ENGINE_RULE_TRIAL_BOUNDS)
+    "paley-q23-rough": (lambda: paley_two_block(23), None, False, ((69, 137), 2, 0, 1)),
     # a proved |det| the trial division cannot split goes straight to the
     # Euclidean engine, at any order, with no Bareiss
-    "order-66-rough-certified": (lambda: PM1_CASES["order-66"], true_abs_det, False, (0, 0, 1)),
+    "order-66-rough-certified": (lambda: PM1_CASES["order-66"], true_abs_det, False, ((), 0, 0, 1)),
     "order-4-rough-certified": (
         lambda: scrambled(diagonal_matrix((1, 1, 2, ROUGH)), random.Random(401)),
         lambda m: 2 * ROUGH,
         False,
-        (0, 0, 1),
+        ((), 0, 0, 1),
     ),
-    "e26-certified": (build_example_26, ew_abs_det, False, (0, 3, 0)),
-    "e26": (build_example_26, None, False, (0, 0, 1)),
-    "integer-64": (lambda: integer_square(501, 64), None, False, (0, 0, 1)),
-    "integer-65": (lambda: integer_square(502, 65), None, False, (1, 0, 0)),
-    "singular-66": (lambda: PM1_CASES["singular-66"], None, False, (1, 0, 1)),
-    "rectangular-5x9": (lambda: PM1_CASES["5x9"], None, False, (0, 0, 1)),
-    "transforms-e26": (build_example_26, None, True, (0, 0, 1)),
+    "e26-certified": (build_example_26, ew_abs_det, False, ((), 0, 3, 0)),
+    "e26": (build_example_26, None, False, ((), 0, 0, 1)),
+    "integer-64": (lambda: integer_square(501, 64), None, False, ((), 0, 0, 1)),
+    "integer-65": (lambda: integer_square(502, 65), None, False, ((65,), 0, 0, 0)),
+    "singular-66": (lambda: PM1_CASES["singular-66"], None, False, ((65,), 0, 0, 1)),
+    "rectangular-5x9": (lambda: PM1_CASES["5x9"], None, False, ((), 0, 0, 1)),
+    "transforms-e26": (build_example_26, None, True, ((), 0, 0, 1)),
 }
+
+#: The trial bound a cell runs with, where it is not TRIAL_BOUND. The |det|
+#: of paley-q23's core is 2^4 5^4 31^66 269; at 31 the trial division stops
+#: before 31, so the rough part is 31^66 269 (a bound above 31 would reach
+#: 269 as the leftover below the next divisor's square, and prove it prime).
+#: The Bareiss route puts 269, which its (n-1)-minor lacks, into w and
+#: trial-divides 2^4 5^4 31^66, rough at 31 too.
+ENGINE_RULE_TRIAL_BOUNDS = {"paley-q23-rough": 31}
 
 
 @pytest.mark.parametrize("name", ENGINE_RULE_CASES)
@@ -464,21 +494,101 @@ def test_engine_rule_cell_by_cell(name, monkeypatch):
     m = make()
     abs_det = None if certify is None else certify(m)
     want = euclidean_factors(m)
-    calls = Counter()
+    monkeypatch.setattr(snf, "TRIAL_BOUND", ENGINE_RULE_TRIAL_BOUNDS.get(name, TRIAL_BOUND))
+    orders = {}
 
     def counted(kernel):
         def run(*args):
-            calls[kernel.__name__] += 1
+            orders.setdefault(kernel.__name__, []).append(len(args[0]))
             return kernel(*args)
 
         return run
 
-    counted_kernels = ("bareiss_determinant", "local_exponents", "smith_reduce")
+    counted_kernels = ("bareiss_determinant", "_mask_gram", "local_exponents", "smith_reduce")
     for kernel in counted_kernels:
         monkeypatch.setattr(kernels, kernel, counted(getattr(kernels, kernel)))
     got = smith_normal_form(m, transforms, abs_det=abs_det).factors
     assert got == want
-    assert tuple(calls[kernel] for kernel in counted_kernels) == want_calls
+    bareiss, *counts = (orders.get(kernel, []) for kernel in counted_kernels)
+    assert (tuple(bareiss), *map(len, counts)) == want_calls
+
+
+def gram_is_connected(rows) -> bool:
+    """Whether the graph of nonzero entries of AA^T, by dot products, is
+    connected: the probe's split test, written apart from it."""
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(len(rows)):
+            if j not in reached and sum(map(operator.mul, rows[i], rows[j])):
+                reached.add(j)
+                frontier.append(j)
+    return len(reached) == len(rows)
+
+
+def test_gram_probe_matches_the_oracle_on_the_paley_two_block_matrices():
+    for q in (7, 11, 19, 23):
+        rows = paley_two_block(q).to_rows()
+        assert not gram_is_connected(rows)
+        assert snf._gram_abs_det(rows) == abs(one_step_bareiss(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((1, 3, 5, 7, 9, 11, 13, 15)).flatmap(
+        lambda v: st.tuples(*[st.lists(st.sampled_from((1, -1)), min_size=v, max_size=v)] * 2)
+    )
+)
+def test_gram_probe_matches_the_oracle_on_two_circulant_blocks(first_rows):
+    """[[R1, R2], [-R2^T, R1^T]] with commuting circulants R1, R2 has a
+    block diagonal Gram, so the probe always answers, singular or not."""
+    r1, r2 = map(circulant, first_rows)
+    rows = block2x2(r1, r2, -r2.transpose(), r1.transpose()).to_rows()
+    assert snf._gram_abs_det(rows) == abs(one_step_bareiss(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_gram_probe_answers_exactly_when_the_gram_splits(rows):
+    """None on a connected Gram; otherwise |det| by the oracle."""
+    d = snf._gram_abs_det(rows)
+    if gram_is_connected(rows):
+        assert d is None
+    else:
+        assert d == abs(one_step_bareiss(rows))
+
+
+#: Row 0 is orthogonal to every +-1 row of length 6 with three -1s, and no
+#: two of those are orthogonal: the Gram has blocks of orders 1 and 5, with
+#: determinants 6 and 1536, and |det| = 96.
+ONE_AND_FIVE = [
+    [1, 1, 1, 1, 1, 1],
+    [-1, -1, -1, 1, 1, 1],
+    [-1, -1, 1, -1, 1, 1],
+    [-1, -1, 1, 1, -1, 1],
+    [-1, -1, 1, 1, 1, -1],
+    [-1, 1, -1, -1, 1, 1],
+]
+
+
+def test_gram_probe_refuses_block_determinants_whose_product_is_no_square(monkeypatch):
+    assert snf._gram_abs_det(ONE_AND_FIVE) == abs(one_step_bareiss(ONE_AND_FIVE)) == 96
+    bareiss = kernels.bareiss_determinant
+
+    def doubled(a):
+        """A Bareiss that doubles the determinant of an order-1 block."""
+        return (2 * a[0][0], 1) if len(a) == 1 else bareiss(a)
+
+    monkeypatch.setattr(kernels, "bareiss_determinant", doubled)
+    with pytest.raises(ArithmeticError, match="^the Gram blocks' determinants multiply to 18432, no square$"):
+        snf._gram_abs_det(ONE_AND_FIVE)
 
 
 #: A small integer matrix whose first unit, in row-major order, is not its

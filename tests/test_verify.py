@@ -48,6 +48,7 @@ from doptsnf.verify import (
     scaled_inverse_check,
     theorem_conformance,
 )
+from oracles import one_step_bareiss
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +448,9 @@ def test_ew_abs_det_certifies_every_ew_fixture(
     """On the bordered order-6 witnesses, the Barba doubles of orders 10
     and 26, the skew and example designs and the order-2 design,
     _ew_abs_det(n) is |det X| by Bareiss, and the SNF it certifies equals
-    the uncertified one."""
+    the uncertified one. The SNF engine's Gram probe, by Bareiss on the
+    blocks of XX^T, proves |det X| apart from the closed form, and both
+    equal the tests' one-step Bareiss on X."""
     doubles = [barba_double(r) for order in (5, 13) for r in search_circulant_barba(order)]
     assert len(doubles) == 114
     designs = [skew_from_tournament(w) for w in witnesses5] + doubles
@@ -456,7 +459,9 @@ def test_ew_abs_det_certifies_every_ew_fixture(
     for x in designs:
         assert ew_gram_check(x).verdict
         n = x.rows
-        assert verify._ew_abs_det(n) == abs(kernels.bareiss_determinant(x.to_rows())[0])
+        rows = x.to_rows()
+        assert verify._ew_abs_det(n) == abs(kernels.bareiss_determinant(rows)[0])
+        assert snf._gram_abs_det(rows) == verify._ew_abs_det(n) == abs(one_step_bareiss(rows))
         expected.append(smith_normal_form(x).factors)
     monkeypatch.setattr(kernels, "bareiss_determinant", no_bareiss)
     certified = [smith_normal_form(x, abs_det=verify._ew_abs_det(x.rows)).factors for x in designs]
