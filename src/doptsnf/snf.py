@@ -10,29 +10,27 @@ and carries no common power of 2.
 
 The engine rule: transforms come from the Euclidean engine on the input
 itself. Otherwise the engine is chosen from the rows it eliminates (the
-input, or its 0/1 core) and the caller's ``abs_det``, and nothing else:
+input, or its 0/1 core), and nothing else; no caller hands it a |det|.
 
-- The local engine (``local_smith_form``) runs once, on square rows whose
-  d = |det| it has. At any order, d is the caller's ``abs_det`` (a +-1
-  input hands d >> (n-1) to its core, as |det A| = 2^(n-1) |det C|). At
-  order ``LOCAL_MIN_ORDER`` or more with no ``abs_det``, a +-1 square
-  whose Gram AA^T splits into blocks gets d from Bareiss on the blocks
-  (``_gram_abs_det``) and hands it to its core the same way; when the
-  Gram is one block, that d is 0, or trial division leaves a rough part of
-  it, d and one (n-1)-minor M come from Bareiss on the rows themselves.
-  The part w of d prime to M goes whole into s_n, as s_1...s_{n-1} (the
-  gcd of the (n-1)-minors) divides M; w = 1 without M. Each prime p of
+- The local engine (``local_smith_form``) runs on square rows of order
+  ``LOCAL_MIN_ORDER`` or more, with d = |det| from one source per route.
+  A +-1 square whose Gram AA^T splits into blocks gets d from the blocks
+  (``_gram_abs_det``) and hands d >> (n-1) to its core, as
+  |det A| = 2^(n-1) |det C|; that d is trial-divided whole. Other rows,
+  and a split that is singular or whose d trial division leaves a rough
+  part of, get d and one (n-1)-minor M from Bareiss on the rows
+  themselves. The part w of d prime to M goes whole into s_n, as
+  s_1...s_{n-1} (the gcd of the (n-1)-minors) divides M. Each prime p of
   d // w below ``TRIAL_BOUND`` is eliminated modulo p^k (no entry grows
   past n*p^2k), doubling k until the exponents seen sum to v_p(d). That
   gives every exponent below k exactly, and d fixes the ones at k or
   above, so the result is exact, not probabilistic. Singular rows, or a
   d // w with a prime factor the trial division does not reach, are
-  handed back; a wrong ``abs_det`` shows as an ArithmeticError only where
-  an elimination contradicts it.
+  handed back.
 - The Euclidean engine (``kernels.smith_reduce``) runs on everything else:
-  rectangular rows, squares of lower order with no ``abs_det``, and every
-  hand-back. It diagonalizes by unimodular row and column operations over
-  the integers, so its entries can grow far past the final factors.
+  rectangular rows, squares of lower order, and every hand-back. It
+  diagonalizes by unimodular row and column operations over the
+  integers, so its entries can grow far past the final factors.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from math import gcd, isqrt
 from operator import not_
 
 from . import kernels
-from .exactmat import Frozen, IntMatrix, as_integer, trial_divide
+from .exactmat import Frozen, IntMatrix, trial_divide
 
 #: Square rows of this order or more go to the local engine: the 0/1 core of a
 #: +-1 input of order 66 or more, or any other square of order 65 or more. Its
@@ -81,45 +79,33 @@ class SnfResult(Frozen):
         return sum(1 for f in self.factors if f)
 
 
-def smith_normal_form(
-    a: IntMatrix, want_transforms: bool = False, *, abs_det: int | None = None
-) -> SnfResult:
+def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SnfResult:
     """Smith normal form of any rectangular integer matrix.
 
     Factors are nonnegative, each divides the next, and zeros (if any) come
     last. With ``want_transforms=True`` the result carries unimodular left
     and right matrices with ``left @ a @ right == diag(factors)``. The
     module docstring's engine rule picks what runs; every path gives the
-    same factors.
-
-    ``abs_det`` must be |det a|, proved by the caller, as the claims prove
-    theirs from the Gram matrix; it is not checked. A prime of exponent 1 in
-    it goes into the last factor with no elimination, so a wrong value can
-    give wrong factors: diag(2, 3) with ``abs_det=30`` gives (1, 30). Only a
-    contradiction that an elimination meets raises ArithmeticError.
+    same factors, and each |det| it uses is one it proved itself.
     """
-    if abs_det is not None:
-        abs_det = as_integer("abs_det", abs_det)
-        if want_transforms:
-            raise ValueError("abs_det does not apply to transforms")
-        if abs_det < 1 or not a.is_square:
-            raise ValueError(f"abs_det = {abs_det} is not |det| of a {a.rows}x{a.cols} matrix")
     if want_transforms:
         factors, left, right = kernels.smith_reduce(a.to_rows(), True)
         return SnfResult(tuple(factors), IntMatrix.from_rows(left), IntMatrix.from_rows(right))
-    if min(a.rows, a.cols) >= 2 and a.is_pm1:
-        if abs_det is not None:
-            abs_det, low = divmod(abs_det, 2 ** (a.rows - 1))
-            if low:
-                raise ValueError(f"a +-1 square of order {a.rows} has 2^{a.rows - 1} | det")
-        core = _zero_one_core(a)
-        factors = None
-        if abs_det is None and a.is_square and len(core) >= LOCAL_MIN_ORDER:
-            d = _gram_abs_det(a.to_rows())
-            if d:
-                factors = local_smith_form(core, d >> (a.rows - 1))
-        return SnfResult((1,) + tuple(2 * f for f in factors or _factors(core, abs_det)))
-    return SnfResult(_factors(a.to_rows(), abs_det))
+    return SnfResult(_factors(a))
+
+
+def _factors(a: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors of a, by the engine rule of the module docstring."""
+    pm1 = min(a.rows, a.cols) >= 2 and a.is_pm1
+    rows = _zero_one_core(a) if pm1 else a.to_rows()
+    factors = None
+    if len(rows) >= LOCAL_MIN_ORDER and len(rows) == len(rows[0]):
+        d = pm1 and _gram_abs_det(a.to_rows())
+        if d:
+            factors = local_smith_form(rows, d >> (a.rows - 1))
+        factors = factors or local_smith_form(rows)
+    factors = factors or kernels.smith_reduce(rows, False)[0]
+    return (1,) + tuple(2 * f for f in factors) if pm1 else tuple(factors)
 
 
 def _gram_abs_det(rows: list[list[int]]) -> int | None:
@@ -133,8 +119,8 @@ def _gram_abs_det(rows: list[list[int]]) -> int | None:
     against the rows not reached yet, and nothing else. A first component
     that holds every row ends the probe, so a random square costs about
     two Gram rows. Up to a permutation, G is block diagonal, so det G is
-    the product of the blocks' determinants, each from Bareiss once per
-    distinct block, and |det A| is its square root, as det G = det(A)^2.
+    the product of the blocks' determinants (``_block_det``, once per
+    distinct block), and |det A| is its square root, as det G = det(A)^2.
     A product that is no square raises ArithmeticError.
     """
     n = len(rows)
@@ -162,12 +148,34 @@ def _gram_abs_det(rows: list[list[int]]) -> int | None:
         gram = kernels._mask_gram([masks[i] for i in block], n)
         key = tuple(map(tuple, gram))
         if key not in dets:
-            dets[key] = kernels.bareiss_determinant(gram)[0]
+            dets[key] = _block_det(gram)
         square *= dets[key]
     d = isqrt(square)
     if d * d != square:
         raise ArithmeticError(f"the Gram blocks' determinants multiply to {square}, no square")
     return d
+
+
+def _block_det(g: list[list[int]]) -> int:
+    """det g of a symmetric Gram block g of order h.
+
+    A block D(aI + bJ)D, with D a +-1 diagonal and b = |g_01| > 0, shows as
+    g_ii = a + b, |g_0j| = b and g_ij b = g_0i g_0j for 1 <= i < j, a test
+    of O(h^2) with no elimination. aI + bJ has eigenvalues a + hb (on the
+    all-ones vector) and a (h - 1 times), so det g = a^(h-1) (a + hb). A
+    one-entry block is its own det; any other block gets Bareiss.
+    """
+    h, head = len(g), g[0]
+    if h == 1:
+        return head[0]
+    c, b = head[0], abs(head[1])
+    if b and all(abs(v) == b for v in head[1:]) and all(
+        g[i][i] == c and all(g[i][j] * b == head[i] * head[j] for j in range(i + 1, h))
+        for i in range(1, h)
+    ):
+        a = c - b
+        return a ** (h - 1) * (a + h * b)
+    return kernels.bareiss_determinant(g)[0]
 
 
 def _zero_one_core(a: IntMatrix) -> list[list[int]]:
@@ -185,23 +193,13 @@ def _zero_one_core(a: IntMatrix) -> list[list[int]]:
     ]
 
 
-def _factors(rows: list[list[int]], abs_det: int | None = None) -> tuple[int, ...]:
-    """Invariant factors of rows, by the engine rule of the module docstring."""
-    if abs_det is not None or (len(rows) >= LOCAL_MIN_ORDER and len(rows) == len(rows[0])):
-        factors = local_smith_form(rows, abs_det)
-        if factors is not None:
-            return factors
-    return tuple(kernels.smith_reduce(rows, False)[0])
-
-
-def local_smith_form(
-    rows: list[list[int]], abs_det: int | None = None
-) -> tuple[int, ...] | None:
+def local_smith_form(rows: list[list[int]], d: int | None = None) -> tuple[int, ...] | None:
     """Invariant factors of square rows by the local engine of the module
-    docstring, at any order, or None when it hands them back. Given
-    ``abs_det``, it runs no Bareiss and trial-divides all of abs_det. Raises
-    ArithmeticError if an elimination contradicts the determinant."""
-    if abs_det is None:
+    docstring, at any order, or None when it hands them back. Given d, the
+    |det rows| that the Gram probe proved, it runs no Bareiss and
+    trial-divides all of d. Raises ArithmeticError if an elimination
+    contradicts the determinant."""
+    if d is None:
         det, minor = kernels.bareiss_determinant(rows)
         if det == 0:
             return None
@@ -212,7 +210,7 @@ def local_smith_form(
             w //= g
             g = gcd(w, g)
     else:
-        d, w = abs_det, 1
+        w = 1
     powers, c = trial_divide(d // w, TRIAL_BOUND)
     if c > 1:
         return None

@@ -395,11 +395,6 @@ def _ew_abs_det(n: int) -> int:
     return (n - 2) ** (n // 2 - 1) * (2 * n - 2)
 
 
-def _ew_factors(x: IntMatrix) -> tuple[int, ...]:
-    """The invariant factors of an EW matrix x, whose proved |det| the engine gets."""
-    return smith_normal_form(x, abs_det=_ew_abs_det(x.rows)).factors
-
-
 def _claim_t(n: int) -> int:
     """t = (n-2)/4 of a claim's EW input of order n; the claims need t >= 1."""
     _require(n >= 6, f"the claim needs t >= 1; order {n} gives t = 0")
@@ -470,12 +465,9 @@ def scaled_inverse_check(s: IntMatrix) -> TheoremCheck:
     Checks that every |Y_ij| lies in {4t, 4t+2, 4t+1 -+ sqrt(8t+1)}, that
     the adjugate's gcd 2(4t)^(2t-1) gcd(Y) is 4(4t)^(2t-1), and that the
     last invariant factor is |det|/gcd = 2t(4t+1). That factor comes from
-    smith_normal_form without the |det| certificate, so neither the
-    adjugate nor _ew_abs_det feeds it: the Euclidean engine gives it below
-    order 66, and from there on (a 0/1 core of order LOCAL_MIN_ORDER or
-    more) the local engine does, on the |det| that Bareiss on the blocks of
-    XX^T gives. computed/predicted carry (gcd, last factor, number of
-    out-of-set entries).
+    smith_normal_form, which proves any |det| it uses itself, so neither
+    the adjugate nor _ew_abs_det feeds it. computed/predicted carry (gcd,
+    last factor, number of out-of-set entries).
     """
     t, rows, halves, signs = _skew_ew(s, "claim scaled-inverse")
     _require(existence_filter(t), f"8t+1 = {8 * t + 1} is not a perfect square")
@@ -574,14 +566,14 @@ def _skew_claim(
     def check(x: IntMatrix) -> TheoremCheck:
         t = _skew_ew(x, f"claim {claim_id}")[0]
         cut = part(t)
-        return TheoremCheck(claim_id, _ew_factors(x)[cut], predicted_snf_skew_ew(t)[cut])
+        return TheoremCheck(claim_id, smith_normal_form(x).factors[cut], predicted_snf_skew_ew(t)[cut])
 
     return check
 
 
 def _claim_ew_head(x: IntMatrix) -> TheoremCheck:
     _ew_design(x, "claim ew-head")
-    return TheoremCheck("ew-head", _ew_factors(x)[:2], (1, 2))
+    return TheoremCheck("ew-head", smith_normal_form(x).factors[:2], (1, 2))
 
 
 def _claim_border_link(x: IntMatrix) -> TheoremCheck:
@@ -627,7 +619,7 @@ def _block_claim(case: str) -> Callable[[IntMatrix], TheoremCheck]:
             constraints.case == case,
             f"claim applies to the {case} case, input is {constraints.case}",
         )
-        return constraints.evaluate(_ew_factors(x))
+        return constraints.evaluate(smith_normal_form(x).factors)
 
     return check
 

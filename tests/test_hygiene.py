@@ -2,7 +2,8 @@
 module, every module-level function and class and every public
 module-level constant has a caller in the library or a stated reason,
 each refusal message is raised from one place unless a reason is stated,
-only ``IntMatrix.is_pm1`` spells the +-1 entry test, the tests' oracles
+only ``IntMatrix.is_pm1`` spells the +-1 entry test, only ``snf`` names
+the routes by which its local engine gets a |det|, the tests' oracles
 import no doptsnf code, each module imports only the modules of the
 layers below it, every doptsnf name the benchmark harness in
 ``layerbench/`` uses still exists, the README's library example and CLI
@@ -303,6 +304,20 @@ def check(x, n):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_only_is_pm1_spells_the_pm1_entry_test(path):
     assert hand_spelled_pm1(path.read_text()) == []
+
+
+#: The SNF engine's own routes to the local engine with a |det| in hand: a
+#: module outside snf.py that named one could hand it a |det| the engine
+#: did not prove.
+SNF_DET_ROUTES = ("local_smith_form", "_gram_abs_det")
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "snf.py"), ids=lambda path: path.name
+)
+def test_only_snf_names_its_det_routes(path):
+    source = path.read_text()
+    assert [name for name in SNF_DET_ROUTES if re.search(rf"\b{name}\b", source)] == []
 
 
 def doptsnf_names(source: str) -> set[str]:

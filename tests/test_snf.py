@@ -11,10 +11,9 @@ import hashlib
 import math
 import operator
 import random
-import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doptsnf import kernels, snf
 from doptsnf.designs import BlockEwSpec, build_example_26, build_example_66
@@ -34,7 +33,7 @@ from doptsnf.snf import (
     local_smith_form,
     smith_normal_form,
 )
-from doptsnf.verify import _ew_abs_det, ew_gram_check
+from doptsnf.verify import ew_gram_check
 from oracles import MINOR_GCD_SIZE_LIMIT, minor_gcd, one_step_bareiss
 
 
@@ -397,40 +396,10 @@ def test_bareiss_runs_on_the_core_of_a_pm1_input_only(monkeypatch):
     assert orders == [65, 66]
 
 
-def test_certificate_refusals():
-    x = IntMatrix.from_rows([[1, 1], [1, -1]])
-    for bad in (0, -2):
-        with pytest.raises(ValueError, match=r"^abs_det = -?\d+ is not \|det\| of a 2x2 matrix$"):
-            smith_normal_form(x, abs_det=bad)
-    with pytest.raises(ValueError, match="^abs_det does not apply to transforms$"):
-        smith_normal_form(x, want_transforms=True, abs_det=2)
-    with pytest.raises(ValueError, match="is not"):
-        smith_normal_form(IntMatrix.all_ones(2, 3), abs_det=1)
-    # every +-1 square of order n has 2^(n-1) | det
-    with pytest.raises(ValueError, match=r"^a \+-1 square of order 2 has 2\^1 \| det$"):
-        smith_normal_form(x, abs_det=3)
-    assert smith_normal_form(x, abs_det=2).factors == (1, 2)
-    # abs_det is checked as an integer before anything reads it
-    for m, bad in ((diagonal_matrix((2, 3)), 6.5), (x, 2.0), (x, "2")):
-        with pytest.raises(TypeError, match=rf"^abs_det must be an integer, got {re.escape(repr(bad))}$"):
-            smith_normal_form(m, abs_det=bad)
-
-
 def integer_square(seed: int, n: int) -> IntMatrix:
     """A seeded n x n matrix of entries in -2..2: square, but not +-1."""
     rng = random.Random(seed)
     return IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-
-
-def ew_abs_det(m: IntMatrix) -> int:
-    return _ew_abs_det(m.rows)
-
-
-def true_abs_det(m: IntMatrix) -> int:
-    return abs(determinant(m))
-
-
-ROUGH = 65537 * 65539  # two primes just above TRIAL_BOUND
 
 
 def sylvester_hadamard(order: int) -> IntMatrix:
@@ -441,39 +410,29 @@ def sylvester_hadamard(order: int) -> IntMatrix:
     return h
 
 
-#: name -> (matrix, its abs_det or None, want_transforms, and what the engine
-#: rule runs: the orders of the rows bareiss_determinant gets, then the
-#: number of calls to _mask_gram (one per Gram block of a split +-1
-#: square), local_exponents and smith_reduce)
+#: name -> (matrix, want_transforms, and what the engine rule runs: the
+#: orders of the rows bareiss_determinant gets, then the number of calls to
+#: _mask_gram (one per Gram block of a split +-1 square), local_exponents
+#: and smith_reduce)
 ENGINE_RULE_CASES = {
-    "e66-certified": (build_example_66, ew_abs_det, False, ((), 0, 3, 0)),
-    # the Gram of e66 splits into two equal order-33 blocks: one Bareiss on
-    # a block, none on the order-65 core
-    "e66": (build_example_66, None, False, ((33,), 2, 3, 0)),
-    "paley-q19": (lambda: paley_two_block(19), None, False, ((57,), 2, 4, 0)),
-    # AA^T = 128 I: 128 one-entry blocks, all equal, so one Bareiss of order 1
-    "hadamard-128": (lambda: sylvester_hadamard(128), None, False, ((1,), 128, 4, 0)),
+    # the Gram of e66 splits into two equal order-33 blocks D(64I + 2J)D,
+    # whose det is read off their entries: no Bareiss at all
+    "e66": (build_example_66, False, ((), 2, 3, 0)),
+    # paley-q19's two equal order-57 blocks are of no such form: one Bareiss
+    "paley-q19": (lambda: paley_two_block(19), False, ((57,), 2, 4, 0)),
+    # AA^T = 128 I: 128 one-entry blocks, each its own det
+    "hadamard-128": (lambda: sylvester_hadamard(128), False, ((), 128, 4, 0)),
     # a connected Gram leaves the probe nothing to split: Bareiss on the core
-    "order-66": (lambda: PM1_CASES["order-66"], None, False, ((65,), 0, 1, 0)),
+    "order-66": (lambda: PM1_CASES["order-66"], False, ((65,), 0, 1, 0)),
     # a rough part of the probe's |det| sends the core to Bareiss, whose own
     # trial division then hands it back (see ENGINE_RULE_TRIAL_BOUNDS)
-    "paley-q23-rough": (lambda: paley_two_block(23), None, False, ((69, 137), 2, 0, 1)),
-    # a proved |det| the trial division cannot split goes straight to the
-    # Euclidean engine, at any order, with no Bareiss
-    "order-66-rough-certified": (lambda: PM1_CASES["order-66"], true_abs_det, False, ((), 0, 0, 1)),
-    "order-4-rough-certified": (
-        lambda: scrambled(diagonal_matrix((1, 1, 2, ROUGH)), random.Random(401)),
-        lambda m: 2 * ROUGH,
-        False,
-        ((), 0, 0, 1),
-    ),
-    "e26-certified": (build_example_26, ew_abs_det, False, ((), 0, 3, 0)),
-    "e26": (build_example_26, None, False, ((), 0, 0, 1)),
-    "integer-64": (lambda: integer_square(501, 64), None, False, ((), 0, 0, 1)),
-    "integer-65": (lambda: integer_square(502, 65), None, False, ((65,), 0, 0, 0)),
-    "singular-66": (lambda: PM1_CASES["singular-66"], None, False, ((65,), 0, 0, 1)),
-    "rectangular-5x9": (lambda: PM1_CASES["5x9"], None, False, ((), 0, 0, 1)),
-    "transforms-e26": (build_example_26, None, True, ((), 0, 0, 1)),
+    "paley-q23-rough": (lambda: paley_two_block(23), False, ((69, 137), 2, 0, 1)),
+    "e26": (build_example_26, False, ((), 0, 0, 1)),
+    "integer-64": (lambda: integer_square(501, 64), False, ((), 0, 0, 1)),
+    "integer-65": (lambda: integer_square(502, 65), False, ((65,), 0, 0, 0)),
+    "singular-66": (lambda: PM1_CASES["singular-66"], False, ((65,), 0, 0, 1)),
+    "rectangular-5x9": (lambda: PM1_CASES["5x9"], False, ((), 0, 0, 1)),
+    "transforms-e26": (build_example_26, True, ((), 0, 0, 1)),
 }
 
 #: The trial bound a cell runs with, where it is not TRIAL_BOUND. The |det|
@@ -487,12 +446,10 @@ ENGINE_RULE_TRIAL_BOUNDS = {"paley-q23-rough": 31}
 
 @pytest.mark.parametrize("name", ENGINE_RULE_CASES)
 def test_engine_rule_cell_by_cell(name, monkeypatch):
-    """Each cell of the engine rule runs the kernels it names, the local
-    engine at most once, and gives the factors of the Euclidean engine on
-    the uncut input."""
-    make, certify, transforms, want_calls = ENGINE_RULE_CASES[name]
+    """Each cell of the engine rule runs the kernels it names and gives the
+    factors of the Euclidean engine on the uncut input."""
+    make, transforms, want_calls = ENGINE_RULE_CASES[name]
     m = make()
-    abs_det = None if certify is None else certify(m)
     want = euclidean_factors(m)
     monkeypatch.setattr(snf, "TRIAL_BOUND", ENGINE_RULE_TRIAL_BOUNDS.get(name, TRIAL_BOUND))
     orders = {}
@@ -507,7 +464,7 @@ def test_engine_rule_cell_by_cell(name, monkeypatch):
     counted_kernels = ("bareiss_determinant", "_mask_gram", "local_exponents", "smith_reduce")
     for kernel in counted_kernels:
         monkeypatch.setattr(kernels, kernel, counted(getattr(kernels, kernel)))
-    got = smith_normal_form(m, transforms, abs_det=abs_det).factors
+    got = smith_normal_form(m, transforms).factors
     assert got == want
     bareiss, *counts = (orders.get(kernel, []) for kernel in counted_kernels)
     assert (tuple(bareiss), *map(len, counts)) == want_calls
@@ -567,7 +524,9 @@ def test_gram_probe_answers_exactly_when_the_gram_splits(rows):
 
 #: Row 0 is orthogonal to every +-1 row of length 6 with three -1s, and no
 #: two of those are orthogonal: the Gram has blocks of orders 1 and 5, with
-#: determinants 6 and 1536, and |det| = 96.
+#: determinants 6 and 1536, and |det| = 96. The order-5 block is no
+#: D(aI + bJ)D (its entries off the diagonal are 2 and -2 in no such
+#: pattern), so it goes to Bareiss.
 ONE_AND_FIVE = [
     [1, 1, 1, 1, 1, 1],
     [-1, -1, -1, 1, 1, 1],
@@ -583,12 +542,76 @@ def test_gram_probe_refuses_block_determinants_whose_product_is_no_square(monkey
     bareiss = kernels.bareiss_determinant
 
     def doubled(a):
-        """A Bareiss that doubles the determinant of an order-1 block."""
-        return (2 * a[0][0], 1) if len(a) == 1 else bareiss(a)
+        """A Bareiss that doubles every determinant: only the order-5 block's."""
+        det, minor = bareiss(a)
+        return 2 * det, minor
 
     monkeypatch.setattr(kernels, "bareiss_determinant", doubled)
     with pytest.raises(ArithmeticError, match="^the Gram blocks' determinants multiply to 18432, no square$"):
         snf._gram_abs_det(ONE_AND_FIVE)
+
+
+def clique_block(a: int, b: int, signs) -> list[list[int]]:
+    """D(aI + bJ)D with D = diag(signs)."""
+    return [[si * sj * (a * (i == j) + b) for j, sj in enumerate(signs)] for i, si in enumerate(signs)]
+
+
+def block_det_and_bareiss_calls(g) -> tuple[int, int]:
+    """snf._block_det(g) and how many Bareiss determinants it ran."""
+    calls = []
+    bareiss = kernels.bareiss_determinant
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "bareiss_determinant", lambda a: calls.append(len(a)) or bareiss(a))
+        return snf._block_det(g), len(calls)
+
+
+CLIQUE_BLOCKS = st.integers(min_value=1, max_value=9).flatmap(
+    lambda h: st.tuples(
+        st.integers(min_value=-6, max_value=40),
+        st.integers(min_value=-12, max_value=12).filter(bool),
+        st.lists(st.sampled_from((1, -1)), min_size=h, max_size=h),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CLIQUE_BLOCKS)
+@example((0, 3, [1, -1, 1, 1]))
+@example((0, -2, [1, 1, -1]))
+@example((64, 2, [1] * 9))
+def test_block_det_reads_a_clique_block_off_its_entries(block):
+    """det D(aI + bJ)D = a^(h-1) (a + hb), with no Bareiss when b > 0 or
+    h <= 2; at b < 0 the pattern of signs is no D(aI + |b|J)D from order 3
+    on, so Bareiss gives it. Either way it is the one-step oracle's det."""
+    a, b, signs = block
+    g = clique_block(a, b, signs)
+    h = len(signs)
+    det, calls = block_det_and_bareiss_calls(g)
+    assert det == one_step_bareiss(g) == a ** (h - 1) * (a + h * b)
+    assert calls == (b < 0 and h >= 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    CLIQUE_BLOCKS.filter(lambda block: len(block[2]) >= 3),
+    st.data(),
+)
+def test_block_det_sends_a_perturbed_clique_block_to_bareiss(block, data):
+    """A clique block with one symmetric pair of entries off the head row,
+    or one diagonal entry past the first, moved by a nonzero delta is no
+    D(aI + bJ)D: it goes to Bareiss and gets the oracle's det."""
+    a, b, signs = block
+    g = clique_block(a, abs(b), signs)
+    h = len(g)
+    i = data.draw(st.integers(min_value=1, max_value=h - 1))
+    j = data.draw(st.integers(min_value=1, max_value=h - 1))
+    delta = data.draw(st.integers(min_value=-5, max_value=5).filter(bool))
+    g[i][j] += delta
+    if i != j:
+        g[j][i] += delta
+    det, calls = block_det_and_bareiss_calls(g)
+    assert det == one_step_bareiss(g)
+    assert calls == 1
 
 
 #: A small integer matrix whose first unit, in row-major order, is not its

@@ -13,6 +13,7 @@ from doptsnf.designs import (
     BlockEwSpec,
     Tournament,
     barba_double,
+    build_example_66,
     is_barba,
     is_skew_type,
     skew_from_tournament,
@@ -384,13 +385,13 @@ def test_claims_on_26(skew26, tournament25):
 def test_every_claim_fails_on_a_wrong_engine(monkeypatch, skew26, tournament25, example66):
     """With every SNF factor tripled (still a divisibility chain), each claim
     that applies to skew26, tournament25 or example66 fails: a claim that
-    still passed would be comparing the engine with itself."""
+    still passed would be comparing the engine with itself. Every route
+    without transforms, the Gram probe's too, ends in snf._factors."""
+    e66 = smith_normal_form(example66).factors
     engine = snf._factors
-    monkeypatch.setattr(
-        snf, "_factors", lambda rows, *args: tuple(3 * f for f in engine(rows, *args))
-    )
+    monkeypatch.setattr(snf, "_factors", lambda a: tuple(3 * f for f in engine(a)))
     assert smith_normal_form(IntMatrix.identity(2)).factors == (3, 3)
-    assert smith_normal_form(IntMatrix.identity(2), abs_det=1).factors == (3, 3)
+    assert smith_normal_form(build_example_66()).factors == tuple(3 * f for f in e66)
     applied = set()
     for x in (skew26, tournament25.matrix, example66):
         for claim in CLAIMS:
@@ -404,17 +405,22 @@ def test_every_claim_fails_on_a_wrong_engine(monkeypatch, skew26, tournament25, 
 
 
 @pytest.mark.parametrize(
-    "x_name, claim",
-    [("skew26", "main"), ("skew26", "skew-last"), ("example66", "block-squarefree")],
+    "claim, factor",
+    [
+        pytest.param("block-squarefree", 3, id="example66-block-squarefree"),
+        pytest.param("ew-head", 9, id="example66-ew-head"),
+    ],
 )
-def test_claims_fail_on_a_wrong_certificate(monkeypatch, request, x_name, claim):
-    """With _ew_abs_det off by a factor of 3, each claim that reads the last
-    factor fails or meets an elimination that contradicts the certificate."""
-    x = request.getfixturevalue(x_name)
-    abs_det = verify._ew_abs_det
-    monkeypatch.setattr(verify, "_ew_abs_det", lambda n: 3 * abs_det(n))
+def test_claims_fail_on_a_wrong_certificate(monkeypatch, example66, claim, factor):
+    """With the Gram probe's |det| off by a factor, each claim on example66
+    fails or meets an elimination that contradicts it. ew-head reads only
+    the first two factors, and a prime of exponent 1 in |det| goes into the
+    last factor with no elimination, so it is given 9 rather than 3: 3^2
+    is eliminated modulo 3, and no exponent of 3 is seen."""
+    probe = snf._gram_abs_det
+    monkeypatch.setattr(snf, "_gram_abs_det", lambda rows: factor * probe(rows))
     try:
-        assert not theorem_conformance(x, claim).passed
+        assert not theorem_conformance(example66, claim).passed
     except ArithmeticError:
         pass
 
@@ -423,11 +429,10 @@ def no_bareiss(rows):
     raise AssertionError("bareiss_determinant ran")
 
 
-def test_ew_claims_pass_the_certificate_and_run_no_bareiss(
-    monkeypatch, skew14, skew26, example26, example66
-):
-    """Every claim on an EW design hands its SNF the |det| of _ew_abs_det,
-    so none runs a Bareiss determinant; example66 took one per claim before."""
+def test_ew_claims_run_no_bareiss(monkeypatch, skew14, skew26, example26, example66):
+    """No claim on an EW design runs a Bareiss determinant: below order 66
+    the Euclidean engine gives the SNF, and example66's Gram blocks are
+    D(64I + 2J)D, whose det the probe reads off their entries."""
     monkeypatch.setattr(kernels, "bareiss_determinant", no_bareiss)
     designs = {"skew14": skew14, "skew26": skew26, "e26": example26, "e66": example66}
     ran = []
@@ -442,30 +447,22 @@ def test_ew_claims_pass_the_certificate_and_run_no_bareiss(
     assert len(ran) == 14 and {"e66:ew-head", "e66:block-squarefree"} <= set(ran)
 
 
-def test_ew_abs_det_certifies_every_ew_fixture(
-    monkeypatch, witnesses5, skew14, skew26, example26, example66
-):
+def test_ew_abs_det_certifies_every_ew_fixture(witnesses5, skew14, skew26, example26, example66):
     """On the bordered order-6 witnesses, the Barba doubles of orders 10
     and 26, the skew and example designs and the order-2 design,
-    _ew_abs_det(n) is |det X| by Bareiss, and the SNF it certifies equals
-    the uncertified one. The SNF engine's Gram probe, by Bareiss on the
-    blocks of XX^T, proves |det X| apart from the closed form, and both
-    equal the tests' one-step Bareiss on X."""
+    _ew_abs_det(n) is |det X| by Bareiss. The SNF engine's Gram probe
+    proves |det X| apart from the closed form, and both equal the tests'
+    one-step Bareiss on X."""
     doubles = [barba_double(r) for order in (5, 13) for r in search_circulant_barba(order)]
     assert len(doubles) == 114
     designs = [skew_from_tournament(w) for w in witnesses5] + doubles
     designs += [skew14, skew26, example26, example66, IntMatrix.from_rows([[1, 1], [1, -1]])]
-    expected = []
     for x in designs:
         assert ew_gram_check(x).verdict
         n = x.rows
         rows = x.to_rows()
         assert verify._ew_abs_det(n) == abs(kernels.bareiss_determinant(rows)[0])
         assert snf._gram_abs_det(rows) == verify._ew_abs_det(n) == abs(one_step_bareiss(rows))
-        expected.append(smith_normal_form(x).factors)
-    monkeypatch.setattr(kernels, "bareiss_determinant", no_bareiss)
-    certified = [smith_normal_form(x, abs_det=verify._ew_abs_det(x.rows)).factors for x in designs]
-    assert certified == expected
 
 
 def test_skew26_is_not_equivalent_to_example26(example26, skew26):
