@@ -11,7 +11,8 @@ one place that packs them, for ``sign_gram`` and for the SNF engine's Gram
 probe; ``_mask_gram``, the popcount loop, serves callers that hold masks
 already. Modulo 2^k the slots are read with bit masks alone: one AND tests
 bit e of every slot of a row, or keeps every slot's low k bits, so no row
-is unpacked.
+is unpacked. The EW check and that probe split a Gram by one rule: the
+walk ``_components`` and the D(aI + bJ)D test ``_clique_break``.
 ``matmul`` stays the one general product. ``adjugate`` has no caller in
 the library: it is kept as the tests' oracle and as a name the layered
 benchmark traces. Callers own all shape validation — kernels assume
@@ -20,9 +21,9 @@ well-formed input.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd
-from operator import mul
+from operator import mul, not_
 
 #: Name of the kernel implementation; the layered benchmark records it with each run.
 BACKEND = "python"
@@ -61,6 +62,46 @@ def _mask_gram(masks, k):
         for j in range(i + 1, n):
             gi[j] = g[j][i] = k - 2 * (mi ^ masks[j]).bit_count()
     return g
+
+
+def _components(n, joined):
+    """The components of a symmetric relation on range(n), sorted, in order
+    of least member. Each grows from its least row; a row it reaches is
+    tested only against the rows rest not reached yet, by joined(i, rest),
+    one truth value per row of rest, so no row is tested once rest is empty."""
+    rest = list(range(n))
+    blocks = []
+    while rest:
+        block = [rest.pop(0)]
+        for i in block:  # block grows as the loop reaches rows
+            if not rest:
+                break
+            flags = joined(i, rest)
+            block += compress(rest, flags)
+            rest = list(compress(rest, map(not_, flags)))
+        blocks.append(sorted(block))
+    return blocks
+
+
+def _clique_break(g, block):
+    """None if the block of the symmetric g on the indices block = (r, s,
+    ...) is D(aI + bJ)D, D a +-1 diagonal, b = |g_rs| > 0: |g_rj| = b, then
+    for each i after r, g_ii = g_rr and g_ij b = g_ri g_rj for each j after
+    i. Else the first (i, j) in row-major order, in g's indices, that fails."""
+    r, *others = block
+    head = g[r]
+    b = abs(head[others[0]]) if others else 0
+    for j in others:
+        if not b or abs(head[j]) != b:
+            return r, j
+    for p, i in enumerate(others, 2):
+        gi, hi = g[i], head[i]
+        if gi[i] != head[r]:
+            return i, i
+        for j in block[p:]:
+            if gi[j] * b != hi * head[j]:
+                return i, j
+    return None
 
 
 def bareiss_determinant(a):

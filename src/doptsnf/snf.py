@@ -14,9 +14,9 @@ input, or its 0/1 core), and nothing else; no caller hands it a |det|.
 
 - The local engine (``local_smith_form``) runs on square rows of order
   ``LOCAL_MIN_ORDER`` or more, with d = |det| from one source per route.
-  A +-1 square whose Gram AA^T splits into blocks gets d from the blocks
-  (``_gram_abs_det``) and hands d >> (n-1) to its core, as
-  |det A| = 2^(n-1) |det C|; that d is trial-divided whole. Other rows,
+  A +-1 square whose Gram AA^T splits into blocks (the kernels' one
+  Gram-block rule) gets d from them (``_gram_abs_det``) and hands d >> (n-1),
+  trial-divided whole, to its core, as |det A| = 2^(n-1) |det C|. Other rows,
   and a split that is singular or whose d trial division leaves a rough
   part of, get d and one (n-1)-minor M from Bareiss on the rows
   themselves. The part w of d prime to M goes whole into s_n, as
@@ -35,9 +35,8 @@ input, or its 0/1 core), and nothing else; no caller hands it a |det|.
 
 from __future__ import annotations
 
-from itertools import compress
-from math import gcd, isqrt
-from operator import not_
+from collections import Counter
+from math import gcd, isqrt, prod
 
 from . import kernels
 from .exactmat import Frozen, IntMatrix, trial_divide
@@ -112,44 +111,25 @@ def _gram_abs_det(rows: list[list[int]]) -> int | None:
     """|det A| of a +-1 square A from the diagonal blocks of its Gram
     G = AA^T, or None when G is one block.
 
-    G_ij = n - 2 popcount(m_i ^ m_j) on the -1 masks of the rows, so it is
-    0 iff the masks differ in n/2 places, which never happens at odd n.
-    The blocks are the components of the graph of nonzero G_ij: each is
-    grown from its first row, and a row reached works out its Gram entries
-    against the rows not reached yet, and nothing else. A first component
-    that holds every row ends the probe, so a random square costs about
-    two Gram rows. Up to a permutation, G is block diagonal, so det G is
-    the product of the blocks' determinants (``_block_det``, once per
-    distinct block), and |det A| is its square root, as det G = det(A)^2.
-    A product that is no square raises ArithmeticError.
+    G_ij = n - 2 popcount(m_i ^ m_j) on the -1 masks, never 0 at odd n.
+    The blocks are the components of the graph of nonzero G_ij, by
+    ``kernels._components``: a first block that holds every row ends the
+    probe, so a random square costs about two Gram rows. Up to a
+    permutation G is block diagonal, so det(A)^2 = det G, the product of the
+    blocks' determinants (``_block_det``, once per distinct block); |det A|
+    is its square root, and a product that is no square raises ArithmeticError.
     """
     n = len(rows)
-    if n % 2:
-        return None
-    half = n // 2
     masks = kernels._sign_masks(rows)
-    rest = list(range(n))
-    blocks = []
-    while rest:
-        block = [rest.pop(0)]
-        for i in block:  # block grows as the loop reaches rows
-            mi = masks[i]
-            orthogonal = [(mi ^ masks[j]).bit_count() == half for j in rest]
-            block += compress(rest, map(not_, orthogonal))
-            rest = list(compress(rest, orthogonal))
-            if not rest:
-                break
-        if not rest and not blocks:
-            return None
-        blocks.append(sorted(block))
-    dets = {}
-    square = 1
-    for block in blocks:
-        gram = kernels._mask_gram([masks[i] for i in block], n)
-        key = tuple(map(tuple, gram))
-        if key not in dets:
-            dets[key] = _block_det(gram)
-        square *= dets[key]
+    blocks = kernels._components(
+        n, lambda i, rest: [2 * (masks[i] ^ masks[j]).bit_count() != n for j in rest]
+    )
+    if len(blocks) == 1:
+        return None
+    grams = Counter(
+        tuple(map(tuple, kernels._mask_gram([masks[i] for i in block], n))) for block in blocks
+    )
+    square = prod(_block_det(list(map(list, gram))) ** k for gram, k in grams.items())
     d = isqrt(square)
     if d * d != square:
         raise ArithmeticError(f"the Gram blocks' determinants multiply to {square}, no square")
@@ -157,25 +137,16 @@ def _gram_abs_det(rows: list[list[int]]) -> int | None:
 
 
 def _block_det(g: list[list[int]]) -> int:
-    """det g of a symmetric Gram block g of order h.
-
-    A block D(aI + bJ)D, with D a +-1 diagonal and b = |g_01| > 0, shows as
-    g_ii = a + b, |g_0j| = b and g_ij b = g_0i g_0j for 1 <= i < j, a test
-    of O(h^2) with no elimination. aI + bJ has eigenvalues a + hb (on the
-    all-ones vector) and a (h - 1 times), so det g = a^(h-1) (a + hb). A
-    one-entry block is its own det; any other block gets Bareiss.
-    """
-    h, head = len(g), g[0]
-    if h == 1:
-        return head[0]
-    c, b = head[0], abs(head[1])
-    if b and all(abs(v) == b for v in head[1:]) and all(
-        g[i][i] == c and all(g[i][j] * b == head[i] * head[j] for j in range(i + 1, h))
-        for i in range(1, h)
-    ):
-        a = c - b
-        return a ** (h - 1) * (a + h * b)
-    return kernels.bareiss_determinant(g)[0]
+    """det g of a symmetric Gram block g of order h. When
+    ``kernels._clique_break`` finds g to be D(aI + bJ)D, b = |g_0j| and
+    a = g_00 - b (at h = 1, b = |g_00|), no elimination runs: aI + bJ has
+    eigenvalues a + hb (on the all-ones vector) and a (h - 1 times), so
+    det g = a^(h-1) (a + hb). Any other block gets Bareiss."""
+    if kernels._clique_break(g, range(len(g))):
+        return kernels.bareiss_determinant(g)[0]
+    h, b = len(g), abs(g[0][-1])
+    a = g[0][0] - b
+    return a ** (h - 1) * (a + h * b)
 
 
 def _zero_one_core(a: IntMatrix) -> list[list[int]]:

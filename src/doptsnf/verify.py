@@ -27,7 +27,7 @@ from .exactmat import (
     matmul,
     rank_mod_p,
 )
-from .kernels import _mask_gram, sign_gram, smith_reduce
+from .kernels import _clique_break, _components, _mask_gram, sign_gram, smith_reduce
 from .snf import smith_normal_form
 
 
@@ -64,7 +64,10 @@ def _analyze_gram(g: list[list[int]], n: int):
 
     Returns (partition, signs, "") on success, (None, None, reason) on
     failure. signs is a +-1 vector making every within-clique entry +2
-    after the switch g[i][j] -> signs[i]*signs[j]*g[i][j].
+    after the switch g[i][j] -> signs[i]*signs[j]*g[i][j]. The halves are
+    the components of the graph of nonzero entries, all +-2 by then, and
+    each must pass _clique_break: a break in its first row means it is no
+    clique, a later one that its signs clash.
     """
     for i in range(n):
         if g[i][i] != n:
@@ -73,35 +76,20 @@ def _analyze_gram(g: list[list[int]], n: int):
         for j in range(i + 1, n):
             if abs(g[i][j]) not in (0, 2):
                 return None, None, f"off-diagonal Gram entry ({i},{j}) = {g[i][j]}"
-    # The components of the |entry| = 2 graph, in order of least index:
-    # each row is read once, when its vertex is reached.
-    blocks = []
-    seen = set()
-    for root in range(n):
-        if root not in seen:
-            seen.add(root)
-            block = [root]
-            for i in block:
-                reached = [j for j, v in enumerate(g[i]) if abs(v) == 2 and j not in seen]
-                seen.update(reached)
-                block += reached
-            blocks.append(sorted(block))
+    blocks = _components(n, lambda i, rest: list(map(g[i].__getitem__, rest)))
     if len(blocks) != 2 or any(len(b) != n // 2 for b in blocks):
         sizes = tuple(len(b) for b in blocks)
         return None, None, f"Gram 2-support components have sizes {sizes}, expected two halves"
     signs = [0] * n
     for block in blocks:
-        root = block[0]
-        signs[root] = 1
-        for j in block[1:]:
-            v = g[root][j]
-            if abs(v) != 2:
-                return None, None, f"Gram block is not a clique at ({root},{j})"
-            signs[j] = v // 2
-        for a in block:
-            for b in block:
-                if a < b and g[a][b] != 2 * signs[a] * signs[b]:
-                    return None, None, f"Gram signs are not switching-consistent at ({a},{b})"
+        cut = _clique_break(g, block)
+        if cut:
+            i, j = cut
+            if i == block[0]:
+                return None, None, f"Gram block is not a clique at ({i},{j})"
+            return None, None, f"Gram signs are not switching-consistent at ({i},{j})"
+        for j in block:
+            signs[j] = 1 if g[block[0]][j] > 0 else -1
     return (tuple(blocks[0]), tuple(blocks[1])), tuple(signs), ""
 
 

@@ -5,6 +5,7 @@ determinant or in either SNF engine cannot reach the oracle that checks
 it. ``minor_gcd`` enumerates every i x i minor and takes gcds, so the
 i-th invariant factor of a matrix is minor_gcd(a, i) / minor_gcd(a, i-1)
 as long as i <= rank; each minor comes from ``one_step_bareiss``.
+``ref_components`` is a union-find, for the library's component walk.
 """
 
 from itertools import combinations
@@ -64,3 +65,25 @@ def minor_gcd(a, size: int) -> int:
             if g == 1:
                 return 1
     return g
+
+
+def ref_components(items, related):
+    """Connected components of an undirected relation, each sorted, in order
+    of least element: a union-find, independent of the library's pass."""
+    parent = {i: i for i in items}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    items = list(items)
+    for a in range(len(items)):
+        for b in range(a + 1, len(items)):
+            if related(items[a], items[b]):
+                parent[find(items[a])] = find(items[b])
+    comps = {}
+    for i in items:
+        comps.setdefault(find(i), []).append(i)
+    return sorted((sorted(c) for c in comps.values()), key=lambda c: c[0])

@@ -306,10 +306,11 @@ def test_only_is_pm1_spells_the_pm1_entry_test(path):
     assert hand_spelled_pm1(path.read_text()) == []
 
 
-#: The SNF engine's own routes to the local engine with a |det| in hand: a
-#: module outside snf.py that named one could hand it a |det| the engine
-#: did not prove.
-SNF_DET_ROUTES = ("local_smith_form", "_gram_abs_det")
+#: The SNF engine's own routes to the local engine with a |det| in hand, and
+#: the one place a Gram block becomes a det: a module outside snf.py that
+#: named one could hand the engine a |det| it did not prove. The Gram-block
+#: rule itself lives in kernels, which both snf and verify call.
+SNF_DET_ROUTES = ("local_smith_form", "_gram_abs_det", "_block_det")
 
 
 @pytest.mark.parametrize(

@@ -49,7 +49,7 @@ from doptsnf.verify import (
     scaled_inverse_check,
     theorem_conformance,
 )
-from oracles import one_step_bareiss
+from oracles import one_step_bareiss, ref_components
 
 
 # ---------------------------------------------------------------------------
@@ -681,28 +681,6 @@ def ref_gram(rows):
     return kernels.matmul(rows, list(zip(*rows)))
 
 
-def ref_components(items, related):
-    """Connected components of an undirected relation, each sorted, in order
-    of least element: a union-find, independent of the library's pass."""
-    parent = {i: i for i in items}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    items = list(items)
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            if related(items[a], items[b]):
-                parent[find(items[a])] = find(items[b])
-    comps = {}
-    for i in items:
-        comps.setdefault(find(i), []).append(i)
-    return sorted((sorted(c) for c in comps.values()), key=lambda c: c[0])
-
-
 def ref_analyze_gram(g, n):
     """The two-clique analysis as written before the checks used sign_gram."""
     for i in range(n):
@@ -936,8 +914,17 @@ SIZES = "Gram 2-support components have sizes {}, expected two halves"
             hand_gram(6, HALVES, (3, 5, 0)),
             (None, None, "Gram signs are not switching-consistent at (3,5)"),
         ),
+        # the first half passes; the second, rooted at row 1, fails
+        (hand_gram(6, HALVES, (1, 4, 0)), (None, None, "Gram block is not a clique at (1,4)")),
+        (
+            hand_gram(6, HALVES, (2, 4, -2)),
+            (None, None, "Gram signs are not switching-consistent at (2,4)"),
+        ),
     ],
-    ids=["halves", "diagonal", "entry-4", "three", "unequal", "not-clique", "signs", "gap"],
+    ids=[
+        "halves", "diagonal", "entry-4", "three", "unequal", "not-clique", "signs", "gap",
+        "second-not-clique", "second-signs",
+    ],
 )
 def test_analyze_gram_reasons_match_the_union_find_reference(g, expected):
     """Hand-built Gram matrices reach each branch of the two-clique analysis.
