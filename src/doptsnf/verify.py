@@ -8,9 +8,9 @@ predicted closed forms.
 Every checker fails closed: when an input does not satisfy a check's
 hypotheses the checker raises PreconditionError instead of reporting a
 pass (or a silently meaningless False). Each claim family has one input
-check, which raises each of its refusals from one place: _skew_ew for
-skew-type EW matrices, _ew_design for EW matrices and _ew_tournament for
-EW tournaments (which p_rank_report also runs).
+check, which raises each of its refusals from one place: _ew_input for
+EW matrices (skew-type ones pass the skew-type test first) and
+_ew_tournament for EW tournaments (which p_rank_report also runs).
 """
 
 from __future__ import annotations
@@ -104,11 +104,6 @@ def _row_analysis(x: IntMatrix):
     return rows, halves, signs, why and "rows: " + why
 
 
-def _require_ew_gram(reason: str) -> None:
-    """Refuse an input whose EW Gram analysis failed for reason ("" passes)."""
-    _require(not reason, f"input lacks the EW Gram structure ({reason})")
-
-
 def _block_row_sums(x: IntMatrix, partition) -> Optional[tuple[int, int]]:
     sums = x.row_sums()
     per_block = []
@@ -133,6 +128,13 @@ def ew_gram_check(x: IntMatrix, strict: bool = False) -> EwReport:
     With strict=True both Gram matrices must literally equal
     blockdiag((n-2)I + 2J, (n-2)I + 2J): both analyses must find the halves
     range(n/2), range(n/2, n) and need no sign switch.
+
+    By the equality case of the Ehlich-Wojtas bound (Ehlich, Math. Z. 83,
+    1964; Wojtas, Colloq. Math. 12, 1964), X attains the bound iff XX^T
+    has the two-clique form, and det X^TX = det XX^T, so the two default
+    analyses always agree. The columns are analysed here for
+    clique_partition_cols and strict mode only; no claim builds X^TX
+    (see _ew_input).
     """
     require_pm1_square(x, "ew_gram_check")
     n = x.rows
@@ -172,9 +174,9 @@ def ew_tournament_check(a: Tournament) -> tuple[bool, Optional[int]]:
     {2t+1}^t, and the Gram verdict itself rejects any other profile.
     Two identities let one row Gram analysis of S decide the rest:
 
-    1. S is skew-type, so S^TS = (2I - S)S = SS^T: the column analysis of
-       ew_gram_check repeats the row analysis, so the row verdict alone is
-       ew_gram_check(S).verdict.
+    1. By the equality case of the Ehlich-Wojtas bound (see
+       ew_gram_check), the rows of S pass iff its columns do, so the row
+       verdict alone is ew_gram_check(S).verdict.
     2. For i != j, (SS^T)_{i+1,j+1} = 4(AA^T)_ij - 2d_i - 2d_j + 4t + 2.
        The rows i+1 with d_i = 2t are the half of S's rows without the
        border row, and the row verdict's blocks and signs fix every other
@@ -378,7 +380,7 @@ def predicted_block_snf(t: int, r1: int, r2: int) -> BlockSnfConstraints:
 
 def _ew_abs_det(n: int) -> int:
     """|det X| of an EW matrix X of order n, once its Gram check has passed:
-    XX^T = D((n-2)I + 2K)D (see _skew_ew), and (n-2)I + 2K has eigenvalues
+    XX^T = D((n-2)I + 2K)D (see _ew_input), and (n-2)I + 2K has eigenvalues
     2n-2 (twice) and n-2 (n-2 times), so |det X| = (n-2)^(n/2-1) (2n-2)."""
     return (n - 2) ** (n // 2 - 1) * (2 * n - 2)
 
@@ -389,28 +391,21 @@ def _claim_t(n: int) -> int:
     return (n - 2) // 4
 
 
-def _skew_ew(x: IntMatrix, name: str):
-    """(t, rows, halves, signs) of a skew-type EW matrix S of order 4t+2.
+def _ew_input(x: IntMatrix, name: str, skew: bool = False):
+    """(rows, halves, signs) of an EW matrix x: the one input check of the
+    EW claims, whose +-1 square check names the caller.
 
-    After the input check, which names the caller, the O(n^2) skew-type
-    test runs before the one Gram product: S + S^T = 2I gives
-    S^TS = (2I - S)S = SS^T, so ew_gram_check's column analysis would
-    repeat the row one. SS^T = D((n-2)I + 2K)D with D = diag(signs) and
-    K_ij = 1 iff i and j lie in the same half.
+    With skew=True the O(n^2) skew-type test x + x^T = 2I runs next,
+    before any Gram product. Then the row Gram analysis decides alone: by
+    the equality case (see ew_gram_check) the rows pass iff the columns
+    do, so no caller builds X^TX. XX^T = D((n-2)I + 2K)D with
+    D = diag(signs) and K_ij = 1 iff i and j lie in the same half.
     """
     require_pm1_square(x, name)
-    _require(is_skew_type(x), "input is not skew-type")
+    _require(not skew or is_skew_type(x), "input is not skew-type")
     rows, halves, signs, why = _row_analysis(x)
-    _require_ew_gram(why)
-    return _claim_t(x.rows), rows, halves, signs
-
-
-def _ew_design(x: IntMatrix, name: str) -> EwReport:
-    """ew_gram_check's report on an EW matrix x, after the input check that names the caller."""
-    require_pm1_square(x, name)
-    rep = ew_gram_check(x)
-    _require_ew_gram(rep.reason)
-    return rep
+    _require(not why, f"input lacks the EW Gram structure ({why})")
+    return rows, halves, signs
 
 
 def _tournament(x: IntMatrix) -> Tournament:
@@ -432,7 +427,7 @@ def _ew_tournament(x: IntMatrix) -> tuple[int, IntMatrix]:
 def _scaled_inverse(rows: list[list[int]], halves, signs) -> list[list[int]]:
     """Y = (n-1)(n-2) X^-1 in O(n^2), from the rows of an EW matrix X and
     the halves and signs of its row Gram analysis: XX^T = DLD with
-    L = (n-2)I + 2K (see _skew_ew) and L^-1 = ((n-1)I - K) / ((n-1)(n-2)),
+    L = (n-2)I + 2K (see _ew_input) and L^-1 = ((n-1)I - K) / ((n-1)(n-2)),
     so X^-1 = X^T D L^-1 D and Y_ij = (n-1) x_ji - s_j sum_{k in half(j)} s_k x_ki.
     """
     n = len(rows)
@@ -457,7 +452,8 @@ def scaled_inverse_check(s: IntMatrix) -> TheoremCheck:
     the adjugate nor _ew_abs_det feeds it. computed/predicted carry (gcd,
     last factor, number of out-of-set entries).
     """
-    t, rows, halves, signs = _skew_ew(s, "claim scaled-inverse")
+    rows, halves, signs = _ew_input(s, "claim scaled-inverse", skew=True)
+    t = _claim_t(s.rows)
     _require(existence_filter(t), f"8t+1 = {8 * t + 1} is not a perfect square")
     root = math.isqrt(8 * t + 1)
     base = 2 * (4 * t) ** (2 * t - 1)
@@ -485,7 +481,8 @@ def normalized_block_row_sums(s: IntMatrix) -> tuple[int, int, int, int]:
     carries which sign is not canonical, so callers should accept either
     assignment.
     """
-    _, _, part, signs = _skew_ew(s, "normalized_block_row_sums")
+    _, part, signs = _ew_input(s, "normalized_block_row_sums", skew=True)
+    _claim_t(s.rows)  # order 2 is refused, as the skew claims refuse it
     n = s.rows
     order = list(part[0]) + list(part[1])
     m = [[signs[i] * signs[j] * s.at(i, j) for j in order] for i in order]
@@ -552,7 +549,8 @@ def _skew_claim(
     """Claim on the slice part(t) of the skew-type diagonal predicted_snf_skew_ew(t)."""
 
     def check(x: IntMatrix) -> TheoremCheck:
-        t = _skew_ew(x, f"claim {claim_id}")[0]
+        _ew_input(x, f"claim {claim_id}", skew=True)
+        t = _claim_t(x.rows)
         cut = part(t)
         return TheoremCheck(claim_id, smith_normal_form(x).factors[cut], predicted_snf_skew_ew(t)[cut])
 
@@ -560,7 +558,7 @@ def _skew_claim(
 
 
 def _claim_ew_head(x: IntMatrix) -> TheoremCheck:
-    _ew_design(x, "claim ew-head")
+    _ew_input(x, "claim ew-head")
     return TheoremCheck("ew-head", smith_normal_form(x).factors[:2], (1, 2))
 
 
@@ -597,12 +595,9 @@ def _block_claim(case: str) -> Callable[[IntMatrix], TheoremCheck]:
     """Claim "block-<case>": the predicted_block_snf constraints of that case."""
 
     def check(x: IntMatrix) -> TheoremCheck:
-        rep = _ew_design(x, f"claim block-{case}")
-        _require(
-            rep.row_block_sums is not None,
-            "rows do not have constant block sums; cannot recover (r1, r2)",
-        )
-        constraints = predicted_block_snf(_claim_t(x.rows), *rep.row_block_sums)
+        sums = _block_row_sums(x, _ew_input(x, f"claim block-{case}")[1])
+        _require(sums is not None, "rows do not have constant block sums; cannot recover (r1, r2)")
+        constraints = predicted_block_snf(_claim_t(x.rows), *sums)
         _require(
             constraints.case == case,
             f"claim applies to the {case} case, input is {constraints.case}",

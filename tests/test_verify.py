@@ -567,9 +567,25 @@ def test_skew_claims_test_skew_type_before_the_gram_products(monkeypatch, exampl
         theorem_conformance(example66, claim)
 
 
-@pytest.mark.parametrize("claim", SKEW_CLAIMS)
-def test_skew_claims_build_one_gram_product(monkeypatch, skew26, claim):
-    # S + S^T = 2I gives S^TS = SS^T, so the row Gram matrix decides the EW test alone
+@pytest.mark.parametrize(
+    "fixture, claim",
+    [pytest.param("skew26", claim, id=claim) for claim in SKEW_CLAIMS]
+    + [
+        pytest.param(fixture, claim, id=f"{fixture}-{claim}")
+        for fixture, claims in (
+            ("example26", ("ew-head", "block-prime-square")),
+            ("skew14", ("ew-head", "block-squarefree")),
+            ("example66", ("ew-head", "block-squarefree")),
+            ("skew26", ("block-prime-square",)),
+        )
+        for claim in claims
+    ],
+)
+def test_skew_claims_build_one_gram_product(monkeypatch, request, fixture, claim):
+    # By the equality case the row Gram matrix decides the EW test alone, so
+    # no EW claim builds X^TX; the SNF engine's own Gram probe packs its rows
+    # with kernels._mask_gram and is not counted here.
+    x = request.getfixturevalue(fixture)
     sizes = []
 
     def counting_gram(rows):
@@ -577,8 +593,8 @@ def test_skew_claims_build_one_gram_product(monkeypatch, skew26, claim):
         return kernels.sign_gram(rows)
 
     monkeypatch.setattr(verify, "sign_gram", counting_gram)
-    assert theorem_conformance(skew26, claim).passed
-    assert sizes == [26]
+    assert theorem_conformance(x, claim).passed
+    assert sizes == [x.rows]
 
 
 @pytest.mark.parametrize("claim", SKEW_CLAIMS)
@@ -839,11 +855,23 @@ def outcome(f, *args):
 
 def assert_checks_match_reference(x):
     """Same reports field for field (default and strict), same Barba verdict,
-    same block row sums, and the same exceptions with the same messages."""
+    same block row sums, and the same exceptions with the same messages.
+
+    Then the equality case: x and x^T get the same verdict, with the column
+    halves of x the row halves of x^T, and a claim that reads only the rows
+    refuses a non-EW x with ew_gram_check's reason."""
     assert outcome(ew_gram_check, x) == outcome(ref_ew_gram_check, x)
     assert outcome(ew_gram_check, x, True) == outcome(ref_ew_gram_check, x, True)
     assert outcome(is_barba, x) == outcome(ref_is_barba, x)
     assert outcome(normalized_block_row_sums, x) == outcome(ref_normalized_block_row_sums, x)
+    rep, rep_t = ew_gram_check(x), ew_gram_check(x.transpose())
+    assert rep.verdict == rep_t.verdict
+    if rep.verdict:
+        assert rep.clique_partition_cols == rep_t.clique_partition_rows
+    else:
+        refusal = (PreconditionError, f"input lacks the EW Gram structure ({rep.reason})")
+        for claim in ("ew-head", "block-squarefree"):
+            assert outcome(theorem_conformance, x, claim) == refusal
 
 
 def test_packed_checks_match_reference_on_designs(example26, example66, skew14):
