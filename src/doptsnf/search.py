@@ -19,7 +19,7 @@ masks. The pool never has more processes than CPUs or masks to walk.
 
 The EW tournament scan reads each candidate's out-degrees off its mask by
 popcounts. Only for a profile equal to the template does it read
-ew_split's per-vertex masks off the mask's bits, and ew_split builds the
+_ew_split's per-vertex masks off the mask's bits, and _ew_split builds the
 bordered Gram from those by popcounts; 0/1 rows are built only for a
 hit's Tournament. A Barba row sums to +-s with s^2 = 2n - 1, so the
 circulant Barba search walks only the masks of the two popcounts
@@ -33,7 +33,7 @@ meets the template's three out-degrees.
 Each scan does its work once per symmetric pair or orbit:
 
 - Complementing a mask reverses every arc of a tournament, which keeps
-  ew_split's verdict and a (see _ew_tournament_hits), and negates a Barba
+  _ew_split's verdict and a (see _ew_tournament_hits), and negates a Barba
   row, which keeps every autocorrelation. So each scan walks the lower
   half of its masks, and a hit's complement is its twin: a mask of the
   upper half is never tested.
@@ -55,7 +55,7 @@ from .designs import Tournament, barba_double, is_barba
 from .exactmat import InfeasibleSearchError, IntMatrix, as_integer, circulant
 from .kernels import autocorrelations
 from .snf import smith_normal_form
-from .verify import ew_degree_template, ew_split
+from .verify import _ew_split, ew_degree_template
 
 DEFAULT_MAX_CANDIDATES = 1 << 20
 
@@ -172,14 +172,14 @@ def _degree_profile(degree_masks: list[tuple[int, int, int]], mask: int) -> list
 
 def _ew_tournament_hits(order: int, lo: int, hi: int):
     """(A, A^T) per EW tournament A among masks [lo, hi) of the lower half.
-    Only a mask whose out-degree profile is the template goes to ew_split,
-    as the per-vertex masks ew_split takes (bit j of beaten_by[i] set iff
+    Only a mask whose out-degree profile is the template goes to _ew_split,
+    as the per-vertex masks _ew_split takes (bit j of beaten_by[i] set iff
     j -> i), read off the mask's bits: where the bit of pair i < j is set,
     i -> j sets bit i of beaten_by[j], and where it is clear, j -> i sets
     bit j of beaten_by[i]. 0/1 rows are built only for a hit's Tournaments.
 
     The complement of a mask is the tournament with every arc reversed,
-    A^T, and ew_split gives both the same verdict and a. Out-degrees d map
+    A^T, and _ew_split gives both the same verdict and a. Out-degrees d map
     to 4t - d, and the template is symmetric. The bordered matrix of A^T is
     S' = D S^T D with D = diag(-1, 1, ..., 1), and S^T S = S S^T since
     S + S^T = 2I, so S'S'^T = D SS^T D: the Gram switched at the border
@@ -197,7 +197,7 @@ def _ew_tournament_hits(order: int, lo: int, hi: int):
                     beaten_by[j] |= 1 << i
                 else:
                     beaten_by[i] |= 1 << j
-            if ew_split(beaten_by) is not None:
+            if _ew_split(beaten_by) is not None:
                 a = IntMatrix.from_rows(_tournament_rows(order, mask))
                 yield Tournament(a), Tournament(a.transpose())
 

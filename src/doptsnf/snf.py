@@ -12,21 +12,20 @@ The engine rule: transforms come from the Euclidean engine on the input
 itself. Otherwise the engine is chosen from the rows it eliminates (the
 input, or its 0/1 core), and nothing else; no caller hands it a |det|.
 
-- The local engine (``local_smith_form``) runs on square rows of order
-  ``LOCAL_MIN_ORDER`` or more, with d = |det| from one source per route.
-  A +-1 square whose Gram AA^T splits into blocks (the kernels' one
-  Gram-block rule) gets d from them (``_gram_abs_det``) and hands d >> (n-1),
-  trial-divided whole, to its core, as |det A| = 2^(n-1) |det C|. Other rows,
-  and a split that is singular or whose d trial division leaves a rough
-  part of, get d and one (n-1)-minor M from Bareiss on the rows
-  themselves. The part w of d prime to M goes whole into s_n, as
+- The local engine runs on square rows of order ``LOCAL_MIN_ORDER`` or
+  more, with one proof of d = |det| per input and one attempt. A +-1
+  square whose Gram AA^T splits into blocks (the kernels' one Gram-block
+  rule) gets d from them (``_gram_abs_det``) and hands d >> (n-1),
+  trial-divided whole, to its core, as |det A| = 2^(n-1) |det C|. Other
+  rows (``local_smith_form``) get d and one (n-1)-minor M from Bareiss on
+  the rows themselves. The part w of d prime to M goes whole into s_n, as
   s_1...s_{n-1} (the gcd of the (n-1)-minors) divides M. Each prime p of
   d // w below ``TRIAL_BOUND`` is eliminated modulo p^k (no entry grows
   past n*p^2k), doubling k until the exponents seen sum to v_p(d). That
   gives every exponent below k exactly, and d fixes the ones at k or
   above, so the result is exact, not probabilistic. Singular rows, or a
   d // w with a prime factor the trial division does not reach, are
-  handed back.
+  handed back to the Euclidean engine, with no second local attempt.
 - The Euclidean engine (``kernels.smith_reduce``) runs on everything else:
   rectangular rows, squares of lower order, and every hand-back. It
   diagonalizes by unimodular row and column operations over the
@@ -99,10 +98,11 @@ def _factors(a: IntMatrix) -> tuple[int, ...]:
     rows = _zero_one_core(a) if pm1 else a.to_rows()
     factors = None
     if len(rows) >= LOCAL_MIN_ORDER and len(rows) == len(rows[0]):
-        d = pm1 and _gram_abs_det(a.to_rows())
-        if d:
-            factors = local_smith_form(rows, d >> (a.rows - 1))
-        factors = factors or local_smith_form(rows)
+        d = _gram_abs_det(a.to_rows()) if pm1 else None
+        if d is None:
+            factors = local_smith_form(rows)
+        elif d:
+            factors = _local_factors(rows, d >> len(rows), 1)
     factors = factors or kernels.smith_reduce(rows, False)[0]
     return (1,) + tuple(2 * f for f in factors) if pm1 else tuple(factors)
 
@@ -164,24 +164,25 @@ def _zero_one_core(a: IntMatrix) -> list[list[int]]:
     ]
 
 
-def local_smith_form(rows: list[list[int]], d: int | None = None) -> tuple[int, ...] | None:
-    """Invariant factors of square rows by the local engine of the module
-    docstring, at any order, or None when it hands them back. Given d, the
-    |det rows| that the Gram probe proved, it runs no Bareiss and
-    trial-divides all of d. Raises ArithmeticError if an elimination
-    contradicts the determinant."""
-    if d is None:
-        det, minor = kernels.bareiss_determinant(rows)
-        if det == 0:
-            return None
-        # w: the part of d prime to minor.
-        d = w = abs(det)
-        g = gcd(d, minor)
-        while g > 1:
-            w //= g
-            g = gcd(w, g)
-    else:
-        w = 1
+def local_smith_form(rows: list[list[int]]) -> tuple[int, ...] | None:
+    """Invariant factors of square rows by the local engine's Bareiss route
+    (module docstring), at any order, or None when it hands them back.
+    Raises ArithmeticError if an elimination contradicts the determinant."""
+    det, minor = kernels.bareiss_determinant(rows)
+    if det == 0:
+        return None
+    # w: the part of d prime to minor.
+    d = w = abs(det)
+    g = gcd(d, minor)
+    while g > 1:
+        w //= g
+        g = gcd(w, g)
+    return _local_factors(rows, d, w)
+
+
+def _local_factors(rows: list[list[int]], d: int, w: int) -> tuple[int, ...] | None:
+    """The local engine's tail on d = |det rows| > 0, of which w goes whole
+    into s_n; None when trial division leaves a rough part of d // w."""
     powers, c = trial_divide(d // w, TRIAL_BOUND)
     if c > 1:
         return None

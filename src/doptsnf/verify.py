@@ -186,19 +186,19 @@ def ew_tournament_check(a: Tournament) -> tuple[bool, Optional[int]]:
     The smaller sign class has size a, which must solve
     a^2 - (2t+1)a + t(t-1) = 0 (that does not follow from the identities);
     a true Gram verdict with any other a raises RuntimeError. Returns
-    (verdict, a), with a None on a false verdict; ew_split does the work,
+    (verdict, a), with a None on a false verdict; _ew_split does the work,
     on the columns of A packed as bitmasks.
     """
     n = a.order
     entries = a.matrix.entries
-    a_param = ew_split([sum(v << j for j, v in enumerate(entries[i::n])) for i in range(n)])
+    a_param = _ew_split([sum(v << j for j, v in enumerate(entries[i::n])) for i in range(n)])
     return a_param is not None, a_param
 
 
-def ew_split(beaten_by: list[int]) -> Optional[int]:
+def _ew_split(beaten_by: list[int]) -> Optional[int]:
     """ew_tournament_check's split parameter a, or None on a false verdict,
     for a tournament of order n given by one bitmask per vertex:
-    beaten_by[i] has bit j set iff j -> i (the masks are not validated).
+    beaten_by[i] has bit j set iff j -> i (not validated: callers build them).
 
     Vertex i has out-degree n - 1 - popcount(beaten_by[i]). Row i+1 of the
     bordered matrix S is -1 in column 0 and in column j+1 iff j -> i, so
@@ -482,7 +482,6 @@ def normalized_block_row_sums(s: IntMatrix) -> tuple[int, int, int, int]:
     assignment.
     """
     _, part, signs = _ew_input(s, "normalized_block_row_sums", skew=True)
-    _claim_t(s.rows)  # order 2 is refused, as the skew claims refuse it
     n = s.rows
     order = list(part[0]) + list(part[1])
     m = [[signs[i] * signs[j] * s.at(i, j) for j in order] for i in order]

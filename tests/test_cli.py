@@ -79,6 +79,8 @@ def test_rle_takes_ascii_decimals_and_positive_counts():
         with pytest.raises(ValueError):
             parse_factors_rle(text)
     assert parse_factors_rle("1, 2^3") == (1, 2, 2, 2)
+    # empty runs, as a trailing comma leaves, add nothing
+    assert parse_factors_rle(" , 1,, 2^2, ") == (1, 2, 2)
 
 
 # ---------------------------------------------------------------------------

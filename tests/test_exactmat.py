@@ -62,6 +62,9 @@ def test_construction_rejects_bad_shapes():
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(IndexError):
         IntMatrix.identity(2).at(2, 0)
+    for i in (-1, 2):
+        with pytest.raises(IndexError, match=f"^row {i} out of range$"):
+            IntMatrix.identity(2).row(i)
     with pytest.raises(TypeError):
         IntMatrix.from_rows([[1.5, 2.9]])  # not truncated to [[1, 2]]
     with pytest.raises(TypeError):

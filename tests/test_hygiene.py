@@ -3,7 +3,8 @@ module, every module-level function and class and every public
 module-level constant has a caller in the library or a stated reason,
 each refusal message is raised from one place unless a reason is stated,
 only ``IntMatrix.is_pm1`` spells the +-1 entry test, only ``snf`` names
-the routes by which its local engine gets a |det|, the tests' oracles
+the routes by which its local engine gets a |det|, no public function or
+method takes a parameter named as a |det|, the tests' oracles
 import no doptsnf code, each module imports only the modules of the
 layers below it, every doptsnf name the benchmark harness in
 ``layerbench/`` uses still exists, the README's library example and CLI
@@ -310,7 +311,7 @@ def test_only_is_pm1_spells_the_pm1_entry_test(path):
 #: the one place a Gram block becomes a det: a module outside snf.py that
 #: named one could hand the engine a |det| it did not prove. The Gram-block
 #: rule itself lives in kernels, which both snf and verify call.
-SNF_DET_ROUTES = ("local_smith_form", "_gram_abs_det", "_block_det")
+SNF_DET_ROUTES = ("local_smith_form", "_local_factors", "_gram_abs_det", "_block_det")
 
 
 @pytest.mark.parametrize(
@@ -319,6 +320,51 @@ SNF_DET_ROUTES = ("local_smith_form", "_gram_abs_det", "_block_det")
 def test_only_snf_names_its_det_routes(path):
     source = path.read_text()
     assert [name for name in SNF_DET_ROUTES if re.search(rf"\b{name}\b", source)] == []
+
+
+DET_PARAMETERS = {"d", "det", "abs_det"}
+
+
+def det_doors(source: str) -> list[str]:
+    """The public functions of source, and the public methods and
+    constructors of its public classes, with a parameter named as a |det|."""
+    doors = []
+
+    def scan(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not prefix and not node.name.startswith("_"):
+                scan(node.body, f"{node.name}.")
+            elif isinstance(node, ast.FunctionDef) and (
+                not node.name.startswith("_") or (prefix and node.name == "__init__")
+            ):
+                args = node.args
+                if DET_PARAMETERS & {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+                    doors.append(prefix + node.name)
+
+    scan(ast.parse(source).body, "")
+    return doors
+
+
+def test_det_doors_finds_public_parameters_named_as_a_det():
+    source = """
+def f(rows, d=None): ...
+def g(rows, *, abs_det): ...
+def _h(rows, d): ...
+class A:
+    def __init__(self, det): ...
+    def m(self, d): ...
+    def _p(self, d): ...
+class _B:
+    def m(self, d): ...
+def ok(rows, dd, det_bits): ...
+"""
+    assert det_doors(source) == ["f", "g", "A.__init__", "A.m"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_public_door_takes_a_det(path):
+    """No caller can hand the library a |det|: each engine proves its own."""
+    assert det_doors(path.read_text()) == []
 
 
 def doptsnf_names(source: str) -> set[str]:

@@ -28,7 +28,7 @@ from doptsnf.search import (
     search_circulant_tournament,
 )
 from doptsnf.snf import smith_normal_form
-from doptsnf.verify import ew_degree_template, ew_gram_check, ew_split, ew_tournament_check
+from doptsnf.verify import _ew_split, ew_degree_template, ew_gram_check, ew_tournament_check
 from test_verify import beaten_by_masks, ref_ew_tournament_check
 
 GOLDEN_13_ROW = (1, 1, 1, 1, -1, 1, -1, -1, 1, 1, 1, -1, 1)
@@ -68,22 +68,22 @@ def test_enumeration_limit(witnesses5):
 
 
 def test_limit_ends_the_scan_early(monkeypatch):
-    """limit=1 hands ew_split the per-vertex masks of the masks among 0..80
+    """limit=1 hands _ew_split the per-vertex masks of the masks among 0..80
     whose out-degree profile is the template, 72, 76 and 80, in order, 80
     being the first hit, and nothing after."""
     tested = []
 
     def counting(beaten_by):
         tested.append(beaten_by)
-        return ew_split(beaten_by)
+        return _ew_split(beaten_by)
 
-    monkeypatch.setattr(search, "ew_split", counting)
+    monkeypatch.setattr(search, "_ew_split", counting)
     assert len(enumerate_ew_tournaments(5, limit=1)) == 1
     passing = [m for m in range(81) if sorted(map(sum, _tournament_rows(5, m))) == ew_degree_template(1)]
     assert passing == [72, 76, 80]
     assert tested == [beaten_by_masks(_tournament_rows(5, mask)) for mask in passing]
-    assert ew_split(tested[-1]) == 0
-    assert all(ew_split(masks) is None for masks in tested[:-1])
+    assert _ew_split(tested[-1]) == 0
+    assert all(_ew_split(masks) is None for masks in tested[:-1])
 
 
 def test_popcount_profile_matches_the_rows():
@@ -145,7 +145,7 @@ def _chunks(total, count):
 
 
 def test_tournament_hits_match_an_unreduced_scan():
-    """Every mask of the lower half through ew_split, with no degree
+    """Every mask of the lower half through _ew_split, with no degree
     prefilter, gives the generator's tournaments on each window, each with
     the tournament of its complement mask as its twin, which is its
     transpose."""
@@ -153,7 +153,7 @@ def test_tournament_hits_match_an_unreduced_scan():
     reference = {}
     for m in range(1 << 9):
         rows = _tournament_rows(5, m)
-        if ew_split(beaten_by_masks(rows)) is not None:
+        if _ew_split(beaten_by_masks(rows)) is not None:
             twin = _tournament_rows(5, full ^ m)
             assert twin == [list(col) for col in zip(*rows)]
             reference[m] = (rows, twin)
@@ -218,7 +218,7 @@ def test_scan_matches_the_unreduced_scan_around_the_mirror(in_process_pool, work
     scan over all masks for limits up to, at and past the mirror point,
     where the lower half's hits end and the twins begin."""
     rows = (_tournament_rows(5, m) for m in range(1024))
-    everything = [r for r in rows if ew_split(beaten_by_masks(r)) is not None]
+    everything = [r for r in rows if _ew_split(beaten_by_masks(r)) is not None]
     assert len(everything) == 40
     for limit in (0, 1, 19, 20, 21, 39, 40, None):
         got = search._scan(_ew_tournament_hits, 5, 1 << 10, "tournament space", limit, workers, None)
@@ -234,7 +234,7 @@ def test_scan_matches_the_unreduced_scan_around_the_mirror(in_process_pool, work
 
 def test_reversing_every_arc_keeps_the_verdict_and_a(tournament13):
     """The complement of an order-5 mask is the reversed tournament: its
-    bordered matrix is D S^T D, D = diag(-1, 1, ..., 1), and ew_split gives
+    bordered matrix is D S^T D, D = diag(-1, 1, ..., 1), and _ew_split gives
     it the verdict and a of the mask itself. t13 reversed stays EW with the
     same a."""
     full = (1 << 10) - 1
@@ -244,7 +244,7 @@ def test_reversing_every_arc_keeps_the_verdict_and_a(tournament13):
         s = bordered_rows(rows)
         d = [-1] + [1] * 5
         assert bordered_rows(twin) == [[d[i] * s[j][i] * d[j] for j in range(6)] for i in range(6)]
-        assert ew_split(beaten_by_masks(twin)) == ew_split(beaten_by_masks(rows))
+        assert _ew_split(beaten_by_masks(twin)) == _ew_split(beaten_by_masks(rows))
     verdict, a = ew_tournament_check(tournament13)
     assert verdict
     assert ew_tournament_check(Tournament(tournament13.matrix.transpose())) == (True, a)
@@ -252,34 +252,34 @@ def test_reversing_every_arc_keeps_the_verdict_and_a(tournament13):
 
 @pytest.fixture
 def tested(monkeypatch):
-    """The per-vertex masks ew_split is given and the masks the Barba walk
+    """The per-vertex masks _ew_split is given and the masks the Barba walk
     visits."""
-    seen = {"ew_split": [], "barba": []}
+    seen = {"_ew_split": [], "barba": []}
     walk = search._masks_of_weight
 
     def counting_split(beaten_by):
-        seen["ew_split"].append(beaten_by)
-        return ew_split(beaten_by)
+        seen["_ew_split"].append(beaten_by)
+        return _ew_split(beaten_by)
 
     def counting_walk(w, lo, hi):
         for mask in walk(w, lo, hi):
             seen["barba"].append(mask)
             yield mask
 
-    monkeypatch.setattr(search, "ew_split", counting_split)
+    monkeypatch.setattr(search, "_ew_split", counting_split)
     monkeypatch.setattr(search, "_masks_of_weight", counting_walk)
     return seen
 
 
 def test_each_symmetric_pair_is_tested_once(tested):
-    """However the lower half is chunked, ew_split runs on 140 of order 5's
+    """However the lower half is chunked, _ew_split runs on 140 of order 5's
     280 template masks, one per complement pair, and the Barba walk visits
     715 of order 13's 1430 masks of its two weights, each once."""
     for count in (1, 2, 3):
-        tested["ew_split"].clear()
+        tested["_ew_split"].clear()
         tested["barba"].clear()
         hits = [pair for lo, hi in _chunks(1 << 9, count) for pair in _ew_tournament_hits(5, lo, hi)]
-        assert (len(hits), len(tested["ew_split"])) == (20, 140), count
+        assert (len(hits), len(tested["_ew_split"])) == (20, 140), count
         rows = [pair for lo, hi in _chunks(1 << 12, count) for pair in _circulant_barba_hits(13, lo, hi)]
         assert len(rows) == 52
         assert sorted(tested["barba"]) == sorted(set(tested["barba"]))
@@ -290,10 +290,10 @@ def test_each_symmetric_pair_is_tested_once(tested):
 @pytest.mark.parametrize("workers", (1, 2, 3))
 def test_pooled_scans_test_each_pair_once(tested, in_process_pool, workers):
     """A pool of any size tests what the sequential scan tests: 140
-    ew_split calls for the 40 order-5 tournaments and 715 walked masks for
+    _ew_split calls for the 40 order-5 tournaments and 715 walked masks for
     the 104 order-13 Barba rows (and 5 for order 5's 10)."""
     assert len(enumerate_ew_tournaments(5, workers=workers)) == 40
-    assert len(tested["ew_split"]) == 140
+    assert len(tested["_ew_split"]) == 140
     assert len(search_circulant_barba(13, workers=workers)) == 104
     assert len(tested["barba"]) == 715
     assert len(search_circulant_barba(5, workers=workers)) == 10
@@ -395,6 +395,20 @@ def test_circulant_barba_parallel_parity():
     assert serial == par
     for limit, workers in itertools.product(LIMITS, (1, 2)):
         assert search_circulant_barba(13, limit=limit, workers=workers) == serial[:limit]
+
+
+def test_circulant_barba_rechecks_every_hit(monkeypatch):
+    """A row the hit generator lets through is tested again before it is
+    returned: one with a nonzero-lag autocorrelation other than 1 raises."""
+
+    def all_ones(order, lo, hi):
+        yield (1,) * order, (-1,) * order
+
+    monkeypatch.setattr(search, "_circulant_barba_hits", all_ones)
+    with pytest.raises(
+        RuntimeError, match=r"^popcount filter accepted a non-conforming row \(1, 1, 1, 1, 1\)$"
+    ):
+        search_circulant_barba(5)
 
 
 def test_circulant_barba_rejects_even_t_order():

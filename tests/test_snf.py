@@ -278,6 +278,14 @@ def test_local_engine_hand_cases():
                 assert euclidean_factors(m) == want
 
 
+def test_local_engine_takes_no_det():
+    """The public door proves |det| itself: diag(2, 3) is (1, 6), and a
+    second argument, such as a wrong |det| of 30, is refused."""
+    assert local_smith_form([[2, 0], [0, 3]]) == (1, 6)
+    with pytest.raises(TypeError):
+        local_smith_form([[2, 0], [0, 3]], 30)
+
+
 def paley_two_block(q: int) -> IntMatrix:
     """Two-block matrix on the order-q Paley circulant (order 6q); at q = 11
     this is example66, the only q at which it is a design (see
@@ -410,6 +418,12 @@ def sylvester_hadamard(order: int) -> IntMatrix:
     return h
 
 
+def two_circulant(r1, r2) -> IntMatrix:
+    """[[R1, R2], [-R2^T, R1^T]] on the circulants with first rows r1, r2,
+    which commute, so its Gram is two equal diagonal blocks."""
+    return BlockEwSpec(circulant(r1), circulant(r2)).assemble()
+
+
 #: name -> (matrix, want_transforms, and what the engine rule runs: the
 #: orders of the rows bareiss_determinant gets, then the number of calls to
 #: _mask_gram (one per Gram block of a split +-1 square), local_exponents
@@ -424,9 +438,16 @@ ENGINE_RULE_CASES = {
     "hadamard-128": (lambda: sylvester_hadamard(128), False, ((), 128, 4, 0)),
     # a connected Gram leaves the probe nothing to split: Bareiss on the core
     "order-66": (lambda: PM1_CASES["order-66"], False, ((65,), 0, 1, 0)),
-    # a rough part of the probe's |det| sends the core to Bareiss, whose own
-    # trial division then hands it back (see ENGINE_RULE_TRIAL_BOUNDS)
-    "paley-q23-rough": (lambda: paley_two_block(23), False, ((69, 137), 2, 0, 1)),
+    # a rough part of the probe's |det| sends the core straight to the
+    # Euclidean engine, with no Bareiss on it (see ENGINE_RULE_TRIAL_BOUNDS)
+    "paley-q23-rough": (lambda: paley_two_block(23), False, ((69,), 2, 0, 1)),
+    # the same at TRIAL_BOUND, on two seeded circulants: the Gram's two
+    # equal order-33 blocks are of no clique form, so one Bareiss
+    "two-circulant-rough": (
+        lambda: two_circulant(*random_pm1(503, 2, 33).to_rows()), False, ((33,), 2, 0, 1)
+    ),
+    # r1 = r2 = all ones: both Gram blocks are 66J, so d = 0 by their entries
+    "two-circulant-singular": (lambda: two_circulant([1] * 33, [1] * 33), False, ((), 2, 0, 1)),
     "e26": (build_example_26, False, ((), 0, 0, 1)),
     "integer-64": (lambda: integer_square(501, 64), False, ((), 0, 0, 1)),
     "integer-65": (lambda: integer_square(502, 65), False, ((65,), 0, 0, 0)),
@@ -439,8 +460,6 @@ ENGINE_RULE_CASES = {
 #: of paley-q23's core is 2^4 5^4 31^66 269; at 31 the trial division stops
 #: before 31, so the rough part is 31^66 269 (a bound above 31 would reach
 #: 269 as the leftover below the next divisor's square, and prove it prime).
-#: The Bareiss route puts 269, which its (n-1)-minor lacks, into w and
-#: trial-divides 2^4 5^4 31^66, rough at 31 too.
 ENGINE_RULE_TRIAL_BOUNDS = {"paley-q23-rough": 31}
 
 

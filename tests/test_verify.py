@@ -35,10 +35,10 @@ from doptsnf.verify import (
     EwReport,
     CLAIMS,
     TheoremCheck,
+    _ew_split,
     block_determinant_formula,
     ew_degree_template,
     ew_gram_check,
-    ew_split,
     ew_tournament_check,
     existence_filter,
     normalized_block_row_sums,
@@ -687,6 +687,11 @@ def test_normalized_block_row_sums(witnesses5, skew14):
     d11, d22, d12, d21 = normalized_block_row_sums(skew14)
     assert (d11, d22) == (1, 1)
     assert {d12, d21} == {5, -5}
+    # no claim, so no t >= 1 refusal: at t = 0 the off-diagonal sums are
+    # +-sqrt(8t+1) = +-1
+    order_2 = IntMatrix.from_rows([[1, 1], [-1, 1]])
+    assert normalized_block_row_sums(order_2) == (1, 1, 1, -1)
+    assert_checks_match_reference(order_2)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +801,7 @@ def ref_ew_tournament_check(a):
 
 
 def beaten_by_masks(rows):
-    """ew_split's argument for a tournament's 0/1 rows: bit j of mask i is
+    """_ew_split's argument for a tournament's 0/1 rows: bit j of mask i is
     set iff rows[j][i], that is iff j -> i."""
     return [sum(row[i] << j for j, row in enumerate(rows)) for i in range(len(rows))]
 
@@ -825,8 +830,6 @@ def ref_normalized_block_row_sums(s):
     part, signs, why = ref_analyze_gram(ref_gram(s.to_rows()), n)
     if part is None:
         raise PreconditionError(f"input lacks the EW Gram structure (rows: {why})")
-    if n < 6:
-        raise PreconditionError(f"the claim needs t >= 1; order {n} gives t = 0")
     order = list(part[0]) + list(part[1])
     m = [[signs[i] * signs[j] * s.at(i, j) for j in order] for i in order]
     h = n // 2
@@ -985,23 +988,32 @@ def test_tournament_check_matches_reference(tournament13, tournament25):
 
 
 def test_ew_split_matches_reference():
-    """ew_split on the masks of every order-5 tournament gives the
+    """_ew_split on the masks of every order-5 tournament gives the
     reference's split parameter, and None where its verdict is false."""
     for mask in range(1 << 10):
         rows = _tournament_rows(5, mask)
-        a_param = ew_split(beaten_by_masks(rows))
+        a_param = _ew_split(beaten_by_masks(rows))
         expected = ref_ew_tournament_check(Tournament(IntMatrix.from_rows(rows)))
         assert (a_param is not None, a_param) == expected
 
 
+def test_ew_split_refuses_a_split_size_that_fails_the_quadratic(monkeypatch):
+    """At order 9, t = 2, no split size solves a^2 - 5a + 2 = 0, so a true
+    Gram verdict there contradicts the identities and raises."""
+    halves = (tuple(range(5)), tuple(range(5, 10)))
+    monkeypatch.setattr(verify, "_analyze_gram", lambda g, n: (halves, [1] * n, ""))
+    with pytest.raises(RuntimeError, match="^split size 0 fails the quadratic at t = 2$"):
+        _ew_split([0] * 9)
+
+
 def assert_mask_split_matches_reference(a):
-    """The bordered masks' popcount Gram is SS^T by matmul, and ew_split on
+    """The bordered masks' popcount Gram is SS^T by matmul, and _ew_split on
     a's masks gives ref_ew_tournament_check's verdict and a."""
     rows = a.matrix.to_rows()
     masks = beaten_by_masks(rows)
     bordered = [0] + [1 | m << 1 for m in masks]
     assert kernels._mask_gram(bordered, a.order + 1) == ref_gram(skew_from_tournament(a).to_rows())
-    a_param = ew_split(masks)
+    a_param = _ew_split(masks)
     assert (a_param is not None, a_param) == ref_ew_tournament_check(a)
 
 
@@ -1022,7 +1034,7 @@ def test_ew_split_matches_reference_on_ew_tournaments(tournament13, tournament25
     for a in (tournament13, tournament25):
         for b in (a, relabel(a, rng), Tournament(a.matrix.transpose())):
             assert_mask_split_matches_reference(b)
-            assert ew_split(beaten_by_masks(b.matrix.to_rows())) is not None
+            assert _ew_split(beaten_by_masks(b.matrix.to_rows())) is not None
 
 
 @settings(max_examples=60, deadline=None)
