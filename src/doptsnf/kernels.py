@@ -5,7 +5,8 @@ lists of Python ints, so every result is exact no matter how large
 intermediates grow. Two kernels pack each row into one int, so that a row
 operation is a few big-integer operations instead of one interpreted
 operation per entry: the one modular kernel, ``local_exponents`` (which
-``gf_rank`` calls with k = 1), packs fixed-width slots, and ``sign_gram``
+``gf_rank`` calls with k = 1), packs fixed-width slots (of 1, 2, 4 or 8
+bytes where that is wide enough, so that rows convert in C), and ``sign_gram``
 works on the bitmasks of the -1 entries of +-1 rows. ``_sign_masks`` is the
 one place that packs them, for ``sign_gram`` and for the SNF engine's Gram
 probe; ``_mask_gram``, the popcount loop, serves callers that hold masks
@@ -21,12 +22,17 @@ well-formed input.
 
 from __future__ import annotations
 
+import struct
 from itertools import compress, repeat
 from math import gcd
 from operator import mul, not_
 
 #: Name of the kernel implementation; the layered benchmark records it with each run.
 BACKEND = "python"
+
+#: The struct format of each slot width, in bytes, that has one. Its standard
+#: size holds on every host, and "<" keeps slot 0 lowest on every host.
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def matmul(a, b):
@@ -350,10 +356,12 @@ def local_exponents(a, p, k):
     Each row is one int of fixed-width byte slots, column 0 in the lowest.
     Only a pivot row is reduced modulo q; every other slot grows by less
     than q^2 a step, and its width leaves room for every step, so no slot
-    carries into the next. The pivot is moved into column 0, so one
-    ``(r + (q - f) * pivot) >> bits`` clears it from row r and drops the
-    column: the pivot divides every entry of its row modulo q, so the
-    column operations that would clear that row change nothing else.
+    carries into the next. A width of up to 8 bytes is rounded up to 1, 2,
+    4 or 8, so that ``_pack`` and ``_unpack`` convert a row in C. The pivot
+    is moved into column 0, so one ``(r + (q - f) * pivot) >> bits`` clears
+    it from row r and drops the column: the pivot divides every entry of
+    its row modulo q, so the column operations that would clear that row
+    change nothing else.
 
     For p = 2 no row is unpacked. A slot's low e bits are 0 at level e, so
     it may pivot iff its bit e is set, and its residue modulo q is its low
@@ -368,8 +376,11 @@ def local_exponents(a, p, k):
     q = p**k
     n = len(a[0])
     # A slot starts below q and gains less than q^2 in each of at most
-    # min(m, n) steps; one byte more is margin.
-    size = (2 * q.bit_length() + min(len(a), n).bit_length() + 7) // 8 + 1
+    # s = min(m, n) steps, so it stays below s q^2 + q < 2^(2 b(q) + b(s)),
+    # b the bit length.
+    size = -(-(2 * q.bit_length() + min(len(a), n).bit_length()) // 8)
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
     bits = 8 * size
     mask = (1 << bits) - 1
     rows = [_pack([x % q for x in row], size) for row in a]
@@ -446,14 +457,21 @@ def _swap_to_front(rows, shift, mask):
 
 
 def _pack(vals, size):
-    """One int holding the nonnegative vals in size-byte slots, first lowest."""
-    return int.from_bytes(b"".join(map(int.to_bytes, vals, repeat(size), repeat("little"))), "little")
+    """One int holding the nonnegative vals in size-byte slots, first lowest.
+    A width with a struct format is converted in C; a wider one, slot by slot."""
+    code = _SLOT_FORMATS.get(size)
+    if code is None:
+        return int.from_bytes(b"".join(map(int.to_bytes, vals, repeat(size), repeat("little"))), "little")
+    return int.from_bytes(struct.pack(f"<{len(vals)}{code}", *vals), "little")
 
 
 def _unpack(r, n, size):
     """The n slot values of a packed row."""
     data = r.to_bytes(n * size, "little")
-    return [int.from_bytes(data[i : i + size], "little") for i in range(0, n * size, size)]
+    code = _SLOT_FORMATS.get(size)
+    if code is None:
+        return [int.from_bytes(data[i : i + size], "little") for i in range(0, n * size, size)]
+    return struct.unpack(f"<{n}{code}", data)
 
 
 def autocorrelations(row):

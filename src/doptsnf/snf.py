@@ -21,11 +21,13 @@ input, or its 0/1 core), and nothing else; no caller hands it a |det|.
   the rows themselves. The part w of d prime to M goes whole into s_n, as
   s_1...s_{n-1} (the gcd of the (n-1)-minors) divides M. Each prime p of
   d // w below ``TRIAL_BOUND`` is eliminated modulo p^k (no entry grows
-  past n*p^2k), doubling k until the exponents seen sum to v_p(d). That
-  gives every exponent below k exactly, and d fixes the ones at k or
-  above, so the result is exact, not probabilistic. Singular rows, or a
-  d // w with a prime factor the trial division does not reach, are
-  handed back to the Euclidean engine, with no second local attempt.
+  past n*p^2k) until the exponents seen sum to v_p(d); while s >= 2 of
+  them are k or more and sum to some r != sk, k goes up to
+  max(2k, ceil(r/s) + 1). That gives every exponent below k exactly, and
+  d fixes the ones at k or above, so the result is exact, not
+  probabilistic. Singular rows, or a d // w with a prime factor the trial
+  division does not reach, are handed back to the Euclidean engine, with
+  no second local attempt.
 - The Euclidean engine (``kernels.smith_reduce``) runs on everything else:
   rectangular rows, squares of lower order, and every hand-back. It
   diagonalizes by unimodular row and column operations over the
@@ -94,16 +96,17 @@ def smith_normal_form(a: IntMatrix, want_transforms: bool = False) -> SnfResult:
 
 def _factors(a: IntMatrix) -> tuple[int, ...]:
     """Invariant factors of a, by the engine rule of the module docstring."""
+    rows = a.to_rows()
     pm1 = min(a.rows, a.cols) >= 2 and a.is_pm1
-    rows = _zero_one_core(a) if pm1 else a.to_rows()
+    core = _zero_one_core(rows) if pm1 else rows
     factors = None
-    if len(rows) >= LOCAL_MIN_ORDER and len(rows) == len(rows[0]):
-        d = _gram_abs_det(a.to_rows()) if pm1 else None
+    if len(core) >= LOCAL_MIN_ORDER and len(core) == len(core[0]):
+        d = _gram_abs_det(rows) if pm1 else None
         if d is None:
-            factors = local_smith_form(rows)
+            factors = local_smith_form(core)
         elif d:
-            factors = _local_factors(rows, d >> len(rows), 1)
-    factors = factors or kernels.smith_reduce(rows, False)[0]
+            factors = _local_factors(core, d >> len(core), 1)
+    factors = factors or kernels.smith_reduce(core, False)[0]
     return (1,) + tuple(2 * f for f in factors) if pm1 else tuple(factors)
 
 
@@ -149,18 +152,19 @@ def _block_det(g: list[list[int]]) -> int:
     return a ** (h - 1) * (a + h * b)
 
 
-def _zero_one_core(a: IntMatrix) -> list[list[int]]:
-    """The rows of the 0/1 core C of a +-1 matrix A, with A ~ diag(1, -2C).
+def _zero_one_core(rows: list[list[int]]) -> list[list[int]]:
+    """The rows of the 0/1 core C of the +-1 matrix A with the rows given,
+    with A ~ diag(1, -2C).
 
     c_ij = (1 - a_ij a_i0 a_0j a_00) / 2 is 1 exactly where a_ij differs
     from a_i0 a_00 a_0j, the entry of row 0 scaled to start like row i.
     """
-    head, *rows = a.to_rows()
+    head = rows[0]
     plus = head[1:]
     minus = [-v for v in plus]
     return [
         [int(v != h) for v, h in zip(r[1:], plus if r[0] == head[0] else minus)]
-        for r in rows
+        for r in rows[1:]
     ]
 
 
@@ -199,7 +203,8 @@ def _local_exponents(rows: list[list[int]], p: int, v: int) -> list[int]:
 
     Elimination modulo p^k gives the exponents below k exactly; s of them
     saturate at k or more, and their sum r is what v leaves. One saturated
-    exponent is r, and r == s*k makes all of them k; otherwise k doubles.
+    exponent is r, and r == s*k makes all of them k; otherwise the next k is
+    max(2k, ceil(r/s) + 1), above the least of the s, which is at most r/s.
     """
     n = len(rows)
     if v == 1:
@@ -216,5 +221,5 @@ def _local_exponents(rows: list[list[int]], p: int, v: int) -> list[int]:
             )
         if s <= 1 or r == s * k:
             return exps + ([r] if s == 1 else [k] * s)
-        k *= 2
+        k = max(2 * k, -(-r // s) + 1)
 

@@ -356,20 +356,56 @@ def growth_matrix(n):
     return a
 
 
+#: (q, (p, k), order, slot width in bytes). The widths of 8 bytes or less
+#: are the rounded ones, which pack by struct formats; at orders 15 and 63
+#: the growth (q - 1) + (n - 1)(q - 1)^2 fills 85-87% of the slot. 3^20 and
+#: 2^40 need more than 8 bytes, which pack slot by slot.
+GROWTH_CASES = [
+    (243, (3, 5), 100, 4),
+    (251, (251, 1), 100, 4),
+    (65521, (65521, 1), 100, 8),
+    (2**7, (2, 7), 100, 4),
+    (2**15, (2, 15), 100, 8),
+    (3, (3, 1), 15, 1),
+    (2, (2, 1), 15, 1),
+    (31, (31, 1), 63, 2),
+    (16381, (16381, 1), 15, 4),
+    (2**30 - 35, (2**30 - 35, 1), 15, 8),
+    (3**20, (3, 20), 100, 9),
+    (2**40, (2, 40), 100, 12),
+]
+
+
 @pytest.mark.parametrize(
-    "q, prime_power",
-    [(243, (3, 5)), (251, (251, 1)), (65521, (65521, 1)), (2**7, (2, 7)), (2**15, (2, 15))],
+    "q, prime_power, n, width",
+    [pytest.param(*case, id=f"{case[0]}-prime_power{i}") for i, case in enumerate(GROWTH_CASES)],
 )
-def test_packed_slots_hold_the_largest_growth(q, prime_power):
-    """Entries q - 1 with q just below a byte boundary, at order 100; for
-    p = 2 the pivot row is reduced by a mask, not modulo q."""
-    n = 100
+def test_packed_slots_hold_the_largest_growth(monkeypatch, q, prime_power, n, width):
+    """Entries q - 1, and the growth matrix, in slots of the width given;
+    for p = 2 the pivot row is reduced by a mask, not modulo q."""
     full = [[q - 1] * n for _ in range(n)]
     growth = growth_matrix(n)
     p, k = prime_power
+    sizes = set()
+    pack = kernels._pack
+    monkeypatch.setattr(kernels, "_pack", lambda vals, size: sizes.add(size) or pack(vals, size))
     assert kernels.local_exponents(full, p, k) == [0]
     assert kernels.local_exponents(growth, p, k) == [0] * (n - 1)
+    assert sizes == {width}
     assert kernels.gf_rank(growth, p) == n - 1
+
+
+@pytest.mark.parametrize("size", range(1, 13))
+def test_packed_slots_round_trip_at_each_width(size):
+    """_pack and _unpack against little-endian int.to_bytes, slot 0 lowest,
+    at the struct widths 1, 2, 4 and 8 and at the byte-loop widths between
+    and above them."""
+    top = 256**size - 1
+    rng = random.Random(size)
+    vals = [0, top] + [rng.randrange(top + 1) for _ in range(20)] + [top, 0]
+    want = int.from_bytes(b"".join(v.to_bytes(size, "little") for v in vals), "little")
+    assert kernels._pack(vals, size) == want
+    assert list(kernels._unpack(want, len(vals), size)) == vals
 
 
 def cofactor_det(a):

@@ -252,7 +252,8 @@ def test_local_engine_hand_cases():
     rough = 65537 * 65539  # two primes just above TRIAL_BOUND
     cases = [
         # (diagonal, what the engine gives on it, and on it scrambled)
-        # v_2 = 10 and three exponents of at least 1 at k = 1: k must double
+        # v_2 = 10 and three exponents of at least 1 at k = 1: the next k is
+        # max(2, ceil(10/3) + 1) = 5
         ((1, 2, 8, 64), (1, 2, 8, 64), (1, 2, 8, 64)),
         ((3, 6, 6, 12, 36), (3, 6, 6, 12, 36), (3, 6, 6, 12, 36)),
         # the part of det prime to the (n-1)-minor Bareiss ends on goes whole
@@ -276,6 +277,40 @@ def test_local_engine_hand_cases():
             assert local_smith_form(m.to_rows()) == want
             if want is not None:
                 assert euclidean_factors(m) == want
+
+
+def exponent_profiles(n: int):
+    """p-exponent profiles of n diagonal entries: all equal; many 1s and a
+    few large; one large."""
+    return st.one_of(
+        st.integers(1, 6).map(lambda e: [e] * n),
+        st.lists(st.integers(2, 16), min_size=1, max_size=2).map(lambda big: [1] * (n - len(big)) + big),
+        st.integers(2, 24).map(lambda e: [0] * (n - 1) + [e]),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.integers(2, 7).flatmap(
+        lambda n: st.tuples(exponent_profiles(n), st.lists(st.sampled_from((1, 7, 11)), min_size=n, max_size=n))
+    ),
+    st.integers(0, 2**32),
+)
+def test_local_exponents_schedule_gives_the_valuations(p, profile, seed):
+    """However the exponents of p spread, each k the schedule picks from
+    them gives the valuations of the Euclidean factors: entries p^e u, u a
+    unit modulo p, scrambled."""
+    exponents, units = profile
+    m = scrambled(diagonal_matrix([p**e * u for e, u in zip(exponents, units)]), random.Random(seed))
+    want = []
+    for f in euclidean_factors(m):
+        e = 0
+        while f % p == 0:
+            f //= p
+            e += 1
+        want.append(e)
+    assert snf._local_exponents(m.to_rows(), p, sum(exponents)) == want
 
 
 def test_local_engine_takes_no_det():
@@ -431,11 +466,11 @@ def two_circulant(r1, r2) -> IntMatrix:
 ENGINE_RULE_CASES = {
     # the Gram of e66 splits into two equal order-33 blocks D(64I + 2J)D,
     # whose det is read off their entries: no Bareiss at all
-    "e66": (build_example_66, False, ((), 2, 3, 0)),
+    "e66": (build_example_66, False, ((), 2, 2, 0)),
     # paley-q19's two equal order-57 blocks are of no such form: one Bareiss
-    "paley-q19": (lambda: paley_two_block(19), False, ((57,), 2, 4, 0)),
+    "paley-q19": (lambda: paley_two_block(19), False, ((57,), 2, 3, 0)),
     # AA^T = 128 I: 128 one-entry blocks, each its own det
-    "hadamard-128": (lambda: sylvester_hadamard(128), False, ((), 128, 4, 0)),
+    "hadamard-128": (lambda: sylvester_hadamard(128), False, ((), 128, 3, 0)),
     # a connected Gram leaves the probe nothing to split: Bareiss on the core
     "order-66": (lambda: PM1_CASES["order-66"], False, ((65,), 0, 1, 0)),
     # a rough part of the probe's |det| sends the core straight to the
@@ -652,6 +687,6 @@ def test_euclidean_engine_outputs_are_pinned(example66):
     assert reduce_digest(SMALL_INTEGER, True) == (
         "ddc8e6f7bfaef567a30fd0b488b2868e01480b14e6da6a6a46aaf1d46d60ab99"
     )
-    assert reduce_digest(_zero_one_core(build_example_26()), False) == (
+    assert reduce_digest(_zero_one_core(build_example_26().to_rows()), False) == (
         "0f0924bc7542ac751ff2f97b65012b4d1f359b1552861ab8a4ad7907495d9a56"
     )
