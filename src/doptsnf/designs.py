@@ -216,6 +216,10 @@ def is_barba(r: IntMatrix) -> bool:
 
 
 def barba_double(r: IntMatrix) -> IntMatrix:
-    """Double an odd-order +-1 matrix to [[R, R], [-R^T, R^T]] of order 2n."""
+    """Double a +-1 square R of any order n to [[R, R], [-R^T, R^T]] of order 2n.
+
+    A Barba base always has odd order: at even n each entry of RR^T is a
+    sum of n terms +-1, so it is even and no off-diagonal entry equals 1.
+    """
     require_pm1_square(r, "barba_double")
     return BlockEwSpec(r, r).assemble()

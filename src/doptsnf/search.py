@@ -7,45 +7,15 @@ are refused with InfeasibleSearchError instead of starting an open-ended
 scan; the cap is raised per call with max_candidates (the CLI's
 --max-candidates).
 
-Every scan runs through one driver, _scan, which returns the values its
-hit generator yields for the accepted masks (a Tournament, a first row),
-in ascending mask order, and stops once `limit` are found. Each scan
-walks the lower half of its masks, and a hit's complement is its twin
-(see below), so _scan assembles the upper half's hits from the twins.
-Optional data parallelism partitions the lower half into contiguous
-chunks handled by worker processes, each stopping after `limit` hits;
-the merged result is exactly the sequential one, and both test the same
-masks. The pool never has more processes than CPUs or masks to walk.
-
-The EW tournament scan reads each candidate's out-degrees off its mask by
-popcounts. Only for a profile equal to the template does it read
-_ew_split's per-vertex masks off the mask's bits, and _ew_split builds the
-bordered Gram from those by popcounts; 0/1 rows are built only for a
-hit's Tournament. A Barba row sums to +-s with s^2 = 2n - 1, so the
-circulant Barba search walks only the masks of the two popcounts
-(n -+ s) / 2. Each Barba hit is re-checked by the textbook
-autocorrelations and then by is_barba. Where 2n - 1 is not a square no
-Barba row qualifies, so that search returns no hits without a scan.
-search_circulant_tournament, which only layerbench's search-scan still
-times, always returns []: circulant tournaments are regular, so none
-meets the template's three out-degrees.
-
-Each scan does its work once per symmetric pair or orbit:
-
-- Complementing a mask reverses every arc of a tournament, which keeps
-  _ew_split's verdict and a (see _ew_tournament_hits), and negates a Barba
-  row, which keeps every autocorrelation. So each scan walks the lower
-  half of its masks, and a hit's complement is its twin: a mask of the
-  upper half is never tested.
-- barba_problem_scan computes one SNF per orbit of first rows under
-  rotation, negation and multipliers, and stores it under every row of
-  the orbit: rotating the row permutes the rows of the doubled matrix,
-  negating it negates the matrix, and a multiplier conjugates it by a
-  permutation (see barba_problem_scan).
+Every scan runs through one driver, _scan. Optional data parallelism
+partitions the masks it walks into contiguous chunks handled by worker
+processes, each stopping after `limit` hits; the merged result is exactly
+the sequential one, and both test the same masks.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from itertools import islice
@@ -136,22 +106,6 @@ def _arc_bits(order: int) -> list[tuple[int, int, int]]:
     return arcs
 
 
-def _tournament_rows(order: int, mask: int) -> list[list[int]]:
-    """The 0/1 rows of a tournament mask."""
-    rows = [[0] * order for _ in range(order)]
-    for bit, i, j in _arc_bits(order):
-        if mask & bit:
-            rows[i][j] = 1
-        else:
-            rows[j][i] = 1
-    return rows
-
-
-def _tournament_from_mask(order: int, mask: int) -> Tournament:
-    """The Tournament of a mask; a tool for tests, which the scan does not use."""
-    return Tournament(IntMatrix.from_rows(_tournament_rows(order, mask)))
-
-
 def _degree_masks(order: int) -> list[tuple[int, int, int]]:
     """(i, out, into) per vertex i: the mask bits of its pairs (i, j > i),
     set where i beats j, and of its pairs (j < i, i), set where j beats i."""
@@ -176,7 +130,8 @@ def _ew_tournament_hits(order: int, lo: int, hi: int):
     as the per-vertex masks _ew_split takes (bit j of beaten_by[i] set iff
     j -> i), read off the mask's bits: where the bit of pair i < j is set,
     i -> j sets bit i of beaten_by[j], and where it is clear, j -> i sets
-    bit j of beaten_by[i]. 0/1 rows are built only for a hit's Tournaments.
+    bit j of beaten_by[i]. Only a hit's 0/1 rows are built, read off the
+    same masks: a_ij = 1 iff bit i of beaten_by[j] is set.
 
     The complement of a mask is the tournament with every arc reversed,
     A^T, and _ew_split gives both the same verdict and a. Out-degrees d map
@@ -198,7 +153,7 @@ def _ew_tournament_hits(order: int, lo: int, hi: int):
                 else:
                     beaten_by[i] |= 1 << j
             if _ew_split(beaten_by) is not None:
-                a = IntMatrix.from_rows(_tournament_rows(order, mask))
+                a = IntMatrix.from_rows([[b >> i & 1 for b in beaten_by] for i in range(order)])
                 yield Tournament(a), Tournament(a.transpose())
 
 
@@ -294,18 +249,6 @@ def _masks_of_weight(w: int, lo: int, hi: int):
         mask = ripple | ((ripple ^ mask) >> 2) // low
 
 
-def _merged(a, b):
-    """Two ascending iterators of distinct values, merged in ascending order."""
-    x, y = next(a, None), next(b, None)
-    while x is not None or y is not None:
-        if y is None or (x is not None and x < y):
-            yield x
-            x = next(a, None)
-        else:
-            yield y
-            y = next(b, None)
-
-
 def _circulant_barba_hits(order: int, lo: int, hi: int):
     """(row, -row) per first row, as +-1 tuples, with every nonzero-lag
     autocorrelation 1, among masks [lo, hi) of the lower half.
@@ -328,7 +271,7 @@ def _circulant_barba_hits(order: int, lo: int, hi: int):
     full = (1 << order) - 1
     want = (order - 1) // 2
     lags = range(1, want + 1)
-    masks = _merged(
+    masks = heapq.merge(
         _masks_of_weight((order - s) // 2, lo, hi), _masks_of_weight((order + s) // 2, lo, hi)
     )
     for mask in masks:

@@ -132,9 +132,10 @@ def ew_gram_check(x: IntMatrix, strict: bool = False) -> EwReport:
     By the equality case of the Ehlich-Wojtas bound (Ehlich, Math. Z. 83,
     1964; Wojtas, Colloq. Math. 12, 1964), X attains the bound iff XX^T
     has the two-clique form, and det X^TX = det XX^T, so the two default
-    analyses always agree. The columns are analysed here for
-    clique_partition_cols and strict mode only; no claim builds X^TX
-    (see _ew_input).
+    analyses always agree: columns that fail after the rows passed would
+    contradict it and raise RuntimeError, so a report's reason always comes
+    from the rows. The columns are analysed here for clique_partition_cols
+    and strict mode only; no claim builds X^TX (see _ew_input).
     """
     require_pm1_square(x, "ew_gram_check")
     n = x.rows
@@ -143,7 +144,7 @@ def ew_gram_check(x: IntMatrix, strict: bool = False) -> EwReport:
         return EwReport(False, n, reason=why)
     cols_part, col_signs, why = _analyze_gram(sign_gram(list(zip(*rows))), n)
     if cols_part is None:
-        return EwReport(False, n, reason="columns: " + why)
+        raise RuntimeError(f"rows pass the Gram analysis but columns fail it: {why}")
     if strict:
         halves = (tuple(range(n // 2)), tuple(range(n // 2, n)))
         if rows_part != halves or cols_part != halves or -1 in row_signs + col_signs:

@@ -6,6 +6,7 @@ it. ``minor_gcd`` enumerates every i x i minor and takes gcds, so the
 i-th invariant factor of a matrix is minor_gcd(a, i) / minor_gcd(a, i-1)
 as long as i <= rank; each minor comes from ``one_step_bareiss``.
 ``ref_components`` is a union-find, for the library's component walk.
+``tournament_rows`` decodes the searches' tournament masks bit by bit.
 """
 
 from itertools import combinations
@@ -87,3 +88,17 @@ def ref_components(items, related):
     for i in items:
         comps.setdefault(find(i), []).append(i)
     return sorted((sorted(c) for c in comps.values()), key=lambda c: c[0])
+
+
+def tournament_rows(order, mask):
+    """The 0/1 rows of an order-n tournament mask, read literally: the pairs
+    i < j in row-major order, the first at the most significant bit, each
+    pair's bit set iff i -> j."""
+    pairs = list(combinations(range(order), 2))
+    rows = [[0] * order for _ in range(order)]
+    for k, (i, j) in enumerate(pairs):
+        if mask >> (len(pairs) - 1 - k) & 1:
+            rows[i][j] = 1
+        else:
+            rows[j][i] = 1
+    return rows

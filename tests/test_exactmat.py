@@ -265,6 +265,8 @@ def test_text_format_round_trip():
     text = format_matrix(m, comments=("example",))
     assert text.startswith("# example\n2 3\n")
     assert parse_matrix(text) == m
+    assert str(m) == format_matrix(m)
+    assert parse_matrix(str(m)) == m
 
 
 @given(

@@ -124,7 +124,6 @@ CALLERLESS = {
     "designs.tournament_from_skew": "layerbench builds its order-13 tournament with it",
     "kernels.BACKEND": "layerbench records it with each run",
     "kernels.adjugate": "layerbench traces it; the tests' Gauss-Jordan adjugate oracle",
-    "search._tournament_from_mask": "the tests build a mask's Tournament with it",
     "search.search_circulant_tournament": (
         "layerbench's search-scan times it; ROADMAP item 12 deletes it with that job"
     ),

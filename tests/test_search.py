@@ -4,13 +4,14 @@ import functools
 import itertools
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from doptsnf import designs, kernels, search
 from doptsnf.designs import Tournament, barba_double, bordered_rows, is_barba, skew_from_tournament
-from doptsnf.exactmat import InfeasibleSearchError, circulant
+from doptsnf.exactmat import InfeasibleSearchError, IntMatrix, circulant
 from doptsnf.kernels import autocorrelations
 from doptsnf.search import (
     DEFAULT_MAX_CANDIDATES,
@@ -20,8 +21,6 @@ from doptsnf.search import (
     _ew_tournament_hits,
     _masks_of_weight,
     _pool_size,
-    _tournament_from_mask,
-    _tournament_rows,
     barba_problem_scan,
     enumerate_ew_tournaments,
     search_circulant_barba,
@@ -29,7 +28,8 @@ from doptsnf.search import (
 )
 from doptsnf.snf import smith_normal_form
 from doptsnf.verify import _ew_split, ew_degree_template, ew_gram_check, ew_tournament_check
-from test_verify import beaten_by_masks, ref_ew_tournament_check
+from oracles import tournament_rows
+from test_verify import beaten_by_masks, ref_ew_tournament_check, tournament_from_mask
 
 GOLDEN_13_ROW = (1, 1, 1, 1, -1, 1, -1, -1, 1, 1, 1, -1, 1)
 
@@ -79,9 +79,9 @@ def test_limit_ends_the_scan_early(monkeypatch):
 
     monkeypatch.setattr(search, "_ew_split", counting)
     assert len(enumerate_ew_tournaments(5, limit=1)) == 1
-    passing = [m for m in range(81) if sorted(map(sum, _tournament_rows(5, m))) == ew_degree_template(1)]
+    passing = [m for m in range(81) if sorted(map(sum, tournament_rows(5, m))) == ew_degree_template(1)]
     assert passing == [72, 76, 80]
-    assert tested == [beaten_by_masks(_tournament_rows(5, mask)) for mask in passing]
+    assert tested == [beaten_by_masks(tournament_rows(5, mask)) for mask in passing]
     assert _ew_split(tested[-1]) == 0
     assert all(_ew_split(masks) is None for masks in tested[:-1])
 
@@ -91,7 +91,30 @@ def test_popcount_profile_matches_the_rows():
     sorted row sums of the mask's tournament on all 1024 order-5 masks."""
     degree_masks = _degree_masks(5)
     for mask in range(1 << 10):
-        assert _degree_profile(degree_masks, mask) == sorted(map(sum, _tournament_rows(5, mask)))
+        assert _degree_profile(degree_masks, mask) == sorted(map(sum, tournament_rows(5, mask)))
+
+
+def test_hits_read_masks_and_rows_as_the_oracle_does(monkeypatch):
+    """With the degree prefilter and _ew_split passing every mask, each of
+    the 512 lower-half order-5 masks is a hit whose per-vertex masks and
+    rows are the oracle's, and whose twin's rows are the oracle's for the
+    complement mask: all 1024 masks are read as the oracle reads them."""
+    tested = []
+
+    def passing(beaten_by):
+        tested.append(beaten_by)
+        return 0
+
+    monkeypatch.setattr(search, "_degree_profile", lambda degree_masks, mask: ew_degree_template(1))
+    monkeypatch.setattr(search, "_ew_split", passing)
+    full = (1 << 10) - 1
+    hits = list(_ew_tournament_hits(5, 0, 1 << 9))
+    assert len(hits) == len(tested) == 1 << 9
+    for mask, (a, twin), beaten_by in zip(range(1 << 9), hits, tested):
+        rows = tournament_rows(5, mask)
+        assert beaten_by == beaten_by_masks(rows)
+        assert a.matrix.to_rows() == rows
+        assert twin.matrix.to_rows() == tournament_rows(5, full ^ mask)
 
 
 @pytest.mark.parametrize("order", range(10))
@@ -152,9 +175,9 @@ def test_tournament_hits_match_an_unreduced_scan():
     full = (1 << 10) - 1
     reference = {}
     for m in range(1 << 9):
-        rows = _tournament_rows(5, m)
+        rows = tournament_rows(5, m)
         if _ew_split(beaten_by_masks(rows)) is not None:
-            twin = _tournament_rows(5, full ^ m)
+            twin = tournament_rows(5, full ^ m)
             assert twin == [list(col) for col in zip(*rows)]
             reference[m] = (rows, twin)
     assert len(reference) == 20
@@ -217,7 +240,7 @@ def test_scan_matches_the_unreduced_scan_around_the_mirror(in_process_pool, work
     """_scan, over the scan's own chunks, gives the prefix of the unreduced
     scan over all masks for limits up to, at and past the mirror point,
     where the lower half's hits end and the twins begin."""
-    rows = (_tournament_rows(5, m) for m in range(1024))
+    rows = (tournament_rows(5, m) for m in range(1024))
     everything = [r for r in rows if _ew_split(beaten_by_masks(r)) is not None]
     assert len(everything) == 40
     for limit in (0, 1, 19, 20, 21, 39, 40, None):
@@ -239,7 +262,7 @@ def test_reversing_every_arc_keeps_the_verdict_and_a(tournament13):
     same a."""
     full = (1 << 10) - 1
     for mask in range(1 << 10):
-        rows, twin = _tournament_rows(5, mask), _tournament_rows(5, full ^ mask)
+        rows, twin = tournament_rows(5, mask), tournament_rows(5, full ^ mask)
         assert twin == [list(col) for col in zip(*rows)]
         s = bordered_rows(rows)
         d = [-1] + [1] * 5
@@ -305,31 +328,30 @@ def test_pooled_scans_test_each_pair_once(tested, in_process_pool, workers):
 def test_scan_builds_a_tournament_only_per_hit(monkeypatch, witnesses5):
     """40 Tournaments for the 40 hits among 1024 masks, built in pairs: each
     hit of the lower half, then its transpose, the hit of its complement
-    mask; 0/1 rows only for the 20 hits of the lower half; and no bordered
-    IntMatrix."""
+    mask; 0/1 rows, which only IntMatrix.from_rows reads, only for the 20
+    hits of the lower half; and no bordered IntMatrix."""
     built = []
-    row_masks = []
-    rows_of = search._tournament_rows
+    row_lists = []
 
     def counting(matrix):
         built.append(matrix)
         return Tournament(matrix)
 
-    def counting_rows(order, mask):
-        row_masks.append(mask)
-        return rows_of(order, mask)
+    def counting_rows(rows):
+        row_lists.append(rows)
+        return IntMatrix.from_rows(rows)
 
     def refuse(t):
         raise AssertionError("skew_from_tournament was called")
 
     monkeypatch.setattr(search, "Tournament", counting)
-    monkeypatch.setattr(search, "_tournament_rows", counting_rows)
+    monkeypatch.setattr(search, "IntMatrix", SimpleNamespace(from_rows=counting_rows))
     monkeypatch.setattr(designs, "skew_from_tournament", refuse)
     found = [t.matrix for t in enumerate_ew_tournaments(5)]
     assert found == [w.matrix for w in witnesses5]
     lower, upper = found[:20], found[20:]
     assert built == [m for pair in zip(lower, reversed(upper)) for m in pair]
-    assert [rows_of(5, mask) for mask in row_masks] == [m.to_rows() for m in lower]
+    assert row_lists == [m.to_rows() for m in lower]
     assert all(b == a.transpose() for a, b in zip(built[::2], built[1::2]))
 
 
@@ -509,7 +531,7 @@ def circulant_tournaments(order):
 
 
 def test_degree_template_rejects_only_gram_failures():
-    assert sum(_degree_rejected(_tournament_from_mask(5, m)) for m in range(1 << 10)) == 744
+    assert sum(_degree_rejected(tournament_from_mask(5, m)) for m in range(1 << 10)) == 744
     for order in (5, 9, 13, 17):
         # circulants are regular, so the template rejects every one; this is
         # the slow path behind search_circulant_tournament's empty answer
@@ -529,7 +551,7 @@ def test_degree_template_rejects_only_gram_failures():
     )
 )
 def test_degree_template_on_random_tournaments(case):
-    a = _tournament_from_mask(*case)
+    a = tournament_from_mask(*case)
     _degree_rejected(a)
     assert ew_tournament_check(a) == ref_ew_tournament_check(a)
 

@@ -29,7 +29,7 @@ from doptsnf.exactmat import (
     determinant,
     matmul,
 )
-from doptsnf.search import _tournament_from_mask, _tournament_rows, search_circulant_barba
+from doptsnf.search import search_circulant_barba
 from doptsnf.snf import smith_normal_form
 from doptsnf.verify import (
     EwReport,
@@ -49,7 +49,7 @@ from doptsnf.verify import (
     scaled_inverse_check,
     theorem_conformance,
 )
-from oracles import one_step_bareiss, ref_components
+from oracles import one_step_bareiss, ref_components, tournament_rows
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +116,22 @@ def test_strict_gram_check():
     )
     assert ew_gram_check(signed).verdict
     assert not ew_gram_check(signed, strict=True).verdict
+
+
+def test_columns_failing_after_the_rows_raise(monkeypatch, example26):
+    """By the equality case the column analysis cannot fail once the rows
+    passed; if it does, ew_gram_check raises instead of reporting it."""
+    calls = []
+    analyze = verify._analyze_gram
+
+    def second_fails(g, n):
+        calls.append(n)
+        return analyze(g, n) if len(calls) == 1 else (None, None, "forced")
+
+    monkeypatch.setattr(verify, "_analyze_gram", second_fails)
+    with pytest.raises(RuntimeError, match="^rows pass the Gram analysis but columns fail it: forced$"):
+        ew_gram_check(example26)
+    assert calls == [26, 26]
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +816,11 @@ def ref_ew_tournament_check(a):
     return True, a_param
 
 
+def tournament_from_mask(order, mask):
+    """The Tournament of a search mask, decoded by the oracle."""
+    return Tournament(IntMatrix.from_rows(tournament_rows(order, mask)))
+
+
 def beaten_by_masks(rows):
     """_ew_split's argument for a tournament's 0/1 rows: bit j of mask i is
     set iff rows[j][i], that is iff j -> i."""
@@ -887,7 +908,7 @@ def test_packed_checks_match_reference_on_bordered_tournaments():
     """Every order-6 bordered tournament: 40 EW, the rest failing on rows."""
     verdicts = []
     for mask in range(1 << 10):
-        x = skew_from_tournament(_tournament_from_mask(5, mask))
+        x = skew_from_tournament(tournament_from_mask(5, mask))
         assert_checks_match_reference(x)
         verdicts.append(ew_gram_check(x).verdict)
     assert sum(verdicts) == 40
@@ -976,7 +997,7 @@ def test_tournament_check_matches_reference(tournament13, tournament25):
     tournaments and a relabelling of the latter: the same (verdict, a)."""
     verdicts = []
     for mask in range(1 << 10):
-        a = _tournament_from_mask(5, mask)
+        a = tournament_from_mask(5, mask)
         verdicts.append(ew_tournament_check(a))
         assert verdicts[-1] == ref_ew_tournament_check(a)
     assert Counter(verdicts) == {(False, None): 984, (True, 0): 40}
@@ -991,7 +1012,7 @@ def test_ew_split_matches_reference():
     """_ew_split on the masks of every order-5 tournament gives the
     reference's split parameter, and None where its verdict is false."""
     for mask in range(1 << 10):
-        rows = _tournament_rows(5, mask)
+        rows = tournament_rows(5, mask)
         a_param = _ew_split(beaten_by_masks(rows))
         expected = ref_ew_tournament_check(Tournament(IntMatrix.from_rows(rows)))
         assert (a_param is not None, a_param) == expected
@@ -1024,7 +1045,7 @@ def assert_mask_split_matches_reference(a):
     )
 )
 def test_ew_split_matches_reference_on_drawn_tournaments(case):
-    assert_mask_split_matches_reference(_tournament_from_mask(*case))
+    assert_mask_split_matches_reference(tournament_from_mask(*case))
 
 
 def test_ew_split_matches_reference_on_ew_tournaments(tournament13, tournament25):
@@ -1048,7 +1069,7 @@ def test_bordered_gram_identities(case):
     order n with out-degrees d and S its bordered matrix: S^TS = SS^T; row 0
     of S meets row i+1 in 2d_i - (n - 1); and for i != j,
     (SS^T)_{i+1,j+1} = 4(AA^T)_ij - 2d_i - 2d_j + n + 1."""
-    a = _tournament_from_mask(*case)
+    a = tournament_from_mask(*case)
     n = a.order
     d = a.matrix.row_sums()
     s = skew_from_tournament(a).to_rows()
