@@ -15,7 +15,8 @@ input, or its 0/1 core), and nothing else; no caller hands it a |det|.
 - The local engine runs on square rows of order ``LOCAL_MIN_ORDER`` or
   more, with one proof of d = |det| per input and one attempt. A +-1
   square whose Gram AA^T splits into blocks (the kernels' one Gram-block
-  rule) gets d from them (``_gram_abs_det``) and hands d >> (n-1),
+  rule) gets d from them (``_gram_abs_det``; a block that is no
+  D(aI + bJ)D goes to ``kernels._symmetric_det``) and hands d >> (n-1),
   trial-divided whole, to its core, as |det A| = 2^(n-1) |det C|. Other
   rows (``local_smith_form``) get d and one (n-1)-minor M from Bareiss on
   the rows themselves. The part w of d prime to M goes whole into s_n, as
@@ -132,21 +133,23 @@ def _gram_abs_det(rows: list[list[int]]) -> int | None:
     grams = Counter(
         tuple(map(tuple, kernels._mask_gram([masks[i] for i in block], n))) for block in blocks
     )
-    square = prod(_block_det(list(map(list, gram))) ** k for gram, k in grams.items())
+    square = prod(_block_det(gram) ** k for gram, k in grams.items())
     d = isqrt(square)
     if d * d != square:
         raise ArithmeticError(f"the Gram blocks' determinants multiply to {square}, no square")
     return d
 
 
-def _block_det(g: list[list[int]]) -> int:
-    """det g of a symmetric Gram block g of order h. When
-    ``kernels._clique_break`` finds g to be D(aI + bJ)D, b = |g_0j| and
+def _block_det(g: tuple[tuple[int, ...], ...]) -> int:
+    """det g of a symmetric Gram block g of order h, as row tuples or lists.
+    When ``kernels._clique_break`` finds g to be D(aI + bJ)D, b = |g_0j| and
     a = g_00 - b (at h = 1, b = |g_00|), no elimination runs: aI + bJ has
     eigenvalues a + hb (on the all-ones vector) and a (h - 1 times), so
-    det g = a^(h-1) (a + hb). Any other block gets Bareiss."""
+    det g = a^(h-1) (a + hb). Any other block gets ``kernels._symmetric_det``,
+    Bareiss on the upper triangle with no pivot search: g is PSD, so a zero
+    leading principal minor already means det g = 0."""
     if kernels._clique_break(g, range(len(g))):
-        return kernels.bareiss_determinant(g)[0]
+        return kernels._symmetric_det(g)
     h, b = len(g), abs(g[0][-1])
     a = g[0][0] - b
     return a ** (h - 1) * (a + h * b)

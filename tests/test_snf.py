@@ -460,35 +460,36 @@ def two_circulant(r1, r2) -> IntMatrix:
 
 
 #: name -> (matrix, want_transforms, and what the engine rule runs: the
-#: orders of the rows bareiss_determinant gets, then the number of calls to
-#: _mask_gram (one per Gram block of a split +-1 square), local_exponents
-#: and smith_reduce)
+#: orders of the rows bareiss_determinant gets, the orders of the Gram blocks
+#: _symmetric_det gets, then the number of calls to _mask_gram (one per Gram
+#: block of a split +-1 square), local_exponents and smith_reduce)
 ENGINE_RULE_CASES = {
     # the Gram of e66 splits into two equal order-33 blocks D(64I + 2J)D,
-    # whose det is read off their entries: no Bareiss at all
-    "e66": (build_example_66, False, ((), 2, 2, 0)),
-    # paley-q19's two equal order-57 blocks are of no such form: one Bareiss
-    "paley-q19": (lambda: paley_two_block(19), False, ((57,), 2, 3, 0)),
+    # whose det is read off their entries: no elimination at all
+    "e66": (build_example_66, False, ((), (), 2, 2, 0)),
+    # paley-q19's two equal order-57 blocks are of no such form: one
+    # symmetric Bareiss, and none on the rows
+    "paley-q19": (lambda: paley_two_block(19), False, ((), (57,), 2, 3, 0)),
     # AA^T = 128 I: 128 one-entry blocks, each its own det
-    "hadamard-128": (lambda: sylvester_hadamard(128), False, ((), 128, 3, 0)),
+    "hadamard-128": (lambda: sylvester_hadamard(128), False, ((), (), 128, 3, 0)),
     # a connected Gram leaves the probe nothing to split: Bareiss on the core
-    "order-66": (lambda: PM1_CASES["order-66"], False, ((65,), 0, 1, 0)),
+    "order-66": (lambda: PM1_CASES["order-66"], False, ((65,), (), 0, 1, 0)),
     # a rough part of the probe's |det| sends the core straight to the
     # Euclidean engine, with no Bareiss on it (see ENGINE_RULE_TRIAL_BOUNDS)
-    "paley-q23-rough": (lambda: paley_two_block(23), False, ((69,), 2, 0, 1)),
+    "paley-q23-rough": (lambda: paley_two_block(23), False, ((), (69,), 2, 0, 1)),
     # the same at TRIAL_BOUND, on two seeded circulants: the Gram's two
-    # equal order-33 blocks are of no clique form, so one Bareiss
+    # equal order-33 blocks are of no clique form, so one symmetric Bareiss
     "two-circulant-rough": (
-        lambda: two_circulant(*random_pm1(503, 2, 33).to_rows()), False, ((33,), 2, 0, 1)
+        lambda: two_circulant(*random_pm1(503, 2, 33).to_rows()), False, ((), (33,), 2, 0, 1)
     ),
     # r1 = r2 = all ones: both Gram blocks are 66J, so d = 0 by their entries
-    "two-circulant-singular": (lambda: two_circulant([1] * 33, [1] * 33), False, ((), 2, 0, 1)),
-    "e26": (build_example_26, False, ((), 0, 0, 1)),
-    "integer-64": (lambda: integer_square(501, 64), False, ((), 0, 0, 1)),
-    "integer-65": (lambda: integer_square(502, 65), False, ((65,), 0, 0, 0)),
-    "singular-66": (lambda: PM1_CASES["singular-66"], False, ((65,), 0, 0, 1)),
-    "rectangular-5x9": (lambda: PM1_CASES["5x9"], False, ((), 0, 0, 1)),
-    "transforms-e26": (build_example_26, True, ((), 0, 0, 1)),
+    "two-circulant-singular": (lambda: two_circulant([1] * 33, [1] * 33), False, ((), (), 2, 0, 1)),
+    "e26": (build_example_26, False, ((), (), 0, 0, 1)),
+    "integer-64": (lambda: integer_square(501, 64), False, ((), (), 0, 0, 1)),
+    "integer-65": (lambda: integer_square(502, 65), False, ((65,), (), 0, 0, 0)),
+    "singular-66": (lambda: PM1_CASES["singular-66"], False, ((65,), (), 0, 0, 1)),
+    "rectangular-5x9": (lambda: PM1_CASES["5x9"], False, ((), (), 0, 0, 1)),
+    "transforms-e26": (build_example_26, True, ((), (), 0, 0, 1)),
 }
 
 #: The trial bound a cell runs with, where it is not TRIAL_BOUND. The |det|
@@ -515,13 +516,15 @@ def test_engine_rule_cell_by_cell(name, monkeypatch):
 
         return run
 
-    counted_kernels = ("bareiss_determinant", "_mask_gram", "local_exponents", "smith_reduce")
+    counted_kernels = (
+        "bareiss_determinant", "_symmetric_det", "_mask_gram", "local_exponents", "smith_reduce"
+    )
     for kernel in counted_kernels:
         monkeypatch.setattr(kernels, kernel, counted(getattr(kernels, kernel)))
     got = smith_normal_form(m, transforms).factors
     assert got == want
-    bareiss, *counts = (orders.get(kernel, []) for kernel in counted_kernels)
-    assert (tuple(bareiss), *map(len, counts)) == want_calls
+    bareiss, symmetric, *counts = (orders.get(kernel, []) for kernel in counted_kernels)
+    assert (tuple(bareiss), tuple(symmetric), *map(len, counts)) == want_calls
 
 
 def gram_is_connected(rows) -> bool:
@@ -580,7 +583,7 @@ def test_gram_probe_answers_exactly_when_the_gram_splits(rows):
 #: two of those are orthogonal: the Gram has blocks of orders 1 and 5, with
 #: determinants 6 and 1536, and |det| = 96. The order-5 block is no
 #: D(aI + bJ)D (its entries off the diagonal are 2 and -2 in no such
-#: pattern), so it goes to Bareiss.
+#: pattern), so it goes to the symmetric Bareiss.
 ONE_AND_FIVE = [
     [1, 1, 1, 1, 1, 1],
     [-1, -1, -1, 1, 1, 1],
@@ -593,14 +596,14 @@ ONE_AND_FIVE = [
 
 def test_gram_probe_refuses_block_determinants_whose_product_is_no_square(monkeypatch):
     assert snf._gram_abs_det(ONE_AND_FIVE) == abs(one_step_bareiss(ONE_AND_FIVE)) == 96
-    bareiss = kernels.bareiss_determinant
+    symmetric = kernels._symmetric_det
 
-    def doubled(a):
-        """A Bareiss that doubles every determinant: only the order-5 block's."""
-        det, minor = bareiss(a)
-        return 2 * det, minor
+    def doubled(g):
+        """A symmetric Bareiss that doubles every determinant: only the
+        order-5 block's."""
+        return 2 * symmetric(g)
 
-    monkeypatch.setattr(kernels, "bareiss_determinant", doubled)
+    monkeypatch.setattr(kernels, "_symmetric_det", doubled)
     with pytest.raises(ArithmeticError, match="^the Gram blocks' determinants multiply to 18432, no square$"):
         snf._gram_abs_det(ONE_AND_FIVE)
 
@@ -610,13 +613,22 @@ def clique_block(a: int, b: int, signs) -> list[list[int]]:
     return [[si * sj * (a * (i == j) + b) for j, sj in enumerate(signs)] for i, si in enumerate(signs)]
 
 
-def block_det_and_bareiss_calls(g) -> tuple[int, int]:
-    """snf._block_det(g) and how many Bareiss determinants it ran."""
-    calls = []
-    bareiss = kernels.bareiss_determinant
+def leading_minor_vanishes(a):
+    """Whether _symmetric_det meets a zero a_kk or c0: a leading principal
+    minor of order 1..n, n rounded down to even, is 0."""
+    return any(one_step_bareiss([row[:r] for row in a[:r]]) == 0 for r in range(1, len(a) // 2 * 2 + 1))
+
+
+def block_det_and_bareiss_calls(g) -> tuple[int, int, int]:
+    """snf._block_det(g), how many symmetric Bareiss determinants it ran,
+    and how many of bareiss_determinant (the symmetric kernel's fallback)."""
+    calls = {"_symmetric_det": [], "bareiss_determinant": []}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "bareiss_determinant", lambda a: calls.append(len(a)) or bareiss(a))
-        return snf._block_det(g), len(calls)
+        for name, seen in calls.items():
+            kernel = getattr(kernels, name)
+            mp.setattr(kernels, name, lambda a, kernel=kernel, seen=seen: seen.append(len(a)) or kernel(a))
+        det = snf._block_det(g)
+    return det, len(calls["_symmetric_det"]), len(calls["bareiss_determinant"])
 
 
 CLIQUE_BLOCKS = st.integers(min_value=1, max_value=9).flatmap(
@@ -636,13 +648,16 @@ CLIQUE_BLOCKS = st.integers(min_value=1, max_value=9).flatmap(
 def test_block_det_reads_a_clique_block_off_its_entries(block):
     """det D(aI + bJ)D = a^(h-1) (a + hb), with no Bareiss when b > 0 or
     h <= 2; at b < 0 the pattern of signs is no D(aI + |b|J)D from order 3
-    on, so Bareiss gives it. Either way it is the one-step oracle's det."""
+    on, so the symmetric Bareiss gives it, falling back to Bareiss exactly
+    where a leading principal minor vanishes. Either way it is the one-step
+    oracle's det."""
     a, b, signs = block
     g = clique_block(a, b, signs)
     h = len(signs)
-    det, calls = block_det_and_bareiss_calls(g)
+    det, symmetric, bareiss = block_det_and_bareiss_calls(g)
     assert det == one_step_bareiss(g) == a ** (h - 1) * (a + h * b)
-    assert calls == (b < 0 and h >= 3)
+    assert symmetric == (b < 0 and h >= 3)
+    assert bareiss == (symmetric and leading_minor_vanishes(g))
 
 
 @settings(max_examples=200, deadline=None)
@@ -653,7 +668,9 @@ def test_block_det_reads_a_clique_block_off_its_entries(block):
 def test_block_det_sends_a_perturbed_clique_block_to_bareiss(block, data):
     """A clique block with one symmetric pair of entries off the head row,
     or one diagonal entry past the first, moved by a nonzero delta is no
-    D(aI + bJ)D: it goes to Bareiss and gets the oracle's det."""
+    D(aI + bJ)D: it goes to the symmetric Bareiss, which falls back to
+    Bareiss exactly where a leading principal minor vanishes, and gets the
+    oracle's det."""
     a, b, signs = block
     g = clique_block(a, abs(b), signs)
     h = len(g)
@@ -663,9 +680,9 @@ def test_block_det_sends_a_perturbed_clique_block_to_bareiss(block, data):
     g[i][j] += delta
     if i != j:
         g[j][i] += delta
-    det, calls = block_det_and_bareiss_calls(g)
+    det, symmetric, bareiss = block_det_and_bareiss_calls(g)
     assert det == one_step_bareiss(g)
-    assert calls == 1
+    assert (symmetric, bareiss) == (1, leading_minor_vanishes(g))
 
 
 #: A small integer matrix whose first unit, in row-major order, is not its

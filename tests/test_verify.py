@@ -442,14 +442,16 @@ def test_claims_fail_on_a_wrong_certificate(monkeypatch, example66, claim, facto
 
 
 def no_bareiss(rows):
-    raise AssertionError("bareiss_determinant ran")
+    raise AssertionError("a Bareiss determinant ran")
 
 
 def test_ew_claims_run_no_bareiss(monkeypatch, skew14, skew26, example26, example66):
-    """No claim on an EW design runs a Bareiss determinant: below order 66
-    the Euclidean engine gives the SNF, and example66's Gram blocks are
-    D(64I + 2J)D, whose det the probe reads off their entries."""
-    monkeypatch.setattr(kernels, "bareiss_determinant", no_bareiss)
+    """No claim on an EW design runs a Bareiss determinant, on its rows or
+    on a Gram block: below order 66 the Euclidean engine gives the SNF, and
+    example66's Gram blocks are D(64I + 2J)D, whose det the probe reads off
+    their entries."""
+    for kernel in ("bareiss_determinant", "_symmetric_det"):
+        monkeypatch.setattr(kernels, kernel, no_bareiss)
     designs = {"skew14": skew14, "skew26": skew26, "e26": example26, "e66": example66}
     ran = []
     for name, x in designs.items():
