@@ -13,8 +13,10 @@ probe; ``_mask_gram``, the popcount loop, serves callers that hold masks
 already. Modulo 2^k the slots are read with bit masks alone: one AND tests
 bit e of every slot of a row, or keeps every slot's low k bits, so no row
 is unpacked. The EW check and that probe split a Gram by one rule: the
-walk ``_components`` and the D(aI + bJ)D test ``_clique_break``. The
-probe sends each block that is no D(aI + bJ)D to ``_symmetric_det``,
+walk ``_components``, the D(aI + bJ)D test ``_clique_break`` the EW check
+reads its breaks from, and the one group-divisible test ``_group_form``,
+of which a clique is the case of one class. The probe reads det and s_n
+off each block D(aI + bE + cJ)D and sends any other to ``_symmetric_det``,
 Bareiss on the upper triangle, with no pivot search: a Gram is PSD, so a
 zero leading principal minor already means det 0. ``matmul`` stays the
 one general product. ``adjugate`` has no caller in the library: it is
@@ -27,7 +29,7 @@ from __future__ import annotations
 import struct
 from itertools import compress, repeat
 from math import gcd
-from operator import mul, not_
+from operator import mul, neg, not_
 
 #: Name of the kernel implementation; the layered benchmark records it with each run.
 BACKEND = "python"
@@ -110,6 +112,48 @@ def _clique_break(g, block):
             if gi[j] * b != hi * head[j]:
                 return i, j
     return None
+
+
+def _group_form(g):
+    """(a, b, c, classes, signs) if the symmetric g is D(aI + bE + cJ)D,
+    D = diag(signs), signs[0] = 1, E joining each of m classes of k indices
+    (sorted, in order of least member), c = 0 at m = 1 (the clique); else
+    None. aI + bE + cJ holds x = b + c off the diagonal within a class and
+    y = c across, so |x| is the rarer magnitude in row 0. With s its signs,
+    two rows of a class agree in SgS once each holds x on the diagonal (row
+    0 up to the sign of x): for x = |x|, then -|x|, the classes are the rows
+    that agree, D and y follow, and DgD is compared with the form."""
+    head = g[0]
+    off = [abs(v) for v in head[1:]]
+    mags = sorted(set(off), key=off.count)
+    if len(mags) > 2 or 0 in mags:
+        return None
+    s = [1] + [1 if v > 0 else -1 for v in head[1:]]
+    rows = [_signed(gi, s, si) for gi, si in zip(g, s)]
+    for x in (mags[0], -mags[0]) if mags else (0,):
+        groups, cls = {}, []
+        for i, r in enumerate(rows):
+            key = r[:i] + (x,) + r[i + 1 :]
+            cls.append(groups.setdefault(key if i or x > 0 else tuple(map(neg, key)), len(groups)))
+        m = len(groups)
+        classes = [[i for i, t in enumerate(cls) if t == u] for u in range(m)]
+        y = rows[classes[1][0] if m > 2 else 0][classes[-1][0]] if m > 1 else 0
+        if any(len(cl) != len(classes[0]) for cl in classes) or m > 1 and (not y or m == len(g)):
+            continue
+        d = [sj * ((x > 0) - (x < 0) if not t else (y > 0) - (y < 0)) for sj, t in zip(s, cls)]
+        d[0] = 1
+        spelled = [tuple(x if u == t else y for u in cls) for t in range(m)]
+        for i, gi in enumerate(g):
+            if gi[i] != head[0] or _signed(gi, d, d[i])[i + 1 :] != spelled[cls[i]][i + 1 :]:
+                break
+        else:
+            return head[0] - x, x - y, y, classes, d
+    return None
+
+
+def _signed(row, d, di):
+    """The tuple of di * row_j * d_j over j."""
+    return tuple(map(mul, row, d) if di > 0 else map(neg, map(mul, row, d)))
 
 
 def bareiss_determinant(a):

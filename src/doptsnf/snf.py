@@ -15,18 +15,22 @@ input, or its 0/1 core), and nothing else; no caller hands it a |det|.
 - The local engine runs on square rows of order ``LOCAL_MIN_ORDER`` or
   more, with one proof of d = |det| per input and one attempt. A +-1
   square whose Gram AA^T splits into blocks (the kernels' one Gram-block
-  rule) gets d from them (``_gram_abs_det``; a block that is no
-  D(aI + bJ)D goes to ``kernels._symmetric_det``) and hands d >> (n-1),
-  trial-divided whole, to its core, as |det A| = 2^(n-1) |det C|. Other
-  rows (``local_smith_form``) get d and one (n-1)-minor M from Bareiss on
-  the rows themselves. The part w of d prime to M goes whole into s_n, as
-  s_1...s_{n-1} (the gcd of the (n-1)-minors) divides M. Each prime p of
-  d // w below ``TRIAL_BOUND`` is eliminated modulo p^k (no entry grows
-  past n*p^2k) until the exponents seen sum to v_p(d); while s >= 2 of
-  them are k or more and sum to some r != sk, k goes up to
-  max(2k, ceil(r/s) + 1). That gives every exponent below k exactly, and
-  d fixes the ones at k or above, so the result is exact, not
-  probabilistic. Singular rows, or a d // w with a prime factor the trial
+  rule) gets d from them (``_gram_abs_det``; a block that is no group
+  divisible D(aI + bE + cJ)D goes to ``kernels._symmetric_det``) and hands
+  d >> (n-1), trial-divided whole, to its core, as |det A| = 2^(n-1)
+  |det C|; when every block is one, their closed-form inverse proves s_n
+  too, and the core's top exponent K = v_p(s_n / 2) of each prime p of d.
+  Other rows (``local_smith_form``) get d and one (n-1)-minor M from
+  Bareiss on the rows themselves. The part w of d prime to M goes whole
+  into s_n, as s_1...s_{n-1} (the gcd of the (n-1)-minors) divides M. Each
+  prime p of d // w below ``TRIAL_BOUND`` is eliminated modulo p^k (no
+  entry grows past n*p^2k), from k = K, or 1 with no K, until the
+  exponents seen sum to v_p(d); while s >= 2 of them are k or more and sum
+  to some r != sk, k goes up to max(2k, ceil(r/s) + 1). That gives every
+  exponent below k exactly, and d fixes the ones at k or above, so the
+  result is exact, not probabilistic; K = 1 needs no elimination, as
+  v_p(d) exponents are then 1 and the rest 0. The core is built only for
+  an elimination. Singular rows, or a d // w with a prime factor the trial
   division does not reach, are handed back to the Euclidean engine, with
   no second local attempt.
 - The Euclidean engine (``kernels.smith_reduce``) runs on everything else:
@@ -37,8 +41,10 @@ input, or its 0/1 core), and nothing else; no caller hands it a |det|.
 
 from __future__ import annotations
 
-from collections import Counter
-from math import gcd, isqrt, prod
+from functools import cache
+from itertools import count, repeat
+from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 from . import kernels
 from .exactmat import Frozen, IntMatrix, trial_divide
@@ -99,21 +105,23 @@ def _factors(a: IntMatrix) -> tuple[int, ...]:
     """Invariant factors of a, by the engine rule of the module docstring."""
     rows = a.to_rows()
     pm1 = min(a.rows, a.cols) >= 2 and a.is_pm1
-    core = _zero_one_core(rows) if pm1 else rows
+    core = cache(lambda: _zero_one_core(rows) if pm1 else rows)
+    n = len(rows) - pm1
     factors = None
-    if len(core) >= LOCAL_MIN_ORDER and len(core) == len(core[0]):
-        d = _gram_abs_det(rows) if pm1 else None
-        if d is None:
-            factors = local_smith_form(core)
-        elif d:
-            factors = _local_factors(core, d >> len(core), 1)
-    factors = factors or kernels.smith_reduce(core, False)[0]
+    if n >= LOCAL_MIN_ORDER and a.rows == a.cols:
+        probe = _gram_abs_det(rows) if pm1 else None
+        if probe is None:
+            factors = local_smith_form(core())
+        elif probe[0]:
+            factors = _local_factors(core, n, probe[0] >> n, 1, probe[1] >> 1)
+    factors = factors or kernels.smith_reduce(core(), False)[0]
     return (1,) + tuple(2 * f for f in factors) if pm1 else tuple(factors)
 
 
-def _gram_abs_det(rows: list[list[int]]) -> int | None:
-    """|det A| of a +-1 square A from the diagonal blocks of its Gram
-    G = AA^T, or None when G is one block.
+def _gram_abs_det(rows: list[list[int]]) -> tuple[int, int] | None:
+    """(|det A|, s_n) of a +-1 square A from the diagonal blocks of its Gram
+    G = AA^T, or None when G is one block; s_n, A's largest invariant
+    factor, is 0 when det A = 0 or a block is no D(aI + bE + cJ)D.
 
     G_ij = n - 2 popcount(m_i ^ m_j) on the -1 masks, never 0 at odd n.
     The blocks are the components of the graph of nonzero G_ij, by
@@ -122,6 +130,7 @@ def _gram_abs_det(rows: list[list[int]]) -> int | None:
     permutation G is block diagonal, so det(A)^2 = det G, the product of the
     blocks' determinants (``_block_det``, once per distinct block); |det A|
     is its square root, and a product that is no square raises ArithmeticError.
+    s_n, the least denominator of A^-1, is the lcm of the ``_block_sn``.
     """
     n = len(rows)
     masks = kernels._sign_masks(rows)
@@ -130,29 +139,58 @@ def _gram_abs_det(rows: list[list[int]]) -> int | None:
     )
     if len(blocks) == 1:
         return None
-    grams = Counter(
-        tuple(map(tuple, kernels._mask_gram([masks[i] for i in block], n))) for block in blocks
-    )
-    square = prod(_block_det(gram) ** k for gram, k in grams.items())
+    grams = [tuple(map(tuple, kernels._mask_gram([masks[i] for i in block], n))) for block in blocks]
+    dets = {gram: _block_det(gram) for gram in dict.fromkeys(grams)}
+    square = prod(dets[gram][0] for gram in grams)
     d = isqrt(square)
     if d * d != square:
         raise ArithmeticError(f"the Gram blocks' determinants multiply to {square}, no square")
-    return d
+    forms = [dets[gram][1] for gram in grams]
+    if not d or None in forms:
+        return d, 0
+    return d, lcm(*(_block_sn([rows[i] for i in block], form) for block, form in zip(blocks, forms)))
 
 
-def _block_det(g: tuple[tuple[int, ...], ...]) -> int:
-    """det g of a symmetric Gram block g of order h, as row tuples or lists.
-    When ``kernels._clique_break`` finds g to be D(aI + bJ)D, b = |g_0j| and
-    a = g_00 - b (at h = 1, b = |g_00|), no elimination runs: aI + bJ has
-    eigenvalues a + hb (on the all-ones vector) and a (h - 1 times), so
-    det g = a^(h-1) (a + hb). Any other block gets ``kernels._symmetric_det``,
-    Bareiss on the upper triangle with no pivot search: g is PSD, so a zero
-    leading principal minor already means det g = 0."""
-    if kernels._clique_break(g, range(len(g))):
-        return kernels._symmetric_det(g)
-    h, b = len(g), abs(g[0][-1])
-    a = g[0][0] - b
-    return a ** (h - 1) * (a + h * b)
+def _block_det(g: tuple[tuple[int, ...], ...]) -> tuple[int, tuple | None]:
+    """(det g, form) of a symmetric Gram block g of order h, as row tuples
+    or lists. When ``kernels._group_form`` finds g to be D(aI + bE + cJ)D
+    on m classes of k, form is its (a, b, c, classes, signs), and
+    det g = a^(h-m) alpha^(m-1) beta, the eigenvalues of aI + bE + cJ, with
+    alpha = a + bk and beta = alpha + ckm. Any other block gets form None
+    and ``kernels._symmetric_det``: g is PSD, so a zero leading principal
+    minor, where it stops, already means det g = 0."""
+    form = kernels._group_form(g)
+    if form is None:
+        return kernels._symmetric_det(g), None
+    a, b, c, classes, _ = form
+    h, m = len(g), len(classes)
+    alpha = a + b * (h // m)
+    return a ** (h - m) * alpha ** (m - 1) * (alpha + c * h), form
+
+
+def _block_sn(rows: list[list[int]], form: tuple) -> int:
+    """The least denominator of a block's columns of A^-1 = A^T G^-1, from
+    its rows of A and the ``_block_det`` form of their nonsingular Gram:
+    (aI + bE + cJ)^-1 = I/a - b/(a alpha) E - c/(alpha beta) J, so with u_t
+    the column sums of the rows d_i a_i of class t and U their sum, column
+    i, in class t, is d_i (alpha beta d_i a_i - b beta u_t - a c U) / Delta,
+    Delta = a alpha beta. In column j, d_i a_ij = +1 for some i of class t
+    iff u_tj > -k, and -1 iff u_tj < k: one gcd per (u_tj, U_j) and sign."""
+    a, b, c, classes, signs = form
+    k = len(classes[0])
+    alpha, beta = a + b * k, a + b * k + c * len(rows)
+    us = [list(map(sum, zip(*[map(mul, rows[i], repeat(signs[i])) for i in cl]))) for cl in classes]
+    total = list(map(sum, zip(*us)))
+    top, bb, ac = alpha * beta, b * beta, a * c
+    g = delta = abs(a * top)
+    for u in us:
+        for uj, tj in set(zip(u, total)):
+            base = bb * uj + ac * tj
+            if uj > -k:
+                g = gcd(g, top - base)
+            if uj < k:
+                g = gcd(g, top + base)
+    return delta // g
 
 
 def _zero_one_core(rows: list[list[int]]) -> list[list[int]]:
@@ -184,35 +222,44 @@ def local_smith_form(rows: list[list[int]]) -> tuple[int, ...] | None:
     while g > 1:
         w //= g
         g = gcd(w, g)
-    return _local_factors(rows, d, w)
+    return _local_factors(lambda: rows, len(rows), d, w)
 
 
-def _local_factors(rows: list[list[int]], d: int, w: int) -> tuple[int, ...] | None:
-    """The local engine's tail on d = |det rows| > 0, of which w goes whole
-    into s_n; None when trial division leaves a rough part of d // w."""
+def _local_factors(core, n: int, d: int, w: int, top: int = 0) -> tuple[int, ...] | None:
+    """The local engine's tail on d = |det| > 0 of the n square rows core()
+    builds at the first elimination, of which w goes whole into s_n; None
+    when trial division leaves a rough part of d // w. A top other than 0
+    is the s_n the Gram probe proved: each prime p of d gets K = v_p(top),
+    and 1 <= K <= v_p(d) <= nK or ArithmeticError is raised."""
     powers, c = trial_divide(d // w, TRIAL_BOUND)
     if c > 1:
         return None
-    factors = [1] * len(rows)
+    factors = [1] * n
     factors[-1] = w
     for p, v in powers.items():
-        for i, e in enumerate(_local_exponents(rows, p, v)):
+        k = next(e for e in count() if top % p ** (e + 1)) if top else 1
+        if top and not 1 <= k <= v <= n * k:
+            raise ArithmeticError(
+                f"the Gram probe's s_n = {top} gives {p} the exponent {k}:"
+                f" it contradicts v_{p}(det) = {v} at order {n}"
+            )
+        exps = [0] * (n - v) + [1] * v if v == 1 or top and k == 1 else _local_exponents(core(), p, v, k)
+        for i, e in enumerate(exps):
             factors[i] *= p**e
     return tuple(factors)
 
 
-def _local_exponents(rows: list[list[int]], p: int, v: int) -> list[int]:
+def _local_exponents(rows: list[list[int]], p: int, v: int, k: int = 1) -> list[int]:
     """The n exponents of p in the invariant factors, given v = v_p(|det|) >= 1.
 
-    Elimination modulo p^k gives the exponents below k exactly; s of them
-    saturate at k or more, and their sum r is what v leaves. One saturated
-    exponent is r, and r == s*k makes all of them k; otherwise the next k is
-    max(2k, ceil(r/s) + 1), above the least of the s, which is at most r/s.
+    Elimination modulo p^k, from the k given on, gives the exponents below k
+    exactly; s of them saturate at k or more, and their sum r is what v
+    leaves. One saturated exponent is r, and r == s*k makes all of them k;
+    otherwise the next k is max(2k, ceil(r/s) + 1), above the least of the
+    s, which is at most r/s. Any start is exact; the largest exponent, as
+    the Gram probe's s_n gives it, ends the loop after one pass.
     """
     n = len(rows)
-    if v == 1:
-        return [0] * (n - 1) + [1]
-    k = 1
     while True:
         exps = kernels.local_exponents(rows, p, k)
         s = n - len(exps)
@@ -225,4 +272,3 @@ def _local_exponents(rows: list[list[int]], p: int, v: int) -> list[int]:
         if s <= 1 or r == s * k:
             return exps + ([r] if s == 1 else [k] * s)
         k = max(2 * k, -(-r // s) + 1)
-

@@ -306,11 +306,12 @@ def test_only_is_pm1_spells_the_pm1_entry_test(path):
     assert hand_spelled_pm1(path.read_text()) == []
 
 
-#: The SNF engine's own routes to the local engine with a |det| in hand, and
-#: the one place a Gram block becomes a det: a module outside snf.py that
-#: named one could hand the engine a |det| it did not prove. The Gram-block
-#: rule itself lives in kernels, which both snf and verify call.
-SNF_DET_ROUTES = ("local_smith_form", "_local_factors", "_gram_abs_det", "_block_det")
+#: The SNF engine's own routes to the local engine with a |det| or an s_n in
+#: hand, and the places a Gram block becomes a det or an s_n: a module
+#: outside snf.py that named one could hand the engine a |det| or an s_n it
+#: did not prove. The Gram-block rule itself lives in kernels, which both
+#: snf and verify call.
+SNF_DET_ROUTES = ("local_smith_form", "_local_factors", "_gram_abs_det", "_block_det", "_block_sn")
 
 
 @pytest.mark.parametrize(
@@ -321,7 +322,9 @@ def test_only_snf_names_its_det_routes(path):
     assert [name for name in SNF_DET_ROUTES if re.search(rf"\b{name}\b", source)] == []
 
 
-DET_PARAMETERS = {"d", "det", "abs_det"}
+#: Parameter names that would take a |det|, or the largest invariant factor
+#: s_n, which fixes the local engine's schedule as |det| fixes its exponents.
+DET_PARAMETERS = {"d", "det", "abs_det", "sn", "s_n"}
 
 
 def det_doors(source: str) -> list[str]:
@@ -356,13 +359,16 @@ class A:
 class _B:
     def m(self, d): ...
 def ok(rows, dd, det_bits): ...
+def hint(rows, *, s_n=None): ...
+def _hint(rows, sn): ...
 """
-    assert det_doors(source) == ["f", "g", "A.__init__", "A.m"]
+    assert det_doors(source) == ["f", "g", "A.__init__", "A.m", "hint"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_public_door_takes_a_det(path):
-    """No caller can hand the library a |det|: each engine proves its own."""
+    """No caller can hand the library a |det| or an s_n: each engine proves
+    its own."""
     assert det_doors(path.read_text()) == []
 
 

@@ -548,8 +548,9 @@ def test_symmetric_det_matches_references(a):
 
 @pytest.mark.parametrize("q, order", [(19, 57), (23, 69)])
 def test_symmetric_det_on_the_paley_gram_blocks(q, order):
-    """The Gram blocks the SNF engine's probe hands the kernel, as tuples:
-    no D(aI + bJ)D, positive definite, so no fallback runs."""
+    """The Paley Gram blocks as tuples: no D(aI + bJ)D, positive definite,
+    so no fallback runs. They are D(aI + bE + cJ)D on three classes, so the
+    SNF engine's probe reads their det off their entries instead."""
     rows = paley_two_block(q).to_rows()
     n = len(rows)
     masks = kernels._sign_masks(rows)
@@ -558,6 +559,7 @@ def test_symmetric_det_on_the_paley_gram_blocks(q, order):
     for block in blocks:
         g = kernels._mask_gram([masks[i] for i in block], n)
         assert kernels._clique_break(g, range(order))
+        assert [len(members) for members in kernels._group_form(g)[3]] == [order // 3] * 3
         det, fallbacks = symmetric_det_and_fallbacks(tuple(map(tuple, g)))
         assert (det, fallbacks) == (kernels.bareiss_determinant(g)[0], 0)
         assert det > 0

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from doptsnf import kernels, snf
-from doptsnf.designs import BlockEwSpec, build_example_26, build_example_66
+from doptsnf.designs import BlockEwSpec, barba_double, build_example_26, build_example_66
 from doptsnf.exactmat import (
     IntMatrix,
     block2x2,
@@ -33,6 +33,7 @@ from doptsnf.snf import (
     local_smith_form,
     smith_normal_form,
 )
+from doptsnf.search import search_circulant_barba
 from doptsnf.verify import ew_gram_check
 from oracles import MINOR_GCD_SIZE_LIMIT, minor_gcd, one_step_bareiss
 
@@ -465,20 +466,24 @@ def two_circulant(r1, r2) -> IntMatrix:
 #: block of a split +-1 square), local_exponents and smith_reduce)
 ENGINE_RULE_CASES = {
     # the Gram of e66 splits into two equal order-33 blocks D(64I + 2J)D,
-    # whose det is read off their entries: no elimination at all
-    "e66": (build_example_66, False, ((), (), 2, 2, 0)),
-    # paley-q19's two equal order-57 blocks are of no such form: one
-    # symmetric Bareiss, and none on the rows
-    "paley-q19": (lambda: paley_two_block(19), False, ((), (57,), 2, 3, 0)),
-    # AA^T = 128 I: 128 one-entry blocks, each its own det
-    "hadamard-128": (lambda: sylvester_hadamard(128), False, ((), (), 128, 3, 0)),
+    # whose det and s_n are read off their entries and rows: s_n gives the
+    # core's p = 2 the top exponent 4, so one elimination, modulo 2^4
+    "e66": (build_example_66, False, ((), (), 2, 1, 0)),
+    # paley-q19's two equal order-57 blocks are D(104I + 8E + 2J)D, E the
+    # classes i = j (mod 3): no Bareiss, and s_n leaves one elimination,
+    # modulo 2^3; 13 has exponent 1 in s_n, so it needs none
+    "paley-q19": (lambda: paley_two_block(19), False, ((), (), 2, 1, 0)),
+    # AA^T = 128 I: 128 one-entry blocks, each its own det, and s_n = 128
+    # gives the core's 2 the top exponent 6: one elimination
+    "hadamard-128": (lambda: sylvester_hadamard(128), False, ((), (), 128, 1, 0)),
     # a connected Gram leaves the probe nothing to split: Bareiss on the core
     "order-66": (lambda: PM1_CASES["order-66"], False, ((65,), (), 0, 1, 0)),
     # a rough part of the probe's |det| sends the core straight to the
-    # Euclidean engine, with no Bareiss on it (see ENGINE_RULE_TRIAL_BOUNDS)
-    "paley-q23-rough": (lambda: paley_two_block(23), False, ((), (69,), 2, 0, 1)),
+    # Euclidean engine, with no Bareiss on it (see ENGINE_RULE_TRIAL_BOUNDS);
+    # its order-69 blocks are group divisible, so none on them either
+    "paley-q23-rough": (lambda: paley_two_block(23), False, ((), (), 2, 0, 1)),
     # the same at TRIAL_BOUND, on two seeded circulants: the Gram's two
-    # equal order-33 blocks are of no clique form, so one symmetric Bareiss
+    # equal order-33 blocks are no D(aI + bE + cJ)D, so one symmetric Bareiss
     "two-circulant-rough": (
         lambda: two_circulant(*random_pm1(503, 2, 33).to_rows()), False, ((), (33,), 2, 0, 1)
     ),
@@ -527,6 +532,40 @@ def test_engine_rule_cell_by_cell(name, monkeypatch):
     assert (tuple(bareiss), tuple(symmetric), *map(len, counts)) == want_calls
 
 
+def without(x: int, p: int) -> int:
+    """x with every factor p taken out."""
+    while x % p == 0:
+        x //= p
+    return x
+
+
+@pytest.mark.parametrize("name, top", [("e66", 4), ("paley-q19", 3), ("hadamard-128", 6)])
+def test_a_lowered_s_n_only_restarts_the_schedule(monkeypatch, name, top):
+    """Each block's s_n halved lowers K = v_2(s_n / 2) by one, from top to
+    top - 1 >= 2: the first elimination, modulo 2^(top-1), leaves the
+    exponents at top - 1 or above to sum to more than top - 1 each, so the
+    schedule goes on, and the factors are the Euclidean engine's."""
+    m = IntMatrix.from_rows(S_N_CASES[name]())
+    block_sn = snf._block_sn
+    monkeypatch.setattr(snf, "_block_sn", lambda rows, form: block_sn(rows, form) // 2)
+    ks = []
+    local_exponents = kernels.local_exponents
+    monkeypatch.setattr(kernels, "local_exponents", lambda a, p, k: ks.append(k) or local_exponents(a, p, k))
+    assert smith_normal_form(m).factors == euclidean_factors(m)
+    assert ks[0] == top - 1 and len(ks) == 2
+
+
+@pytest.mark.parametrize("name, p", [("e66", 5), ("paley-q19", 13), ("paley-q19", 2)])
+def test_an_s_n_without_a_prime_of_det_is_refused(monkeypatch, name, p):
+    """K = 0 at a prime of d: no exponent of p could reach v_p(d). At p = 2
+    each block keeps one 2, the one s_n has over the core's largest factor."""
+    block_sn = snf._block_sn
+    kept = 2 if p == 2 else 1
+    monkeypatch.setattr(snf, "_block_sn", lambda rows, form: kept * without(block_sn(rows, form), p))
+    with pytest.raises(ArithmeticError, match=f"^the Gram probe's s_n = .* gives {p} the exponent 0:"):
+        smith_normal_form(IntMatrix.from_rows(S_N_CASES[name]()))
+
+
 def gram_is_connected(rows) -> bool:
     """Whether the graph of nonzero entries of AA^T, by dot products, is
     connected: the probe's split test, written apart from it."""
@@ -545,21 +584,95 @@ def test_gram_probe_matches_the_oracle_on_the_paley_two_block_matrices():
     for q in (7, 11, 19, 23):
         rows = paley_two_block(q).to_rows()
         assert not gram_is_connected(rows)
-        assert snf._gram_abs_det(rows) == abs(one_step_bareiss(rows))
+        assert snf._gram_abs_det(rows)[0] == abs(one_step_bareiss(rows))
+
+
+TWO_CIRCULANT_FIRST_ROWS = st.sampled_from((1, 3, 5, 7, 9, 11, 13, 15)).flatmap(
+    lambda v: st.tuples(*[st.lists(st.sampled_from((1, -1)), min_size=v, max_size=v)] * 2)
+)
+
+
+def two_circulant_rows(first_rows) -> list[list[int]]:
+    r1, r2 = map(circulant, first_rows)
+    return block2x2(r1, r2, -r2.transpose(), r1.transpose()).to_rows()
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from((1, 3, 5, 7, 9, 11, 13, 15)).flatmap(
-        lambda v: st.tuples(*[st.lists(st.sampled_from((1, -1)), min_size=v, max_size=v)] * 2)
-    )
-)
+@given(TWO_CIRCULANT_FIRST_ROWS)
 def test_gram_probe_matches_the_oracle_on_two_circulant_blocks(first_rows):
     """[[R1, R2], [-R2^T, R1^T]] with commuting circulants R1, R2 has a
     block diagonal Gram, so the probe always answers, singular or not."""
-    r1, r2 = map(circulant, first_rows)
-    rows = block2x2(r1, r2, -r2.transpose(), r1.transpose()).to_rows()
-    assert snf._gram_abs_det(rows) == abs(one_step_bareiss(rows))
+    rows = two_circulant_rows(first_rows)
+    assert snf._gram_abs_det(rows)[0] == abs(one_step_bareiss(rows))
+
+
+def euclidean_s_n(rows) -> int:
+    """The Euclidean engine's largest invariant factor of a nonsingular square."""
+    return max(kernels.smith_reduce(rows, False)[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(TWO_CIRCULANT_FIRST_ROWS, st.integers(0, 2**32))
+def test_gram_probe_s_n_matches_the_euclidean_engine_on_two_circulant_blocks(first_rows, seed):
+    """Where every Gram block is D(aI + bE + cJ)D and det != 0, the probe's
+    s_n is the Euclidean engine's largest factor, on the matrix and on a
+    signed permutation of it; elsewhere it is 0."""
+    rows = two_circulant_rows(first_rows)
+    d, sn = snf._gram_abs_det(rows)
+    moved = signed_permutation(rows, random.Random(seed))
+    assert snf._gram_abs_det(moved) == (d, sn)
+    if sn:
+        assert sn == euclidean_s_n(rows)
+    if d:
+        n = len(rows)
+        masks = kernels._sign_masks(rows)
+        blocks = kernels._components(n, lambda i, rest: [2 * (masks[i] ^ masks[j]).bit_count() != n for j in rest])
+        grams = [kernels._mask_gram([masks[i] for i in block], n) for block in blocks]
+        assert bool(sn) == all(kernels._group_form(g) for g in grams)
+
+
+def signed_permutation(rows, rng) -> list[list[int]]:
+    """rows with rows and columns permuted and negated at random."""
+    n = len(rows)
+    order, cols = rng.sample(range(n), n), rng.sample(range(len(rows[0])), len(rows[0]))
+    row_signs = [rng.choice((1, -1)) for _ in range(n)]
+    col_signs = [rng.choice((1, -1)) for _ in cols]
+    return [[s * t * rows[i][j] for j, t in zip(cols, col_signs)] for i, s in zip(order, row_signs)]
+
+
+def barba_doubles() -> list[list[list[int]]]:
+    """The Barba doubles of every circulant Barba row of orders 5 and 13."""
+    return [barba_double(r).to_rows() for order in (5, 13) for r in search_circulant_barba(order)]
+
+
+#: The inputs whose Gram blocks are all D(aI + bE + cJ)D: e66 and the Paley
+#: two-block matrices have two equal blocks (cliques at q = 11, classes
+#: i = j (mod 3) at q = 7, 19 and 23), the Sylvester Hadamard matrices one
+#: per row.
+S_N_CASES = {
+    "e66": lambda: build_example_66().to_rows(),
+    **{f"paley-q{q}": lambda q=q: paley_two_block(q).to_rows() for q in (7, 11, 19, 23)},
+    "hadamard-64": lambda: sylvester_hadamard(64).to_rows(),
+    "hadamard-128": lambda: sylvester_hadamard(128).to_rows(),
+}
+
+
+@pytest.mark.parametrize("name", S_N_CASES)
+def test_gram_probe_s_n_matches_the_euclidean_engine(name):
+    """The probe's s_n is the Euclidean engine's largest factor, on the
+    matrix and on three signed permutations of it, which keep the SNF."""
+    rows = S_N_CASES[name]()
+    want = euclidean_s_n(rows)
+    rng = random.Random(name)
+    for moved in [rows] + [signed_permutation(rows, rng) for _ in range(3)]:
+        assert snf._gram_abs_det(moved)[1] == want
+
+
+def test_gram_probe_s_n_matches_the_euclidean_engine_on_the_barba_doubles():
+    doubles = barba_doubles()
+    assert len(doubles) == 114
+    for rows in doubles:
+        assert snf._gram_abs_det(rows)[1] == euclidean_s_n(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -571,12 +684,15 @@ def test_gram_probe_matches_the_oracle_on_two_circulant_blocks(first_rows):
     )
 )
 def test_gram_probe_answers_exactly_when_the_gram_splits(rows):
-    """None on a connected Gram; otherwise |det| by the oracle."""
-    d = snf._gram_abs_det(rows)
+    """None on a connected Gram; otherwise |det| by the oracle, and s_n by
+    the Euclidean engine where it is not 0."""
+    probe = snf._gram_abs_det(rows)
     if gram_is_connected(rows):
-        assert d is None
+        assert probe is None
     else:
+        d, sn = probe
         assert d == abs(one_step_bareiss(rows))
+        assert sn in (0, d and euclidean_s_n(rows))
 
 
 #: Row 0 is orthogonal to every +-1 row of length 6 with three -1s, and no
@@ -595,7 +711,7 @@ ONE_AND_FIVE = [
 
 
 def test_gram_probe_refuses_block_determinants_whose_product_is_no_square(monkeypatch):
-    assert snf._gram_abs_det(ONE_AND_FIVE) == abs(one_step_bareiss(ONE_AND_FIVE)) == 96
+    assert snf._gram_abs_det(ONE_AND_FIVE) == (abs(one_step_bareiss(ONE_AND_FIVE)), 0) == (96, 0)
     symmetric = kernels._symmetric_det
 
     def doubled(g):
@@ -619,16 +735,28 @@ def leading_minor_vanishes(a):
     return any(one_step_bareiss([row[:r] for row in a[:r]]) == 0 for r in range(1, len(a) // 2 * 2 + 1))
 
 
-def block_det_and_bareiss_calls(g) -> tuple[int, int, int]:
-    """snf._block_det(g), how many symmetric Bareiss determinants it ran,
-    and how many of bareiss_determinant (the symmetric kernel's fallback)."""
+def block_det_and_bareiss_calls(g) -> tuple[int, tuple | None, int, int]:
+    """snf._block_det(g), as (det, form), how many symmetric Bareiss
+    determinants it ran, and how many of bareiss_determinant (the symmetric
+    kernel's fallback)."""
     calls = {"_symmetric_det": [], "bareiss_determinant": []}
     with pytest.MonkeyPatch.context() as mp:
         for name, seen in calls.items():
             kernel = getattr(kernels, name)
             mp.setattr(kernels, name, lambda a, kernel=kernel, seen=seen: seen.append(len(a)) or kernel(a))
-        det = snf._block_det(g)
-    return det, len(calls["_symmetric_det"]), len(calls["bareiss_determinant"])
+        det, form = snf._block_det(g)
+    return det, form, len(calls["_symmetric_det"]), len(calls["bareiss_determinant"])
+
+
+def spelled_block(form) -> list[list[int]]:
+    """The block D(aI + bE + cJ)D that a _group_form (a, b, c, classes,
+    signs) spells, written out entry by entry."""
+    a, b, c, classes, signs = form
+    cls = {i: t for t, members in enumerate(classes) for i in members}
+    return [
+        [si * sj * (a * (i == j) + b * (cls[i] == cls[j]) + c) for j, sj in enumerate(signs)]
+        for i, si in enumerate(signs)
+    ]
 
 
 CLIQUE_BLOCKS = st.integers(min_value=1, max_value=9).flatmap(
@@ -646,42 +774,112 @@ CLIQUE_BLOCKS = st.integers(min_value=1, max_value=9).flatmap(
 @example((0, -2, [1, 1, -1]))
 @example((64, 2, [1] * 9))
 def test_block_det_reads_a_clique_block_off_its_entries(block):
-    """det D(aI + bJ)D = a^(h-1) (a + hb), with no Bareiss when b > 0 or
-    h <= 2; at b < 0 the pattern of signs is no D(aI + |b|J)D from order 3
-    on, so the symmetric Bareiss gives it, falling back to Bareiss exactly
-    where a leading principal minor vanishes. Either way it is the one-step
-    oracle's det."""
+    """det D(aI + bJ)D = a^(h-1) (a + hb), with no Bareiss at any b != 0:
+    a clique is the group-divisible form with one class, whose form spells
+    the block back, and the det is the one-step oracle's."""
     a, b, signs = block
     g = clique_block(a, b, signs)
     h = len(signs)
-    det, symmetric, bareiss = block_det_and_bareiss_calls(g)
+    det, form, symmetric, bareiss = block_det_and_bareiss_calls(g)
     assert det == one_step_bareiss(g) == a ** (h - 1) * (a + h * b)
-    assert symmetric == (b < 0 and h >= 3)
-    assert bareiss == (symmetric and leading_minor_vanishes(g))
+    assert (symmetric, bareiss) == (0, 0)
+    assert len(form[3]) == 1 and form[2] == 0 and spelled_block(form) == g
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    CLIQUE_BLOCKS.filter(lambda block: len(block[2]) >= 3),
-    st.data(),
-)
-def test_block_det_sends_a_perturbed_clique_block_to_bareiss(block, data):
-    """A clique block with one symmetric pair of entries off the head row,
-    or one diagonal entry past the first, moved by a nonzero delta is no
-    D(aI + bJ)D: it goes to the symmetric Bareiss, which falls back to
-    Bareiss exactly where a leading principal minor vanishes, and gets the
-    oracle's det."""
-    a, b, signs = block
-    g = clique_block(a, abs(b), signs)
+def perturbed(g, data):
+    """g with one symmetric pair of entries, or one diagonal entry, moved by
+    a nonzero delta: (g, i, j)."""
     h = len(g)
-    i = data.draw(st.integers(min_value=1, max_value=h - 1))
-    j = data.draw(st.integers(min_value=1, max_value=h - 1))
+    i = data.draw(st.integers(min_value=0, max_value=h - 1))
+    j = data.draw(st.integers(min_value=i, max_value=h - 1))
     delta = data.draw(st.integers(min_value=-5, max_value=5).filter(bool))
+    g = [row[:] for row in g]
     g[i][j] += delta
     if i != j:
         g[j][i] += delta
-    det, symmetric, bareiss = block_det_and_bareiss_calls(g)
+    return g, i, j
+
+
+@settings(max_examples=200, deadline=None)
+@given(CLIQUE_BLOCKS.filter(lambda block: len(block[2]) >= 3), st.data())
+def test_block_det_sends_a_perturbed_clique_block_to_bareiss(block, data):
+    """A clique block with one symmetric pair or one diagonal entry moved is
+    no D(aI + bE + cJ)D, unless, at order 3, the pair only changed sign:
+    that is the clique of -b. Else it goes to the symmetric Bareiss, which
+    falls back to Bareiss exactly where a leading principal minor vanishes.
+    Either way the det is the oracle's."""
+    a, b, signs = block
+    g0 = clique_block(a, b, signs)
+    g, i, j = perturbed(g0, data)
+    det, form, symmetric, bareiss = block_det_and_bareiss_calls(g)
     assert det == one_step_bareiss(g)
+    flipped = len(g) == 3 and i != j and g[i][j] == -g0[i][j]
+    assert (form is not None) == flipped
+    if flipped:
+        assert spelled_block(form) == g and (symmetric, bareiss) == (0, 0)
+    else:
+        assert (symmetric, bareiss) == (1, leading_minor_vanishes(g))
+
+
+def group_divisible_block(a, x, y, k, signs, seed) -> list[list[int]]:
+    """D(aI + bE + cJ)D with D = diag(signs), b + c = x and c = y, on len(signs)
+    // k classes of k whose members are spread over the indices by a seeded
+    shuffle."""
+    h = len(signs)
+    order = random.Random(seed).sample(range(h), h)
+    cls = {i: p // k for p, i in enumerate(order)}
+    return [
+        [si * sj * (a - x if i == j else 0) + si * sj * (x if cls[i] == cls[j] else y) for j, sj in enumerate(signs)]
+        for i, si in enumerate(signs)
+    ]
+
+
+GROUP_DIVISIBLE_BLOCKS = st.tuples(st.integers(2, 4), st.integers(2, 4)).flatmap(
+    lambda mk: st.tuples(
+        st.integers(min_value=-6, max_value=40),
+        st.integers(min_value=-12, max_value=12).filter(bool),
+        st.integers(min_value=-12, max_value=12).filter(bool),
+        st.just(mk[1]),
+        st.lists(st.sampled_from((1, -1)), min_size=mk[0] * mk[1], max_size=mk[0] * mk[1]),
+        st.integers(0, 2**32),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GROUP_DIVISIBLE_BLOCKS)
+@example((104, 10, 2, 3, [1] * 6, 0))
+@example((44, -2, 2, 2, [1, -1, 1, -1, 1, 1], 5))
+def test_block_det_reads_a_group_divisible_block_off_its_entries(block):
+    """det D(aI + bE + cJ)D = a^(h-m) alpha^(m-1) beta, alpha = a + bk and
+    beta = alpha + ckm, at any signs of b + c and c, with no Bareiss: the
+    classes may sit at any indices, and the form found spells the block
+    back. x = y is a clique, and so is x = -y at m = 2 (negate D on one
+    class): then one class is found."""
+    diagonal, x, y, k, signs, seed = block
+    g = group_divisible_block(diagonal, x, y, k, signs, seed)
+    h = len(signs)
+    m = h // k
+    a, b, c = diagonal - x, x - y, y
+    alpha = a + b * k
+    det, form, symmetric, bareiss = block_det_and_bareiss_calls(g)
+    assert det == one_step_bareiss(g) == a ** (h - m) * alpha ** (m - 1) * (alpha + c * h)
+    assert (symmetric, bareiss) == (0, 0)
+    assert spelled_block(form) == g
+    assert len(form[3]) == (1 if x == y or m == 2 and x == -y else m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GROUP_DIVISIBLE_BLOCKS.filter(lambda block: block[1] != block[2]), st.data())
+def test_block_det_sends_a_perturbed_group_divisible_block_to_bareiss(block, data):
+    """The same blocks, with x != y, and one symmetric pair or one diagonal
+    entry moved, are no D(aI + bE + cJ)D: the symmetric Bareiss gives the
+    oracle's det."""
+    diagonal, x, y, k, signs, seed = block
+    g, _, _ = perturbed(group_divisible_block(diagonal, x, y, k, signs, seed), data)
+    det, form, symmetric, bareiss = block_det_and_bareiss_calls(g)
+    assert det == one_step_bareiss(g)
+    assert form is None
     assert (symmetric, bareiss) == (1, leading_minor_vanishes(g))
 
 

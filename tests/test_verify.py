@@ -429,12 +429,17 @@ def test_every_claim_fails_on_a_wrong_engine(monkeypatch, skew26, tournament25, 
 )
 def test_claims_fail_on_a_wrong_certificate(monkeypatch, example66, claim, factor):
     """With the Gram probe's |det| off by a factor, each claim on example66
-    fails or meets an elimination that contradicts it. ew-head reads only
+    fails, or the probe's s_n or an elimination contradicts it. ew-head reads only
     the first two factors, and a prime of exponent 1 in |det| goes into the
     last factor with no elimination, so it is given 9 rather than 3: 3^2
     is eliminated modulo 3, and no exponent of 3 is seen."""
     probe = snf._gram_abs_det
-    monkeypatch.setattr(snf, "_gram_abs_det", lambda rows: factor * probe(rows))
+
+    def off(rows):
+        d, sn = probe(rows)
+        return factor * d, sn
+
+    monkeypatch.setattr(snf, "_gram_abs_det", off)
     try:
         assert not theorem_conformance(example66, claim).passed
     except ArithmeticError:
@@ -480,7 +485,7 @@ def test_ew_abs_det_certifies_every_ew_fixture(witnesses5, skew14, skew26, examp
         n = x.rows
         rows = x.to_rows()
         assert verify._ew_abs_det(n) == abs(kernels.bareiss_determinant(rows)[0])
-        assert snf._gram_abs_det(rows) == verify._ew_abs_det(n) == abs(one_step_bareiss(rows))
+        assert snf._gram_abs_det(rows)[0] == verify._ew_abs_det(n) == abs(one_step_bareiss(rows))
 
 
 def test_skew26_is_not_equivalent_to_example26(example26, skew26):
