@@ -12,19 +12,22 @@ The engine rule: transforms come from the Euclidean engine on the input
 itself. Otherwise the engine is chosen from the rows it eliminates (the
 input, or its 0/1 core), and nothing else; no caller hands it a |det|.
 
-- The local engine runs on square rows of order ``LOCAL_MIN_ORDER`` or
-  more, with one proof of d = |det| per input and one attempt. A +-1
+- The local engine runs once per input, on one proof of d = |det|. A +-1
   square whose Gram AA^T splits into blocks (the kernels' one Gram-block
-  rule) gets d from them (``_gram_abs_det``; a block that is no group
-  divisible D(aI + bE + cJ)D goes to ``kernels._symmetric_det``) and hands
-  d >> (n-1), trial-divided whole, to its core, as |det A| = 2^(n-1)
-  |det C|; when every block is one, their closed-form inverse proves s_n
-  too, and the core's top exponent K = v_p(s_n / 2) of each prime p of d.
-  Other rows (``local_smith_form``) get d and one (n-1)-minor M from
-  Bareiss on the rows themselves. The part w of d prime to M goes whole
-  into s_n, as s_1...s_{n-1} (the gcd of the (n-1)-minors) divides M. Each
-  prime p of d // w below ``TRIAL_BOUND`` is eliminated modulo p^k (no
-  entry grows past n*p^2k), from k = K, or 1 with no K, until the
+  rule, on the -1 masks of its rows, off which the core is read too) gets
+  d from them (``_gram_abs_det``); when each is group divisible,
+  D(aI + bE + cJ)D, their closed-form inverse proves s_n too, and the
+  local engine runs at any order, on the core with d >> (n-1) (as
+  |det A| = 2^(n-1) |det C|), trial-divided whole, and the top exponent
+  K = v_p(s_n / 2) of each prime p of d. Only from core order
+  ``LOCAL_MIN_ORDER`` on does a block with no form go to
+  ``kernels._symmetric_det`` (below, one such block, found before any
+  determinant, sends the input to the Euclidean engine), and only there
+  do other square rows (``local_smith_form``) get d and one (n-1)-minor M
+  from Bareiss on the rows themselves. The part w of d prime to M goes
+  whole into s_n, as s_1...s_{n-1} (the gcd of the (n-1)-minors) divides
+  M. Each prime p of d // w below ``TRIAL_BOUND`` is eliminated modulo p^k
+  (no entry grows past n*p^2k), from k = K, or 1 with no K, until the
   exponents seen sum to v_p(d); while s >= 2 of them are k or more and sum
   to some r != sk, k goes up to max(2k, ceil(r/s) + 1). That gives every
   exponent below k exactly, and d fixes the ones at k or above, so the
@@ -34,7 +37,7 @@ input, or its 0/1 core), and nothing else; no caller hands it a |det|.
   division does not reach, are handed back to the Euclidean engine, with
   no second local attempt.
 - The Euclidean engine (``kernels.smith_reduce``) runs on everything else:
-  rectangular rows, squares of lower order, and every hand-back. It
+  rectangular rows, other squares below the gate, and every hand-back. It
   diagonalizes by unimodular row and column operations over the
   integers, so its entries can grow far past the final factors.
 """
@@ -49,12 +52,9 @@ from operator import mul
 from . import kernels
 from .exactmat import Frozen, IntMatrix, trial_divide
 
-#: Square rows of this order or more go to the local engine: the 0/1 core of a
-#: +-1 input of order 66 or more, or any other square of order 65 or more. Its
-#: time over the Euclidean engine's on uncut inputs, best of 9 interleaved, on
-#: 6 seeded random +-1 squares per order: 0.51-0.98x at order 50, 0.43-0.51x
-#: at 66 and 0.34-0.43x at 80; on the Paley two-block matrices, 0.90-0.95x at
-#: order 42 and 0.34-0.46x at 78; 0.68-0.74x on example66.
+#: From this order of the rows it eliminates on, the local engine also takes
+#: the Bareiss route, a Gram block with no closed form and a split Gram with
+#: no s_n; below it, only an input whose Gram probe proves |det| and s_n.
 LOCAL_MIN_ORDER = 65
 
 #: The local engine trial-divides the part of |det| that shares its primes
@@ -105,67 +105,70 @@ def _factors(a: IntMatrix) -> tuple[int, ...]:
     """Invariant factors of a, by the engine rule of the module docstring."""
     rows = a.to_rows()
     pm1 = min(a.rows, a.cols) >= 2 and a.is_pm1
-    core = cache(lambda: _zero_one_core(rows) if pm1 else rows)
+    masks = kernels._sign_masks(rows) if pm1 else None
+    core = cache(lambda: _zero_one_core(masks, a.cols) if pm1 else rows)
     n = len(rows) - pm1
     factors = None
-    if n >= LOCAL_MIN_ORDER and a.rows == a.cols:
-        probe = _gram_abs_det(rows) if pm1 else None
+    if a.rows == a.cols:
+        local = n >= LOCAL_MIN_ORDER
+        probe = _gram_abs_det(rows, masks, local) if pm1 else None
         if probe is None:
-            factors = local_smith_form(core())
+            factors = local_smith_form(core()) if local else None
         elif probe[0]:
             factors = _local_factors(core, n, probe[0] >> n, 1, probe[1] >> 1)
     factors = factors or kernels.smith_reduce(core(), False)[0]
     return (1,) + tuple(2 * f for f in factors) if pm1 else tuple(factors)
 
 
-def _gram_abs_det(rows: list[list[int]]) -> tuple[int, int] | None:
-    """(|det A|, s_n) of a +-1 square A from the diagonal blocks of its Gram
-    G = AA^T, or None when G is one block; s_n, A's largest invariant
-    factor, is 0 when det A = 0 or a block is no D(aI + bE + cJ)D.
+def _gram_abs_det(rows: list[list[int]], masks: list[int], bareiss: bool) -> tuple[int, int] | None:
+    """(|det A|, s_n) of a +-1 square A, whose rows have the -1 masks given,
+    from the diagonal blocks of its Gram G = AA^T; None when G is one block,
+    or, unless bareiss, a block is no D(aI + bE + cJ)D. s_n, A's largest
+    invariant factor, is 0 when det A = 0 or a block is no D(aI + bE + cJ)D.
 
     G_ij = n - 2 popcount(m_i ^ m_j) on the -1 masks, never 0 at odd n.
     The blocks are the components of the graph of nonzero G_ij, by
     ``kernels._components``: a first block that holds every row ends the
-    probe, so a random square costs about two Gram rows. Up to a
-    permutation G is block diagonal, so det(A)^2 = det G, the product of the
-    blocks' determinants (``_block_det``, once per distinct block); |det A|
-    is its square root, and a product that is no square raises ArithmeticError.
+    probe, so a random square costs about two Gram rows. Each distinct block
+    gets its ``kernels._group_form`` first. Up to a permutation G is block
+    diagonal, so det(A)^2 = det G, the product of the blocks' determinants
+    (``_block_det``, once per distinct block); |det A| is its square root,
+    and a product that is no square raises ArithmeticError.
     s_n, the least denominator of A^-1, is the lcm of the ``_block_sn``.
     """
     n = len(rows)
-    masks = kernels._sign_masks(rows)
     blocks = kernels._components(
         n, lambda i, rest: [2 * (masks[i] ^ masks[j]).bit_count() != n for j in rest]
     )
     if len(blocks) == 1:
         return None
     grams = [tuple(map(tuple, kernels._mask_gram([masks[i] for i in block], n))) for block in blocks]
-    dets = {gram: _block_det(gram) for gram in dict.fromkeys(grams)}
-    square = prod(dets[gram][0] for gram in grams)
+    forms = {gram: kernels._group_form(gram) for gram in dict.fromkeys(grams)}
+    if not bareiss and None in forms.values():
+        return None
+    dets = {gram: _block_det(gram, form) for gram, form in forms.items()}
+    square = prod(dets[gram] for gram in grams)
     d = isqrt(square)
     if d * d != square:
         raise ArithmeticError(f"the Gram blocks' determinants multiply to {square}, no square")
-    forms = [dets[gram][1] for gram in grams]
-    if not d or None in forms:
+    if not d or None in forms.values():
         return d, 0
-    return d, lcm(*(_block_sn([rows[i] for i in block], form) for block, form in zip(blocks, forms)))
+    return d, lcm(*(_block_sn([rows[i] for i in block], forms[gram]) for block, gram in zip(blocks, grams)))
 
 
-def _block_det(g: tuple[tuple[int, ...], ...]) -> tuple[int, tuple | None]:
-    """(det g, form) of a symmetric Gram block g of order h, as row tuples
-    or lists. When ``kernels._group_form`` finds g to be D(aI + bE + cJ)D
-    on m classes of k, form is its (a, b, c, classes, signs), and
-    det g = a^(h-m) alpha^(m-1) beta, the eigenvalues of aI + bE + cJ, with
-    alpha = a + bk and beta = alpha + ckm. Any other block gets form None
-    and ``kernels._symmetric_det``: g is PSD, so a zero leading principal
-    minor, where it stops, already means det g = 0."""
-    form = kernels._group_form(g)
+def _block_det(g: tuple[tuple[int, ...], ...], form: tuple | None) -> int:
+    """det of a symmetric Gram block g of order h, as row tuples or lists,
+    with its ``kernels._group_form``. When g is D(aI + bE + cJ)D on m
+    classes of k, det g = a^(h-m) alpha^(m-1) beta, the eigenvalues of
+    aI + bE + cJ, with alpha = a + bk and beta = alpha + ckm. A block with
+    no form gets ``kernels._symmetric_det``: g is PSD, so a zero leading
+    principal minor, where it stops, already means det g = 0."""
     if form is None:
-        return kernels._symmetric_det(g), None
+        return kernels._symmetric_det(g)
     a, b, c, classes, _ = form
     h, m = len(g), len(classes)
     alpha = a + b * (h // m)
-    return a ** (h - m) * alpha ** (m - 1) * (alpha + c * h), form
+    return a ** (h - m) * alpha ** (m - 1) * (alpha + c * h)
 
 
 def _block_sn(rows: list[list[int]], form: tuple) -> int:
@@ -193,20 +196,17 @@ def _block_sn(rows: list[list[int]], form: tuple) -> int:
     return delta // g
 
 
-def _zero_one_core(rows: list[list[int]]) -> list[list[int]]:
-    """The rows of the 0/1 core C of the +-1 matrix A with the rows given,
-    with A ~ diag(1, -2C).
+def _zero_one_core(masks: list[int], cols: int) -> list[list[int]]:
+    """The rows of the 0/1 core C of the +-1 matrix A whose rows, of length
+    cols, have the ``kernels._sign_masks`` given, with A ~ diag(1, -2C).
 
-    c_ij = (1 - a_ij a_i0 a_0j a_00) / 2 is 1 exactly where a_ij differs
-    from a_i0 a_00 a_0j, the entry of row 0 scaled to start like row i.
+    c_ij = (1 - a_ij a_i0 a_0j a_00) / 2 is 1 exactly where a_ij a_0j and
+    a_i0 a_00 differ: on the low cols - 1 bits, row i is m_i ^ m_0,
+    complemented when a_i0 != a_00 (the top bit of m_i ^ m_0).
     """
-    head = rows[0]
-    plus = head[1:]
-    minus = [-v for v in plus]
-    return [
-        [int(v != h) for v, h in zip(r[1:], plus if r[0] == head[0] else minus)]
-        for r in rows[1:]
-    ]
+    low, spec, digits = (1 << cols - 1) - 1, f"0{cols - 1}b", bytes.maketrans(b"01", b"\0\1")
+    rows = (m ^ masks[0] for m in masks[1:])
+    return [list(format(low & (~x if x >> cols - 1 else x), spec).encode().translate(digits)) for x in rows]
 
 
 def local_smith_form(rows: list[list[int]]) -> tuple[int, ...] | None:

@@ -6,6 +6,7 @@ it. ``minor_gcd`` enumerates every i x i minor and takes gcds, so the
 i-th invariant factor of a matrix is minor_gcd(a, i) / minor_gcd(a, i-1)
 as long as i <= rank; each minor comes from ``one_step_bareiss``.
 ``ref_components`` is a union-find, for the library's component walk.
+``zero_one_core`` builds the SNF engine's 0/1 core entry by entry.
 ``tournament_rows`` decodes the searches' tournament masks bit by bit.
 """
 
@@ -66,6 +67,20 @@ def minor_gcd(a, size: int) -> int:
             if g == 1:
                 return 1
     return g
+
+
+def zero_one_core(rows):
+    """The rows of the 0/1 core C of the +-1 matrix A with the rows given,
+    with A ~ diag(1, -2C), entry by entry: c_ij = (1 - a_ij a_i0 a_0j a_00) / 2
+    is 1 exactly where a_ij differs from a_i0 a_00 a_0j, the entry of row 0
+    scaled to start like row i."""
+    head = rows[0]
+    plus = head[1:]
+    minus = [-v for v in plus]
+    return [
+        [int(v != h) for v, h in zip(r[1:], plus if r[0] == head[0] else minus)]
+        for r in rows[1:]
+    ]
 
 
 def ref_components(items, related):

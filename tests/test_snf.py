@@ -29,13 +29,12 @@ from doptsnf.snf import (
     LOCAL_MIN_ORDER,
     TRIAL_BOUND,
     SnfResult,
-    _zero_one_core,
     local_smith_form,
     smith_normal_form,
 )
 from doptsnf.search import search_circulant_barba
 from doptsnf.verify import ew_gram_check
-from oracles import MINOR_GCD_SIZE_LIMIT, minor_gcd, one_step_bareiss
+from oracles import MINOR_GCD_SIZE_LIMIT, minor_gcd, one_step_bareiss, zero_one_core
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -421,6 +420,25 @@ def test_zero_one_core_keeps_the_factors(name):
         assert math.prod(factors) == abs(determinant(m))
 
 
+PM1_RECTANGLES = st.tuples(st.integers(2, 9), st.integers(2, 9)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.sampled_from((1, -1)), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PM1_RECTANGLES)
+@example([[1, 1], [-1, 1]])
+@example([[-1, 1, -1], [1, 1, 1], [-1, -1, 1]])
+def test_zero_one_core_from_masks_is_the_oracle(rows):
+    """The core read off the -1 masks is the entry-by-entry one, rows that
+    start unlike row 0 included."""
+    assert snf._zero_one_core(kernels._sign_masks(rows), len(rows[0])) == zero_one_core(rows)
+
+
 @pytest.mark.parametrize("name", PM1_CASES)
 def test_transforms_of_a_pm1_input_run_on_the_uncut_input(name):
     m = PM1_CASES[name]
@@ -489,7 +507,20 @@ ENGINE_RULE_CASES = {
     ),
     # r1 = r2 = all ones: both Gram blocks are 66J, so d = 0 by their entries
     "two-circulant-singular": (lambda: two_circulant([1] * 33, [1] * 33), False, ((), (), 2, 0, 1)),
-    "e26": (build_example_26, False, ((), (), 0, 0, 1)),
+    # below LOCAL_MIN_ORDER the probe picks the engine too: e26's Gram is two
+    # order-13 blocks D(24I + 2J)D, and s_n leaves no prime of the core's
+    # |det| an elimination
+    "e26": (build_example_26, False, ((), (), 2, 0, 0)),
+    # paley-q7 (order 42): two order-21 blocks with classes i = j (mod 3)
+    "paley-q7": (lambda: paley_two_block(7), False, ((), (), 2, 0, 0)),
+    # the Barba double of the first circulant Barba matrix of order 13
+    "barba-double-26": (lambda: barba_double(search_circulant_barba(13)[0]), False, ((), (), 2, 0, 0)),
+    # below the gate a block that is no D(aI + bE + cJ)D sends the input to
+    # the Euclidean engine before any determinant: a seeded order-26
+    # two-circulant, nonsingular, whose two blocks have no form
+    "two-circulant-26": (
+        lambda: two_circulant(*random_pm1(511, 2, 13).to_rows()), False, ((), (), 2, 0, 1)
+    ),
     "integer-64": (lambda: integer_square(501, 64), False, ((), (), 0, 0, 1)),
     "integer-65": (lambda: integer_square(502, 65), False, ((65,), (), 0, 0, 0)),
     "singular-66": (lambda: PM1_CASES["singular-66"], False, ((65,), (), 0, 0, 1)),
@@ -580,11 +611,16 @@ def gram_is_connected(rows) -> bool:
     return len(reached) == len(rows)
 
 
+def gram_probe(rows, bareiss=True):
+    """snf._gram_abs_det on rows, with their -1 masks packed."""
+    return snf._gram_abs_det(rows, kernels._sign_masks(rows), bareiss)
+
+
 def test_gram_probe_matches_the_oracle_on_the_paley_two_block_matrices():
     for q in (7, 11, 19, 23):
         rows = paley_two_block(q).to_rows()
         assert not gram_is_connected(rows)
-        assert snf._gram_abs_det(rows)[0] == abs(one_step_bareiss(rows))
+        assert gram_probe(rows)[0] == abs(one_step_bareiss(rows))
 
 
 TWO_CIRCULANT_FIRST_ROWS = st.sampled_from((1, 3, 5, 7, 9, 11, 13, 15)).flatmap(
@@ -603,7 +639,7 @@ def test_gram_probe_matches_the_oracle_on_two_circulant_blocks(first_rows):
     """[[R1, R2], [-R2^T, R1^T]] with commuting circulants R1, R2 has a
     block diagonal Gram, so the probe always answers, singular or not."""
     rows = two_circulant_rows(first_rows)
-    assert snf._gram_abs_det(rows)[0] == abs(one_step_bareiss(rows))
+    assert gram_probe(rows)[0] == abs(one_step_bareiss(rows))
 
 
 def euclidean_s_n(rows) -> int:
@@ -618,9 +654,9 @@ def test_gram_probe_s_n_matches_the_euclidean_engine_on_two_circulant_blocks(fir
     s_n is the Euclidean engine's largest factor, on the matrix and on a
     signed permutation of it; elsewhere it is 0."""
     rows = two_circulant_rows(first_rows)
-    d, sn = snf._gram_abs_det(rows)
+    d, sn = gram_probe(rows)
     moved = signed_permutation(rows, random.Random(seed))
-    assert snf._gram_abs_det(moved) == (d, sn)
+    assert gram_probe(moved) == (d, sn)
     if sn:
         assert sn == euclidean_s_n(rows)
     if d:
@@ -665,14 +701,14 @@ def test_gram_probe_s_n_matches_the_euclidean_engine(name):
     want = euclidean_s_n(rows)
     rng = random.Random(name)
     for moved in [rows] + [signed_permutation(rows, rng) for _ in range(3)]:
-        assert snf._gram_abs_det(moved)[1] == want
+        assert gram_probe(moved)[1] == want
 
 
 def test_gram_probe_s_n_matches_the_euclidean_engine_on_the_barba_doubles():
     doubles = barba_doubles()
     assert len(doubles) == 114
     for rows in doubles:
-        assert snf._gram_abs_det(rows)[1] == euclidean_s_n(rows)
+        assert gram_probe(rows)[1] == euclidean_s_n(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -685,14 +721,18 @@ def test_gram_probe_s_n_matches_the_euclidean_engine_on_the_barba_doubles():
 )
 def test_gram_probe_answers_exactly_when_the_gram_splits(rows):
     """None on a connected Gram; otherwise |det| by the oracle, and s_n by
-    the Euclidean engine where it is not 0."""
-    probe = snf._gram_abs_det(rows)
+    the Euclidean engine where it is not 0. Without the symmetric Bareiss
+    the probe gives the same answer where s_n is not 0, and else None or
+    the same d = 0."""
+    probe = gram_probe(rows)
     if gram_is_connected(rows):
         assert probe is None
     else:
         d, sn = probe
         assert d == abs(one_step_bareiss(rows))
         assert sn in (0, d and euclidean_s_n(rows))
+    gated = gram_probe(rows, False)
+    assert gated == probe if probe and probe[1] else gated in (None, probe)
 
 
 #: Row 0 is orthogonal to every +-1 row of length 6 with three -1s, and no
@@ -711,7 +751,7 @@ ONE_AND_FIVE = [
 
 
 def test_gram_probe_refuses_block_determinants_whose_product_is_no_square(monkeypatch):
-    assert snf._gram_abs_det(ONE_AND_FIVE) == (abs(one_step_bareiss(ONE_AND_FIVE)), 0) == (96, 0)
+    assert gram_probe(ONE_AND_FIVE) == (abs(one_step_bareiss(ONE_AND_FIVE)), 0) == (96, 0)
     symmetric = kernels._symmetric_det
 
     def doubled(g):
@@ -721,7 +761,7 @@ def test_gram_probe_refuses_block_determinants_whose_product_is_no_square(monkey
 
     monkeypatch.setattr(kernels, "_symmetric_det", doubled)
     with pytest.raises(ArithmeticError, match="^the Gram blocks' determinants multiply to 18432, no square$"):
-        snf._gram_abs_det(ONE_AND_FIVE)
+        gram_probe(ONE_AND_FIVE)
 
 
 def clique_block(a: int, b: int, signs) -> list[list[int]]:
@@ -736,15 +776,16 @@ def leading_minor_vanishes(a):
 
 
 def block_det_and_bareiss_calls(g) -> tuple[int, tuple | None, int, int]:
-    """snf._block_det(g), as (det, form), how many symmetric Bareiss
-    determinants it ran, and how many of bareiss_determinant (the symmetric
-    kernel's fallback)."""
+    """snf._block_det(g) on g's kernels._group_form, as (det, form), how
+    many symmetric Bareiss determinants it ran, and how many of
+    bareiss_determinant (the symmetric kernel's fallback)."""
     calls = {"_symmetric_det": [], "bareiss_determinant": []}
     with pytest.MonkeyPatch.context() as mp:
         for name, seen in calls.items():
             kernel = getattr(kernels, name)
             mp.setattr(kernels, name, lambda a, kernel=kernel, seen=seen: seen.append(len(a)) or kernel(a))
-        det, form = snf._block_det(g)
+        form = kernels._group_form(g)
+        det = snf._block_det(g, form)
     return det, form, len(calls["_symmetric_det"]), len(calls["bareiss_determinant"])
 
 
@@ -902,6 +943,7 @@ def test_euclidean_engine_outputs_are_pinned(example66):
     assert reduce_digest(SMALL_INTEGER, True) == (
         "ddc8e6f7bfaef567a30fd0b488b2868e01480b14e6da6a6a46aaf1d46d60ab99"
     )
-    assert reduce_digest(_zero_one_core(build_example_26().to_rows()), False) == (
+    rows = build_example_26().to_rows()
+    assert reduce_digest(snf._zero_one_core(kernels._sign_masks(rows), len(rows[0])), False) == (
         "0f0924bc7542ac751ff2f97b65012b4d1f359b1552861ab8a4ad7907495d9a56"
     )

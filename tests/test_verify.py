@@ -421,42 +421,47 @@ def test_every_claim_fails_on_a_wrong_engine(monkeypatch, skew26, tournament25, 
 
 
 @pytest.mark.parametrize(
-    "claim, factor",
+    "design, claim, factor",
     [
-        pytest.param("block-squarefree", 3, id="example66-block-squarefree"),
-        pytest.param("ew-head", 9, id="example66-ew-head"),
+        pytest.param("example66", "block-squarefree", 3, id="example66-block-squarefree"),
+        pytest.param("example66", "ew-head", 9, id="example66-ew-head"),
+        pytest.param("example26", "block-prime-square", 3, id="example26-block-prime-square"),
+        pytest.param("example26", "ew-head", 2**13, id="example26-ew-head"),
     ],
 )
-def test_claims_fail_on_a_wrong_certificate(monkeypatch, example66, claim, factor):
+def test_claims_fail_on_a_wrong_certificate(monkeypatch, request, design, claim, factor):
     """With the Gram probe's |det| off by a factor, each claim on example66
-    fails, or the probe's s_n or an elimination contradicts it. ew-head reads only
-    the first two factors, and a prime of exponent 1 in |det| goes into the
-    last factor with no elimination, so it is given 9 rather than 3: 3^2
-    is eliminated modulo 3, and no exponent of 3 is seen."""
+    and example26 fails, or the probe's s_n or an elimination contradicts
+    it. ew-head reads only the first two factors, and a prime of exponent 1
+    in |det| goes into the last factor with no elimination, so example66 is
+    given 9 rather than 3: 3^2 is eliminated modulo 3, and no exponent of 3
+    is seen. example26's s_n gives the core's 2 the top exponent 1, so its
+    12 exponents of 2 sit on the last factors; 2^13 more make all 25 of
+    them 1, the first included."""
     probe = snf._gram_abs_det
 
-    def off(rows):
-        d, sn = probe(rows)
+    def off(*args):
+        d, sn = probe(*args)
         return factor * d, sn
 
     monkeypatch.setattr(snf, "_gram_abs_det", off)
     try:
-        assert not theorem_conformance(example66, claim).passed
+        assert not theorem_conformance(request.getfixturevalue(design), claim).passed
     except ArithmeticError:
         pass
 
 
-def no_bareiss(rows):
-    raise AssertionError("a Bareiss determinant ran")
+def no_kernel(rows, *args):
+    raise AssertionError("a Bareiss determinant or the Euclidean engine ran")
 
 
 def test_ew_claims_run_no_bareiss(monkeypatch, skew14, skew26, example26, example66):
     """No claim on an EW design runs a Bareiss determinant, on its rows or
-    on a Gram block: below order 66 the Euclidean engine gives the SNF, and
-    example66's Gram blocks are D(64I + 2J)D, whose det the probe reads off
-    their entries."""
-    for kernel in ("bareiss_determinant", "_symmetric_det"):
-        monkeypatch.setattr(kernels, kernel, no_bareiss)
+    on a Gram block, nor the Euclidean engine: the Gram of an EW design of
+    order n is two blocks D((n - 2)I + 2J)D, from which the probe proves
+    |det| and s_n at every order, so the local engine gives the SNF."""
+    for kernel in ("bareiss_determinant", "_symmetric_det", "smith_reduce"):
+        monkeypatch.setattr(kernels, kernel, no_kernel)
     designs = {"skew14": skew14, "skew26": skew26, "e26": example26, "e66": example66}
     ran = []
     for name, x in designs.items():
@@ -485,7 +490,8 @@ def test_ew_abs_det_certifies_every_ew_fixture(witnesses5, skew14, skew26, examp
         n = x.rows
         rows = x.to_rows()
         assert verify._ew_abs_det(n) == abs(kernels.bareiss_determinant(rows)[0])
-        assert snf._gram_abs_det(rows)[0] == verify._ew_abs_det(n) == abs(one_step_bareiss(rows))
+        probe = snf._gram_abs_det(rows, kernels._sign_masks(rows), True)
+        assert probe[0] == verify._ew_abs_det(n) == abs(one_step_bareiss(rows))
 
 
 def test_skew26_is_not_equivalent_to_example26(example26, skew26):
