@@ -15,12 +15,10 @@ bit e of every slot of a row, or keeps every slot's low k bits, so no row
 is unpacked. The EW check and that probe split a Gram by one rule: the
 walk ``_components``, the D(aI + bJ)D test ``_clique_break`` the EW check
 reads its breaks from, and the one group-divisible test ``_group_form``,
-of which a clique is the case of one class. The probe reads det and s_n
-off each block D(aI + bE + cJ)D and sends any other to ``_symmetric_det``,
-Bareiss on the upper triangle, with no pivot search: a Gram is PSD, so a
-zero leading principal minor already means det 0. ``matmul`` stays the
-one general product. ``adjugate`` has no caller in the library: it is
-kept as the tests' oracle and as a name the layered benchmark traces.
+of which a clique is the case of one class: the probe reads det and s_n
+off each block D(aI + bE + cJ)D. ``matmul`` stays the one general
+product. ``adjugate`` has no caller in the library: it is kept as the
+tests' oracle and as a name the layered benchmark traces.
 Callers own all shape validation — kernels assume well-formed input.
 """
 
@@ -232,31 +230,6 @@ def bareiss_determinant(a):
         return sign * prev, a00
     det = sign * m[k][k]
     return (det, prev) if det else (0, 0)
-
-
-def _symmetric_det(g):
-    """det of a symmetric g by bareiss_determinant's two-step pass on the
-    upper triangle, with no pivot search: with no row swapped, a_ij (the
-    minor on rows 0..k+1, i and columns 0..k+1, j) is a_ji, so a pass
-    updates j >= i only and reads a_ik as a_ki. A zero a_kk or c0 hands g
-    to bareiss_determinant, so every symmetric g gets its exact det."""
-    n = len(g)
-    m = [list(row) for row in g]
-    prev, k = 1, 0
-    while k < n - 1:
-        mk, ml = m[k], m[k + 1]
-        a00, a01, a11 = mk[k], mk[k + 1], ml[k + 1]
-        c0 = (a00 * a11 - a01 * a01) // prev
-        if not a00 or not c0:
-            return bareiss_determinant([list(row) for row in g])[0]
-        for i in range(k + 2, n):
-            mi, x0, x1 = m[i], mk[i], ml[i]
-            c1 = (a01 * x0 - a00 * x1) // prev
-            c2 = (a01 * x1 - a11 * x0) // prev
-            for j in range(i, n):
-                mi[j] = (mi[j] * c0 + ml[j] * c1 + mk[j] * c2) // prev
-        prev, k = c0, k + 2
-    return prev if k == n else m[k][k]
 
 
 def adjugate(a):

@@ -12,34 +12,32 @@ The engine rule: transforms come from the Euclidean engine on the input
 itself. Otherwise the engine is chosen from the rows it eliminates (the
 input, or its 0/1 core), and nothing else; no caller hands it a |det|.
 
-- The local engine runs once per input, on one proof of d = |det|. A +-1
-  square whose Gram AA^T splits into blocks (the kernels' one Gram-block
-  rule, on the -1 masks of its rows, off which the core is read too) gets
-  d from them (``_gram_abs_det``); when each is group divisible,
-  D(aI + bE + cJ)D, their closed-form inverse proves s_n too, and the
-  local engine runs at any order, on the core with d >> (n-1) (as
-  |det A| = 2^(n-1) |det C|), trial-divided whole, and the top exponent
-  K = v_p(s_n / 2) of each prime p of d. Only from core order
-  ``LOCAL_MIN_ORDER`` on does a block with no form go to
-  ``kernels._symmetric_det`` (below, one such block, found before any
-  determinant, sends the input to the Euclidean engine), and only there
-  do other square rows (``local_smith_form``) get d and one (n-1)-minor M
-  from Bareiss on the rows themselves. The part w of d prime to M goes
-  whole into s_n, as s_1...s_{n-1} (the gcd of the (n-1)-minors) divides
-  M. Each prime p of d // w below ``TRIAL_BOUND`` is eliminated modulo p^k
-  (no entry grows past n*p^2k), from k = K, or 1 with no K, until the
-  exponents seen sum to v_p(d); while s >= 2 of them are k or more and sum
-  to some r != sk, k goes up to max(2k, ceil(r/s) + 1). That gives every
-  exponent below k exactly, and d fixes the ones at k or above, so the
-  result is exact, not probabilistic; K = 1 needs no elimination, as
-  v_p(d) exponents are then 1 and the rest 0. The core is built only for
-  an elimination. Singular rows, or a d // w with a prime factor the trial
-  division does not reach, are handed back to the Euclidean engine, with
-  no second local attempt.
-- The Euclidean engine (``kernels.smith_reduce``) runs on everything else:
-  rectangular rows, other squares below the gate, and every hand-back. It
-  diagonalizes by unimodular row and column operations over the
-  integers, so its entries can grow far past the final factors.
+- A +-1 square whose Gram AA^T splits into blocks (the kernels' one
+  Gram-block rule, on the -1 masks of its rows, off which the core is read
+  too), each group divisible, D(aI + bE + cJ)D, gets d = |det| and s_n
+  from them (``_gram_abs_det``) and goes to the local engine at any order,
+  or to the Euclidean engine when they prove d = 0.
+- Any other square of core order ``LOCAL_MIN_ORDER`` or more goes to the
+  local engine with d and one (n-1)-minor M from Bareiss on its rows
+  (``local_smith_form``).
+- Everything else goes to the Euclidean engine (``kernels.smith_reduce``).
+
+The local engine runs once per input. On the Gram route it runs on the
+core with d >> (n-1) (as |det A| = 2^(n-1) |det C|), trial-divided whole,
+and the top exponent K = v_p(s_n / 2) of each prime p of d. On the Bareiss
+route the part w of d prime to M goes whole into s_n, as s_1...s_{n-1}
+(the gcd of the (n-1)-minors) divides M. Each prime p of d // w below
+``TRIAL_BOUND`` is eliminated modulo p^k (no entry grows past n*p^2k),
+from k = K, or 1 with no K, until the exponents seen sum to v_p(d); while
+s >= 2 of them are k or more and sum to some r != sk, k goes up to
+max(2k, ceil(r/s) + 1). That gives every exponent below k exactly, and d
+fixes the ones at k or above, so the result is exact, not probabilistic;
+K = 1 needs no elimination, as v_p(d) exponents are then 1 and the rest 0.
+The core is built only for an elimination. Singular rows, or a d // w with
+a prime factor the trial division does not reach, are handed back to the
+Euclidean engine, with no second local attempt. The Euclidean engine
+diagonalizes by unimodular row and column operations over the integers,
+so its entries can grow far past the final factors.
 """
 
 from __future__ import annotations
@@ -52,9 +50,9 @@ from operator import mul
 from . import kernels
 from .exactmat import Frozen, IntMatrix, trial_divide
 
-#: From this order of the rows it eliminates on, the local engine also takes
-#: the Bareiss route, a Gram block with no closed form and a split Gram with
-#: no s_n; below it, only an input whose Gram probe proves |det| and s_n.
+#: From this order of the rows it eliminates on, a square whose Gram probe
+#: proves nothing takes the local engine's Bareiss route; below it, the
+#: Euclidean engine.
 LOCAL_MIN_ORDER = 65
 
 #: The local engine trial-divides the part of |det| that shares its primes
@@ -110,31 +108,30 @@ def _factors(a: IntMatrix) -> tuple[int, ...]:
     n = len(rows) - pm1
     factors = None
     if a.rows == a.cols:
-        local = n >= LOCAL_MIN_ORDER
-        probe = _gram_abs_det(rows, masks, local) if pm1 else None
+        probe = _gram_abs_det(rows, masks) if pm1 else None
         if probe is None:
-            factors = local_smith_form(core()) if local else None
+            factors = local_smith_form(core()) if n >= LOCAL_MIN_ORDER else None
         elif probe[0]:
             factors = _local_factors(core, n, probe[0] >> n, 1, probe[1] >> 1)
     factors = factors or kernels.smith_reduce(core(), False)[0]
     return (1,) + tuple(2 * f for f in factors) if pm1 else tuple(factors)
 
 
-def _gram_abs_det(rows: list[list[int]], masks: list[int], bareiss: bool) -> tuple[int, int] | None:
+def _gram_abs_det(rows: list[list[int]], masks: list[int]) -> tuple[int, int] | None:
     """(|det A|, s_n) of a +-1 square A, whose rows have the -1 masks given,
-    from the diagonal blocks of its Gram G = AA^T; None when G is one block,
-    or, unless bareiss, a block is no D(aI + bE + cJ)D. s_n, A's largest
-    invariant factor, is 0 when det A = 0 or a block is no D(aI + bE + cJ)D.
+    from the diagonal blocks of its Gram G = AA^T, each D(aI + bE + cJ)D:
+    s_n is A's largest invariant factor, and (0, 0) means det A = 0. None
+    when G is one block or some block has no such form.
 
     G_ij = n - 2 popcount(m_i ^ m_j) on the -1 masks, never 0 at odd n.
     The blocks are the components of the graph of nonzero G_ij, by
     ``kernels._components``: a first block that holds every row ends the
     probe, so a random square costs about two Gram rows. Each distinct block
-    gets its ``kernels._group_form`` first. Up to a permutation G is block
+    gets its ``kernels._group_form``. Up to a permutation G is block
     diagonal, so det(A)^2 = det G, the product of the blocks' determinants
-    (``_block_det``, once per distinct block); |det A| is its square root,
-    and a product that is no square raises ArithmeticError.
-    s_n, the least denominator of A^-1, is the lcm of the ``_block_sn``.
+    (``_block_det``); |det A| is its square root, and a product that is no
+    square raises ArithmeticError. s_n, the least denominator of A^-1, is
+    the lcm of the ``_block_sn``.
     """
     n = len(rows)
     blocks = kernels._components(
@@ -144,29 +141,23 @@ def _gram_abs_det(rows: list[list[int]], masks: list[int], bareiss: bool) -> tup
         return None
     grams = [tuple(map(tuple, kernels._mask_gram([masks[i] for i in block], n))) for block in blocks]
     forms = {gram: kernels._group_form(gram) for gram in dict.fromkeys(grams)}
-    if not bareiss and None in forms.values():
+    if None in forms.values():
         return None
-    dets = {gram: _block_det(gram, form) for gram, form in forms.items()}
-    square = prod(dets[gram] for gram in grams)
+    square = prod(_block_det(len(gram), forms[gram]) for gram in grams)
     d = isqrt(square)
     if d * d != square:
         raise ArithmeticError(f"the Gram blocks' determinants multiply to {square}, no square")
-    if not d or None in forms.values():
-        return d, 0
+    if not d:
+        return 0, 0
     return d, lcm(*(_block_sn([rows[i] for i in block], forms[gram]) for block, gram in zip(blocks, grams)))
 
 
-def _block_det(g: tuple[tuple[int, ...], ...], form: tuple | None) -> int:
-    """det of a symmetric Gram block g of order h, as row tuples or lists,
-    with its ``kernels._group_form``. When g is D(aI + bE + cJ)D on m
-    classes of k, det g = a^(h-m) alpha^(m-1) beta, the eigenvalues of
-    aI + bE + cJ, with alpha = a + bk and beta = alpha + ckm. A block with
-    no form gets ``kernels._symmetric_det``: g is PSD, so a zero leading
-    principal minor, where it stops, already means det g = 0."""
-    if form is None:
-        return kernels._symmetric_det(g)
+def _block_det(h: int, form: tuple) -> int:
+    """det of a Gram block of order h with the ``kernels._group_form``
+    D(aI + bE + cJ)D on m classes of k: a^(h-m) alpha^(m-1) beta, the
+    eigenvalues of aI + bE + cJ, with alpha = a + bk and beta = alpha + ckm."""
     a, b, c, classes, _ = form
-    h, m = len(g), len(classes)
+    m = len(classes)
     alpha = a + b * (h // m)
     return a ** (h - m) * alpha ** (m - 1) * (alpha + c * h)
 

@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from operator import mul
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,7 @@ from doptsnf import kernels
 from doptsnf.exactmat import format_matrix
 from doptsnf.search import _barba_row_from_mask, _circulant_barba_hits
 from oracles import one_step_bareiss, ref_components
-from test_snf import leading_minor_vanishes, paley_two_block
+from test_snf import paley_two_block
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -489,68 +488,11 @@ def test_bareiss_determinant_on_a_paley_design():
     assert abs(kernels.bareiss_determinant(a)[0]) == math.prod(factors)
 
 
-def gram(rows):
-    """AA^T of the rows given, entry by entry."""
-    return [[sum(map(mul, r, s)) for s in rows] for r in rows]
-
-
-def upper_mirrored(a):
-    """The symmetric matrix with the upper triangle of the square a."""
-    return [[a[min(i, j)][max(i, j)] for j in range(len(a))] for i in range(len(a))]
-
-
-def symmetric_det_and_fallbacks(a):
-    """kernels._symmetric_det(a) and how many Bareiss determinants it ran."""
-    calls = []
-    bareiss = kernels.bareiss_determinant
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "bareiss_determinant", lambda m: calls.append(len(m)) or bareiss(m))
-        return kernels._symmetric_det(a), len(calls)
-
-
-#: Symmetric matrices that reach each fallback to bareiss_determinant, with
-#: their determinants: a zero a_kk in the first pass and after it, a zero c0
-#: in the first pass and after it, and the Grams of dependent +-1 rows.
-SYMMETRIC_FALLBACKS = {
-    "zero-a00": ([[0, 1], [1, 0]], -1),
-    "zero-c0": ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], -1),
-    "zero-a22": ([[1, 1, 1, 0], [1, 2, 1, 1], [1, 1, 1, 2], [0, 1, 2, 1]], -4),
-    # four rows of length 3: c0 of the second pass is det = 0
-    "gram-4-rows-of-3": (gram([(1, 1, 1), (1, -1, 1), (1, 1, -1), (-1, 1, 1)]), 0),
-    # rows 0 and 2 equal: a_22 after the first pass is 0
-    "gram-repeated-row": (gram([(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, 1, 1), (1, 1, -1, -1)]), 0),
-}
-
-
-@pytest.mark.parametrize("name", SYMMETRIC_FALLBACKS)
-def test_symmetric_det_falls_back_to_bareiss(name):
-    a, det = SYMMETRIC_FALLBACKS[name]
-    assert leading_minor_vanishes(a)
-    assert symmetric_det_and_fallbacks(a) == (det, 1)
-    assert det == cofactor_det(a) == one_step_bareiss(a)
-
-
-@settings(max_examples=300, deadline=None)
-@given(MOSTLY_ZERO_SQUARES.map(upper_mirrored))
-@example([[7]])
-@example([[2, 3], [3, 5]])
-@example([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
-def test_symmetric_det_matches_references(a):
-    """Mostly-zero entries make the fallbacks and singular inputs common,
-    at odd and even orders; Bareiss runs exactly when a leading principal
-    minor the kernel divides by is 0."""
-    det, fallbacks = symmetric_det_and_fallbacks(a)
-    assert det == one_step_bareiss(a)
-    if len(a) <= 6:
-        assert det == cofactor_det(a)
-    assert fallbacks == leading_minor_vanishes(a)
-
-
 @pytest.mark.parametrize("q, order", [(19, 57), (23, 69)])
-def test_symmetric_det_on_the_paley_gram_blocks(q, order):
-    """The Paley Gram blocks as tuples: no D(aI + bJ)D, positive definite,
-    so no fallback runs. They are D(aI + bE + cJ)D on three classes, so the
-    SNF engine's probe reads their det off their entries instead."""
+def test_group_form_on_the_paley_gram_blocks(q, order):
+    """The Paley Gram blocks are no D(aI + bJ)D, but D(aI + bE + cJ)D on
+    three classes, so the SNF engine's probe reads their det off their
+    entries."""
     rows = paley_two_block(q).to_rows()
     n = len(rows)
     masks = kernels._sign_masks(rows)
@@ -560,6 +502,3 @@ def test_symmetric_det_on_the_paley_gram_blocks(q, order):
         g = kernels._mask_gram([masks[i] for i in block], n)
         assert kernels._clique_break(g, range(order))
         assert [len(members) for members in kernels._group_form(g)[3]] == [order // 3] * 3
-        det, fallbacks = symmetric_det_and_fallbacks(tuple(map(tuple, g)))
-        assert (det, fallbacks) == (kernels.bareiss_determinant(g)[0], 0)
-        assert det > 0

@@ -479,53 +479,54 @@ def two_circulant(r1, r2) -> IntMatrix:
 
 
 #: name -> (matrix, want_transforms, and what the engine rule runs: the
-#: orders of the rows bareiss_determinant gets, the orders of the Gram blocks
-#: _symmetric_det gets, then the number of calls to _mask_gram (one per Gram
-#: block of a split +-1 square), local_exponents and smith_reduce)
+#: orders of the rows bareiss_determinant gets, then the number of calls to
+#: _mask_gram (one per Gram block of a split +-1 square), local_exponents and
+#: smith_reduce)
 ENGINE_RULE_CASES = {
     # the Gram of e66 splits into two equal order-33 blocks D(64I + 2J)D,
     # whose det and s_n are read off their entries and rows: s_n gives the
     # core's p = 2 the top exponent 4, so one elimination, modulo 2^4
-    "e66": (build_example_66, False, ((), (), 2, 1, 0)),
+    "e66": (build_example_66, False, ((), 2, 1, 0)),
     # paley-q19's two equal order-57 blocks are D(104I + 8E + 2J)D, E the
     # classes i = j (mod 3): no Bareiss, and s_n leaves one elimination,
     # modulo 2^3; 13 has exponent 1 in s_n, so it needs none
-    "paley-q19": (lambda: paley_two_block(19), False, ((), (), 2, 1, 0)),
+    "paley-q19": (lambda: paley_two_block(19), False, ((), 2, 1, 0)),
     # AA^T = 128 I: 128 one-entry blocks, each its own det, and s_n = 128
     # gives the core's 2 the top exponent 6: one elimination
-    "hadamard-128": (lambda: sylvester_hadamard(128), False, ((), (), 128, 1, 0)),
+    "hadamard-128": (lambda: sylvester_hadamard(128), False, ((), 128, 1, 0)),
     # a connected Gram leaves the probe nothing to split: Bareiss on the core
-    "order-66": (lambda: PM1_CASES["order-66"], False, ((65,), (), 0, 1, 0)),
+    "order-66": (lambda: PM1_CASES["order-66"], False, ((65,), 0, 1, 0)),
     # a rough part of the probe's |det| sends the core straight to the
-    # Euclidean engine, with no Bareiss on it (see ENGINE_RULE_TRIAL_BOUNDS);
-    # its order-69 blocks are group divisible, so none on them either
-    "paley-q23-rough": (lambda: paley_two_block(23), False, ((), (), 2, 0, 1)),
-    # the same at TRIAL_BOUND, on two seeded circulants: the Gram's two
-    # equal order-33 blocks are no D(aI + bE + cJ)D, so one symmetric Bareiss
+    # Euclidean engine, with no Bareiss on it (see ENGINE_RULE_TRIAL_BOUNDS)
+    "paley-q23-rough": (lambda: paley_two_block(23), False, ((), 2, 0, 1)),
+    # two seeded circulants: the Gram's two equal order-33 blocks are no
+    # D(aI + bE + cJ)D, so the probe proves nothing, and the core takes the
+    # Bareiss route, whose |det| leaves a rough part at TRIAL_BOUND: then
+    # the Euclidean engine
     "two-circulant-rough": (
-        lambda: two_circulant(*random_pm1(503, 2, 33).to_rows()), False, ((), (33,), 2, 0, 1)
+        lambda: two_circulant(*random_pm1(503, 2, 33).to_rows()), False, ((65,), 2, 0, 1)
     ),
     # r1 = r2 = all ones: both Gram blocks are 66J, so d = 0 by their entries
-    "two-circulant-singular": (lambda: two_circulant([1] * 33, [1] * 33), False, ((), (), 2, 0, 1)),
+    "two-circulant-singular": (lambda: two_circulant([1] * 33, [1] * 33), False, ((), 2, 0, 1)),
     # below LOCAL_MIN_ORDER the probe picks the engine too: e26's Gram is two
     # order-13 blocks D(24I + 2J)D, and s_n leaves no prime of the core's
     # |det| an elimination
-    "e26": (build_example_26, False, ((), (), 2, 0, 0)),
+    "e26": (build_example_26, False, ((), 2, 0, 0)),
     # paley-q7 (order 42): two order-21 blocks with classes i = j (mod 3)
-    "paley-q7": (lambda: paley_two_block(7), False, ((), (), 2, 0, 0)),
+    "paley-q7": (lambda: paley_two_block(7), False, ((), 2, 0, 0)),
     # the Barba double of the first circulant Barba matrix of order 13
-    "barba-double-26": (lambda: barba_double(search_circulant_barba(13)[0]), False, ((), (), 2, 0, 0)),
+    "barba-double-26": (lambda: barba_double(search_circulant_barba(13)[0]), False, ((), 2, 0, 0)),
     # below the gate a block that is no D(aI + bE + cJ)D sends the input to
-    # the Euclidean engine before any determinant: a seeded order-26
-    # two-circulant, nonsingular, whose two blocks have no form
+    # the Euclidean engine: a seeded order-26 two-circulant, nonsingular,
+    # whose two blocks have no form
     "two-circulant-26": (
-        lambda: two_circulant(*random_pm1(511, 2, 13).to_rows()), False, ((), (), 2, 0, 1)
+        lambda: two_circulant(*random_pm1(511, 2, 13).to_rows()), False, ((), 2, 0, 1)
     ),
-    "integer-64": (lambda: integer_square(501, 64), False, ((), (), 0, 0, 1)),
-    "integer-65": (lambda: integer_square(502, 65), False, ((65,), (), 0, 0, 0)),
-    "singular-66": (lambda: PM1_CASES["singular-66"], False, ((65,), (), 0, 0, 1)),
-    "rectangular-5x9": (lambda: PM1_CASES["5x9"], False, ((), (), 0, 0, 1)),
-    "transforms-e26": (build_example_26, True, ((), (), 0, 0, 1)),
+    "integer-64": (lambda: integer_square(501, 64), False, ((), 0, 0, 1)),
+    "integer-65": (lambda: integer_square(502, 65), False, ((65,), 0, 0, 0)),
+    "singular-66": (lambda: PM1_CASES["singular-66"], False, ((65,), 0, 0, 1)),
+    "rectangular-5x9": (lambda: PM1_CASES["5x9"], False, ((), 0, 0, 1)),
+    "transforms-e26": (build_example_26, True, ((), 0, 0, 1)),
 }
 
 #: The trial bound a cell runs with, where it is not TRIAL_BOUND. The |det|
@@ -552,15 +553,13 @@ def test_engine_rule_cell_by_cell(name, monkeypatch):
 
         return run
 
-    counted_kernels = (
-        "bareiss_determinant", "_symmetric_det", "_mask_gram", "local_exponents", "smith_reduce"
-    )
+    counted_kernels = ("bareiss_determinant", "_mask_gram", "local_exponents", "smith_reduce")
     for kernel in counted_kernels:
         monkeypatch.setattr(kernels, kernel, counted(getattr(kernels, kernel)))
     got = smith_normal_form(m, transforms).factors
     assert got == want
-    bareiss, symmetric, *counts = (orders.get(kernel, []) for kernel in counted_kernels)
-    assert (tuple(bareiss), tuple(symmetric), *map(len, counts)) == want_calls
+    bareiss, *counts = (orders.get(kernel, []) for kernel in counted_kernels)
+    assert (tuple(bareiss), *map(len, counts)) == want_calls
 
 
 def without(x: int, p: int) -> int:
@@ -611,9 +610,30 @@ def gram_is_connected(rows) -> bool:
     return len(reached) == len(rows)
 
 
-def gram_probe(rows, bareiss=True):
+def gram_probe(rows):
     """snf._gram_abs_det on rows, with their -1 masks packed."""
-    return snf._gram_abs_det(rows, kernels._sign_masks(rows), bareiss)
+    return snf._gram_abs_det(rows, kernels._sign_masks(rows))
+
+
+def block_forms(rows) -> list[tuple | None]:
+    """The kernels._group_form of each diagonal block of AA^T."""
+    n = len(rows)
+    masks = kernels._sign_masks(rows)
+    blocks = kernels._components(n, lambda i, rest: [2 * (masks[i] ^ masks[j]).bit_count() != n for j in rest])
+    return [kernels._group_form(kernels._mask_gram([masks[i] for i in block], n)) for block in blocks]
+
+
+def assert_probe_contract(rows) -> None:
+    """The probe's contract on rows: None on a connected Gram or one with a
+    block that is no D(aI + bE + cJ)D; else (0, 0) on a singular square,
+    and (|det| by the oracle, the Euclidean engine's s_n) on a nonsingular
+    one."""
+    probe = gram_probe(rows)
+    if gram_is_connected(rows) or None in block_forms(rows):
+        assert probe is None
+    else:
+        d = abs(one_step_bareiss(rows))
+        assert probe == (d, d and euclidean_s_n(rows))
 
 
 def test_gram_probe_matches_the_oracle_on_the_paley_two_block_matrices():
@@ -637,9 +657,11 @@ def two_circulant_rows(first_rows) -> list[list[int]]:
 @given(TWO_CIRCULANT_FIRST_ROWS)
 def test_gram_probe_matches_the_oracle_on_two_circulant_blocks(first_rows):
     """[[R1, R2], [-R2^T, R1^T]] with commuting circulants R1, R2 has a
-    block diagonal Gram, so the probe always answers, singular or not."""
+    block diagonal Gram, so the probe answers, singular or not, exactly
+    when every block is D(aI + bE + cJ)D."""
     rows = two_circulant_rows(first_rows)
-    assert gram_probe(rows)[0] == abs(one_step_bareiss(rows))
+    assert not gram_is_connected(rows)
+    assert_probe_contract(rows)
 
 
 def euclidean_s_n(rows) -> int:
@@ -652,19 +674,13 @@ def euclidean_s_n(rows) -> int:
 def test_gram_probe_s_n_matches_the_euclidean_engine_on_two_circulant_blocks(first_rows, seed):
     """Where every Gram block is D(aI + bE + cJ)D and det != 0, the probe's
     s_n is the Euclidean engine's largest factor, on the matrix and on a
-    signed permutation of it; elsewhere it is 0."""
+    signed permutation of it, which gets the same answer."""
     rows = two_circulant_rows(first_rows)
-    d, sn = gram_probe(rows)
-    moved = signed_permutation(rows, random.Random(seed))
-    assert gram_probe(moved) == (d, sn)
-    if sn:
-        assert sn == euclidean_s_n(rows)
-    if d:
-        n = len(rows)
-        masks = kernels._sign_masks(rows)
-        blocks = kernels._components(n, lambda i, rest: [2 * (masks[i] ^ masks[j]).bit_count() != n for j in rest])
-        grams = [kernels._mask_gram([masks[i] for i in block], n) for block in blocks]
-        assert bool(sn) == all(kernels._group_form(g) for g in grams)
+    probe = gram_probe(rows)
+    assert (probe is None) == (None in block_forms(rows))
+    assert gram_probe(signed_permutation(rows, random.Random(seed))) == probe
+    if probe and probe[0]:
+        assert probe[1] == euclidean_s_n(rows)
 
 
 def signed_permutation(rows, rng) -> list[list[int]]:
@@ -720,26 +736,16 @@ def test_gram_probe_s_n_matches_the_euclidean_engine_on_the_barba_doubles():
     )
 )
 def test_gram_probe_answers_exactly_when_the_gram_splits(rows):
-    """None on a connected Gram; otherwise |det| by the oracle, and s_n by
-    the Euclidean engine where it is not 0. Without the symmetric Bareiss
-    the probe gives the same answer where s_n is not 0, and else None or
-    the same d = 0."""
-    probe = gram_probe(rows)
-    if gram_is_connected(rows):
-        assert probe is None
-    else:
-        d, sn = probe
-        assert d == abs(one_step_bareiss(rows))
-        assert sn in (0, d and euclidean_s_n(rows))
-    gated = gram_probe(rows, False)
-    assert gated == probe if probe and probe[1] else gated in (None, probe)
+    """None on a connected Gram or one with a block that has no form;
+    otherwise (0, 0) when det = 0, and else |det| by the oracle and s_n by
+    the Euclidean engine: never a nonzero |det| without s_n."""
+    assert_probe_contract(rows)
 
 
 #: Row 0 is orthogonal to every +-1 row of length 6 with three -1s, and no
-#: two of those are orthogonal: the Gram has blocks of orders 1 and 5, with
-#: determinants 6 and 1536, and |det| = 96. The order-5 block is no
-#: D(aI + bJ)D (its entries off the diagonal are 2 and -2 in no such
-#: pattern), so it goes to the symmetric Bareiss.
+#: two of those are orthogonal: the Gram has blocks of orders 1 and 5. The
+#: order-5 block is no D(aI + bJ)D (its entries off the diagonal are 2 and
+#: -2 in no such pattern), so the probe proves nothing.
 ONE_AND_FIVE = [
     [1, 1, 1, 1, 1, 1],
     [-1, -1, -1, 1, 1, 1],
@@ -749,19 +755,34 @@ ONE_AND_FIVE = [
     [-1, 1, -1, -1, 1, 1],
 ]
 
+#: A seeded order-6 +-1 square whose Gram has two distinct order-3 blocks,
+#: both D(8I - 2J)D with other signs D, so each has det 128.
+TWO_CLIQUES = [
+    [-1, -1, 1, 1, 1, 1],
+    [-1, -1, -1, -1, -1, 1],
+    [-1, 1, -1, -1, 1, 1],
+    [-1, 1, -1, 1, -1, -1],
+    [-1, 1, 1, 1, -1, 1],
+    [-1, -1, 1, -1, -1, -1],
+]
+
 
 def test_gram_probe_refuses_block_determinants_whose_product_is_no_square(monkeypatch):
-    assert gram_probe(ONE_AND_FIVE) == (abs(one_step_bareiss(ONE_AND_FIVE)), 0) == (96, 0)
-    symmetric = kernels._symmetric_det
+    assert gram_probe(ONE_AND_FIVE) is None
+    d = abs(one_step_bareiss(TWO_CLIQUES))
+    assert gram_probe(TWO_CLIQUES) == (d, euclidean_s_n(TWO_CLIQUES)) == (128, 4)
+    block_det = snf._block_det
+    seen = []
 
-    def doubled(g):
-        """A symmetric Bareiss that doubles every determinant: only the
-        order-5 block's."""
-        return 2 * symmetric(g)
+    def doubled(h, form):
+        """_block_det, doubled on the first block only."""
+        seen.append(form)
+        return block_det(h, form) * (2 if len(seen) == 1 else 1)
 
-    monkeypatch.setattr(kernels, "_symmetric_det", doubled)
-    with pytest.raises(ArithmeticError, match="^the Gram blocks' determinants multiply to 18432, no square$"):
-        gram_probe(ONE_AND_FIVE)
+    monkeypatch.setattr(snf, "_block_det", doubled)
+    with pytest.raises(ArithmeticError, match="^the Gram blocks' determinants multiply to 32768, no square$"):
+        gram_probe(TWO_CLIQUES)
+    assert len(seen) == 2 and seen[0] != seen[1]
 
 
 def clique_block(a: int, b: int, signs) -> list[list[int]]:
@@ -769,24 +790,16 @@ def clique_block(a: int, b: int, signs) -> list[list[int]]:
     return [[si * sj * (a * (i == j) + b) for j, sj in enumerate(signs)] for i, si in enumerate(signs)]
 
 
-def leading_minor_vanishes(a):
-    """Whether _symmetric_det meets a zero a_kk or c0: a leading principal
-    minor of order 1..n, n rounded down to even, is 0."""
-    return any(one_step_bareiss([row[:r] for row in a[:r]]) == 0 for r in range(1, len(a) // 2 * 2 + 1))
-
-
-def block_det_and_bareiss_calls(g) -> tuple[int, tuple | None, int, int]:
-    """snf._block_det(g) on g's kernels._group_form, as (det, form), how
-    many symmetric Bareiss determinants it ran, and how many of
-    bareiss_determinant (the symmetric kernel's fallback)."""
-    calls = {"_symmetric_det": [], "bareiss_determinant": []}
+def block_det_and_bareiss_calls(g) -> tuple[int, tuple, int]:
+    """snf._block_det of g on g's kernels._group_form, as (det, form), and
+    how many Bareiss determinants it ran."""
+    calls = []
+    bareiss = kernels.bareiss_determinant
     with pytest.MonkeyPatch.context() as mp:
-        for name, seen in calls.items():
-            kernel = getattr(kernels, name)
-            mp.setattr(kernels, name, lambda a, kernel=kernel, seen=seen: seen.append(len(a)) or kernel(a))
+        mp.setattr(kernels, "bareiss_determinant", lambda a: calls.append(len(a)) or bareiss(a))
         form = kernels._group_form(g)
-        det = snf._block_det(g, form)
-    return det, form, len(calls["_symmetric_det"]), len(calls["bareiss_determinant"])
+        det = snf._block_det(len(g), form)
+    return det, form, len(calls)
 
 
 def spelled_block(form) -> list[list[int]]:
@@ -821,9 +834,9 @@ def test_block_det_reads_a_clique_block_off_its_entries(block):
     a, b, signs = block
     g = clique_block(a, b, signs)
     h = len(signs)
-    det, form, symmetric, bareiss = block_det_and_bareiss_calls(g)
+    det, form, bareiss = block_det_and_bareiss_calls(g)
     assert det == one_step_bareiss(g) == a ** (h - 1) * (a + h * b)
-    assert (symmetric, bareiss) == (0, 0)
+    assert bareiss == 0
     assert len(form[3]) == 1 and form[2] == 0 and spelled_block(form) == g
 
 
@@ -843,23 +856,19 @@ def perturbed(g, data):
 
 @settings(max_examples=200, deadline=None)
 @given(CLIQUE_BLOCKS.filter(lambda block: len(block[2]) >= 3), st.data())
-def test_block_det_sends_a_perturbed_clique_block_to_bareiss(block, data):
+def test_group_form_rejects_a_perturbed_clique_block(block, data):
     """A clique block with one symmetric pair or one diagonal entry moved is
     no D(aI + bE + cJ)D, unless, at order 3, the pair only changed sign:
-    that is the clique of -b. Else it goes to the symmetric Bareiss, which
-    falls back to Bareiss exactly where a leading principal minor vanishes.
-    Either way the det is the oracle's."""
+    that is the clique of -b, whose det is read off its form."""
     a, b, signs = block
     g0 = clique_block(a, b, signs)
     g, i, j = perturbed(g0, data)
-    det, form, symmetric, bareiss = block_det_and_bareiss_calls(g)
-    assert det == one_step_bareiss(g)
     flipped = len(g) == 3 and i != j and g[i][j] == -g0[i][j]
-    assert (form is not None) == flipped
     if flipped:
-        assert spelled_block(form) == g and (symmetric, bareiss) == (0, 0)
+        det, form, bareiss = block_det_and_bareiss_calls(g)
+        assert spelled_block(form) == g and det == one_step_bareiss(g) and bareiss == 0
     else:
-        assert (symmetric, bareiss) == (1, leading_minor_vanishes(g))
+        assert kernels._group_form(g) is None
 
 
 def group_divisible_block(a, x, y, k, signs, seed) -> list[list[int]]:
@@ -903,25 +912,21 @@ def test_block_det_reads_a_group_divisible_block_off_its_entries(block):
     m = h // k
     a, b, c = diagonal - x, x - y, y
     alpha = a + b * k
-    det, form, symmetric, bareiss = block_det_and_bareiss_calls(g)
+    det, form, bareiss = block_det_and_bareiss_calls(g)
     assert det == one_step_bareiss(g) == a ** (h - m) * alpha ** (m - 1) * (alpha + c * h)
-    assert (symmetric, bareiss) == (0, 0)
+    assert bareiss == 0
     assert spelled_block(form) == g
     assert len(form[3]) == (1 if x == y or m == 2 and x == -y else m)
 
 
 @settings(max_examples=300, deadline=None)
 @given(GROUP_DIVISIBLE_BLOCKS.filter(lambda block: block[1] != block[2]), st.data())
-def test_block_det_sends_a_perturbed_group_divisible_block_to_bareiss(block, data):
+def test_group_form_rejects_a_perturbed_group_divisible_block(block, data):
     """The same blocks, with x != y, and one symmetric pair or one diagonal
-    entry moved, are no D(aI + bE + cJ)D: the symmetric Bareiss gives the
-    oracle's det."""
+    entry moved, are no D(aI + bE + cJ)D."""
     diagonal, x, y, k, signs, seed = block
     g, _, _ = perturbed(group_divisible_block(diagonal, x, y, k, signs, seed), data)
-    det, form, symmetric, bareiss = block_det_and_bareiss_calls(g)
-    assert det == one_step_bareiss(g)
-    assert form is None
-    assert (symmetric, bareiss) == (1, leading_minor_vanishes(g))
+    assert kernels._group_form(g) is None
 
 
 #: A small integer matrix whose first unit, in row-major order, is not its

@@ -456,11 +456,10 @@ def no_kernel(rows, *args):
 
 
 def test_ew_claims_run_no_bareiss(monkeypatch, skew14, skew26, example26, example66):
-    """No claim on an EW design runs a Bareiss determinant, on its rows or
-    on a Gram block, nor the Euclidean engine: the Gram of an EW design of
-    order n is two blocks D((n - 2)I + 2J)D, from which the probe proves
+    """No claim on an EW design runs a Bareiss determinant or the Euclidean
+    engine: the Gram of an EW design of order n is two blocks D((n - 2)I + 2J)D, from which the probe proves
     |det| and s_n at every order, so the local engine gives the SNF."""
-    for kernel in ("bareiss_determinant", "_symmetric_det", "smith_reduce"):
+    for kernel in ("bareiss_determinant", "smith_reduce"):
         monkeypatch.setattr(kernels, kernel, no_kernel)
     designs = {"skew14": skew14, "skew26": skew26, "e26": example26, "e66": example66}
     ran = []
@@ -490,7 +489,7 @@ def test_ew_abs_det_certifies_every_ew_fixture(witnesses5, skew14, skew26, examp
         n = x.rows
         rows = x.to_rows()
         assert verify._ew_abs_det(n) == abs(kernels.bareiss_determinant(rows)[0])
-        probe = snf._gram_abs_det(rows, kernels._sign_masks(rows), True)
+        probe = snf._gram_abs_det(rows, kernels._sign_masks(rows))
         assert probe[0] == verify._ew_abs_det(n) == abs(one_step_bareiss(rows))
 
 
