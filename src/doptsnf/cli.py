@@ -32,7 +32,6 @@ import time
 from collections.abc import Sequence
 
 from .exactmat import (
-    DimensionError,
     InfeasibleSearchError,
     IntMatrix,
     PreconditionError,
@@ -407,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _run(args)
-    except (ValueError, DimensionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -12,13 +12,13 @@ one place that packs them, for ``sign_gram`` and for the SNF engine's Gram
 probe; ``_mask_gram``, the popcount loop, serves callers that hold masks
 already. Modulo 2^k the slots are read with bit masks alone: one AND tests
 bit e of every slot of a row, or keeps every slot's low k bits, so no row
-is unpacked. The EW check and that probe split a Gram by one rule: the
-walk ``_components``, the D(aI + bJ)D test ``_clique_break`` the EW check
-reads its breaks from, and the one group-divisible test ``_group_form``,
-of which a clique is the case of one class: the probe reads det and s_n
-off each block D(aI + bE + cJ)D. ``matmul`` stays the one general
-product. ``adjugate`` has no caller in the library: it is kept as the
-tests' oracle and as a name the layered benchmark traces.
+is unpacked. The EW check and that probe split a Gram by one walk,
+``_components``; ``_group_form`` is the one block-form test, D(aI + bE +
+cJ)D with a clique as its case of one class: the probe reads det and s_n
+off each block. The EW check tests its two cliques itself, since a +-1
+Gram with entries 0 and +-2 needs none of that generality. ``matmul``
+stays the one general product. ``adjugate`` has no caller in the library:
+it is kept as the tests' oracle and as a name the layered benchmark traces.
 Callers own all shape validation — kernels assume well-formed input.
 """
 
@@ -89,27 +89,6 @@ def _components(n, joined):
             rest = list(compress(rest, map(not_, flags)))
         blocks.append(sorted(block))
     return blocks
-
-
-def _clique_break(g, block):
-    """None if the block of the symmetric g on the indices block = (r, s,
-    ...) is D(aI + bJ)D, D a +-1 diagonal, b = |g_rs| > 0: |g_rj| = b, then
-    for each i after r, g_ii = g_rr and g_ij b = g_ri g_rj for each j after
-    i. Else the first (i, j) in row-major order, in g's indices, that fails."""
-    r, *others = block
-    head = g[r]
-    b = abs(head[others[0]]) if others else 0
-    for j in others:
-        if not b or abs(head[j]) != b:
-            return r, j
-    for p, i in enumerate(others, 2):
-        gi, hi = g[i], head[i]
-        if gi[i] != head[r]:
-            return i, i
-        for j in block[p:]:
-            if gi[j] * b != hi * head[j]:
-                return i, j
-    return None
 
 
 def _group_form(g):

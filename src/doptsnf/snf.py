@@ -240,7 +240,7 @@ def _local_factors(core, n: int, d: int, w: int, top: int = 0) -> tuple[int, ...
     return tuple(factors)
 
 
-def _local_exponents(rows: list[list[int]], p: int, v: int, k: int = 1) -> list[int]:
+def _local_exponents(rows: list[list[int]], p: int, v: int, k: int) -> list[int]:
     """The n exponents of p in the invariant factors, given v = v_p(|det|) >= 1.
 
     Elimination modulo p^k, from the k given on, gives the exponents below k

@@ -27,7 +27,7 @@ from .exactmat import (
     matmul,
     rank_mod_p,
 )
-from .kernels import _clique_break, _components, _mask_gram, sign_gram, smith_reduce
+from .kernels import _components, _mask_gram, sign_gram, smith_reduce
 from .snf import smith_normal_form
 
 
@@ -64,14 +64,13 @@ def _analyze_gram(g: list[list[int]], n: int):
 
     Returns (partition, signs, "") on success, (None, None, reason) on
     failure. signs is a +-1 vector making every within-clique entry +2
-    after the switch g[i][j] -> signs[i]*signs[j]*g[i][j]. The halves are
-    the components of the graph of nonzero entries, all +-2 by then, and
-    each must pass _clique_break: a break in its first row means it is no
-    clique, a later one that its signs clash.
+    after the switch g[i][j] -> signs[i]*signs[j]*g[i][j]. g is a +-1 Gram
+    (sign_gram or _mask_gram output), so its diagonal is n. The halves are
+    the components of the graph of nonzero entries, all +-2 by then; each,
+    rooted at its least row r, is no clique at the first (r, j) whose entry
+    is 0, and its signs, read off row r, clash at the first later (i, j), in
+    row-major order, with 2 g_ij != g_ri g_rj.
     """
-    for i in range(n):
-        if g[i][i] != n:
-            return None, None, f"Gram diagonal entry {i} is {g[i][i]}, not {n}"
     for i in range(n):
         for j in range(i + 1, n):
             if abs(g[i][j]) not in (0, 2):
@@ -82,14 +81,18 @@ def _analyze_gram(g: list[list[int]], n: int):
         return None, None, f"Gram 2-support components have sizes {sizes}, expected two halves"
     signs = [0] * n
     for block in blocks:
-        cut = _clique_break(g, block)
-        if cut:
-            i, j = cut
-            if i == block[0]:
-                return None, None, f"Gram block is not a clique at ({i},{j})"
-            return None, None, f"Gram signs are not switching-consistent at ({i},{j})"
+        r = block[0]
+        head = g[r]
         for j in block:
-            signs[j] = 1 if g[block[0]][j] > 0 else -1
+            if not head[j]:
+                return None, None, f"Gram block is not a clique at ({r},{j})"
+        for p, i in enumerate(block[1:], 2):
+            gi, hi = g[i], head[i]
+            for j in block[p:]:
+                if 2 * gi[j] != hi * head[j]:
+                    return None, None, f"Gram signs are not switching-consistent at ({i},{j})"
+        for j in block:
+            signs[j] = 1 if head[j] > 0 else -1
     return (tuple(blocks[0]), tuple(blocks[1])), tuple(signs), ""
 
 

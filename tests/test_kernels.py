@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from doptsnf import kernels
 from doptsnf.exactmat import format_matrix
@@ -139,91 +139,6 @@ def test_component_walk_asks_one_row_when_the_first_reaches_all(relation):
     blocks, calls = walk(n, adj)
     assert blocks == ([list(range(n))] if n else [])
     assert [i for i, _ in calls] == ([0] if n > 1 else [])
-
-
-def ref_clique_break(g, idx):
-    """The first (i, j), i <= j, in row-major order over the block of g on
-    idx where it differs from the literal D(aI + bJ)D that its first row
-    spells, with b = |g at its first two indices| and a sign per member
-    from that row; a b of 0 fails at once. None if no entry differs."""
-    h = len(idx)
-    if h == 1:
-        return None
-    r = idx[0]
-    b = abs(g[r][idx[1]])
-    signs = [1] + [1 if g[r][k] > 0 else -1 for k in idx[1:]]
-    want = [[g[r][r] if p == q else signs[p] * signs[q] * b for q in range(h)] for p in range(h)]
-    for p in range(h):
-        for q in range(p, h):
-            if g[idx[p]][idx[q]] != want[p][q] or (p, q) == (0, 1) and b == 0:
-                return idx[p], idx[q]
-    return None
-
-
-CLIQUES_IN_A_MATRIX = st.integers(1, 9).flatmap(
-    lambda h: st.tuples(
-        st.integers(-6, 40),
-        st.integers(-12, 12).filter(bool),
-        st.lists(st.sampled_from((1, -1)), min_size=h, max_size=h),
-        st.lists(st.integers(0, 2), min_size=h, max_size=h),
-        st.integers(0, 2**32),
-    )
-)
-
-
-def embedded_clique(a, b, signs, gaps, seed):
-    """(g, idx): D(aI + bJ)D with D = diag(signs) on the indices idx of a
-    larger symmetric matrix g with seeded entries elsewhere; idx[0] >= 1 and
-    gaps[p] more rows precede member p than member p - 1."""
-    idx = [p + 1 + sum(gaps[: p + 1]) for p in range(len(signs))]
-    size = idx[-1] + 2
-    rng = random.Random(seed)
-    g = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            g[i][j] = g[j][i] = rng.randint(-9, 9)
-    for p, i in enumerate(idx):
-        for q, j in enumerate(idx):
-            g[i][j] = signs[p] * signs[q] * (a * (p == q) + b)
-    return g, idx
-
-
-@settings(max_examples=300, deadline=None)
-@given(CLIQUES_IN_A_MATRIX)
-@example((0, -2, [1, 1, -1], [0, 0, 0], 1))
-@example((5, 3, [1], [2], 7))
-def test_clique_break_passes_exactly_the_clique_blocks(case):
-    """D(aI + bJ)D passes iff b > 0, or at any b when h <= 2; at b < 0 and
-    h >= 3 it breaks where the literal reference does, at its second and
-    third members."""
-    a, b, signs, gaps, seed = case
-    g, idx = embedded_clique(a, b, signs, gaps, seed)
-    got = kernels._clique_break(g, idx)
-    assert (got is None) == (b > 0 or len(idx) <= 2)
-    assert got == ref_clique_break(g, idx)
-
-
-@settings(max_examples=400, deadline=None)
-@given(CLIQUES_IN_A_MATRIX.filter(lambda case: len(case[2]) >= 2), st.data())
-def test_clique_break_finds_the_first_perturbed_entry(case, data):
-    """One symmetric pair of the block, or one diagonal entry after its
-    first row, moved by a nonzero delta: the break is where the literal
-    reference finds it, in the matrix's indices, not the block's positions.
-    Only a block of two whose one pair moves to another nonzero value is
-    still D(aI + bJ)D."""
-    a, b, signs, gaps, seed = case
-    g, idx = embedded_clique(a, abs(b), signs, gaps, seed)
-    h = len(idx)
-    p = data.draw(st.integers(0, h - 1))
-    q = data.draw(st.integers(max(p, 1), h - 1))
-    delta = data.draw(st.integers(-5, 5).filter(bool))
-    i, j = idx[p], idx[q]
-    g[i][j] += delta
-    if i != j:
-        g[j][i] += delta
-    got = kernels._clique_break(g, idx)
-    assert got == ref_clique_break(g, idx)
-    assert (got is None) == (h == 2 and p == 0 and g[i][j] != 0)
 
 
 def test_determinant_certificates_on_big_entries(example26):
@@ -500,5 +415,4 @@ def test_group_form_on_the_paley_gram_blocks(q, order):
     assert [len(block) for block in blocks] == [order, order]
     for block in blocks:
         g = kernels._mask_gram([masks[i] for i in block], n)
-        assert kernels._clique_break(g, range(order))
         assert [len(members) for members in kernels._group_form(g)[3]] == [order // 3] * 3

@@ -310,7 +310,7 @@ def test_local_exponents_schedule_gives_the_valuations(p, profile, seed):
             f //= p
             e += 1
         want.append(e)
-    assert snf._local_exponents(m.to_rows(), p, sum(exponents)) == want
+    assert snf._local_exponents(m.to_rows(), p, sum(exponents), 1) == want
 
 
 def test_local_engine_takes_no_det():

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doptsnf import kernels
 from doptsnf.designs import (
@@ -959,7 +959,6 @@ SIZES = "Gram 2-support components have sizes {}, expected two halves"
     "g, expected",
     [
         (hand_gram(6, HALVES), (((0, 3, 5), (1, 2, 4)), (1, 1, -1, -1, -1, 1), "")),
-        (hand_gram(6, HALVES, (2, 2, 4)), (None, None, "Gram diagonal entry 2 is 4, not 6")),
         (hand_gram(6, HALVES, (1, 3, 4)), (None, None, "off-diagonal Gram entry (1,3) = 4")),
         (hand_gram(6, (), (0, 3, 2), (1, 4, -2), (2, 5, 2)), (None, None, SIZES.format((2, 2, 2)))),
         (
@@ -986,7 +985,7 @@ SIZES = "Gram 2-support components have sizes {}, expected two halves"
         ),
     ],
     ids=[
-        "halves", "diagonal", "entry-4", "three", "unequal", "not-clique", "signs", "gap",
+        "halves", "entry-4", "three", "unequal", "not-clique", "signs", "gap",
         "second-not-clique", "second-signs",
     ],
 )
@@ -995,6 +994,46 @@ def test_analyze_gram_reasons_match_the_union_find_reference(g, expected):
     The halves interleave, and the path 0-6-4-2 is reached out of index
     order, so both the order of the halves and of their members count."""
     assert verify._analyze_gram(g, len(g)) == ref_analyze_gram(g, len(g)) == expected
+
+
+@st.composite
+def perturbed_two_cliques(draw):
+    """(n, halves, entries) for hand_gram: two interleaved halves of range(n)
+    with random signs, and at most one entry moved: a pair within a half set
+    to 0 or negated, or a pair across the halves set to +-2."""
+    n = draw(st.sampled_from((6, 10, 14, 18)))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    halves = tuple({i: signs[i] for i in part} for part in (perm[: n // 2], perm[n // 2 :]))
+    kind = draw(st.sampled_from(("none", "zero", "negate", "cross")))
+    if kind == "none":
+        return n, halves, ()
+    if kind == "cross":
+        i, j = (draw(st.sampled_from(sorted(half))) for half in halves)
+        return n, halves, ((i, j, draw(st.sampled_from((2, -2)))),)
+    half = draw(st.sampled_from(halves))
+    i, j = draw(st.lists(st.sampled_from(sorted(half)), min_size=2, max_size=2, unique=True))
+    return n, halves, ((i, j, 0 if kind == "zero" else -2 * half[i] * half[j]),)
+
+
+HALVES_10 = ({0: 1, 2: -1, 5: 1, 7: -1, 8: 1}, {1: -1, 3: 1, 4: -1, 6: 1, 9: 1})
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_two_cliques())
+# not a clique at (0,7), then at (1,6): the second half fails after the first passes
+@example((10, HALVES_10, ((0, 7, 0),)))
+@example((10, HALVES_10, ((6, 1, 0),)))
+# switching-consistent at (2,5) and (3,4): each pair's second member follows
+# its first in the half, the first place a sign loop can look
+@example((10, HALVES_10, ((5, 2, 0),)))
+@example((10, HALVES_10, ((3, 4, 2),)))
+def test_analyze_gram_finds_a_moved_entry_where_the_reference_does(case):
+    """One moved entry, in either half or across, fails with the reason and
+    the location the union-find reference gives; with none both pass."""
+    n, halves, entries = case
+    g = hand_gram(n, halves, *entries)
+    assert verify._analyze_gram(g, n) == ref_analyze_gram(g, n)
 
 
 def relabel(a, rng):
