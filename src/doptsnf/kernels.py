@@ -2,12 +2,13 @@
 
 This is the package's one kernel implementation. Matrices are lists of row
 lists of Python ints, so every result is exact no matter how large
-intermediates grow. Two kernels pack each row into one int, so that a row
+intermediates grow. Three kernels pack each row into one int, so that a row
 operation is a few big-integer operations instead of one interpreted
 operation per entry: the one modular kernel, ``local_exponents`` (which
-``gf_rank`` calls with k = 1), packs fixed-width slots (of 1, 2, 4 or 8
-bytes where that is wide enough, so that rows convert in C), and ``sign_gram``
-works on the bitmasks of the -1 entries of +-1 rows. ``_sign_masks`` is the
+``gf_rank`` calls with k = 1 at odd p), packs fixed-width slots (of 1, 2, 4
+or 8 bytes where that is wide enough, so that rows convert in C), the GF(2)
+rank ``_xor_rank`` one bit per entry, and ``sign_gram`` the bitmasks of
+the -1 entries of +-1 rows. ``_sign_masks`` is the
 one place that packs them, for ``sign_gram`` and for the SNF engine's Gram
 probe; ``_mask_gram``, the popcount loop, serves callers that hold masks
 already. Modulo 2^k the slots are read with bit masks alone: one AND tests
@@ -444,8 +445,20 @@ def local_exponents(a, p, k):
 
 
 def gf_rank(a, p):
-    """Rank over GF(p); p must be prime."""
+    """Rank over GF(p); p must be prime. At p = 2, ``_xor_rank`` of the rows' x & 1 bits."""
+    if p == 2:
+        return _xor_rank([int("".join(["1" if x & 1 else "0" for x in row]), 2) for row in a])
     return len(local_exponents(a, p, 1))
+
+
+def _xor_rank(rows):
+    """Rank over GF(2) of int rows, one bit per column: a row is XORed with the
+    pivot keyed by its lowest set bit until it is 0 or is that bit's pivot."""
+    pivots = {}
+    for x in rows:
+        while x and pivots.setdefault(x & -x, x) != x:
+            x ^= pivots[x & -x]
+    return len(pivots)
 
 
 def _swap_pivot_in(rows, n, size, g, pe):

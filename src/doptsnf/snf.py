@@ -27,12 +27,14 @@ core with d >> (n-1) (as |det A| = 2^(n-1) |det C|), trial-divided whole,
 and the top exponent K = v_p(s_n / 2) of each prime p of d. On the Bareiss
 route the part w of d prime to M goes whole into s_n, as s_1...s_{n-1}
 (the gcd of the (n-1)-minors) divides M. Each prime p of d // w below
-``TRIAL_BOUND`` is eliminated modulo p^k (no entry grows past n*p^2k),
-from k = K, or 1 with no K, until the exponents seen sum to v_p(d); while
-s >= 2 of them are k or more and sum to some r != sk, k goes up to
-max(2k, ceil(r/s) + 1). That gives every exponent below k exactly, and d
-fixes the ones at k or above, so the result is exact, not probabilistic;
-K = 1 needs no elimination, as v_p(d) exponents are then 1 and the rest 0.
+``TRIAL_BOUND`` takes one of three rules, each exact. K = 1 needs nothing:
+v = v_p(d) exponents are 1 and the rest 0. K = 2 or 3 at p = 2 takes two
+GF(2) ranks: the core's, r, counts the exponents 0, and t, that of s_n A^-1
+(``_inverse_rank``), those at K, where s_n / s_i is odd; v fixes the
+others, or raises ArithmeticError. A t = 0, or an s_n A^-1 not integral at
+2, shows a wrong K, and p takes the schedule from k = K. Everything else
+takes the schedule, elimination modulo p^k (no entry grows past n*p^2k)
+from k = K, or 1 with no K (``_local_exponents``).
 The core is built only for an elimination. Singular rows, or a d // w with
 a prime factor the trial division does not reach, are handed back to the
 Euclidean engine, with no second local attempt. The Euclidean engine
@@ -43,9 +45,9 @@ so its entries can grow far past the final factors.
 from __future__ import annotations
 
 from functools import cache
-from itertools import count, repeat
+from itertools import count
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import neg
 
 from . import kernels
 from .exactmat import Frozen, IntMatrix, trial_divide
@@ -112,16 +114,16 @@ def _factors(a: IntMatrix) -> tuple[int, ...]:
         if probe is None:
             factors = local_smith_form(core()) if n >= LOCAL_MIN_ORDER else None
         elif probe[0]:
-            factors = _local_factors(core, n, probe[0] >> n, 1, probe[1] >> 1)
+            factors = _local_factors(core, n, probe[0] >> n, 1, probe[1] >> 1, probe[2])
     factors = factors or kernels.smith_reduce(core(), False)[0]
     return (1,) + tuple(2 * f for f in factors) if pm1 else tuple(factors)
 
 
-def _gram_abs_det(rows: list[list[int]], masks: list[int]) -> tuple[int, int] | None:
-    """(|det A|, s_n) of a +-1 square A, whose rows have the -1 masks given,
-    from the diagonal blocks of its Gram G = AA^T, each D(aI + bE + cJ)D:
-    s_n is A's largest invariant factor, and (0, 0) means det A = 0. None
-    when G is one block or some block has no such form.
+def _gram_abs_det(rows: list[list[int]], masks: list[int]) -> tuple | None:
+    """(|det A|, s_n, (r, t)) of a +-1 square A with the rows' -1 masks given,
+    from the diagonal blocks D(aI + bE + cJ)D of its Gram G = AA^T: s_n is A's
+    largest invariant factor and r(), t() the module docstring's GF(2) ranks;
+    (0, 0, None) if det A = 0, None if G is one block or a block has no form.
 
     G_ij = n - 2 popcount(m_i ^ m_j) on the -1 masks, never 0 at odd n.
     The blocks are the components of the graph of nonzero G_ij, by
@@ -148,8 +150,11 @@ def _gram_abs_det(rows: list[list[int]], masks: list[int]) -> tuple[int, int] | 
     if d * d != square:
         raise ArithmeticError(f"the Gram blocks' determinants multiply to {square}, no square")
     if not d:
-        return 0, 0
-    return d, lcm(*(_block_sn([rows[i] for i in block], forms[gram]) for block, gram in zip(blocks, grams)))
+        return 0, 0, None
+    parts = [(block, forms[gram]) for block, gram in zip(blocks, grams)]
+    s_n = lcm(*(_block_sn([rows[i] for i in block], form) for block, form in parts))
+    ranks = (lambda: kernels._xor_rank(_core_bits(masks, n)), lambda: _inverse_rank(rows, masks, parts, s_n))
+    return d, s_n, ranks
 
 
 def _block_det(h: int, form: tuple) -> int:
@@ -163,31 +168,51 @@ def _block_det(h: int, form: tuple) -> int:
 
 
 def _block_sn(rows: list[list[int]], form: tuple) -> int:
-    """The least denominator of a block's columns of A^-1 = A^T G^-1, from
-    its rows of A and the ``_block_det`` form of their nonsingular Gram:
-    (aI + bE + cJ)^-1 = I/a - b/(a alpha) E - c/(alpha beta) J, so with u_t
-    the column sums of the rows d_i a_i of class t and U their sum, column
-    i, in class t, is d_i (alpha beta d_i a_i - b beta u_t - a c U) / Delta,
-    Delta = a alpha beta. In column j, d_i a_ij = +1 for some i of class t
-    iff u_tj > -k, and -1 iff u_tj < k: one gcd per (u_tj, U_j) and sign."""
-    a, b, c, classes, signs = form
+    """The least denominator of a block's columns of A^-1 = A^T G^-1, from its
+    rows of A and their Gram's form: |Delta| over its gcd with the ``_numerators``."""
+    delta, classes = _numerators(rows, form)
+    return abs(delta) // gcd(delta, *(x for _, nums in classes for pair in nums.values() for x in pair))
+
+
+def _numerators(rows: list[list[int]], form: tuple) -> tuple[int, list]:
+    """(Delta, and per class t the pairs (u_tj, U_j) of its columns j, with
+    each distinct pair's numerators) of a block. By (aI + bE + cJ)^-1 = I/a -
+    b/(a alpha) E - c/(alpha beta) J, column i of A^-1, in class t, is d_i
+    (alpha beta d_i a_i + w_t) / Delta, Delta = a alpha beta, w_t = -b beta
+    u_t - a c U, u_t the column sums of the rows d_i a_i of class t and U
+    theirs: w_tj +- alpha beta for d_i a_ij = +-1, or 0 if u_tj = -+k."""
+    a, b, c, classes, d = form
     k = len(classes[0])
     alpha, beta = a + b * k, a + b * k + c * len(rows)
-    us = [list(map(sum, zip(*[map(mul, rows[i], repeat(signs[i])) for i in cl]))) for cl in classes]
+    us = [list(map(sum, zip(*[rows[i] if d[i] > 0 else map(neg, rows[i]) for i in cl]))) for cl in classes]
     total = list(map(sum, zip(*us)))
     top, bb, ac = alpha * beta, b * beta, a * c
-    g = delta = abs(a * top)
-    for u in us:
-        for uj, tj in set(zip(u, total)):
-            base = bb * uj + ac * tj
-            if uj > -k:
-                g = gcd(g, top - base)
-            if uj < k:
-                g = gcd(g, top + base)
-    return delta // g
+    both = lambda uj, w: ((uj > -k) * (w + top), (uj < k) * (w - top))
+    pairs = [list(zip(u, total)) for u in us]
+    return a * top, [(ps, {(uj, tj): both(uj, -bb * uj - ac * tj) for uj, tj in set(ps)}) for ps in pairs]
 
 
-def _zero_one_core(masks: list[int], cols: int) -> list[list[int]]:
+def _inverse_rank(rows: list[list[int]], masks: list[int], parts: list, s_n: int) -> int:
+    """GF(2) rank of s_n A^-1 from A's Gram (block, form) parts: entry j of
+    column i is odd where bit e = v_2(Delta) - v_2(s_n) of the numerator for
+    d_i a_ij is set; 0 if a bit below e is (not integral). e < 0: all even."""
+    full, columns = (1 << len(rows)) - 1, []
+    for block, form in parts:
+        delta, classes = _numerators([rows[i] for i in block], form)
+        e = (delta & -delta).bit_length() - (s_n & -s_n).bit_length()
+        if e < 0:
+            continue
+        for cl, (pairs, nums) in zip(form[3], classes):
+            if any(x & (1 << e) - 1 for pair in nums.values() for x in pair):
+                return 0
+            odd = {pair: f"{x >> e & 1}{y >> e & 1}" for pair, (x, y) in nums.items()}
+            bits = "".join([odd[pair] for pair in pairs])
+            plus, minus = int(bits[::2], 2), int(bits[1::2], 2)
+            columns += [plus ^ (plus ^ minus) & (masks[block[i]] ^ full * (form[4][i] < 0)) for i in cl]
+    return kernels._xor_rank(columns)
+
+
+def _core_bits(masks: list[int], cols: int) -> list[int]:
     """The rows of the 0/1 core C of the +-1 matrix A whose rows, of length
     cols, have the ``kernels._sign_masks`` given, with A ~ diag(1, -2C).
 
@@ -195,9 +220,14 @@ def _zero_one_core(masks: list[int], cols: int) -> list[list[int]]:
     a_i0 a_00 differ: on the low cols - 1 bits, row i is m_i ^ m_0,
     complemented when a_i0 != a_00 (the top bit of m_i ^ m_0).
     """
-    low, spec, digits = (1 << cols - 1) - 1, f"0{cols - 1}b", bytes.maketrans(b"01", b"\0\1")
-    rows = (m ^ masks[0] for m in masks[1:])
-    return [list(format(low & (~x if x >> cols - 1 else x), spec).encode().translate(digits)) for x in rows]
+    low = (1 << cols - 1) - 1
+    return [low & (~x if x >> cols - 1 else x) for x in (m ^ masks[0] for m in masks[1:])]
+
+
+def _zero_one_core(masks: list[int], cols: int) -> list[list[int]]:
+    """The ``_core_bits`` as lists of 0/1 entries."""
+    spec, digits = f"0{cols - 1}b", bytes.maketrans(b"01", b"\0\1")
+    return [list(format(x, spec).encode().translate(digits)) for x in _core_bits(masks, cols)]
 
 
 def local_smith_form(rows: list[list[int]]) -> tuple[int, ...] | None:
@@ -216,12 +246,12 @@ def local_smith_form(rows: list[list[int]]) -> tuple[int, ...] | None:
     return _local_factors(lambda: rows, len(rows), d, w)
 
 
-def _local_factors(core, n: int, d: int, w: int, top: int = 0) -> tuple[int, ...] | None:
+def _local_factors(core, n: int, d: int, w: int, top: int = 0, ranks=None) -> tuple[int, ...] | None:
     """The local engine's tail on d = |det| > 0 of the n square rows core()
     builds at the first elimination, of which w goes whole into s_n; None
     when trial division leaves a rough part of d // w. A top other than 0
     is the s_n the Gram probe proved: each prime p of d gets K = v_p(top),
-    and 1 <= K <= v_p(d) <= nK or ArithmeticError is raised."""
+    and 1 <= K <= v_p(d) <= nK or ArithmeticError is raised; ranks is the probe's (r, t)."""
     powers, c = trial_divide(d // w, TRIAL_BOUND)
     if c > 1:
         return None
@@ -234,7 +264,14 @@ def _local_factors(core, n: int, d: int, w: int, top: int = 0) -> tuple[int, ...
                 f"the Gram probe's s_n = {top} gives {p} the exponent {k}:"
                 f" it contradicts v_{p}(det) = {v} at order {n}"
             )
-        exps = [0] * (n - v) + [1] * v if v == 1 or top and k == 1 else _local_exponents(core(), p, v, k)
+        if p == 2 and 2 <= k <= 3 and ranks and (t := ranks[1]()):
+            r = ranks[0]()
+            c2 = v - 2 * t - (n - r) if k == 3 else 0
+            exps = [0] * r + [1] * (n - r - t - c2) + [2] * c2 + [k] * t
+            if len(exps) != n or sum(exps) != v:  # a negative count, or a wrong sum
+                raise ArithmeticError(f"GF(2) ranks {r} and {t} contradict v_2(det) = {v} at K = {k}")
+        else:
+            exps = [0] * (n - v) + [1] * v if v == 1 or top and k == 1 else _local_exponents(core(), p, v, k)
         for i, e in enumerate(exps):
             factors[i] *= p**e
     return tuple(factors)

@@ -7,6 +7,7 @@ i-th invariant factor of a matrix is minor_gcd(a, i) / minor_gcd(a, i-1)
 as long as i <= rank; each minor comes from ``one_step_bareiss``.
 ``ref_components`` is a union-find, for the library's component walk.
 ``zero_one_core`` builds the SNF engine's 0/1 core entry by entry.
+``rank_mod_p`` is Gauss-Jordan elimination over GF(p) on lists of entries.
 ``tournament_rows`` decodes the searches' tournament masks bit by bit.
 """
 
@@ -81,6 +82,26 @@ def zero_one_core(rows):
         [int(v != h) for v, h in zip(r[1:], plus if r[0] == head[0] else minus)]
         for r in rows[1:]
     ]
+
+
+def rank_mod_p(a, p):
+    """Rank of the rows a over GF(p), p prime: each column's first nonzero
+    entry at or below the pivot rows found so far clears that column in
+    every other row, one entry at a time."""
+    m = [[x % p for x in row] for row in a]
+    rank = 0
+    for j in range(len(m[0])):
+        pivot = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][j], -1, p)
+        for i, row in enumerate(m):
+            if i != rank and row[j]:
+                f = row[j] * inv % p
+                m[i] = [(x - f * y) % p for x, y in zip(row, m[rank])]
+        rank += 1
+    return rank
 
 
 def ref_components(items, related):

@@ -9,6 +9,7 @@ the Euclidean one, and its product against |det|.
 
 import hashlib
 import math
+from functools import cache
 import operator
 import random
 
@@ -34,7 +35,7 @@ from doptsnf.snf import (
 )
 from doptsnf.search import search_circulant_barba
 from doptsnf.verify import ew_gram_check
-from oracles import MINOR_GCD_SIZE_LIMIT, minor_gcd, one_step_bareiss, zero_one_core
+from oracles import MINOR_GCD_SIZE_LIMIT, minor_gcd, one_step_bareiss, rank_mod_p, zero_one_core
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -439,6 +440,17 @@ def test_zero_one_core_from_masks_is_the_oracle(rows):
     assert snf._zero_one_core(kernels._sign_masks(rows), len(rows[0])) == zero_one_core(rows)
 
 
+@settings(max_examples=100, deadline=None)
+@given(PM1_RECTANGLES)
+@example([[1, 1], [-1, 1]])
+@example([[-1, 1, -1], [1, 1, 1], [-1, -1, 1]])
+def test_xor_rank_of_the_core_bit_rows_is_the_oracle_rank(rows):
+    """The rank path's c_0: the XOR rank of the core's bit rows, which are
+    never expanded, is the oracle's GF(2) rank of the entry-by-entry core."""
+    bits = snf._core_bits(kernels._sign_masks(rows), len(rows[0]))
+    assert kernels._xor_rank(bits) == rank_mod_p(zero_one_core(rows), 2)
+
+
 @pytest.mark.parametrize("name", PM1_CASES)
 def test_transforms_of_a_pm1_input_run_on_the_uncut_input(name):
     m = PM1_CASES[name]
@@ -488,9 +500,11 @@ ENGINE_RULE_CASES = {
     # core's p = 2 the top exponent 4, so one elimination, modulo 2^4
     "e66": (build_example_66, False, ((), 2, 1, 0)),
     # paley-q19's two equal order-57 blocks are D(104I + 8E + 2J)D, E the
-    # classes i = j (mod 3): no Bareiss, and s_n leaves one elimination,
-    # modulo 2^3; 13 has exponent 1 in s_n, so it needs none
-    "paley-q19": (lambda: paley_two_block(19), False, ((), 2, 1, 0)),
+    # classes i = j (mod 3): no Bareiss, and s_n gives the core's 2 the top
+    # exponent 3, so two GF(2) ranks settle p = 2, the core's and that of
+    # s_n A^-1, with no elimination; 13 has exponent 1 in s_n, so it needs
+    # none
+    "paley-q19": (lambda: paley_two_block(19), False, ((), 2, 0, 0)),
     # AA^T = 128 I: 128 one-entry blocks, each its own det, and s_n = 128
     # gives the core's 2 the top exponent 6: one elimination
     "hadamard-128": (lambda: sylvester_hadamard(128), False, ((), 128, 1, 0)),
@@ -585,6 +599,58 @@ def test_a_lowered_s_n_only_restarts_the_schedule(monkeypatch, name, top):
     assert ks[0] == top - 1 and len(ks) == 2
 
 
+def two_adic(x: int) -> int:
+    """The exponent of 2 in x != 0."""
+    return (x & -x).bit_length() - 1
+
+
+def refuse_xor_rank(rows):
+    raise AssertionError("a GF(2) rank ran")
+
+
+@pytest.mark.parametrize("name", ["e66", "paley-q19"])
+def test_a_halved_s_n_fails_the_integrality_check(monkeypatch, name):
+    """s_n halved makes s_n A^-1 no integer matrix at 2: a numerator of its
+    columns has a bit below e set, so the probe's inverse rank is 0 before
+    any GF(2) rank runs, and K, 4 -> 3 at e66 and 3 -> 2 at paley-q19, goes
+    to the schedule."""
+    rows = S_N_CASES[name]()
+    block_sn = snf._block_sn
+    monkeypatch.setattr(snf, "_block_sn", lambda rows, form: block_sn(rows, form) // 2)
+    monkeypatch.setattr(kernels, "_xor_rank", refuse_xor_rank)
+    assert gram_probe(rows)[2][1]() == 0
+
+
+#: Inputs whose core's 2 has the top exponent K = 1 (e26, paley-q7, the
+#: Barba double) or K = 2 (a seeded order-18 two-circulant, whose core's
+#: exponents of 2 are 0 and 2), so that a doubled s_n gives K = 2 or 3.
+DOUBLED_S_N_CASES = {
+    "e26": lambda: build_example_26().to_rows(),
+    "paley-q7": lambda: paley_two_block(7).to_rows(),
+    "barba-double-26": lambda: barba_double(search_circulant_barba(13)[0]).to_rows(),
+    "two-circulant-18": lambda: two_circulant(*random_pm1(628, 2, 9).to_rows()).to_rows(),
+}
+
+
+@pytest.mark.parametrize("name", DOUBLED_S_N_CASES)
+def test_a_doubled_s_n_never_gives_other_factors(monkeypatch, name):
+    """Each block's s_n doubled raises K by one, into the rank path's 2 or 3:
+    s_n A^-1 is then even, its GF(2) rank t = 0 sends p = 2 to the
+    schedule, and the factors are the Euclidean engine's, unless an
+    elimination contradicts |det|."""
+    rows = DOUBLED_S_N_CASES[name]()
+    want = euclidean_factors(IntMatrix.from_rows(rows))
+    block_sn = snf._block_sn
+    monkeypatch.setattr(snf, "_block_sn", lambda rows, form: 2 * block_sn(rows, form))
+    _, s_n, (_, inverse_rank) = gram_probe(rows)
+    assert 2 <= two_adic(s_n >> 1) <= 3 and inverse_rank() == 0
+    try:
+        got = smith_normal_form(IntMatrix.from_rows(rows)).factors
+    except ArithmeticError:
+        return
+    assert got == want
+
+
 @pytest.mark.parametrize("name, p", [("e66", 5), ("paley-q19", 13), ("paley-q19", 2)])
 def test_an_s_n_without_a_prime_of_det_is_refused(monkeypatch, name, p):
     """K = 0 at a prime of d: no exponent of p could reach v_p(d). At p = 2
@@ -633,7 +699,7 @@ def assert_probe_contract(rows) -> None:
         assert probe is None
     else:
         d = abs(one_step_bareiss(rows))
-        assert probe == (d, d and euclidean_s_n(rows))
+        assert probe[:2] == (d, d and euclidean_s_n(rows))
 
 
 def test_gram_probe_matches_the_oracle_on_the_paley_two_block_matrices():
@@ -678,7 +744,8 @@ def test_gram_probe_s_n_matches_the_euclidean_engine_on_two_circulant_blocks(fir
     rows = two_circulant_rows(first_rows)
     probe = gram_probe(rows)
     assert (probe is None) == (None in block_forms(rows))
-    assert gram_probe(signed_permutation(rows, random.Random(seed))) == probe
+    moved = gram_probe(signed_permutation(rows, random.Random(seed)))
+    assert (moved and moved[:2]) == (probe and probe[:2])
     if probe and probe[0]:
         assert probe[1] == euclidean_s_n(rows)
 
@@ -704,9 +771,15 @@ def barba_doubles() -> list[list[list[int]]]:
 S_N_CASES = {
     "e66": lambda: build_example_66().to_rows(),
     **{f"paley-q{q}": lambda q=q: paley_two_block(q).to_rows() for q in (7, 11, 19, 23)},
-    "hadamard-64": lambda: sylvester_hadamard(64).to_rows(),
-    "hadamard-128": lambda: sylvester_hadamard(128).to_rows(),
+    **{f"hadamard-{n}": lambda n=n: sylvester_hadamard(n).to_rows() for n in (16, 64, 128)},
 }
+
+
+@cache
+def s_n_case_factors(name: str) -> tuple[int, ...]:
+    """The Euclidean engine's factors of S_N_CASES[name], run once for the
+    tests that compare with them."""
+    return tuple(kernels.smith_reduce(S_N_CASES[name](), False)[0])
 
 
 @pytest.mark.parametrize("name", S_N_CASES)
@@ -714,10 +787,74 @@ def test_gram_probe_s_n_matches_the_euclidean_engine(name):
     """The probe's s_n is the Euclidean engine's largest factor, on the
     matrix and on three signed permutations of it, which keep the SNF."""
     rows = S_N_CASES[name]()
-    want = euclidean_s_n(rows)
+    want = max(s_n_case_factors(name))
     rng = random.Random(name)
     for moved in [rows] + [signed_permutation(rows, rng) for _ in range(3)]:
         assert gram_probe(moved)[1] == want
+
+
+def top_2_adic_count(factors) -> int:
+    """How many of the nonzero factors have the largest exponent of 2."""
+    exponents = [two_adic(f) for f in factors]
+    return exponents.count(max(exponents))
+
+
+@pytest.mark.parametrize("name", S_N_CASES)
+def test_inverse_rank_counts_the_factors_of_top_2_adic_valuation(name):
+    """s_n A^-1 has invariant factors s_n / s_i, odd exactly where s_i has
+    the top exponent of 2: the probe's GF(2) rank of it counts them, the
+    c_K of the core."""
+    assert gram_probe(S_N_CASES[name]())[2][1]() == top_2_adic_count(s_n_case_factors(name))
+
+
+def test_inverse_rank_counts_the_top_factors_of_the_barba_doubles():
+    for rows in barba_doubles():
+        assert gram_probe(rows)[2][1]() == top_2_adic_count(kernels.smith_reduce(rows, False)[0])
+
+
+#: A seeded order-6 +-1 square whose Gram is two order-3 blocks D(8I - 2J)D,
+#: with s_n = 4: as v_2(8) > v_2(s_n), bit e of w_t + alpha beta and of
+#: w_t - alpha beta differ, so a row's sign d_i = -1 moves its column of
+#: s_n A^-1 modulo 2.
+SIGNED_CLIQUES = [
+    [1, -1, -1, -1, -1, 1],
+    [-1, 1, -1, 1, -1, 1],
+    [-1, -1, -1, -1, -1, -1],
+    [1, 1, -1, -1, 1, 1],
+    [1, 1, 1, -1, -1, -1],
+    [1, 1, -1, 1, -1, -1],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+@example(SIGNED_CLIQUES)
+def test_inverse_rank_counts_the_top_factors_of_random_squares(rows):
+    """Where the probe proves |det| != 0 on a random +-1 square, its GF(2)
+    rank of s_n A^-1 counts the Euclidean factors of top 2-adic valuation."""
+    probe = gram_probe(rows)
+    if probe and probe[0]:
+        assert probe[2][1]() == top_2_adic_count(kernels.smith_reduce(rows, False)[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(TWO_CIRCULANT_FIRST_ROWS)
+def test_inverse_rank_and_the_snf_on_two_circulant_blocks(first_rows):
+    """Where the probe proves |det| != 0 and s_n, its inverse rank counts
+    the top factors, and the SNF, by two ranks where K is 2, is the
+    Euclidean engine's."""
+    rows = two_circulant_rows(first_rows)
+    probe = gram_probe(rows)
+    if probe and probe[0]:
+        want = tuple(kernels.smith_reduce(rows, False)[0])
+        assert probe[2][1]() == top_2_adic_count(want)
+        assert smith_normal_form(IntMatrix.from_rows(rows)).factors == want
 
 
 def test_gram_probe_s_n_matches_the_euclidean_engine_on_the_barba_doubles():
@@ -770,7 +907,7 @@ TWO_CLIQUES = [
 def test_gram_probe_refuses_block_determinants_whose_product_is_no_square(monkeypatch):
     assert gram_probe(ONE_AND_FIVE) is None
     d = abs(one_step_bareiss(TWO_CLIQUES))
-    assert gram_probe(TWO_CLIQUES) == (d, euclidean_s_n(TWO_CLIQUES)) == (128, 4)
+    assert gram_probe(TWO_CLIQUES)[:2] == (d, euclidean_s_n(TWO_CLIQUES)) == (128, 4)
     block_det = snf._block_det
     seen = []
 

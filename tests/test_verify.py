@@ -441,8 +441,8 @@ def test_claims_fail_on_a_wrong_certificate(monkeypatch, request, design, claim,
     probe = snf._gram_abs_det
 
     def off(*args):
-        d, sn = probe(*args)
-        return factor * d, sn
+        d, sn, *rest = probe(*args)
+        return factor * d, sn, *rest
 
     monkeypatch.setattr(snf, "_gram_abs_det", off)
     try:
