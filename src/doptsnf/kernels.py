@@ -5,10 +5,9 @@ lists of Python ints, so every result is exact no matter how large
 intermediates grow. Three kernels pack each row into one int, so that a row
 operation is a few big-integer operations instead of one interpreted
 operation per entry: the one modular kernel, ``local_exponents`` (which
-``gf_rank`` calls with k = 1 at odd p), packs fixed-width slots (of 1, 2, 4
-or 8 bytes where that is wide enough, so that rows convert in C), the GF(2)
-rank ``_xor_rank`` one bit per entry, and ``sign_gram`` the bitmasks of
-the -1 entries of +-1 rows. ``_sign_masks`` is the
+``gf_rank`` calls with k = 1), packs fixed-width slots (of 1, 2, 4 or 8
+bytes where that is wide enough, so that rows convert in C), ``_xor_rank``
+bits, and ``sign_gram`` the -1 masks of +-1 rows. ``_sign_masks`` is the
 one place that packs them, for ``sign_gram`` and for the SNF engine's Gram
 probe; ``_mask_gram``, the popcount loop, serves callers that hold masks
 already. Modulo 2^k the slots are read with bit masks alone: one AND tests
@@ -445,9 +444,7 @@ def local_exponents(a, p, k):
 
 
 def gf_rank(a, p):
-    """Rank over GF(p); p must be prime. At p = 2, ``_xor_rank`` of the rows' x & 1 bits."""
-    if p == 2:
-        return _xor_rank([int("".join(["1" if x & 1 else "0" for x in row]), 2) for row in a])
+    """Rank over GF(p); p must be prime."""
     return len(local_exponents(a, p, 1))
 
 

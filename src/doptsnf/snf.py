@@ -27,14 +27,13 @@ core with d >> (n-1) (as |det A| = 2^(n-1) |det C|), trial-divided whole,
 and the top exponent K = v_p(s_n / 2) of each prime p of d. On the Bareiss
 route the part w of d prime to M goes whole into s_n, as s_1...s_{n-1}
 (the gcd of the (n-1)-minors) divides M. Each prime p of d // w below
-``TRIAL_BOUND`` takes one of three rules, each exact. K = 1 needs nothing:
-v = v_p(d) exponents are 1 and the rest 0. K = 2 or 3 at p = 2 takes two
-GF(2) ranks: the core's, r, counts the exponents 0, and t, that of s_n A^-1
-(``_inverse_rank``), those at K, where s_n / s_i is odd; v fixes the
-others, or raises ArithmeticError. A t = 0, or an s_n A^-1 not integral at
-2, shows a wrong K, and p takes the schedule from k = K. Everything else
-takes the schedule, elimination modulo p^k (no entry grows past n*p^2k)
-from k = K, or 1 with no K (``_local_exponents``).
+``TRIAL_BOUND`` takes one of three exact rules. K = 1 needs nothing: v =
+v_p(d) exponents are 1, the rest 0. K = 2 or 3 at p = 2 takes two GF(2)
+ranks, the core's (r, the exponents 0) and that of s_n A^-1 (t, those at
+K, where s_n / s_i is odd; ``_inverse_rank``), and v fixes the rest or
+raises ArithmeticError; a t = 0, or an s_n A^-1 not integral at 2, shows a
+wrong K. All else, and such a K, takes ``_local_exponents``: elimination
+modulo p^k (no entry grows past n*p^2k) from k = K, or 1 with no K.
 The core is built only for an elimination. Singular rows, or a d // w with
 a prime factor the trial division does not reach, are handed back to the
 Euclidean engine, with no second local attempt. The Euclidean engine
@@ -151,10 +150,9 @@ def _gram_abs_det(rows: list[list[int]], masks: list[int]) -> tuple | None:
         raise ArithmeticError(f"the Gram blocks' determinants multiply to {square}, no square")
     if not d:
         return 0, 0, None
-    parts = [(block, forms[gram]) for block, gram in zip(blocks, grams)]
-    s_n = lcm(*(_block_sn([rows[i] for i in block], form) for block, form in parts))
-    ranks = (lambda: kernels._xor_rank(_core_bits(masks, n)), lambda: _inverse_rank(rows, masks, parts, s_n))
-    return d, s_n, ranks
+    parts = [(b, f, _numerators([rows[i] for i in b], f)) for b, f in zip(blocks, map(forms.get, grams))]
+    s_n = lcm(*(_block_sn(*nums) for _, _, nums in parts))
+    return d, s_n, (lambda: kernels._xor_rank(_core_bits(masks, n)), lambda: _inverse_rank(masks, parts, s_n))
 
 
 def _block_det(h: int, form: tuple) -> int:
@@ -167,48 +165,53 @@ def _block_det(h: int, form: tuple) -> int:
     return a ** (h - m) * alpha ** (m - 1) * (alpha + c * h)
 
 
-def _block_sn(rows: list[list[int]], form: tuple) -> int:
-    """The least denominator of a block's columns of A^-1 = A^T G^-1, from its
-    rows of A and their Gram's form: |Delta| over its gcd with the ``_numerators``."""
-    delta, classes = _numerators(rows, form)
-    return abs(delta) // gcd(delta, *(x for _, nums in classes for pair in nums.values() for x in pair))
+def _block_sn(delta: int, sums: list) -> int:
+    """The least denominator of a block's columns of A^-1 = A^T G^-1, from
+    its ``_numerators``: |Delta| over its gcd with them."""
+    g = delta
+    for _, _, nums in sums:
+        for plus, minus in nums.values():
+            g = gcd(g, plus, minus)
+    return abs(delta) // g
 
 
 def _numerators(rows: list[list[int]], form: tuple) -> tuple[int, list]:
-    """(Delta, and per class t the pairs (u_tj, U_j) of its columns j, with
-    each distinct pair's numerators) of a block. By (aI + bE + cJ)^-1 = I/a -
-    b/(a alpha) E - c/(alpha beta) J, column i of A^-1, in class t, is d_i
-    (alpha beta d_i a_i + w_t) / Delta, Delta = a alpha beta, w_t = -b beta
-    u_t - a c U, u_t the column sums of the rows d_i a_i of class t and U
-    theirs: w_tj +- alpha beta for d_i a_ij = +-1, or 0 if u_tj = -+k."""
+    """(Delta, per class t (u_t, U, the numerator pair, up to sign, of each
+    distinct (u_tj, U_j))) of a block's rows and Gram form. By (aI + bE +
+    cJ)^-1 = I/a - b/(a alpha) E - c/(alpha beta) J, column i of A^-1 is d_i
+    (alpha beta d_i a_i - b beta u_t - a c U) / Delta, Delta = a alpha beta,
+    u_t the column sums of d_i a_i over i's class t and U theirs. Entry j's
+    numerator for d_i a_ij = +-1 is 0 where no row of t has it (u_tj = -+k)."""
     a, b, c, classes, d = form
     k = len(classes[0])
     alpha, beta = a + b * k, a + b * k + c * len(rows)
     us = [list(map(sum, zip(*[rows[i] if d[i] > 0 else map(neg, rows[i]) for i in cl]))) for cl in classes]
     total = list(map(sum, zip(*us)))
     top, bb, ac = alpha * beta, b * beta, a * c
-    both = lambda uj, w: ((uj > -k) * (w + top), (uj < k) * (w - top))
-    pairs = [list(zip(u, total)) for u in us]
-    return a * top, [(ps, {(uj, tj): both(uj, -bb * uj - ac * tj) for uj, tj in set(ps)}) for ps in pairs]
+    sums = [(u, total, {}) for u in us]
+    for u, _, nums in sums:
+        for x, y in set(zip(u, total)):
+            w = bb * x + ac * y
+            nums[x, y] = (x > -k) * (top - w), (x < k) * (top + w)
+    return a * top, sums
 
 
-def _inverse_rank(rows: list[list[int]], masks: list[int], parts: list, s_n: int) -> int:
-    """GF(2) rank of s_n A^-1 from A's Gram (block, form) parts: entry j of
-    column i is odd where bit e = v_2(Delta) - v_2(s_n) of the numerator for
-    d_i a_ij is set; 0 if a bit below e is (not integral). e < 0: all even."""
-    full, columns = (1 << len(rows)) - 1, []
-    for block, form in parts:
-        delta, classes = _numerators([rows[i] for i in block], form)
+def _inverse_rank(masks: list[int], parts: list, s_n: int) -> int:
+    """GF(2) rank of s_n A^-1 from the Gram's (block, form, ``_numerators``):
+    entry j of column i is odd where bit e = v_2(Delta) - v_2(s_n) of the
+    numerator for d_i a_ij is set; 0 if a lower bit is (not integral)."""
+    full, columns = (1 << len(masks)) - 1, []
+    for block, (_, _, _, classes, d), (delta, sums) in parts:
         e = (delta & -delta).bit_length() - (s_n & -s_n).bit_length()
         if e < 0:
             continue
-        for cl, (pairs, nums) in zip(form[3], classes):
+        for cl, (u, total, nums) in zip(classes, sums):
             if any(x & (1 << e) - 1 for pair in nums.values() for x in pair):
                 return 0
             odd = {pair: f"{x >> e & 1}{y >> e & 1}" for pair, (x, y) in nums.items()}
-            bits = "".join([odd[pair] for pair in pairs])
+            bits = "".join([odd[pair] for pair in zip(u, total)])
             plus, minus = int(bits[::2], 2), int(bits[1::2], 2)
-            columns += [plus ^ (plus ^ minus) & (masks[block[i]] ^ full * (form[4][i] < 0)) for i in cl]
+            columns += [plus ^ (plus ^ minus) & (masks[block[i]] ^ full * (d[i] < 0)) for i in cl]
     return kernels._xor_rank(columns)
 
 
@@ -268,7 +271,7 @@ def _local_factors(core, n: int, d: int, w: int, top: int = 0, ranks=None) -> tu
             r = ranks[0]()
             c2 = v - 2 * t - (n - r) if k == 3 else 0
             exps = [0] * r + [1] * (n - r - t - c2) + [2] * c2 + [k] * t
-            if len(exps) != n or sum(exps) != v:  # a negative count, or a wrong sum
+            if len(exps) != n or sum(exps) != v:  # a negative count; at K = 2 also a wrong sum
                 raise ArithmeticError(f"GF(2) ranks {r} and {t} contradict v_2(det) = {v} at K = {k}")
         else:
             exps = [0] * (n - v) + [1] * v if v == 1 or top and k == 1 else _local_exponents(core(), p, v, k)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from doptsnf import kernels
 from doptsnf.exactmat import format_matrix
 from doptsnf.search import _barba_row_from_mask, _circulant_barba_hits
-from oracles import one_step_bareiss, rank_mod_p, ref_components
+from oracles import one_step_bareiss, ref_components
 from test_snf import paley_two_block
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -236,21 +236,6 @@ def test_local_exponents_match_references(a, p, k, swap):
     factors, _, _ = kernels.smith_reduce(a, False)
     vals = [valuation(f, p) for f in factors]
     assert got == [v for v in vals if v is not None and v < k]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.tuples(st.integers(1, 9), st.integers(1, 12)).flatmap(
-        lambda mn: st.lists(
-            st.lists(st.integers(-40, 40), min_size=mn[1], max_size=mn[1]), min_size=mn[0], max_size=mn[0]
-        )
-    )
-)
-def test_gf_rank_at_2_is_the_xor_rank_of_the_parity_bits(a):
-    """At p = 2 gf_rank packs each row's x & 1 bits for _xor_rank, so it
-    must agree with the modular kernel at k = 1 and the oracle, negative
-    entries included."""
-    assert kernels.gf_rank(a, 2) == len(kernels.local_exponents(a, 2, 1)) == rank_mod_p(a, 2)
 
 
 def test_local_exponents_unpack_no_row_for_p_2(monkeypatch, example66):

@@ -616,7 +616,7 @@ def test_a_halved_s_n_fails_the_integrality_check(monkeypatch, name):
     to the schedule."""
     rows = S_N_CASES[name]()
     block_sn = snf._block_sn
-    monkeypatch.setattr(snf, "_block_sn", lambda rows, form: block_sn(rows, form) // 2)
+    monkeypatch.setattr(snf, "_block_sn", lambda *nums: block_sn(*nums) // 2)
     monkeypatch.setattr(kernels, "_xor_rank", refuse_xor_rank)
     assert gram_probe(rows)[2][1]() == 0
 
@@ -641,7 +641,7 @@ def test_a_doubled_s_n_never_gives_other_factors(monkeypatch, name):
     rows = DOUBLED_S_N_CASES[name]()
     want = euclidean_factors(IntMatrix.from_rows(rows))
     block_sn = snf._block_sn
-    monkeypatch.setattr(snf, "_block_sn", lambda rows, form: 2 * block_sn(rows, form))
+    monkeypatch.setattr(snf, "_block_sn", lambda *nums: 2 * block_sn(*nums))
     _, s_n, (_, inverse_rank) = gram_probe(rows)
     assert 2 <= two_adic(s_n >> 1) <= 3 and inverse_rank() == 0
     try:
